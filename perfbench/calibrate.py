@@ -14,6 +14,13 @@ kernel taken REFERENCE_S, its usual time on that 2-core machine.  The speed
 flips between states that last seconds, hence kernel times within WINDOW_S
 of a measurement.  Ten covers_many runs read 4.4 to 7.8 s unscaled; scaled,
 their quartiles are 2% of the median apart.
+
+Set-up is calibrated the same way, by kernel runs every SETUP_PROBE_EVERY_S
+during set-up and a few right after it.  The machine's speed also flips
+within a fraction of a second, so 20 ms of kernel runs after set-up are too
+few: twenty covers_many set-ups scaled by them spread 0.23 (quartile
+distance over median, 0.05 unscaled), against 0.02 with the kernel running
+through set-up.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from typing import List, Sequence
 
 REFERENCE_S = 0.0015
 PROBE_EVERY_S = 0.1
+SETUP_PROBE_EVERY_S = 0.02  # set-up lasts 0.3 s on the covers workloads
 WINDOW_S = 2.0
 
 
@@ -78,9 +86,9 @@ class Probe:
         for _ in range(count):
             self._tick()
 
-    def start(self) -> None:
+    def start(self, every: float = PROBE_EVERY_S) -> None:
         signal.signal(signal.SIGALRM, self._tick)
-        signal.setitimer(signal.ITIMER_REAL, PROBE_EVERY_S, PROBE_EVERY_S)
+        signal.setitimer(signal.ITIMER_REAL, every, every)
 
     def stop(self) -> None:
         signal.setitimer(signal.ITIMER_REAL, 0)

@@ -211,7 +211,7 @@ def _check_certificate(name, outcome, d, v, betti, torsion, facets, witness) -> 
         out = [] if cert is None else [f"{name}: Undetermined carries a certificate"]
         if d != 2:
             out.append(f"{name}: Undetermined outside dimension 2")
-        if name == "sd(dunce_flag)" and not has_no_free_face(facets):
+        elif name == "sd(dunce_flag)" and not has_no_free_face(facets):
             out.append(f"{name}: input has a free face, the table row does not apply")
         return out
     if outcome == POSITIVE:

@@ -1,10 +1,11 @@
 """Seeded input generator for the benchmark workloads.
 
-    python3 perfbench/gen.py --seed 7 --out /tmp/inputs [--workload verdicts]
+    python3 perfbench/gen.py --seed 7 --out DIR
 
-writes, per workload, facet-list JSON files (and for `verdicts` the embedding
-witness) plus a `jobs.json` that lists the jobs in run order; for
-`covers_many` the job list is the spec list itself.  The same seed
+writes, for every workload under DIR/<workload>, facet-list JSON files (and
+for `verdicts` the embedding witness) plus a `jobs.json` that lists the jobs
+in run order; for `covers_many` the job list is the spec list itself.  The
+run itself calls generate() for its one workload.  The same seed
 gives byte-identical files.  Expected outputs are never written: the checkers
 in check.py derive them from the mathematics at check time.
 
@@ -254,11 +255,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", required=True, help="directory for the inputs")
-    ap.add_argument("--workload", choices=WORKLOADS, action="append",
-                    help="workload to generate (repeatable; default all)")
     ns = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    for w in ns.workload or WORKLOADS:
+    for w in WORKLOADS:
         jobs = generate(w, ns.seed, Path(ns.out) / w)
         print(f"{w}: {len(jobs)} jobs in {Path(ns.out) / w}")
     return 0

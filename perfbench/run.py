@@ -13,7 +13,9 @@ drift of the machine's speed between runs.  Every output is checked
 by check.py, which does not import raag.  With --trace 0 the last line of
 stdout is a JSON object with the end-to-end metrics; with --trace 1 it holds
 the per-layer metrics of one traced pass instead, in raw seconds.  Set-up
-time is the median over SETUP_SAMPLES fresh processes.  Inputs, results and spans go to
+time is the median over SETUP_SAMPLES fresh processes, each scaled by kernel
+runs made during its own set-up, half of them started before the jobs' process
+and half after it.  Inputs, results and spans go to
 .perfbench_work/ in the checkout.
 """
 
@@ -34,7 +36,10 @@ import calibrate
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("verdicts", "covers_many", "covers_large")
-SETUP_SAMPLES = 5
+# set-up processes per run, the run's own included; half run before it and
+# half after, so that their median spans the run instead of a few seconds.
+# Fewer on verdicts, whose set-up takes 1.3 s against 0.3 s.
+SETUP_SAMPLES = {"verdicts": 5, "covers_many": 11, "covers_large": 11}
 WORKER_TIMEOUT_S = 170
 
 
@@ -71,14 +76,16 @@ def main(argv=None) -> int:
     import selftest
 
     # a checker that accepts a wrong answer would make "correct" meaningless
-    problems = [f"checker self-test: {label}" for label, fn, should_pass in selftest.cases()
-                if (not fn()) != should_pass]
+    problems = [f"checker self-test: {label}" for label, ok, _ in selftest.run_cases() if not ok]
 
     base = ROOT / ".perfbench_work" / f"{ns.workload}-{ns.seed}-{ns.trace}"
     shutil.rmtree(base, ignore_errors=True)
     base.mkdir(parents=True)
     work = base / "inputs"
 
+    samples = 1 if ns.trace else SETUP_SAMPLES[ns.workload]
+    before = [_spawn(ns, work, base / f"setup{k}.json", setup_only=True)
+              for k in range(samples // 2)]
     res = _spawn(ns, work, base / "run.json", setup_only=False)
     jobs = json.loads((work / "jobs.json").read_text())
     problems += check.check_pass(ns.workload, work, jobs, res["outputs"])
@@ -94,11 +101,11 @@ def main(argv=None) -> int:
         metrics = {name: {"value": value, "unit": "s" if name.endswith(("_s", ".s")) else "count"}
                    for name, value in res["layers"].items()}
     else:
-        processes = [res] + [
+        processes = before + [res] + [
             _spawn(ns, work, base / f"setup{k}.json", setup_only=True)
-            for k in range(1, SETUP_SAMPLES)]
-        setups = [p["setup_s"] * calibrate.REFERENCE_S
-                  / statistics.median(d for _, d in p["probe_s"]) for p in processes]
+            for k in range(len(before), samples - 1)]
+        setups = [p["setup_s"] * calibrate.REFERENCE_S / statistics.median(p["setup_probe_s"])
+                  for p in processes]
         scale = calibrate.Scale(res["probe_s"])
         job_ms = [1000 * statistics.median(d * scale(t0, d) for t0, d in runs_of_job)
                   for runs_of_job in res["job_s"]]
@@ -112,8 +119,9 @@ def main(argv=None) -> int:
         }
         raw_wall = sum(statistics.median(d for _, d in t) for t in res["job_s"])
         print(f"{ns.workload} seed {ns.seed}: {len(jobs)} jobs run {attempted} times; "
-              f"unscaled wall {raw_wall:.3f} s, unscaled set-ups "
-              f"{', '.join(format(p['setup_s'], '.3f') for p in processes)} s")
+              f"unscaled wall {raw_wall:.3f} s; set-ups unscaled "
+              f"{', '.join(format(p['setup_s'], '.3f') for p in processes)} s, scaled "
+              f"{', '.join(format(x, '.3f') for x in setups)} s")
     for name, m in metrics.items():
         print(f"  {name} = {m['value']} {m['unit']}")
     print(json.dumps({"correct": not problems, "attempted": attempted, "failed": failed,

@@ -76,8 +76,6 @@ class Tracer:
         @functools.wraps(fn)
         def traced(*args, **kwargs):
             state = before(fn, args, kwargs) if before else None
-            if isinstance(state, tuple):  # the hook replaced the arguments
-                args, kwargs, state = state
             rec = [name, 0.0, 0.0, stack[-1] if stack else -1]
             stack.append(len(spans))
             spans.append(rec)
@@ -94,15 +92,7 @@ class Tracer:
         return traced
 
     def _before_simplicial_from_facets(self, fn, args, kwargs):
-        facets = _first_arg(fn, args, kwargs)
-        if not isinstance(facets, (list, tuple, set, frozenset)):
-            facets = list(facets)  # count a one-shot iterable without consuming it
-            if args:
-                args = (facets,) + args[1:]
-            else:
-                kwargs = dict(kwargs, facets=facets)
-        self.counts["simplicial.from_facets.simplices_in"] += len(facets)
-        return args, kwargs, None
+        self.counts["simplicial.from_facets.simplices_in"] += len(_first_arg(fn, args, kwargs))
 
     def _before_linalg_rank_mod_p(self, fn, args, kwargs):
         self.counts["linalg.rank_mod_p.nnz_in"] += _first_arg(fn, args, kwargs).nnz

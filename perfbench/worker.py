@@ -3,7 +3,8 @@
 The process imports raag from the checkout's src/, writes the workload's
 inputs with gen.py, then runs the jobs back to back in this single thread, in
 rounds (see _rounds).  Set-up time runs from the moment the parent started
-this process to the first job.  Outputs, exit codes, every job time and the
+this process to the end of set-up, less the calibration kernel runs made
+during it.  Outputs, exit codes, every job time and the
 calibration kernel times of calibrate.py go to the --result JSON file;
 run.py checks and aggregates them.  With --trace 1 the raag functions are
 wrapped first (tracing.py), every job runs once without the calibration
@@ -22,7 +23,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from calibrate import Probe
+from calibrate import SETUP_PROBE_EVERY_S, Probe
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -83,7 +84,7 @@ RUNNERS = {"verdicts": _verdict_runner, "covers_many": _covers_many_runner,
            "covers_large": _covers_large_runner}
 MIN_ROUNDS = 3
 MIN_REPEAT_S = 8.0
-SETUP_KERNELS = 12  # calibration of a set-up-only process
+SETUP_KERNELS = 12  # kernel runs right after set-up, to calibrate it
 
 
 def _rounds(jobs, run, seconds: float, probe: Optional[Probe]):
@@ -152,6 +153,9 @@ def main(argv=None) -> int:
     ap.add_argument("--setup-only", action="store_true")
     ns = ap.parse_args(argv)
 
+    setup_probe = None if ns.trace else Probe()
+    if setup_probe is not None:
+        setup_probe.start(SETUP_PROBE_EVERY_S)
     sys.path.insert(0, str(ROOT / "src"))
     import raag
     if not Path(raag.__file__).resolve().is_relative_to(ROOT / "src"):
@@ -167,11 +171,16 @@ def main(argv=None) -> int:
     work = Path(ns.work)
     jobs = gen.generate(ns.workload, ns.seed, work)
     run = RUNNERS[ns.workload](work, jobs)
-    result = {"setup_s": time.monotonic() - ns.spawned_at}
-    probe = None if tracer else Probe()
-    if ns.setup_only:
-        probe.run(SETUP_KERNELS)
+    if setup_probe is None:
+        result = {"setup_s": time.monotonic() - ns.spawned_at}
     else:
+        setup_probe.stop()
+        setup_s = time.monotonic() - ns.spawned_at
+        result = {"setup_s": setup_s - sum(d for _, d in setup_probe.times)}
+        setup_probe.run(SETUP_KERNELS)
+        result["setup_probe_s"] = [d for _, d in setup_probe.times]
+    probe = None if tracer or ns.setup_only else Probe()
+    if not ns.setup_only:
         if probe is not None:
             probe.start()
         try:
