@@ -8,7 +8,9 @@ the -o file; human-readable summaries go to stderr, so pipes stay clean.
 Exit codes: 0 success or classified; 3 undetermined; 10 malformed input or
 unknown fixture; 11 input not flag; 12 witness rejected; 13 degenerate
 quotient; 14 bad cover spec or prime; 15 internal consistency failure;
-20 unexpected error.  RAAG_THREADS > 1 parallelizes cover computations.
+20 unexpected error.  RAAG_THREADS > 1 parallelizes cover computations, with
+at most one worker process per CPU and per cover; a value that is not a
+positive integer exits 10.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 from . import io as rio
@@ -26,7 +29,8 @@ from .errors import (CorruptComplexError, CoverSpecError, FixtureError,
                      RaagError, WitnessRejectedError)
 from .fixtures import FIXTURE_NAMES, fixture
 from .growth import growth_experiment
-from .homology import homology_summary, uct_betti_fp
+from .homology import (betti_Fp, homology_Z, simplicial_chain_complex,
+                       uct_betti_fp)
 from .linalg import prime_factors
 from .models import standard_spec
 from .simplicial import (SimplicialComplex, barycentric_subdivision, cone,
@@ -158,13 +162,14 @@ def cmd_build(ns) -> int:
 
 def cmd_homology(ns) -> int:
     x = _resolve_input(ns)
-    base = homology_summary(x)
+    cc = simplicial_chain_complex(x)
+    base = homology_Z(cc)
     if ns.primes is None:
         primes = sorted({2} | {p for degree in base.torsion for t in degree
                               for p in prime_factors(t)})
     else:
         primes = _validated_primes(_int_list(ns.primes, "--primes"))
-    summary = homology_summary(x, primes=tuple(primes))
+    summary = replace(base, betti_mod_p=tuple((p, betti_Fp(cc, p)) for p in primes))
     uct_ok = all(summary.betti_fp(p) == uct_betti_fp(summary.betti, summary.torsion, p)
                  for p in primes)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import CoverSpecError, NotFlagError
+from .errors import CoverSpecError, MalformedComplexError, NotFlagError
 from .homology import betti_Fp, homology_summary
 from .linalg import prime_factors
 from .models import FiniteQuotientSpec, finite_cover
@@ -116,14 +116,15 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and prime_factors(p) == (p,)
 
 
-def _derivable_family(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec]):
-    """(family tag, expected betti per spec) or (None, [None]*len)."""
+def _derivable_family(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
+                      indices: Sequence[int]):
+    """(family tag, expected betti per spec) or (None, [None]*len).
+
+    indices[i] is the index of specs[i], computed once by the caller.
+    """
     n = L.n_vertices
     if L.dim == 0:
-        expected = []
-        for spec in specs:
-            idx = spec.index
-            expected.append((1, idx * (n - 1) + 1))
+        expected = [(1, idx * (n - 1) + 1) for idx in indices]
         return "free group, b_1 from Euler characteristic", expected
     if len(L.facets) == 1 and len(L.facets[0]) == n:
         row = tuple(math.comb(n, i) for i in range(n + 1))
@@ -167,6 +168,23 @@ def _side_blocks(spec: FiniteQuotientSpec, parts: Sequence[Sequence[int]]):
     return tuple(orders)
 
 
+def _worker_count(n_tasks: int) -> int:
+    """Worker processes for n_tasks covers, from RAAG_THREADS (default 1).
+
+    The value must be a positive integer.  The pool is capped at the CPU count
+    and at the number of tasks, since a process pool starts every worker.
+    """
+    raw = os.environ.get("RAAG_THREADS", "1")
+    try:
+        wanted = int(raw)
+        if wanted < 1:
+            raise ValueError(raw)
+    except ValueError:
+        raise MalformedComplexError(
+            f"RAAG_THREADS must be a positive integer, got {raw!r}") from None
+    return min(wanted, os.cpu_count() or 1, n_tasks)
+
+
 def _cover_task(args):
     facets, spec_moduli, spec_images, p = args
     from .simplicial import from_facets
@@ -182,8 +200,8 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
 
     specs must be ordered by strictly increasing index.  The per-degree
     reference is the reduced betti number of L one degree down (zero in degree
-    zero).  Worker processes are used when RAAG_THREADS > 1; results are
-    deterministic either way.
+    zero).  Worker processes are used when RAAG_THREADS > 1 (at most one per
+    CPU and per spec); results are deterministic either way.
     """
     flag, witness = is_flag(L)
     if not flag:
@@ -197,21 +215,22 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise CoverSpecError(f"specs must have strictly increasing index, got {indices}")
 
+    workers = _worker_count(len(specs))
+
     reduced = homology_summary(L, primes=(prime,), reduced=True).betti_fp(prime)
     reference = (0,) + tuple(reduced)  # degree i of the cover vs degree i-1 of L
 
-    workers = int(os.environ.get("RAAG_THREADS", "1"))
     tasks = [(L.facets, spec.moduli, spec.images, prime) for spec in specs]
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             betti_rows = list(pool.map(_cover_task, tasks))
     else:
         betti_rows = [_cover_task(t) for t in tasks]
 
-    family, expected = _derivable_family(L, specs)
+    family, expected = _derivable_family(L, specs, indices)
     covers = tuple(
-        CoverResult(moduli_label=spec.label(), index=spec.index,
+        CoverResult(moduli_label=spec.label(), index=idx,
                     betti=tuple(row), expected=exp)
-        for spec, row, exp in zip(specs, betti_rows, expected))
+        for spec, idx, row, exp in zip(specs, indices, betti_rows, expected))
     return GrowthSeries(complex_name=L.name, prime=prime, dim=L.dim,
                         reference=reference, covers=covers, derivable_family=family)

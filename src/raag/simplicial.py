@@ -128,8 +128,10 @@ def from_facets(facets: Iterable[Iterable[int]], name: str = "",
     """Build a complex from a facet list.
 
     Vertex ids must be dense 0..n-1 (every id below the maximum occurs in some
-    facet).  Non-maximal entries are absorbed, duplicates merged.  An empty
-    facet list gives the empty complex.
+    facet).  Duplicates are merged and non-maximal entries absorbed: a simplex
+    is dropped exactly when a strictly larger listed simplex contains it, since
+    distinct simplices of equal size never contain each other.  An empty facet
+    list gives the empty complex.
     """
     simplices = sorted({as_simplex(f) for f in facets}, key=lambda s: (len(s), s))
     if simplices and len(simplices[0]) == 0:
@@ -143,13 +145,23 @@ def from_facets(facets: Iterable[Iterable[int]], name: str = "",
         raise MalformedComplexError(f"vertex ids must be dense 0..{n - 1}; missing {missing}")
     if n_vertices is not None and n_vertices != n:
         raise MalformedComplexError(f"declared vertex count {n_vertices} != inferred {n}")
-    # keep only maximal simplices; quadratic is fine at fixture scale
+    # Walk by decreasing size.  containing[v] lists the kept facets of strictly
+    # larger size through v; a facet containing s is in the list of every vertex
+    # of s, so the shortest such list is the only one to search.  A size's kept
+    # facets are indexed only once a smaller size follows.
+    containing: List[List[frozenset]] = [[] for _ in range(n)]
     maximal: List[Simplex] = []
-    for s in sorted(simplices, key=len, reverse=True):
-        ss = set(s)
-        if not any(ss <= set(m) for m in maximal):
-            maximal.append(s)
-    return SimplicialComplex(n, tuple(sorted(maximal, key=lambda s: (len(s), s))), name=name)
+    kept: List[Simplex] = []
+    for _, same_size in itertools.groupby(reversed(simplices), key=len):
+        for f in kept:
+            fs = frozenset(f)
+            for v in f:
+                containing[v].append(fs)
+        kept = [s for s in same_size
+                if not any(m.issuperset(s) for m in min((containing[v] for v in s), key=len))]
+        maximal.extend(kept)
+    maximal.reverse()
+    return SimplicialComplex(n, tuple(maximal), name=name)
 
 
 def complex_to_json_dict(x: SimplicialComplex) -> dict:
@@ -227,17 +239,34 @@ def flag_completion(x: SimplicialComplex) -> SimplicialComplex:
 
 
 def complement_components(x: SimplicialComplex) -> List[Tuple[int, ...]]:
-    """Vertex sets of the connected components of the complement graph."""
+    """Vertex sets of the connected components of the complement graph.
+
+    A graph search over the vertices not yet reached, without building the
+    complement: the complement neighbours of u among them are unseen - adj[u].  Each vertex left in unseen by that difference is charged
+    to an edge at u, so the search is linear in vertices plus edges.  Parts
+    come in increasing order of their smallest vertex.
+    """
     n = x.n_vertices
-    if n == 0:
-        return []
-    edge_set = x.face_set(1)
-    comp = nx.Graph()
-    comp.add_nodes_from(range(n))
-    for u, v in itertools.combinations(range(n), 2):
-        if (u, v) not in edge_set:
-            comp.add_edge(u, v)
-    return [tuple(sorted(p)) for p in sorted(nx.connected_components(comp), key=min)]
+    adj: List[set] = [set() for _ in range(n)]
+    for u, v in x.faces(1):
+        adj[u].add(v)
+        adj[v].add(u)
+    unseen = set(range(n))
+    parts: List[Tuple[int, ...]] = []
+    for root in range(n):
+        if root not in unseen:
+            continue
+        unseen.discard(root)
+        part = [root]
+        frontier = [root]
+        while frontier:
+            reached = unseen - adj[frontier.pop()]
+            if reached:
+                unseen -= reached
+                part.extend(reached)
+                frontier.extend(reached)
+        parts.append(tuple(sorted(part)))
+    return parts
 
 
 def join_factors(x: SimplicialComplex) -> List[SimplicialComplex]:

@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import networkx as nx
+
 
 # -- dense Smith normal form ---------------------------------------------------
 
@@ -204,6 +206,28 @@ def brute_betti_fp(facets: Sequence[Tuple[int, ...]], p: int,
         r_hi = rank_gf(boundary_matrix(faces, i + 1), p) if i + 1 in faces else 0
         out.append(n_i - r_lo - r_hi)
     return out
+
+
+# -- facet absorption and complement components ---------------------------------
+
+
+def maximal_simplices_quadratic(facets: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """Distinct simplices of a facet list not strictly inside another listed one,
+    by testing every pair; (size, lex) order."""
+    simplices = {tuple(sorted(f)) for f in facets}
+    kept = [s for s in simplices if not any(set(s) < set(t) for t in simplices)]
+    return sorted(kept, key=lambda s: (len(s), s))
+
+
+def complement_components_networkx(n_vertices: int, edges: Sequence[Tuple[int, int]]
+                                   ) -> List[Tuple[int, ...]]:
+    """Components of the explicit complement graph, ordered by smallest vertex."""
+    edge_set = {tuple(sorted(e)) for e in edges}
+    comp = nx.Graph()
+    comp.add_nodes_from(range(n_vertices))
+    comp.add_edges_from(e for e in itertools.combinations(range(n_vertices), 2)
+                        if e not in edge_set)
+    return sorted(tuple(sorted(c)) for c in nx.connected_components(comp))
 
 
 # -- exhaustive flag check --------------------------------------------------------

@@ -129,6 +129,18 @@ def test_homology_table_golden(capsys):
     assert any(line.startswith("1") and "Z/2" in line for line in lines)
 
 
+def test_homology_rp2_flag_output_pinned(capsys):
+    code, out, err = run(capsys, "homology", "--fixture", "rp2_flag")
+    assert code == 0 and err == ""
+    assert out == (
+        "complex rp2_flag: f-vector (31, 90, 60), chi 1\n"
+        "degree  H_i(Z)          b(Q)  b(F_2)\n"
+        "0       Z               1     1     \n"
+        "1       Z/2             0     1     \n"
+        "2       0               0     1     \n"
+        "universal-coefficient cross-check: ok\n")
+
+
 def test_homology_default_primes_are_torsion_primes(capsys):
     code, out, _ = run(capsys, "homology", "--fixture", "moore", "--q", "5")
     assert code == 0
@@ -255,6 +267,15 @@ def test_growth_non_flag_exit_eleven(capsys):
     code, _, err = run(capsys, "growth", "--fixture", "rp2_6",
                        "--prime", "2", "--moduli", "2")
     assert code == 11
+
+
+def test_growth_bad_thread_count_exit_ten(monkeypatch, capsys):
+    monkeypatch.setenv("RAAG_THREADS", "abc")
+    code, out, err = run(capsys, "growth", "--fixture", "discrete", "--n", "2",
+                         "--prime", "2", "--moduli", "2,3")
+    assert code == 10
+    assert out == ""
+    assert "RAAG_THREADS" in err and "Traceback" not in err
 
 
 # -- argument handling ------------------------------------------------------------------

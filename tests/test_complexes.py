@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import is_flag_exhaustive, random_facets
+from oracles import (complement_components_networkx, is_flag_exhaustive,
+                     maximal_simplices_quadratic, random_facets)
 
 from raag.errors import MalformedComplexError, QuotientDegenerateError
 from raag.fixtures import fixture, standard_fixtures
@@ -19,6 +20,30 @@ from raag.simplicial import (Subdivision, as_simplex, barycentric_subdivision,
 
 
 # -- construction and canonical form -------------------------------------------
+
+
+@st.composite
+def messy_facet_lists(draw):
+    """Facet lists with duplicates, proper sub-faces and unsorted vertices,
+    relabeled to dense ids."""
+    base = draw(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+                         min_size=1, max_size=10))
+    facets = []
+    for f in base:
+        facets.append(f)
+        if draw(st.booleans()):
+            facets.append(draw(st.permutations(f)))
+        if len(f) > 1 and draw(st.booleans()):
+            facets.append(draw(st.permutations(f))[:draw(st.integers(1, len(f) - 1))])
+    facets = draw(st.permutations(facets))
+    relabel = {v: i for i, v in enumerate(sorted({v for f in facets for v in f}))}
+    return [[relabel[v] for v in f] for f in facets]
+
+
+@settings(max_examples=200, deadline=None)
+@given(messy_facet_lists())
+def test_from_facets_matches_quadratic_absorption(facets):
+    assert list(from_facets(facets).facets) == maximal_simplices_quadratic(facets)
 
 
 def test_from_facets_canonicalizes_and_absorbs():
@@ -241,6 +266,27 @@ def test_complement_components_and_join_factors():
     for f in factors:
         assert f.f_vector() == (2,)
     assert join_factors(fixture("cycle", n=5)) == [fixture("cycle", n=5)]
+
+
+@st.composite
+def graphs(draw):
+    """(n, edges): edgeless, complete or random simple graphs on 0..8 vertices."""
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = draw(st.sampled_from(("edgeless", "complete", "random")))
+    if kind == "edgeless":
+        return n, []
+    if kind == "complete":
+        return n, pairs
+    return n, [e for e in pairs if draw(st.booleans())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_complement_components_match_explicit_complement(graph):
+    n, edges = graph
+    x = from_facets([[v] for v in range(n)] + [list(e) for e in edges])
+    assert complement_components(x) == complement_components_networkx(n, edges)
 
 
 def test_induced_subcomplex_relabels():

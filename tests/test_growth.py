@@ -1,12 +1,13 @@
 """Cover growth experiments: exact families, CSV output, caveat discipline."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
-from raag.errors import CoverSpecError, NotFlagError
+from raag.errors import CoverSpecError, MalformedComplexError, NotFlagError
 from raag.fixtures import fixture
-from raag.growth import CAVEAT, growth_experiment
+from raag.growth import CAVEAT, _worker_count, growth_experiment
 from raag.models import FiniteQuotientSpec, standard_spec
 
 
@@ -118,6 +119,39 @@ def test_worker_pool_matches_serial(monkeypatch):
     parallel = growth_experiment(c4, specs, 2)
     assert serial == parallel
     assert serial.to_csv() == parallel.to_csv()
+
+
+def test_worker_count_is_capped_by_tasks_and_cpus(monkeypatch):
+    monkeypatch.delenv("RAAG_THREADS", raising=False)
+    assert _worker_count(5) == 1
+    monkeypatch.setenv("RAAG_THREADS", "64")
+    assert _worker_count(2) == min(2, os.cpu_count() or 1)
+    assert _worker_count(1) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "2.5"])
+def test_worker_count_rejects_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("RAAG_THREADS", value)
+    with pytest.raises(MalformedComplexError, match="RAAG_THREADS"):
+        _worker_count(2)
+
+
+def test_deck_group_built_twice_per_cover(monkeypatch):
+    # once for the ordering check and once for the cover itself
+    calls = []
+    original = FiniteQuotientSpec.deck_group
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(FiniteQuotientSpec, "deck_group", counted)
+    monkeypatch.delenv("RAAG_THREADS", raising=False)
+    x = fixture("discrete", n=2)
+    series = growth_experiment(x, [standard_spec(x, k) for k in (2, 3, 4)], 2)
+    assert [c.index for c in series.covers] == [4, 9, 16]
+    assert series.exact_match()
+    assert len(calls) == 6
 
 
 def test_reference_column_uses_reduced_mod_p_betti():
