@@ -12,11 +12,11 @@ from .simplicial import (SimplicialComplex, Simplex, Subdivision, as_simplex,
                          join, join_factors, simplicial_quotient)
 from .fixtures import FIXTURE_NAMES, fixture, flag_fixtures, moore_space, standard_fixtures
 from .linalg import (SNFResult, SparseIntMatrix, invariant_factors, prime_factors,
-                     rank_mod_p, rank_over_q, smith_normal_form)
-from .homology import (ChainComplexZ, HomologySummary, betti_Fp, dump_boundaries,
-                       flag_reduced_summary, homology_Z, homology_summary,
-                       join_homology_kunneth, simplicial_chain_complex,
-                       top_cohomology_nonzero, uct_betti_fp, with_primes)
+                     rank_mod_p, smith_normal_form)
+from .homology import (ChainComplexZ, HomologySummary, betti_Fp, flag_reduced_summary,
+                       homology_Z, homology_summary, join_homology_kunneth,
+                       simplicial_chain_complex, top_cohomology_nonzero, uct_betti_fp,
+                       with_primes)
 from .models import (CubeComplex, FiniteQuotientSpec, PosetComplex, fiber_dimension,
                      finite_cover, poset_complex, salvetti_complex, standard_spec,
                      toral_euler_characteristic, trivial_spec)

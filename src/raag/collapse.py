@@ -119,13 +119,18 @@ def collapse(x: SimplicialComplex, budget: int = 64) -> Optional[CollapseSequenc
 
     Runs the deterministic pass and then `budget` seeded restarts; returns the
     first successful sequence, or None when every attempt gets stuck.  None
-    does not certify non-collapsibility.
+    does not certify non-collapsibility.  The restarts are skipped when x has
+    no free face: then every attempt is stuck at its first step, whatever the
+    order, and fails exactly as the deterministic pass did.
     """
     if x.is_empty():
         return None
     found = _attempt(x, None)
     if found is not None:
         return found
+    start = _State(x.all_faces())
+    if not any(start.is_free(f) for f in start.faces):
+        return None
     for seed in range(budget):
         found = _attempt(x, seed)
         if found is not None:

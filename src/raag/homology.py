@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError
-from .linalg import (SNFResult, SparseIntMatrix, invariant_factors, prime_factors,
-                     rank_mod_p, smith_normal_form)
+from .linalg import (SNFResult, SparseIntMatrix, invariant_factors, pivot_rows_mod_p,
+                     prime_factors, smith_normal_form)
 from .simplicial import SimplicialComplex, join_factors
 
 
@@ -187,15 +187,24 @@ def homology_Z(cc: ChainComplexZ) -> HomologySummary:
 
 
 def betti_Fp(cc: ChainComplexZ, p: int) -> Tuple[int, ...]:
-    """Betti numbers over F_p from sparse matrix ranks (reduced if augmented)."""
+    """Betti numbers over F_p from sparse matrix ranks (reduced if augmented).
+
+    The boundaries are reduced from the top degree down, clearing as it goes:
+    the columns of d_i indexed by the pivot rows of d_{i+1} are dropped.  For
+    any pivot set this keeps the rank, since d_i d_{i+1} = 0 and the reduced
+    columns of d_{i+1}, restricted to their pivot rows, form an invertible
+    triangular block; so those columns of d_i lie in the span of the others.
+    """
     cc.validate()
     top = cc.top
     if top < 0:
         return ()
     ranks: Dict[int, int] = {}
     lo = 0 if cc.augmented else 1
-    for i in range(lo, top + 1):
-        ranks[i] = rank_mod_p(cc.boundary(i), p)
+    cleared: AbstractSet[int] = frozenset()
+    for i in range(top, lo - 1, -1):
+        cleared = pivot_rows_mod_p(cc.boundary(i), p, cleared)
+        ranks[i] = len(cleared)
     return tuple(cc.dims[i] - ranks.get(i, 0) - ranks.get(i + 1, 0) for i in range(top + 1))
 
 
@@ -394,19 +403,3 @@ def top_cohomology_nonzero(x: SimplicialComplex,
     }
     return result, detail
 
-
-def dump_boundaries(cc: ChainComplexZ) -> str:
-    """Line-oriented dump of every boundary matrix, for eyeballing.
-
-    Per degree: a header line "degree rows cols" followed by one "r c v" line
-    per entry in row-major order, then a blank line.
-    """
-    lines = []
-    lo = 0 if cc.augmented else 1
-    for i in range(lo, cc.top + 1):
-        m = cc.boundary(i)
-        lines.append(f"{i} {m.rows} {m.cols}")
-        for (r, c) in sorted(m.entries):
-            lines.append(f"{r} {c} {m.entries[(r, c)]}")
-        lines.append("")
-    return "\n".join(lines)

@@ -37,10 +37,6 @@ def load_complex(path: PathLike) -> SimplicialComplex:
     return complex_from_json_dict(data)
 
 
-def save_complex(path: PathLike, x: SimplicialComplex) -> None:
-    Path(path).write_text(complex_json(x) + "\n")
-
-
 def complex_json(x: SimplicialComplex) -> str:
     return json.dumps(complex_to_json_dict(x), indent=2, sort_keys=True)
 
@@ -54,10 +50,6 @@ def load_witness(path: PathLike) -> EmbeddingWitness:
     if not isinstance(emb, list) or any(not isinstance(v, int) for v in emb):
         raise MalformedComplexError(f"{path}: embedding must be a list of integers")
     return EmbeddingWitness.from_json_dict(data)
-
-
-def save_witness(path: PathLike, w: EmbeddingWitness) -> None:
-    Path(path).write_text(json.dumps(w.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_vertex_map(path: PathLike) -> Tuple[int, ...]:

@@ -1,23 +1,32 @@
 """Exact sparse linear algebra over Z and F_p.
 
 Everything here is arbitrary-precision: matrices hold Python ints, there is no
-floating point and no overflow.  The elimination core is shared between the
-integer Smith normal form and the mod-p rank:
+floating point and no overflow.  Smith normal form over Z and rank over F_p
+run on separate kernels.
 
-  * phase 1 consumes pivots that are units (+-1 over Z, any nonzero residue
-    mod p), chosen Markowitz-style: sparsest column first, then the sparsest
-    row within it, ties broken by lowest index so runs are deterministic;
-  * the integer leftover with no unit entries goes through the classical
+The integer Smith normal form eliminates in two phases:
+
+  * phase 1 consumes +-1 pivots, chosen Markowitz-style: sparsest column
+    first, then the sparsest row within it, ties broken by lowest index so
+    runs are deterministic;
+  * the leftover with no unit entries goes through the classical
     minimal-absolute-value Smith reduction with divisibility fix-ups.
 
 Unit pivots keep phase 1 fraction-free, so boundary matrices of simplicial and
 cubical complexes (entries +-1) mostly never reach phase 2.
+
+Rank over F_p is a column reduction: columns are reduced left to right, each
+against the earlier column sharing its lowest (largest-index) nonzero row,
+until that row is a new pivot or the column is zero.  Over F_2 a column is a
+Python int and reduction is XOR.  The kernel returns the pivot rows, which
+lets `homology.betti_Fp` clear across consecutive boundaries: the columns of
+d_i indexed by the pivot rows of d_{i+1} never need reducing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
 
 class SparseIntMatrix:
@@ -103,18 +112,13 @@ class SNFResult:
 
 
 class _Elimination:
-    """Mutable sparse elimination state shared by SNF and mod-p rank."""
+    """Mutable sparse elimination state of the integer Smith normal form."""
 
-    def __init__(self, m: SparseIntMatrix, p: Optional[int] = None):
-        self.p = p
+    def __init__(self, m: SparseIntMatrix):
         self.row: Dict[int, Dict[int, int]] = {}
         self.col: Dict[int, Set[int]] = {}
         self.buckets: Dict[int, Set[int]] = {}
         for (r, c), v in m.entries.items():
-            if p is not None:
-                v %= p
-                if v == 0:
-                    continue
             self.row.setdefault(r, {})[c] = v
         for r, cs in self.row.items():
             for c in cs:
@@ -163,8 +167,7 @@ class _Elimination:
     def _unit_in_col(self, c: int) -> Optional[Tuple[int, int]]:
         best = None
         for r in self.col[c]:
-            v = self.row[r][c]
-            if self.p is None and v not in (1, -1):
+            if self.row[r][c] not in (1, -1):
                 continue
             key = (len(self.row[r]), r)
             if best is None or key < best:
@@ -175,9 +178,8 @@ class _Elimination:
         """Sparsest column holding a unit entry; within it the sparsest row."""
         for size in sorted(self.buckets):
             bucket = self.buckets[size]
-            # mod p any live column qualifies, and over Z the lowest column of
-            # a boundary matrix almost always does, so try it before paying
-            # for a full sort of the bucket
+            # the lowest column of a boundary matrix almost always holds a
+            # unit, so try it before paying for a full sort of the bucket
             cand = self._unit_in_col(min(bucket))
             if cand is not None:
                 return cand
@@ -200,20 +202,14 @@ class _Elimination:
         carriers = self.col.pop(c, set())
         carriers.discard(r)
         self._rebucket(c, len(carriers) + 1)
-        inv = a if self.p is None else pow(a, -1, self.p)
         for rr in carriers:
             v = self.row[rr].pop(c)
             if not self.row[rr]:
                 del self.row[rr]
-            factor = v * inv if self.p is None else (v * inv) % self.p
-            if not factor:
-                continue
+            factor = v * a  # a = +-1 is its own inverse
             for cc, pv in prow.items():
                 cur = self.row.get(rr, {}).get(cc, 0)
-                nv = cur - factor * pv
-                if self.p is not None:
-                    nv %= self.p
-                self._set(rr, cc, nv)
+                self._set(rr, cc, cur - factor * pv)
 
     def run_unit_phase(self) -> int:
         count = 0
@@ -224,7 +220,7 @@ class _Elimination:
             self._schur_eliminate(*piv)
             count += 1
 
-    # -- phase 2: classical Smith reduction (integer mode only) ---------------
+    # -- phase 2: classical Smith reduction -----------------------------------
 
     def _min_entry(self) -> Tuple[int, int]:
         best = None
@@ -247,7 +243,6 @@ class _Elimination:
             self._set(r, dst, cur + k * v)
 
     def run_smith_phase(self) -> List[int]:
-        assert self.p is None
         diag: List[int] = []
         while self.entries_left():
             r, c = self._min_entry()
@@ -310,7 +305,7 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     >>> smith_normal_form(SparseIntMatrix.from_dense([[2, 0], [0, 3]])).diagonal
     (1, 6)
     """
-    elim = _Elimination(m, p=None)
+    elim = _Elimination(m)
     units = elim.run_unit_phase()
     rest = elim.run_smith_phase()
     diag = [1] * units + rest
@@ -318,17 +313,61 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     return SNFResult(tuple(diag))
 
 
-def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
-    """Rank of the matrix over the prime field F_p."""
+def pivot_rows_mod_p(m: SparseIntMatrix, p: int,
+                     skip: AbstractSet[int] = frozenset()) -> Set[int]:
+    """Pivot rows of a column reduction of m over F_p, leaving out the
+    columns in skip; len() of the result is the rank of the columns kept.
+
+    >>> sorted(pivot_rows_mod_p(SparseIntMatrix.from_dense([[1, 1], [1, 1]]), 2))
+    [1]
+    """
     if p < 2:
         raise ValueError(f"modulus must be a prime >= 2, got {p}")
-    elim = _Elimination(m, p=p)
-    return elim.run_unit_phase()
+    if p == 2:
+        bits: Dict[int, int] = {}
+        for (r, c), v in m.entries.items():
+            if v & 1 and c not in skip:
+                bits[c] = bits.get(c, 0) | (1 << r)
+        packed: Dict[int, int] = {}
+        for c in sorted(bits):
+            col = bits[c]
+            while col:
+                low = col.bit_length() - 1
+                other = packed.get(low)
+                if other is None:
+                    packed[low] = col
+                    break
+                col ^= other
+        return set(packed)
+    cols: Dict[int, Dict[int, int]] = {}
+    for (r, c), v in m.entries.items():
+        v %= p
+        if v and c not in skip:
+            cols.setdefault(c, {})[r] = v
+    # each stored pivot column is scaled so that its lowest entry is 1
+    pivots: Dict[int, Dict[int, int]] = {}
+    for c in sorted(cols):
+        col = cols[c]
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                inv = pow(col[low], -1, p)
+                pivots[low] = {r: v * inv % p for r, v in col.items()}
+                break
+            f = col[low]
+            for r, v in other.items():
+                nv = (col.get(r, 0) - f * v) % p
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+    return set(pivots)
 
 
-def rank_over_q(m: SparseIntMatrix) -> int:
-    """Rank over the rationals (= number of nonzero Smith invariant factors)."""
-    return smith_normal_form(m).rank
+def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
+    """Rank of the matrix over the prime field F_p."""
+    return len(pivot_rows_mod_p(m, p))
 
 
 # -- small arithmetic helpers -------------------------------------------------

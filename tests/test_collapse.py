@@ -1,10 +1,14 @@
 """Collapse search, replay checking, and certificate serialization."""
 
+import importlib
 import json
 
 from raag.collapse import CollapseSequence, collapse, replay_collapse
 from raag.fixtures import fixture
 from raag.simplicial import barycentric_subdivision, cone, from_facets
+
+# the package re-exports the function collapse under the submodule's name
+collapse_module = importlib.import_module("raag.collapse")
 
 
 def test_collapses_cones_and_disks():
@@ -43,6 +47,34 @@ def test_contractible_but_stuck_complex():
 def test_budget_zero_runs_deterministic_pass_only():
     assert collapse(fixture("simplex", n=2), budget=0) is not None
     assert collapse(fixture("cycle", n=4), budget=0) is None
+
+
+def _count_attempts(monkeypatch):
+    calls = []
+    real = collapse_module._attempt
+
+    def counted(x, seed):
+        calls.append(seed)
+        return real(x, seed)
+
+    monkeypatch.setattr(collapse_module, "_attempt", counted)
+    return calls
+
+
+def test_no_free_face_skips_restarts(monkeypatch):
+    calls = _count_attempts(monkeypatch)
+    for x in (fixture("cycle", n=5), fixture("rp2_flag"), fixture("dunce_flag"),
+              fixture("discrete", n=2)):
+        calls.clear()
+        assert collapse(x, budget=8) is None
+        assert calls == [None]
+
+
+def test_free_faces_but_stuck_runs_every_restart(monkeypatch):
+    calls = _count_attempts(monkeypatch)
+    # a 4-cycle with a pendant edge: vertex 4 is free, the cycle then sticks
+    assert collapse(from_facets([[0, 1], [1, 2], [2, 3], [0, 3], [3, 4]]), budget=5) is None
+    assert calls == [None, 0, 1, 2, 3, 4]
 
 
 def test_collapse_deterministic_across_runs():

@@ -16,8 +16,7 @@ from raag.homology import (ChainComplexZ, HomologySummary, betti_Fp,
                            flag_reduced_summary, homology_summary,
                            join_homology_kunneth, simplicial_chain_complex,
                            top_cohomology_nonzero, uct_betti_fp, with_primes)
-from raag.linalg import (SparseIntMatrix, rank_mod_p, rank_over_q,
-                         smith_normal_form)
+from raag.linalg import SparseIntMatrix, rank_mod_p, smith_normal_form
 from raag.simplicial import from_facets, join
 
 
@@ -65,7 +64,7 @@ def test_snf_divisibility_chain_frozen_cases():
 @given(matrix_strategy, st.sampled_from([2, 3, 5, 7, 11]))
 def test_ranks_match_oracles(rows, p):
     m = SparseIntMatrix.from_dense(rows)
-    assert rank_over_q(m) == rank_fraction([[Fraction(v) for v in r] for r in rows])
+    assert smith_normal_form(m).rank == rank_fraction([[Fraction(v) for v in r] for r in rows])
     assert rank_mod_p(m, p) == rank_gf(rows, p)
 
 
