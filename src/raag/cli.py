@@ -10,7 +10,9 @@ unknown fixture; 11 input not flag; 12 witness rejected; 13 degenerate
 quotient; 14 bad cover spec or prime; 15 internal consistency failure;
 20 unexpected error.  RAAG_THREADS > 1 parallelizes cover computations, with
 at most one worker process per CPU and per cover; a value that is not a
-positive integer exits 10.
+positive integer exits 10.  growth refuses, with exit 14 and before building
+anything, a cover of more than models.MAX_COVER_CELLS (250,000) cells, counted
+as index * (1 + number of faces of L) over all dimensions.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import CoverSpecError, MalformedComplexError, NotFlagError
 from .homology import betti_Fp, homology_summary
 from .linalg import prime_factors
-from .models import FiniteQuotientSpec, finite_cover
+from .models import FiniteQuotientSpec, check_cover_size, finite_cover
 from .simplicial import SimplicialComplex, complement_components, is_flag
 
 CAVEAT = ("abelian quotient kernels of a nonabelian group do not form a residual "
@@ -198,7 +198,9 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
                       prime: int) -> GrowthSeries:
     """Betti numbers of the covers of the cube complex of L over F_prime.
 
-    specs must be ordered by strictly increasing index.  The per-degree
+    specs must be ordered by strictly increasing index, and no cover may have
+    more than models.MAX_COVER_CELLS cells; both are checked from the Smith
+    normal form index before any cover is built.  The per-degree
     reference is the reduced betti number of L one degree down (zero in degree
     zero).  Worker processes are used when RAAG_THREADS > 1 (at most one per
     CPU and per spec); results are deterministic either way.
@@ -214,6 +216,8 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     indices = [spec.index for spec in specs]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise CoverSpecError(f"specs must have strictly increasing index, got {indices}")
+    for idx in indices:
+        check_cover_size(L, idx)
 
     workers = _worker_count(len(specs))
 

@@ -31,13 +31,11 @@ class ChainComplexZ:
     augmentation row C_0 -> Z and homology read off this complex is reduced.
     """
 
-    __slots__ = ("dims", "labels", "augmented", "_bnd", "_checked")
+    __slots__ = ("dims", "augmented", "_bnd", "_checked")
 
     def __init__(self, dims: Sequence[int], boundaries: Dict[int, SparseIntMatrix],
-                 labels: Optional[Sequence[Sequence[object]]] = None,
                  augmented: bool = False):
         self.dims = tuple(dims)
-        self.labels = tuple(tuple(l) for l in labels) if labels is not None else None
         self.augmented = augmented
         self._bnd = dict(boundaries)
         self._checked = False
@@ -66,18 +64,38 @@ class ChainComplexZ:
         return SparseIntMatrix(rows, cols, {})
 
     def validate(self) -> None:
-        """Check boundary-squared = 0 in every degree; raises on failure."""
+        """Check boundary-squared = 0 in every degree; raises on failure.
+
+        Each column of d_{i+1} is multiplied by d_i on its own, so every
+        entry of the product d_i d_{i+1} is computed exactly once.
+        """
         if self._checked:
             return
         lo = 0 if self.augmented else 1
+        below = _columns(self.boundary(lo)) if lo < self.top else {}
         for i in range(lo, self.top):
-            composite = self.boundary(i).matmul(self.boundary(i + 1))
-            if not composite.is_zero():
-                raise CorruptComplexError(f"boundary composition nonzero in degree {i + 1}")
+            above = _columns(self.boundary(i + 1))
+            for col in above.values():
+                acc: Dict[int, int] = {}
+                for k, w in col:
+                    for r, v in below.get(k, ()):
+                        acc[r] = acc.get(r, 0) + v * w
+                if any(acc.values()):
+                    raise CorruptComplexError(
+                        f"boundary composition nonzero in degree {i + 1}")
+            below = above
         self._checked = True
 
     def __repr__(self):
         return f"<ChainComplexZ dims={self.dims} augmented={self.augmented}>"
+
+
+def _columns(m: SparseIntMatrix) -> Dict[int, List[Tuple[int, int]]]:
+    """Column -> [(row, value), ...] of a sparse matrix."""
+    cols: Dict[int, List[Tuple[int, int]]] = {}
+    for (r, c), v in m.entries.items():
+        cols.setdefault(c, []).append((r, v))
+    return cols
 
 
 def simplicial_chain_complex(x: SimplicialComplex, augmented: bool = False) -> ChainComplexZ:
@@ -88,7 +106,7 @@ def simplicial_chain_complex(x: SimplicialComplex, augmented: bool = False) -> C
     """
     top = x.dim
     if top < 0:
-        return ChainComplexZ((), {}, labels=(), augmented=augmented)
+        return ChainComplexZ((), {}, augmented=augmented)
     dims = [len(x.faces(k)) for k in range(top + 1)]
     boundaries: Dict[int, SparseIntMatrix] = {}
     for k in range(1, top + 1):
@@ -99,8 +117,7 @@ def simplicial_chain_complex(x: SimplicialComplex, augmented: bool = False) -> C
                 fct = s[:drop] + s[drop + 1:]
                 entries[(below[fct], j)] = (-1) ** drop
         boundaries[k] = SparseIntMatrix(dims[k - 1], dims[k], entries)
-    labels = [x.faces(k) for k in range(top + 1)]
-    return ChainComplexZ(dims, boundaries, labels=labels, augmented=augmented)
+    return ChainComplexZ(dims, boundaries, augmented=augmented)
 
 
 @dataclass(frozen=True)

@@ -69,25 +69,6 @@ class SparseIntMatrix:
                     entries[(i, j)] = int(v)
         return SparseIntMatrix(len(rows), ncols, entries)
 
-    def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_row: Dict[int, List[Tuple[int, int]]] = {}
-        for (r, c), v in self.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        by_col: Dict[int, List[Tuple[int, int]]] = {}
-        for (r, c), v in other.entries.items():
-            by_col.setdefault(r, []).append((c, v))
-        acc: Dict[Tuple[int, int], int] = {}
-        for r, pairs in by_row.items():
-            for k, v in pairs:
-                for c, w in by_col.get(k, ()):
-                    acc[(r, c)] = acc.get((r, c), 0) + v * w
-        return SparseIntMatrix(self.rows, other.cols, acc)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseIntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)

@@ -17,16 +17,27 @@ Three pieces of structure for a defining complex L:
     finite abelian groups.  The base complex has zero boundary maps; in a
     cover the two parallel facets of a cube in direction v sit at deck
     elements q and q + phi(v) and enter with opposite signs.
+
+Cover cells are plain integers: the cell over base cell s at deck position qi
+is qi * (number of base cells) + position of s.  One enumeration of the deck
+group yields its sorted elements and a shift table, shift[v][qi] being the
+position of deck[qi] + phi(v), so a boundary entry costs a list lookup and no
+group arithmetic.  The index |<phi(v)>| comes separately from a Smith normal
+form, before anything is enumerated: a cover above MAX_COVER_CELLS cells is
+refused up front, and the enumeration is checked against it.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from operator import add, mod
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import CoverSpecError, MalformedComplexError, NotFlagError
+from .errors import CorruptComplexError, CoverSpecError, MalformedComplexError, NotFlagError
 from .homology import ChainComplexZ
-from .linalg import SparseIntMatrix
+from .linalg import SparseIntMatrix, smith_normal_form
 from .simplicial import Simplex, SimplicialComplex, barycentric_subdivision, cone, is_flag
 
 EMPTY: Simplex = ()
@@ -109,28 +120,52 @@ class FiniteQuotientSpec:
             norm.append(tuple(x % k for x, k in zip(img, self.moduli)))
         object.__setattr__(self, "images", tuple(norm))
 
-    def add(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-        return tuple((x + y) % k for x, y, k in zip(a, b, self.moduli))
+    def cayley_table(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[List[int], ...]]:
+        """The deck group, sorted, and its shift table, from one enumeration.
 
-    def deck_group(self) -> Tuple[Tuple[int, ...], ...]:
-        """Subgroup generated by the generator images, sorted tuples."""
-        zero = tuple(0 for _ in self.moduli)
-        seen = {zero}
+        shift[v][qi] is the position in the deck of deck[qi] + images[v].
+        Equal images share one list.
+        """
+        moduli, images = self.moduli, self.images
+        zero = tuple(0 for _ in moduli)
+        sums = {}
         frontier = [zero]
+        seen = {zero}
         while frontier:
             nxt = []
             for q in frontier:
-                for img in self.images:
-                    s = self.add(q, img)
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
+                row = [tuple(map(mod, map(add, q, img), moduli)) for img in images]
+                sums[q] = row
+                for t in row:
+                    if t not in seen:
+                        seen.add(t)
+                        nxt.append(t)
             frontier = nxt
-        return tuple(sorted(seen))
+        deck = tuple(sorted(sums))
+        pos = {q: i for i, q in enumerate(deck)}
+        by_image: Dict[Tuple[int, ...], List[int]] = {}
+        for v, img in enumerate(images):
+            if img not in by_image:
+                by_image[img] = [pos[sums[q][v]] for q in deck]
+        return deck, tuple(by_image[img] for img in images)
+
+    def deck_group(self) -> Tuple[Tuple[int, ...], ...]:
+        """Subgroup generated by the generator images, sorted tuples."""
+        return self.cayley_table()[0]
 
     @property
     def index(self) -> int:
-        return len(self.deck_group())
+        """|<images>| = prod(moduli) / |Z^r / (images + moduli lattice)|.
+
+        The cokernel order is the product of the Smith normal form diagonal
+        of the images stacked over diag(moduli), which has full column rank,
+        so nothing is enumerated.
+        """
+        n, r = len(self.images), len(self.moduli)
+        entries = {(i, j): x for i, img in enumerate(self.images) for j, x in enumerate(img)}
+        entries.update(((n + j, j), k) for j, k in enumerate(self.moduli))
+        snf = smith_normal_form(SparseIntMatrix(n + r, r, entries))
+        return math.prod(self.moduli) // math.prod(snf.diagonal)
 
     def label(self) -> str:
         return "x".join(str(k) for k in self.moduli) if self.moduli else "1"
@@ -152,6 +187,24 @@ def trivial_spec(L: SimplicialComplex) -> FiniteQuotientSpec:
 # -- cube complexes -------------------------------------------------------------
 
 
+# Largest cover, in cells over all dimensions, that CubeComplex accepts.
+# Measured peak memory of raag growth per cover cell: 0.7-1.0 KiB at p = 2
+# and 3 on covers of 11k-20k cells (C_4 at k = 6, the octahedron at k = 3,
+# C_5 at k = 4), flat near 0.85 KiB at p = 3 up to 190k cells, but growing at
+# p = 2 (3.1 KiB at 190k cells, 6.2 KiB at 420k) as the packed F_2 columns
+# fill in.  At this bound a cover takes about 1 GiB at either prime.
+MAX_COVER_CELLS = 250_000
+
+
+def check_cover_size(base: SimplicialComplex, index: int) -> None:
+    """Raise CoverSpecError if a cover of this index exceeds MAX_COVER_CELLS."""
+    cells = index * (1 + sum(base.f_vector()))
+    if cells > MAX_COVER_CELLS:
+        raise CoverSpecError(
+            f"cover of index {index} would have {cells} cells, "
+            f"more than the limit of {MAX_COVER_CELLS}")
+
+
 class CubeComplex:
     """Cover of the cube complex of L determined by a finite abelian quotient.
 
@@ -160,7 +213,7 @@ class CubeComplex:
     canonical base-cell order.
     """
 
-    __slots__ = ("base", "spec", "deck", "_deck_index", "_cc")
+    __slots__ = ("base", "spec", "deck", "_shift", "_cc")
 
     def __init__(self, base: SimplicialComplex, spec: FiniteQuotientSpec):
         flag, witness = is_flag(base)
@@ -171,10 +224,14 @@ class CubeComplex:
         if len(spec.images) != base.n_vertices:
             raise CoverSpecError(
                 f"spec assigns {len(spec.images)} generators, base has {base.n_vertices}")
+        index = spec.index
+        check_cover_size(base, index)
         self.base = base
         self.spec = spec
-        self.deck = spec.deck_group()
-        self._deck_index = {q: i for i, q in enumerate(self.deck)}
+        self.deck, self._shift = spec.cayley_table()
+        if len(self.deck) != index:
+            raise CorruptComplexError(
+                f"deck group has {len(self.deck)} elements, Smith normal form says {index}")
         self._cc: Optional[ChainComplexZ] = None
 
     @property
@@ -202,36 +259,42 @@ class CubeComplex:
                 yield (q, s)
 
     def cell_index(self, i: int, q: Tuple[int, ...], s: Simplex) -> int:
-        base = self.base_cells(i)
+        qi = bisect_left(self.deck, q)
+        if qi == len(self.deck) or self.deck[qi] != q:
+            raise KeyError(q)
         pos = 0 if i == 0 else self.base.face_index(i - 1)[s]
-        return self._deck_index[q] * len(base) + pos
+        return qi * len(self.base_cells(i)) + pos
 
     def chain_complex(self) -> ChainComplexZ:
         """Cubical boundary maps: direction j of the cube over (v_0 < ... < v_k)
-        contributes (-1)^j times (translated facet - untranslated facet)."""
+        contributes (-1)^j times (translated facet - untranslated facet).
+
+        A zero image puts both facets on the same cell, where they cancel.
+        """
         if self._cc is not None:
             return self._cc
         dims = self.cell_counts()
         boundaries: Dict[int, SparseIntMatrix] = {}
         for i in range(1, self.dim + 1):
+            cells = self.base_cells(i)
+            below = self.base.face_index(i - 2) if i >= 2 else {EMPTY: 0}
+            n_below = len(below)
+            # per base cell: (facet position, shift list, sign) per direction
+            plans = [[(below[s[:j] + s[j + 1:]], self._shift[v], (-1) ** j)
+                      for j, v in enumerate(s)] for s in cells]
             entries: Dict[Tuple[int, int], int] = {}
-            ncols_base = len(self.base_cells(i))
-            for qi, q in enumerate(self.deck):
-                for si, s in enumerate(self.base_cells(i)):
-                    col = qi * ncols_base + si
-                    for j, v in enumerate(s):
-                        facet = s[:j] + s[j + 1:]
-                        sign = (-1) ** j
-                        shifted = self.spec.add(q, self.spec.images[v])
-                        for row, val in (
-                            (self.cell_index(i - 1, shifted, facet), sign),
-                            (self.cell_index(i - 1, q, facet), -sign),
-                        ):
-                            entries[(row, col)] = entries.get((row, col), 0) + val
-            entries = {k: v for k, v in entries.items() if v}
+            col = 0
+            for qi in range(len(self.deck)):
+                here = qi * n_below
+                for plan in plans:
+                    for fpos, shift, sign in plan:
+                        t = shift[qi]
+                        if t != qi:
+                            entries[(t * n_below + fpos, col)] = sign
+                            entries[(here + fpos, col)] = -sign
+                    col += 1
             boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], entries)
-        labels = [tuple(self.cells(i)) for i in range(self.dim + 1)]
-        self._cc = ChainComplexZ(dims, boundaries, labels=labels)
+        self._cc = ChainComplexZ(dims, boundaries)
         return self._cc
 
     def to_json_dict(self) -> dict:

@@ -37,22 +37,19 @@ class SimplicialComplex:
     absorbs non-maximal faces.
     """
 
-    __slots__ = ("n_vertices", "facets", "name", "_faces", "_face_sets", "_face_index")
+    __slots__ = ("n_vertices", "facets", "name", "dim", "_faces", "_face_sets",
+                 "_face_index")
 
     def __init__(self, n_vertices: int, facets: Tuple[Simplex, ...], name: str = ""):
         self.n_vertices = n_vertices
         self.facets = facets
         self.name = name
+        self.dim = max((len(f) for f in facets), default=0) - 1  # -1 when empty
         self._faces: Dict[int, Tuple[Simplex, ...]] = {}
         self._face_sets: Dict[int, frozenset] = {}
         self._face_index: Dict[int, Dict[Simplex, int]] = {}
 
     # -- basic queries ------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        """Dimension; -1 for the empty complex."""
-        return max((len(f) for f in self.facets), default=0) - 1
 
     def faces(self, k: int) -> Tuple[Simplex, ...]:
         """All k-faces in canonical (lexicographic) order."""

@@ -208,6 +208,57 @@ def brute_betti_fp(facets: Sequence[Tuple[int, ...]], p: int,
     return out
 
 
+# -- finite covers of the cube complex -------------------------------------------
+
+
+def deck_group_bfs(moduli: Sequence[int], images: Sequence[Sequence[int]]
+                   ) -> List[Tuple[int, ...]]:
+    """Subgroup of Z/k_1 x ... x Z/k_r generated by the images, sorted, by BFS."""
+    zero = tuple(0 for _ in moduli)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for img in images:
+                s = tuple((x + y) % k for x, y, k in zip(q, img, moduli))
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return sorted(seen)
+
+
+def cover_boundaries_tuples(facets: Sequence[Tuple[int, ...]], moduli: Sequence[int],
+                            images: Sequence[Sequence[int]]
+                            ) -> Tuple[List[int], Dict[int, Dict[Tuple[int, int], int]]]:
+    """(dims, {i: {(row, col): value}}) of a cover of the cube complex of L.
+
+    Cells are (deck element, simplex) pairs found by dict lookup, ordered deck
+    element first; direction j of the cube over (v_0 < ... < v_k) contributes
+    (-1)^j (facet at q + image(v_j) - facet at q), summed entry by entry.
+    """
+    deck = deck_group_bfs(moduli, images)
+    faces = all_faces(facets)
+    top = max(faces) + 1 if faces else 0
+    base = [[()]] + [faces[d] for d in range(top)]
+    index = [{(q, s): n for n, (q, s) in enumerate((q, s) for q in deck for s in cells)}
+             for cells in base]
+    dims = [len(ix) for ix in index]
+    boundaries: Dict[int, Dict[Tuple[int, int], int]] = {}
+    for i in range(1, top + 1):
+        entries: Dict[Tuple[int, int], int] = {}
+        for (q, s), col in index[i].items():
+            for j, v in enumerate(s):
+                facet = s[:j] + s[j + 1:]
+                moved = tuple((x + y) % k for x, y, k in zip(q, images[v], moduli))
+                for cell, val in (((moved, facet), (-1) ** j), ((q, facet), -(-1) ** j)):
+                    key = (index[i - 1][cell], col)
+                    entries[key] = entries.get(key, 0) + val
+        boundaries[i] = {k: v for k, v in entries.items() if v}
+    return dims, boundaries
+
+
 # -- facet absorption and complement components ---------------------------------
 
 

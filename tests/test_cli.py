@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from raag.classify import EmbeddingWitness
 from raag.cli import main
 from raag.fixtures import _polygon_disk, fixture
+from raag.models import FiniteQuotientSpec
 from raag.simplicial import complex_to_json_dict, induced_subcomplex
 
 
@@ -276,6 +278,21 @@ def test_growth_bad_thread_count_exit_ten(monkeypatch, capsys):
     assert code == 10
     assert out == ""
     assert "RAAG_THREADS" in err and "Traceback" not in err
+
+
+def test_growth_oversized_cover_exits_fourteen_before_enumerating(monkeypatch, capsys):
+    # rp2_flag has 31 vertices: (Z/2)^31 would have 2^31 deck elements
+    def refuse(spec):
+        raise AssertionError("the deck group was enumerated")
+
+    monkeypatch.setattr(FiniteQuotientSpec, "cayley_table", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "growth", "--fixture", "rp2_flag",
+                         "--prime", "2", "--moduli", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 14
+    assert out == ""
+    assert "index 2147483648" in err and "Traceback" not in err
 
 
 # -- argument handling ------------------------------------------------------------------

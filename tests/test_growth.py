@@ -136,22 +136,23 @@ def test_worker_count_rejects_non_positive_integers(monkeypatch, value):
         _worker_count(2)
 
 
-def test_deck_group_built_twice_per_cover(monkeypatch):
-    # once for the ordering check and once for the cover itself
+def test_deck_group_enumerated_once_per_cover(monkeypatch):
+    # the ordering check takes the index from the Smith normal form
     calls = []
-    original = FiniteQuotientSpec.deck_group
+    original = FiniteQuotientSpec.cayley_table
 
     def counted(spec):
         calls.append(spec)
         return original(spec)
 
-    monkeypatch.setattr(FiniteQuotientSpec, "deck_group", counted)
+    monkeypatch.setattr(FiniteQuotientSpec, "cayley_table", counted)
     monkeypatch.delenv("RAAG_THREADS", raising=False)
     x = fixture("discrete", n=2)
-    series = growth_experiment(x, [standard_spec(x, k) for k in (2, 3, 4)], 2)
+    specs = [standard_spec(x, k) for k in (2, 3, 4)]
+    series = growth_experiment(x, specs, 2)
     assert [c.index for c in series.covers] == [4, 9, 16]
     assert series.exact_match()
-    assert len(calls) == 6
+    assert calls == specs
 
 
 def test_reference_column_uses_reduced_mod_p_betti():
