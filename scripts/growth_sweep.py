@@ -7,7 +7,6 @@ forms, so their rows double as a regression check; anything else is
 descriptive only (the reports say so).
 
     python3 scripts/growth_sweep.py --kmax 4 --primes 2,3 --out /tmp/growth
-    RAAG_THREADS=4 python3 scripts/growth_sweep.py --family square --kmax 5
 """
 
 import argparse

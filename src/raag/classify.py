@@ -243,16 +243,6 @@ def replay_certificate(L: SimplicialComplex, verdict: Verdict) -> Tuple[bool, st
     return False, f"unknown certificate kind {cert.kind!r}"
 
 
-def _group_str(rank: int, torsion: Tuple[int, ...]) -> str:
-    parts = []
-    if rank == 1:
-        parts.append("Z")
-    elif rank > 1:
-        parts.append(f"Z^{rank}")
-    parts.extend(f"Z/{t}" for t in torsion)
-    return " + ".join(parts) if parts else "0"
-
-
 def report(L: SimplicialComplex, verdict: Verdict) -> str:
     """Human-readable account of a classification."""
     name = L.name or "L"
@@ -262,7 +252,7 @@ def report(L: SimplicialComplex, verdict: Verdict) -> str:
     ]
     h = verdict.homology
     for i in range(h.dim + 1):
-        row = f"  reduced H_{i} = {_group_str(*h.group(i))}"
+        row = f"  reduced H_{i} = {h.group_text(i)}"
         if h.primes():
             mods = ", ".join(f"b(F_{p})={h.betti_fp(p)[i]}" for p in h.primes())
             row += f"   [{mods}]"

@@ -8,11 +8,12 @@ the -o file; human-readable summaries go to stderr, so pipes stay clean.
 Exit codes: 0 success or classified; 3 undetermined; 10 malformed input or
 unknown fixture; 11 input not flag; 12 witness rejected; 13 degenerate
 quotient; 14 bad cover spec or prime; 15 internal consistency failure;
-20 unexpected error.  RAAG_THREADS > 1 parallelizes cover computations, with
-at most one worker process per CPU and per cover; a value that is not a
-positive integer exits 10.  growth refuses, with exit 14 and before building
-anything, a cover of more than models.MAX_COVER_CELLS (250,000) cells, counted
-as index * (1 + number of faces of L) over all dimensions.
+20 unexpected error.  growth reads the betti numbers of its standard covers
+off a support table the size of L and builds no cover, so RAAG_THREADS starts
+no worker process here; a value that is not a positive integer still exits
+10.  growth refuses, with exit 14 and before computing anything, a cover of
+more than models.MAX_COVER_CELLS (250,000) cells, counted as
+index * (1 + number of faces of L) over all dimensions.
 """
 
 from __future__ import annotations
@@ -180,9 +181,7 @@ def cmd_homology(ns) -> int:
     header = "degree  H_i(Z)          b(Q)" + "".join(f"  b(F_{p})" for p in primes)
     lines.append(header)
     for i in range(summary.dim + 1):
-        rank, torsion = summary.group(i)
-        group = _group_text(rank, torsion)
-        row = f"{i:<7} {group:<15} {rank:<4}"
+        row = f"{i:<7} {summary.group_text(i):<15} {summary.betti[i]:<4}"
         for p in primes:
             row += f"  {summary.betti_fp(p)[i]:<6}"
         lines.append(row)
@@ -199,16 +198,6 @@ def cmd_homology(ns) -> int:
     if not uct_ok:
         raise CorruptComplexError("universal-coefficient cross-check failed")
     return 0
-
-
-def _group_text(rank: int, torsion: Tuple[int, ...]) -> str:
-    parts = []
-    if rank == 1:
-        parts.append("Z")
-    elif rank > 1:
-        parts.append(f"Z^{rank}")
-    parts.extend(f"Z/{t}" for t in torsion)
-    return " + ".join(parts) if parts else "0"
 
 
 def _validated_primes(ps: Sequence[int]) -> List[int]:

@@ -5,6 +5,15 @@ degree, the exact betti number over F_p and the exact ratio betti/index as a
 rational.  The reference column is the reduced betti number of L one degree
 down, which is the limit along exhausting residual chains.
 
+Two routes give the betti numbers.  When the generator images are
+independent (the deck group is the direct sum of the cyclic groups they
+generate, as for every standard_spec), the cover is a polyhedral product and
+its betti numbers are a weighted sum over vertex subsets T of the betti
+numbers h(T) of complexes the size of L (SupportTable), computed once per
+(L, p) and experiment; no cover is built.  Every other spec builds its cover
+and reduces its boundary matrices.  The table's entry for T = V is the
+reference column, which cross-checks the two computations.
+
 Abelian quotients of a nonabelian A_L never form a residual chain, so except
 for the exactly derivable families below the ratios are descriptive only and
 every rendered report says so.  Derivable families (closed forms proved by
@@ -26,12 +35,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import CoverSpecError, MalformedComplexError, NotFlagError
-from .homology import betti_Fp, homology_summary
-from .linalg import prime_factors
-from .models import FiniteQuotientSpec, check_cover_size, finite_cover
+from .errors import CorruptComplexError, CoverSpecError, MalformedComplexError, NotFlagError
+from .homology import ChainComplexZ, betti_Fp, homology_summary
+from .linalg import SparseIntMatrix, prime_factors
+from .models import (FiniteQuotientSpec, check_cover_size, check_generator_count, cube_facets,
+                     finite_cover)
 from .simplicial import SimplicialComplex, complement_components, is_flag
 
 CAVEAT = ("abelian quotient kernels of a nonabelian group do not form a residual "
@@ -186,12 +196,74 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def _cover_task(args):
+    """Betti numbers of one built cover in a pool worker, which gets L as its facets."""
     facets, spec_moduli, spec_images, p = args
     from .simplicial import from_facets
     L = from_facets(facets)
     spec = FiniteQuotientSpec(moduli=spec_moduli, images=spec_images)
     cov = finite_cover(L, spec)
     return betti_Fp(cov.chain_complex(), p)
+
+
+def independent_orders(spec: FiniteQuotientSpec, index: int) -> Optional[Tuple[int, ...]]:
+    """Orders k_v of the generator images if they are independent, else None.
+
+    The images are independent when the deck group, of order index, is the
+    direct sum of the cyclic groups they generate: index == prod k_v.  Every
+    standard_spec is of this kind.
+    """
+    orders = tuple(math.lcm(*(k // math.gcd(x, k) for x, k in zip(img, spec.moduli)))
+                   for img in spec.images)
+    return orders if math.prod(orders) == index else None
+
+
+class SupportTable:
+    """F_p betti numbers h(T) of the support complexes of L, per vertex set T.
+
+    The support complex of T has one basis element e_s per cell of the
+    Salvetti complex (the empty simplex and every face s of L, in degree
+    |s|) and the cube boundary restricted to the directions in T:
+    d e_s = sum over j with s_j in T of (-1)^j e_{s - s_j}.  T = {} gives zero
+    maps, T = V the augmented chain complex of L shifted up one degree.
+
+    For a spec with independent images of orders k_v, the cover is the
+    polyhedral product of (k_v-gon, its vertices) over L, and over a field
+    its betti numbers split over vertex subsets (Bahri-Bendersky-Cohen-Gitler):
+    b_i = sum over T within S = {v : k_v > 1} of prod_{v in T} (k_v - 1) h_i(T).
+    Sets T are bit masks over the vertices; entries are computed on first use.
+    """
+
+    def __init__(self, L: SimplicialComplex, prime: int):
+        self.prime = prime
+        self._dims = (1,) + L.f_vector()
+        self._plans = [cube_facets(L, i) for i in range(1, len(self._dims))]
+        self.entries: Dict[int, Tuple[int, ...]] = {}
+
+    def h(self, T: int) -> Tuple[int, ...]:
+        if T not in self.entries:
+            dims = self._dims
+            boundaries = {
+                i: SparseIntMatrix(dims[i - 1], dims[i], {
+                    (fpos, col): sign
+                    for col, cube in enumerate(plans)
+                    for fpos, v, sign in cube if T >> v & 1})
+                for i, plans in enumerate(self._plans, 1)}
+            self.entries[T] = betti_Fp(ChainComplexZ(dims, boundaries), self.prime)
+        return self.entries[T]
+
+    def cover_betti(self, orders: Sequence[int]) -> Tuple[int, ...]:
+        """Betti numbers of the cover of a spec whose images are independent,
+        of orders k_v = orders[v]."""
+        S = sum(1 << v for v, k in enumerate(orders) if k > 1)
+        total = [0] * len(self._dims)
+        T = S
+        while True:  # every subset of S, S first and the empty set last
+            weight = math.prod(k - 1 for v, k in enumerate(orders) if T >> v & 1)
+            for i, b in enumerate(self.h(T)):
+                total[i] += weight * b
+            if T == 0:
+                return tuple(total)
+            T = (T - 1) & S
 
 
 def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
@@ -202,8 +274,12 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     more than models.MAX_COVER_CELLS cells; both are checked from the Smith
     normal form index before any cover is built.  The per-degree
     reference is the reduced betti number of L one degree down (zero in degree
-    zero).  Worker processes are used when RAAG_THREADS > 1 (at most one per
-    CPU and per spec); results are deterministic either way.
+    zero).
+
+    A spec with independent images is read off one SupportTable shared by the
+    call, and no cover is built.  Every other spec builds its cover, in worker
+    processes when RAAG_THREADS > 1 (at most one per CPU and per such spec);
+    results are deterministic either way.
     """
     flag, witness = is_flag(L)
     if not flag:
@@ -219,17 +295,37 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     for idx in indices:
         check_cover_size(L, idx)
 
-    workers = _worker_count(len(specs))
+    orders = [independent_orders(spec, idx) for spec, idx in zip(specs, indices)]
+    direct = [i for i, o in enumerate(orders) if o is None]
+    workers = _worker_count(len(direct))
+    for spec in specs:
+        check_generator_count(L, spec)
 
     reduced = homology_summary(L, primes=(prime,), reduced=True).betti_fp(prime)
     reference = (0,) + tuple(reduced)  # degree i of the cover vs degree i-1 of L
 
-    tasks = [(L.facets, spec.moduli, spec.images, prime) for spec in specs]
+    betti_rows: List[Optional[Tuple[int, ...]]] = [None] * len(specs)
     if workers > 1:
+        tasks = [(L.facets, specs[i].moduli, specs[i].images, prime) for i in direct]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            betti_rows = list(pool.map(_cover_task, tasks))
+            for i, row in zip(direct, pool.map(_cover_task, tasks)):
+                betti_rows[i] = row
     else:
-        betti_rows = [_cover_task(t) for t in tasks]
+        for i in direct:
+            betti_rows[i] = betti_Fp(finite_cover(L, specs[i]).chain_complex(), prime)
+    if len(direct) < len(specs):
+        table = SupportTable(L, prime)
+        for i, o in enumerate(orders):
+            if o is not None:
+                betti_rows[i] = table.cover_betti(o)
+        # h(V) is the augmented chain complex of L shifted up one degree, so
+        # it must equal the reference column; the empty L is skipped, since
+        # reference reads its reduced homology in degree -1 as zero
+        full = table.entries.get((1 << L.n_vertices) - 1)
+        if L.n_vertices and full is not None and full != reference:
+            raise CorruptComplexError(
+                f"support table entry for T = V, {list(full)}, differs from "
+                f"the reference column {list(reference)}")
 
     family, expected = _derivable_family(L, specs, indices)
     covers = tuple(

@@ -157,6 +157,17 @@ class HomologySummary:
             return self.betti[i], self.torsion[i]
         return 0, ()
 
+    def group_text(self, i: int) -> str:
+        """Degree i as text, free part first: "Z^2 + Z/2", "Z", "0"."""
+        rank, torsion = self.group(i)
+        parts = []
+        if rank == 1:
+            parts.append("Z")
+        elif rank > 1:
+            parts.append(f"Z^{rank}")
+        parts.extend(f"Z/{t}" for t in torsion)
+        return " + ".join(parts) if parts else "0"
+
     def to_json_dict(self) -> dict:
         return {
             "reduced": self.reduced,

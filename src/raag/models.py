@@ -196,6 +196,13 @@ def trivial_spec(L: SimplicialComplex) -> FiniteQuotientSpec:
 MAX_COVER_CELLS = 250_000
 
 
+def check_generator_count(base: SimplicialComplex, spec: FiniteQuotientSpec) -> None:
+    """Raise CoverSpecError unless spec has one image per vertex of base."""
+    if len(spec.images) != base.n_vertices:
+        raise CoverSpecError(
+            f"spec assigns {len(spec.images)} generators, base has {base.n_vertices}")
+
+
 def check_cover_size(base: SimplicialComplex, index: int) -> None:
     """Raise CoverSpecError if a cover of this index exceeds MAX_COVER_CELLS."""
     cells = index * (1 + sum(base.f_vector()))
@@ -203,6 +210,18 @@ def check_cover_size(base: SimplicialComplex, index: int) -> None:
         raise CoverSpecError(
             f"cover of index {index} would have {cells} cells, "
             f"more than the limit of {MAX_COVER_CELLS}")
+
+
+def cube_facets(base: SimplicialComplex, i: int) -> List[List[Tuple[int, int, int]]]:
+    """Boundary plan of the i-cubes of the cube complex of base.
+
+    Per (i-1)-simplex s of base, in canonical order, one triple per direction
+    j: (position of s minus s_j among the (i-2)-simplices, with the empty
+    simplex as the only one in dimension -1; the vertex s_j; the sign (-1)^j).
+    """
+    below = base.face_index(i - 2) if i >= 2 else {EMPTY: 0}
+    return [[(below[s[:j] + s[j + 1:]], v, (-1) ** j) for j, v in enumerate(s)]
+            for s in base.faces(i - 1)]
 
 
 class CubeComplex:
@@ -221,9 +240,7 @@ class CubeComplex:
             raise NotFlagError(
                 f"cube complex model needs a flag base; minimal non-face {witness}",
                 witness=witness)
-        if len(spec.images) != base.n_vertices:
-            raise CoverSpecError(
-                f"spec assigns {len(spec.images)} generators, base has {base.n_vertices}")
+        check_generator_count(base, spec)
         index = spec.index
         check_cover_size(base, index)
         self.base = base
@@ -276,12 +293,10 @@ class CubeComplex:
         dims = self.cell_counts()
         boundaries: Dict[int, SparseIntMatrix] = {}
         for i in range(1, self.dim + 1):
-            cells = self.base_cells(i)
-            below = self.base.face_index(i - 2) if i >= 2 else {EMPTY: 0}
-            n_below = len(below)
+            n_below = len(self.base_cells(i - 1))
             # per base cell: (facet position, shift list, sign) per direction
-            plans = [[(below[s[:j] + s[j + 1:]], self._shift[v], (-1) ** j)
-                      for j, v in enumerate(s)] for s in cells]
+            plans = [[(fpos, self._shift[v], sign) for fpos, v, sign in cube]
+                     for cube in cube_facets(self.base, i)]
             entries: Dict[Tuple[int, int], int] = {}
             col = 0
             for qi in range(len(self.deck)):

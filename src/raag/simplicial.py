@@ -38,7 +38,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("n_vertices", "facets", "name", "dim", "_faces", "_face_sets",
-                 "_face_index")
+                 "_face_index", "_flag")
 
     def __init__(self, n_vertices: int, facets: Tuple[Simplex, ...], name: str = ""):
         self.n_vertices = n_vertices
@@ -48,6 +48,7 @@ class SimplicialComplex:
         self._faces: Dict[int, Tuple[Simplex, ...]] = {}
         self._face_sets: Dict[int, frozenset] = {}
         self._face_index: Dict[int, Dict[Simplex, int]] = {}
+        self._flag: Optional[Tuple[bool, Optional[Simplex]]] = None  # set by is_flag
 
     # -- basic queries ------------------------------------------------------
 
@@ -202,8 +203,14 @@ def is_flag(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
 
     Returns (True, None) or (False, w) where w is a minimal non-face with
     pairwise adjacent vertices (an "empty simplex"), canonical smallest by
-    (size, lex).
+    (size, lex).  The answer is cached on the complex, which is immutable.
     """
+    if x._flag is None:
+        x._flag = _flag_check(x)
+    return x._flag
+
+
+def _flag_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
     witnesses = []
     for clique in _maximal_cliques(x):
         if x.has_face(clique):

@@ -239,7 +239,13 @@ def test_classify_flag_completion_changes_verdict(tmp_path, capsys):
 # -- growth --------------------------------------------------------------------------
 
 
-def test_growth_csv_golden(capsys):
+def _refuse_enumeration(spec):
+    raise AssertionError("the deck group was enumerated")
+
+
+def test_growth_csv_golden(monkeypatch, capsys):
+    # standard specs are read off the support table: no cover is built
+    monkeypatch.setattr(FiniteQuotientSpec, "cayley_table", _refuse_enumeration)
     code, out, err = run(capsys, "growth", "--fixture", "discrete", "--n", "2",
                          "--prime", "2", "--moduli", "2,3")
     assert code == 0
@@ -282,10 +288,7 @@ def test_growth_bad_thread_count_exit_ten(monkeypatch, capsys):
 
 def test_growth_oversized_cover_exits_fourteen_before_enumerating(monkeypatch, capsys):
     # rp2_flag has 31 vertices: (Z/2)^31 would have 2^31 deck elements
-    def refuse(spec):
-        raise AssertionError("the deck group was enumerated")
-
-    monkeypatch.setattr(FiniteQuotientSpec, "cayley_table", refuse)
+    monkeypatch.setattr(FiniteQuotientSpec, "cayley_table", _refuse_enumeration)
     start = time.perf_counter()
     code, out, err = run(capsys, "growth", "--fixture", "rp2_flag",
                          "--prime", "2", "--moduli", "2")
@@ -293,6 +296,21 @@ def test_growth_oversized_cover_exits_fourteen_before_enumerating(monkeypatch, c
     assert code == 14
     assert out == ""
     assert "index 2147483648" in err and "Traceback" not in err
+
+
+def test_growth_trivial_cover_of_many_vertices_reads_one_table_entry(monkeypatch, capsys):
+    # with every k_v = 1 only T = {} has nonzero weight, out of 2^31 subsets
+    monkeypatch.setattr(FiniteQuotientSpec, "cayley_table", _refuse_enumeration)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "growth", "--fixture", "rp2_flag",
+                         "--prime", "2", "--moduli", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    rows = [l.rstrip("\r").split(",") for l in out.strip().split("\n")[1:]]
+    assert {r[0] for r in rows} == {"x".join(["1"] * 31)}
+    # the Salvetti complex has zero boundaries: b_i counts the (i-1)-faces
+    assert [",".join(r[1:]) for r in rows] == ["1,0,1,1,1,0", "1,1,31,31,1,0",
+                                               "1,2,90,90,1,1", "1,3,60,60,1,1"]
 
 
 # -- argument handling ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cover chain complexes from integer deck indices against the tuple-based
-build, the Smith-form index against enumeration, the cover size budget and
-the column-wise boundary check."""
+build, the Smith-form index against enumeration, the cover size budget, the
+column-wise boundary check, and cover betti numbers read off the support
+table against the built cover."""
 
 import itertools
 
@@ -12,7 +13,8 @@ from oracles import cover_boundaries_tuples, deck_group_bfs
 import raag.models as models
 from raag.errors import CorruptComplexError, CoverSpecError
 from raag.fixtures import fixture
-from raag.homology import ChainComplexZ, simplicial_chain_complex
+from raag.growth import SupportTable, independent_orders
+from raag.homology import ChainComplexZ, betti_Fp, simplicial_chain_complex
 from raag.linalg import SparseIntMatrix
 from raag.models import CubeComplex, FiniteQuotientSpec, finite_cover, standard_spec
 from raag.simplicial import flag_completion, from_facets
@@ -114,3 +116,78 @@ def test_cover_checks_enumeration_against_smith_form(monkeypatch):
     monkeypatch.setattr(FiniteQuotientSpec, "index", property(lambda spec: 5))
     with pytest.raises(CorruptComplexError, match="Smith normal form"):
         CubeComplex(x, standard_spec(x, 2))
+
+
+# -- support table against the built cover ------------------------------------------
+
+# Covers this large take tens of milliseconds to build; the bound keeps the
+# differential tests below fast while still reaching p | k on six vertices.
+ORACLE_CELLS = 8000
+
+
+@st.composite
+def independent_specs(draw, n, max_modulus=4):
+    """Specs with independent images: each coordinate belongs to one vertex or
+    to none, then column operations between coordinates of equal modulus (an
+    automorphism of the group) make vertices share coordinates."""
+    moduli = draw(st.lists(st.integers(1, max_modulus), min_size=1, max_size=4))
+    images = [[0] * len(moduli) for _ in range(n)]
+    for j, k in enumerate(moduli):
+        v = draw(st.integers(-1, n - 1))
+        if v >= 0:
+            images[v][j] = draw(st.integers(min(1, k - 1), k - 1))
+    pairs = [(a, b) for a, b in itertools.permutations(range(len(moduli)), 2)
+             if moduli[a] == moduli[b]]
+    if pairs:
+        for a, b in draw(st.lists(st.sampled_from(pairs), max_size=3)):
+            c = draw(st.integers(0, moduli[b] - 1))
+            for img in images:
+                img[b] = (img[b] + c * img[a]) % moduli[b]
+    return FiniteQuotientSpec(moduli=tuple(moduli), images=tuple(map(tuple, images)))
+
+
+def _check_against_cover(table: SupportTable, L, spec, p):
+    """The table's betti numbers for spec equal the built cover's, and the
+    entries it added are all subsets of S = {v : k_v > 1}."""
+    orders = independent_orders(spec, spec.index)
+    assert orders is not None
+    S = sum(1 << v for v, k in enumerate(orders) if k > 1)
+    before = set(table.entries)
+    got = table.cover_betti(orders)
+    assert all(T & ~S == 0 for T in set(table.entries) - before)
+    assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_support_table_matches_direct_cover(data):
+    # one table serves a standard spec and a spec with independent images of
+    # the same L, so the second reads entries the first computed
+    L = data.draw(flag_complexes())
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    cells = 1 + sum(L.f_vector())
+    ks = [k for k in range(1, 5) if k ** L.n_vertices * cells <= ORACLE_CELLS]
+    table = SupportTable(L, p)
+    _check_against_cover(table, L, standard_spec(L, data.draw(st.sampled_from(ks))), p)
+    spec = data.draw(independent_specs(L.n_vertices))
+    assume(spec.index * cells <= ORACLE_CELLS)
+    _check_against_cover(table, L, spec, p)
+
+
+@pytest.mark.parametrize("name, n, k, p", [
+    ("cycle", 5, 2, 2), ("cycle", 5, 3, 3), ("cycle", 5, 4, 2), ("cycle", 5, 3, 2),
+    ("octahedron", None, 2, 2), ("octahedron", None, 3, 3), ("octahedron", None, 2, 5),
+    ("path", 4, 4, 2), ("simplex", 2, 3, 3), ("discrete", 3, 4, 3),
+])
+def test_support_table_matches_direct_cover_on_fixtures(name, n, k, p):
+    L = fixture(name, n=n)
+    _check_against_cover(SupportTable(L, p), L, standard_spec(L, k), p)
+
+
+def test_shared_coordinate_images_are_not_independent():
+    c4 = fixture("cycle", n=4)
+    spec = FiniteQuotientSpec(moduli=(2,), images=((1,),) * 4)
+    assert independent_orders(spec, spec.index) is None
+    mixed = FiniteQuotientSpec(moduli=(2, 2), images=((1, 1), (0, 1), (0, 0), (0, 0)))
+    assert independent_orders(mixed, mixed.index) == (2, 2, 1, 1)
+    assert independent_orders(standard_spec(c4, 3), 81) == (3, 3, 3, 3)

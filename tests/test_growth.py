@@ -5,10 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from raag.errors import CoverSpecError, MalformedComplexError, NotFlagError
+import raag.growth as growth
+import raag.simplicial as simplicial
+from raag.errors import CorruptComplexError, CoverSpecError, MalformedComplexError, NotFlagError
 from raag.fixtures import fixture
 from raag.growth import CAVEAT, _worker_count, growth_experiment
-from raag.models import FiniteQuotientSpec, standard_spec
+from raag.homology import betti_Fp
+from raag.models import FiniteQuotientSpec, finite_cover, standard_spec
+from raag.simplicial import from_facets
 
 
 def test_rejects_bad_inputs():
@@ -21,6 +25,11 @@ def test_rejects_bad_inputs():
         growth_experiment(c4, [], 2)
     with pytest.raises(CoverSpecError):
         growth_experiment(c4, [standard_spec(c4, 3), standard_spec(c4, 2)], 2)
+    # independent images, one generator short: refused on either route
+    for spec in (standard_spec(fixture("cycle", n=3), 2), _shared(2)):
+        short = FiniteQuotientSpec(moduli=spec.moduli, images=spec.images[:3])
+        with pytest.raises(CoverSpecError, match="assigns 3 generators, base has 4"):
+            growth_experiment(c4, [short], 2)
 
 
 def test_free_group_family_is_exact():
@@ -110,15 +119,54 @@ def test_report_always_carries_caveat():
     assert "EXACT" not in plain.render_report()
 
 
+def _shared(k):
+    """Every generator of the 4-cycle to 1 in Z/k: a direct-route spec."""
+    return FiniteQuotientSpec(moduli=(k,), images=((1,),) * 4)
+
+
 def test_worker_pool_matches_serial(monkeypatch):
     c4 = fixture("cycle", n=4)
-    specs = [standard_spec(c4, 2), standard_spec(c4, 3)]
+    specs = [_shared(2), _shared(3)]
     monkeypatch.delenv("RAAG_THREADS", raising=False)
     serial = growth_experiment(c4, specs, 2)
     monkeypatch.setenv("RAAG_THREADS", "2")
     parallel = growth_experiment(c4, specs, 2)
     assert serial == parallel
     assert serial.to_csv() == parallel.to_csv()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mixed_routes_keep_spec_order(monkeypatch, threads):
+    # indices 2, 16, 32, 81: direct, support table, direct, support table
+    c4 = fixture("cycle", n=4)
+    specs = [_shared(2), standard_spec(c4, 2), _shared(32), standard_spec(c4, 3)]
+    monkeypatch.setenv("RAAG_THREADS", threads)
+    series = growth_experiment(c4, specs, 2)
+    assert [(c.moduli_label, c.index) for c in series.covers] == \
+        [("2", 2), ("2x2x2x2", 16), ("32", 32), ("3x3x3x3", 81)]
+    assert [c.betti for c in series.covers] == \
+        [betti_Fp(finite_cover(c4, spec).chain_complex(), 2) for spec in specs]
+    assert [c.betti for c in series.covers[1::2]] == [(1, 10, 25), (1, 20, 100)]
+
+
+def test_no_pool_without_direct_route_specs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(growth, "ProcessPoolExecutor", refuse)
+    monkeypatch.setenv("RAAG_THREADS", "2")
+    c4 = fixture("cycle", n=4)
+    series = growth_experiment(c4, [standard_spec(c4, 2), standard_spec(c4, 3)], 2)
+    assert [c.betti for c in series.covers] == [(1, 10, 25), (1, 20, 100)]
+
+
+def test_support_table_cross_checks_reference(monkeypatch):
+    # h(V) must be the reference column; a table off by one in degree 0 is
+    # caught (the reference column comes from homology.betti_Fp, not patched)
+    monkeypatch.setattr(growth, "betti_Fp", lambda cc, p: (1,) + betti_Fp(cc, p)[1:])
+    c4 = fixture("cycle", n=4)
+    with pytest.raises(CorruptComplexError, match="support table"):
+        growth_experiment(c4, [standard_spec(c4, 2)], 2)
 
 
 def test_worker_count_is_capped_by_tasks_and_cpus(monkeypatch):
@@ -136,8 +184,9 @@ def test_worker_count_rejects_non_positive_integers(monkeypatch, value):
         _worker_count(2)
 
 
-def test_deck_group_enumerated_once_per_cover(monkeypatch):
-    # the ordering check takes the index from the Smith normal form
+def test_deck_group_enumerated_once_per_direct_route_spec(monkeypatch):
+    # the ordering check takes the index from the Smith normal form, and specs
+    # with independent images are read off the support table
     calls = []
     original = FiniteQuotientSpec.cayley_table
 
@@ -152,7 +201,22 @@ def test_deck_group_enumerated_once_per_cover(monkeypatch):
     series = growth_experiment(x, specs, 2)
     assert [c.index for c in series.covers] == [4, 9, 16]
     assert series.exact_match()
-    assert calls == specs
+    assert calls == []
+    c4 = fixture("cycle", n=4)
+    specs = [_shared(2), standard_spec(c4, 2), _shared(32)]
+    growth_experiment(c4, specs, 2)
+    assert calls == [specs[0], specs[2]]
+
+
+def test_flag_check_runs_once_per_experiment(monkeypatch):
+    calls = []
+    original = simplicial._flag_check
+    monkeypatch.setattr(simplicial, "_flag_check", lambda x: calls.append(x) or original(x))
+    monkeypatch.delenv("RAAG_THREADS", raising=False)
+    c4 = fixture("cycle", n=4)
+    c4 = from_facets(c4.facets)  # a fresh complex, whose flag check is not cached
+    growth_experiment(c4, [_shared(2), standard_spec(c4, 2), _shared(32)], 2)
+    assert calls == [c4]
 
 
 def test_reference_column_uses_reduced_mod_p_betti():
