@@ -9,10 +9,9 @@ Exit codes: 0 success or classified; 3 undetermined; 10 malformed input or
 unknown fixture; 11 input not flag; 12 witness rejected; 13 degenerate
 quotient; 14 bad cover spec or prime; 15 internal consistency failure;
 20 unexpected error.  growth reads the betti numbers of its standard covers
-off a support table the size of L and builds no cover, so RAAG_THREADS starts
-no worker process here; a value that is not a positive integer still exits
-10.  growth refuses, with exit 14 and before computing anything, a cover of
-more than models.MAX_COVER_CELLS (250,000) cells, counted as
+off a support table the size of L and builds no cover.  It refuses, with
+exit 14 and before computing anything, a cover of more than
+models.MAX_COVER_CELLS (250,000) cells, counted as
 index * (1 + number of faces of L) over all dimensions.
 """
 

@@ -31,13 +31,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import CorruptComplexError, CoverSpecError, MalformedComplexError, NotFlagError
+from .errors import CorruptComplexError, CoverSpecError, NotFlagError
 from .homology import ChainComplexZ, betti_Fp, homology_summary
 from .linalg import SparseIntMatrix, prime_factors
 from .models import (FiniteQuotientSpec, check_cover_size, check_generator_count, cube_facets,
@@ -178,33 +176,6 @@ def _side_blocks(spec: FiniteQuotientSpec, parts: Sequence[Sequence[int]]):
     return tuple(orders)
 
 
-def _worker_count(n_tasks: int) -> int:
-    """Worker processes for n_tasks covers, from RAAG_THREADS (default 1).
-
-    The value must be a positive integer.  The pool is capped at the CPU count
-    and at the number of tasks, since a process pool starts every worker.
-    """
-    raw = os.environ.get("RAAG_THREADS", "1")
-    try:
-        wanted = int(raw)
-        if wanted < 1:
-            raise ValueError(raw)
-    except ValueError:
-        raise MalformedComplexError(
-            f"RAAG_THREADS must be a positive integer, got {raw!r}") from None
-    return min(wanted, os.cpu_count() or 1, n_tasks)
-
-
-def _cover_task(args):
-    """Betti numbers of one built cover in a pool worker, which gets L as its facets."""
-    facets, spec_moduli, spec_images, p = args
-    from .simplicial import from_facets
-    L = from_facets(facets)
-    spec = FiniteQuotientSpec(moduli=spec_moduli, images=spec_images)
-    cov = finite_cover(L, spec)
-    return betti_Fp(cov.chain_complex(), p)
-
-
 def independent_orders(spec: FiniteQuotientSpec, index: int) -> Optional[Tuple[int, ...]]:
     """Orders k_v of the generator images if they are independent, else None.
 
@@ -277,9 +248,8 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     zero).
 
     A spec with independent images is read off one SupportTable shared by the
-    call, and no cover is built.  Every other spec builds its cover, in worker
-    processes when RAAG_THREADS > 1 (at most one per CPU and per such spec);
-    results are deterministic either way.
+    call, and no cover is built.  Every other spec builds its cover on L, one
+    after another.
     """
     flag, witness = is_flag(L)
     if not flag:
@@ -297,7 +267,6 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
 
     orders = [independent_orders(spec, idx) for spec, idx in zip(specs, indices)]
     direct = [i for i, o in enumerate(orders) if o is None]
-    workers = _worker_count(len(direct))
     for spec in specs:
         check_generator_count(L, spec)
 
@@ -305,14 +274,8 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     reference = (0,) + tuple(reduced)  # degree i of the cover vs degree i-1 of L
 
     betti_rows: List[Optional[Tuple[int, ...]]] = [None] * len(specs)
-    if workers > 1:
-        tasks = [(L.facets, specs[i].moduli, specs[i].images, prime) for i in direct]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, row in zip(direct, pool.map(_cover_task, tasks)):
-                betti_rows[i] = row
-    else:
-        for i in direct:
-            betti_rows[i] = betti_Fp(finite_cover(L, specs[i]).chain_complex(), prime)
+    for i in direct:
+        betti_rows[i] = betti_Fp(finite_cover(L, specs[i]).chain_complex(), prime)
     if len(direct) < len(specs):
         table = SupportTable(L, prime)
         for i, o in enumerate(orders):

@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from .errors import MalformedComplexError, NotFlagError, QuotientDegenerateError
 
 Simplex = Tuple[int, ...]
@@ -94,12 +92,6 @@ class SimplicialComplex:
 
     def edges(self) -> Tuple[Simplex, ...]:
         return self.faces(1)
-
-    def skeleton_graph(self) -> "nx.Graph":
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_vertices))
-        g.add_edges_from(self.faces(1))
-        return g
 
     def is_empty(self) -> bool:
         return self.n_vertices == 0
@@ -193,9 +185,57 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
 # -- flag structure ----------------------------------------------------------
 
 
+def _adjacency(x: SimplicialComplex) -> List[set]:
+    """Neighbour sets of the 1-skeleton, indexed by vertex."""
+    adj: List[set] = [set() for _ in range(x.n_vertices)]
+    for u, v in x.faces(1):
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def _maximal_cliques(x: SimplicialComplex) -> List[Simplex]:
-    g = x.skeleton_graph()
-    return [tuple(sorted(c)) for c in nx.find_cliques(g)]
+    """Maximal cliques of the 1-skeleton, isolated vertices included.
+
+    Bron-Kerbosch with Tomita pivoting (Tomita-Tanaka-Takahashi, TCS 2006): a
+    frame grows the clique R by one vertex of its candidates P at a time, and
+    moves the vertices it has branched on to the excluded set X.  R is maximal
+    when both P and X are empty.  A frame branches only on the candidates that
+    are not neighbours of a pivot u, chosen in P | X to have the most candidate
+    neighbours: a clique that adds only neighbours of u can still take u, so it
+    is not maximal.  Frames live on a list, so the clique size is not limited
+    by the recursion limit.  The empty graph has no maximal clique.
+    """
+    adj = _adjacency(x)
+    cliques: List[Simplex] = []
+    if not adj:
+        return cliques
+    stack = [_clique_frame((), set(range(len(adj))), set(), adj)]
+    while stack:
+        clique, cand, excl, branch = stack[-1]
+        if not branch:
+            stack.pop()
+            continue
+        v = branch.pop()
+        grown = clique + (v,)
+        cand_v = cand & adj[v]
+        excl_v = excl & adj[v]
+        cand.remove(v)
+        excl.add(v)
+        if len(cand_v) > 1:
+            stack.append(_clique_frame(grown, cand_v, excl_v, adj))
+        elif cand_v:  # one candidate w: what its frame would find, without building it
+            (w,) = cand_v
+            if not excl_v & adj[w]:
+                cliques.append(tuple(sorted(grown + (w,))))
+        elif not excl_v:
+            cliques.append(tuple(sorted(grown)))
+    return cliques
+
+
+def _clique_frame(clique: Simplex, cand: set, excl: set, adj: List[set]):
+    pivot = max(itertools.chain(cand, excl), key=lambda u: len(cand & adj[u]))
+    return clique, cand, excl, list(cand - adj[pivot])
 
 
 def is_flag(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
@@ -211,11 +251,11 @@ def is_flag(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
 
 
 def _flag_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
-    witnesses = []
-    for clique in _maximal_cliques(x):
-        if x.has_face(clique):
-            continue
-        witnesses.append(_shrink_to_minimal_nonface(x, clique))
+    # a maximal clique that is a face lies in a facet, which is a clique too,
+    # so it is that facet
+    facets = set(x.facets)
+    witnesses = [_shrink_to_minimal_nonface(x, clique)
+                 for clique in _maximal_cliques(x) if clique not in facets]
     if not witnesses:
         return True, None
     return False, min(witnesses, key=lambda s: (len(s), s))
@@ -246,15 +286,13 @@ def complement_components(x: SimplicialComplex) -> List[Tuple[int, ...]]:
     """Vertex sets of the connected components of the complement graph.
 
     A graph search over the vertices not yet reached, without building the
-    complement: the complement neighbours of u among them are unseen - adj[u].  Each vertex left in unseen by that difference is charged
-    to an edge at u, so the search is linear in vertices plus edges.  Parts
-    come in increasing order of their smallest vertex.
+    complement: the complement neighbours of u among them are unseen - adj[u].
+    Each vertex left in unseen by that difference is charged to an edge at u,
+    so the search is linear in vertices plus edges.  Parts come in increasing
+    order of their smallest vertex.
     """
     n = x.n_vertices
-    adj: List[set] = [set() for _ in range(n)]
-    for u, v in x.faces(1):
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency(x)
     unseen = set(range(n))
     parts: List[Tuple[int, ...]] = []
     for root in range(n):

@@ -281,6 +281,16 @@ def complement_components_networkx(n_vertices: int, edges: Sequence[Tuple[int, i
     return sorted(tuple(sorted(c)) for c in nx.connected_components(comp))
 
 
+def maximal_cliques_networkx(n_vertices: int, edges: Sequence[Tuple[int, int]]
+                             ) -> List[Tuple[int, ...]]:
+    """Maximal cliques of the graph on 0..n-1 by networkx.find_cliques, each
+    sorted, in sorted order; isolated vertices are cliques of size one."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n_vertices))
+    g.add_edges_from(edges)
+    return sorted(tuple(sorted(c)) for c in nx.find_cliques(g))
+
+
 # -- exhaustive flag check --------------------------------------------------------
 
 

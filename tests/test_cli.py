@@ -1,12 +1,15 @@
 """Command-line interface: stdout/stderr split, pipelines, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import raag
 from raag.classify import EmbeddingWitness
 from raag.cli import main
 from raag.fixtures import _polygon_disk, fixture
@@ -277,13 +280,15 @@ def test_growth_non_flag_exit_eleven(capsys):
     assert code == 11
 
 
-def test_growth_bad_thread_count_exit_ten(monkeypatch, capsys):
-    monkeypatch.setenv("RAAG_THREADS", "abc")
-    code, out, err = run(capsys, "growth", "--fixture", "discrete", "--n", "2",
-                         "--prime", "2", "--moduli", "2,3")
-    assert code == 10
-    assert out == ""
-    assert "RAAG_THREADS" in err and "Traceback" not in err
+def test_growth_of_empty_complex(tmp_path, capsys):
+    # the empty graph has no maximal clique, not the clique ()
+    empty = write_json(tmp_path / "empty.json", {"facets": []})
+    code, out, err = run(capsys, "growth", empty, "--prime", "2", "--moduli", "2")
+    assert code == 0
+    assert out.split() == [
+        "modulus_vector,index,degree,betti,ratio_num,ratio_den,reference",
+        "1,1,0,1,1,1,0"]
+    assert "reference (reduced betti of the defining complex, one degree down): [0]" in err
 
 
 def test_growth_oversized_cover_exits_fourteen_before_enumerating(monkeypatch, capsys):
@@ -323,6 +328,17 @@ def test_no_arguments_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["classify", "--help"]) == 0
+
+
+def test_import_loads_no_networkx_or_process_pool():
+    # every CLI call pays for what importing the package imports
+    src = str(Path(raag.__file__).resolve().parents[1])
+    code = ("import sys, raag, raag.cli; print(sorted("
+            "{'networkx', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_is_installed():

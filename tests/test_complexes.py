@@ -3,20 +3,22 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (complement_components_networkx, is_flag_exhaustive,
-                     maximal_simplices_quadratic, random_facets)
+                     maximal_cliques_networkx, maximal_simplices_quadratic,
+                     random_facets)
 
 from raag.errors import MalformedComplexError, QuotientDegenerateError
 from raag.fixtures import fixture, standard_fixtures
-from raag.simplicial import (Subdivision, as_simplex, barycentric_subdivision,
-                             complement_components, complex_from_json_dict,
-                             complex_to_json_dict, cone, flag_completion,
-                             from_facets, induced_subcomplex, is_flag, join,
-                             join_factors, simplicial_quotient)
+from raag.simplicial import (Subdivision, _maximal_cliques, as_simplex,
+                             barycentric_subdivision, complement_components,
+                             complex_from_json_dict, complex_to_json_dict, cone,
+                             flag_completion, from_facets, induced_subcomplex,
+                             is_flag, join, join_factors, simplicial_quotient)
 
 
 # -- construction and canonical form -------------------------------------------
@@ -119,6 +121,31 @@ def test_is_flag_matches_exhaustive_oracle_randomized():
         facets = random_facets(rng, max_vertices=7)
         x = from_facets(facets)
         assert is_flag(x)[0] == is_flag_exhaustive(x.n_vertices, x.facets)
+
+
+def test_empty_complex_is_flag():
+    assert is_flag(from_facets([])) == (True, None)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_flag_completion_of_complete_graph_deeper_than_recursion_limit():
+    # the clique search keeps its frames on a list, so a clique of n vertices
+    # fits in far fewer than n frames of headroom
+    n = 150
+    k_n = from_facets(itertools.combinations(range(n), 2))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + n // 3)
+    try:
+        completed = flag_completion(k_n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert completed.facets == (tuple(range(n)),)
 
 
 def test_flag_completion():
@@ -269,9 +296,10 @@ def test_complement_components_and_join_factors():
 
 
 @st.composite
-def graphs(draw):
-    """(n, edges): edgeless, complete or random simple graphs on 0..8 vertices."""
-    n = draw(st.integers(0, 8))
+def graphs(draw, max_vertices=8):
+    """(n, edges): edgeless, complete or random simple graphs on 0..max_vertices
+    vertices."""
+    n = draw(st.integers(0, max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     kind = draw(st.sampled_from(("edgeless", "complete", "random")))
     if kind == "edgeless":
@@ -287,6 +315,14 @@ def test_complement_components_match_explicit_complement(graph):
     n, edges = graph
     x = from_facets([[v] for v in range(n)] + [list(e) for e in edges])
     assert complement_components(x) == complement_components_networkx(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_vertices=12))
+def test_maximal_cliques_match_networkx(graph):
+    n, edges = graph
+    x = from_facets([[v] for v in range(n)] + [list(e) for e in edges])
+    assert sorted(_maximal_cliques(x)) == maximal_cliques_networkx(n, edges)
 
 
 def test_induced_subcomplex_relabels():

@@ -1,15 +1,14 @@
 """Cover growth experiments: exact families, CSV output, caveat discipline."""
 
-import os
 from fractions import Fraction
 
 import pytest
 
 import raag.growth as growth
 import raag.simplicial as simplicial
-from raag.errors import CorruptComplexError, CoverSpecError, MalformedComplexError, NotFlagError
+from raag.errors import CorruptComplexError, CoverSpecError, NotFlagError
 from raag.fixtures import fixture
-from raag.growth import CAVEAT, _worker_count, growth_experiment
+from raag.growth import CAVEAT, growth_experiment
 from raag.homology import betti_Fp
 from raag.models import FiniteQuotientSpec, finite_cover, standard_spec
 from raag.simplicial import from_facets
@@ -124,20 +123,10 @@ def _shared(k):
     return FiniteQuotientSpec(moduli=(k,), images=((1,),) * 4)
 
 
-def test_worker_pool_matches_serial(monkeypatch):
-    c4 = fixture("cycle", n=4)
-    specs = [_shared(2), _shared(3)]
-    monkeypatch.delenv("RAAG_THREADS", raising=False)
-    serial = growth_experiment(c4, specs, 2)
-    monkeypatch.setenv("RAAG_THREADS", "2")
-    parallel = growth_experiment(c4, specs, 2)
-    assert serial == parallel
-    assert serial.to_csv() == parallel.to_csv()
-
-
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_mixed_routes_keep_spec_order(monkeypatch, threads):
-    # indices 2, 16, 32, 81: direct, support table, direct, support table
+    # indices 2, 16, 32, 81: direct, support table, direct, support table;
+    # RAAG_THREADS is no longer read, so either value gives the serial result
     c4 = fixture("cycle", n=4)
     specs = [_shared(2), standard_spec(c4, 2), _shared(32), standard_spec(c4, 3)]
     monkeypatch.setenv("RAAG_THREADS", threads)
@@ -149,17 +138,6 @@ def test_mixed_routes_keep_spec_order(monkeypatch, threads):
     assert [c.betti for c in series.covers[1::2]] == [(1, 10, 25), (1, 20, 100)]
 
 
-def test_no_pool_without_direct_route_specs(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(growth, "ProcessPoolExecutor", refuse)
-    monkeypatch.setenv("RAAG_THREADS", "2")
-    c4 = fixture("cycle", n=4)
-    series = growth_experiment(c4, [standard_spec(c4, 2), standard_spec(c4, 3)], 2)
-    assert [c.betti for c in series.covers] == [(1, 10, 25), (1, 20, 100)]
-
-
 def test_support_table_cross_checks_reference(monkeypatch):
     # h(V) must be the reference column; a table off by one in degree 0 is
     # caught (the reference column comes from homology.betti_Fp, not patched)
@@ -167,21 +145,6 @@ def test_support_table_cross_checks_reference(monkeypatch):
     c4 = fixture("cycle", n=4)
     with pytest.raises(CorruptComplexError, match="support table"):
         growth_experiment(c4, [standard_spec(c4, 2)], 2)
-
-
-def test_worker_count_is_capped_by_tasks_and_cpus(monkeypatch):
-    monkeypatch.delenv("RAAG_THREADS", raising=False)
-    assert _worker_count(5) == 1
-    monkeypatch.setenv("RAAG_THREADS", "64")
-    assert _worker_count(2) == min(2, os.cpu_count() or 1)
-    assert _worker_count(1) == 1
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "2.5"])
-def test_worker_count_rejects_non_positive_integers(monkeypatch, value):
-    monkeypatch.setenv("RAAG_THREADS", value)
-    with pytest.raises(MalformedComplexError, match="RAAG_THREADS"):
-        _worker_count(2)
 
 
 def test_deck_group_enumerated_once_per_direct_route_spec(monkeypatch):
@@ -195,7 +158,6 @@ def test_deck_group_enumerated_once_per_direct_route_spec(monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(FiniteQuotientSpec, "cayley_table", counted)
-    monkeypatch.delenv("RAAG_THREADS", raising=False)
     x = fixture("discrete", n=2)
     specs = [standard_spec(x, k) for k in (2, 3, 4)]
     series = growth_experiment(x, specs, 2)
@@ -212,7 +174,6 @@ def test_flag_check_runs_once_per_experiment(monkeypatch):
     calls = []
     original = simplicial._flag_check
     monkeypatch.setattr(simplicial, "_flag_check", lambda x: calls.append(x) or original(x))
-    monkeypatch.delenv("RAAG_THREADS", raising=False)
     c4 = fixture("cycle", n=4)
     c4 = from_facets(c4.facets)  # a fresh complex, whose flag check is not cached
     growth_experiment(c4, [_shared(2), standard_spec(c4, 2), _shared(32)], 2)
