@@ -14,7 +14,8 @@ import os
 import sys
 
 from raag.fixtures import fixture
-from raag.growth import growth_experiment
+from raag.errors import CoverSpecError
+from raag.growth import check_prime, growth_experiment
 from raag.models import standard_spec
 
 FAMILIES = {
@@ -41,7 +42,15 @@ def main() -> int:
 
     if ns.kmax < 2:
         ap.error("--kmax must be at least 2")
-    primes = [int(p) for p in ns.primes.split(",") if p.strip()]
+    try:
+        primes = [int(p) for p in ns.primes.split(",") if p.strip()]
+    except ValueError:
+        ap.error(f"--primes must be a comma-separated integer list, got {ns.primes!r}")
+    for p in primes:
+        try:
+            check_prime(p)
+        except CoverSpecError as e:
+            ap.error(f"--primes: {e}")
     names = ns.family or sorted(FAMILIES)
     if ns.out:
         os.makedirs(ns.out, exist_ok=True)

@@ -7,10 +7,11 @@ the -o file; human-readable summaries go to stderr, so pipes stay clean.
 
 Exit codes: 0 success or classified; 3 undetermined; 10 malformed input or
 unknown fixture; 11 input not flag; 12 witness rejected; 13 degenerate
-quotient; 14 bad cover spec or prime; 15 internal consistency failure;
-20 unexpected error.  growth reads the betti numbers of its standard covers
-off a support table the size of L and builds no cover.  It refuses, with
-exit 14 and before computing anything, a cover of more than
+quotient; 14 bad cover spec, or a coefficient that is not a prime below
+2^64 (primality is decided exactly up to there); 15 internal consistency
+failure; 20 unexpected error.  growth reads the betti numbers of its
+standard covers off a support table the size of L and builds no cover.  It
+refuses, with exit 14 and before computing anything, a cover of more than
 models.MAX_COVER_CELLS (250,000) cells, counted as
 index * (1 + number of faces of L) over all dimensions.
 """
@@ -30,7 +31,7 @@ from .errors import (CorruptComplexError, CoverSpecError, FixtureError,
                      MalformedComplexError, NotFlagError, QuotientDegenerateError,
                      RaagError, WitnessRejectedError)
 from .fixtures import FIXTURE_NAMES, fixture
-from .growth import growth_experiment
+from .growth import check_prime, growth_experiment
 from .homology import (betti_Fp, homology_Z, simplicial_chain_complex,
                        uct_betti_fp)
 from .linalg import prime_factors
@@ -201,8 +202,7 @@ def cmd_homology(ns) -> int:
 
 def _validated_primes(ps: Sequence[int]) -> List[int]:
     for p in ps:
-        if p < 2 or prime_factors(p) != (p,):
-            raise CoverSpecError(f"{p} is not prime")
+        check_prime(p)
     return sorted(set(ps))
 
 

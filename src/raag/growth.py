@@ -5,14 +5,19 @@ degree, the exact betti number over F_p and the exact ratio betti/index as a
 rational.  The reference column is the reduced betti number of L one degree
 down, which is the limit along exhausting residual chains.
 
-Two routes give the betti numbers.  When the generator images are
-independent (the deck group is the direct sum of the cyclic groups they
-generate, as for every standard_spec), the cover is a polyhedral product and
-its betti numbers are a weighted sum over vertex subsets T of the betti
-numbers h(T) of complexes the size of L (SupportTable), computed once per
-(L, p) and experiment; no cover is built.  Every other spec builds its cover
-and reduces its boundary matrices.  The table's entry for T = V is the
-reference column, which cross-checks the two computations.
+No cover is built; two routes give the betti numbers, both from complexes
+written by models.cube_chain_complex and kept in one SupportTable per (L, p)
+and experiment.  When the generator images are independent (the deck group
+is the direct sum of the cyclic groups they generate, as for every
+standard_spec), the cover is a polyhedral product and its betti numbers are
+a weighted sum over vertex subsets T of the betti numbers h(T) of complexes
+the size of L.  Every other spec is split into its p-part P and its part Q'
+of order prime to p: over F_p with roots of unity adjoined the cover's chain
+complex splits over the characters of Q', and its betti numbers are a sum
+over vertex sets T, weighted by the number of characters of support T, of
+complexes the size of the P-cover (SupportTable.split_betti).  The table's
+entry for T = V is the reference column, and every row's alternating sum is
+the cover's Euler characteristic, index * (1 - chi(L)); both are checked.
 
 Abelian quotients of a nonabelian A_L never form a residual chain, so except
 for the exactly derivable families below the ratios are descriptive only and
@@ -33,13 +38,13 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
-from .homology import ChainComplexZ, betti_Fp, homology_summary
-from .linalg import SparseIntMatrix, prime_factors
-from .models import (FiniteQuotientSpec, check_cover_size, check_generator_count, cube_facets,
-                     finite_cover)
+from .homology import betti_Fp, homology_summary
+from .linalg import is_prime
+from .models import (FiniteQuotientSpec, check_cover_size, check_generator_count,
+                     cube_chain_complex, cube_facets)
 from .simplicial import SimplicialComplex, complement_components, is_flag
 
 CAVEAT = ("abelian quotient kernels of a nonabelian group do not form a residual "
@@ -120,8 +125,14 @@ class GrowthSeries:
         return "\n".join(lines)
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and prime_factors(p) == (p,)
+def check_prime(p: int) -> None:
+    """Raise CoverSpecError unless p is a prime below 2^64."""
+    try:
+        prime = is_prime(p)
+    except ValueError as e:
+        raise CoverSpecError(str(e)) from None
+    if not prime:
+        raise CoverSpecError(f"{p} is not prime")
 
 
 def _derivable_family(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
@@ -189,37 +200,40 @@ def independent_orders(spec: FiniteQuotientSpec, index: int) -> Optional[Tuple[i
 
 
 class SupportTable:
-    """F_p betti numbers h(T) of the support complexes of L, per vertex set T.
+    """F_p betti numbers of covers of the cube complex of L, from complexes
+    with one cell per Salvetti cell and deck element of a p-group.
 
-    The support complex of T has one basis element e_s per cell of the
-    Salvetti complex (the empty simplex and every face s of L, in degree
-    |s|) and the cube boundary restricted to the directions in T:
+    The support complex of a vertex set T has one basis element e_s per cell
+    of the Salvetti complex (the empty simplex and every face s of L, in
+    degree |s|) and the cube boundary restricted to the directions in T:
     d e_s = sum over j with s_j in T of (-1)^j e_{s - s_j}.  T = {} gives zero
-    maps, T = V the augmented chain complex of L shifted up one degree.
+    maps, T = V the augmented chain complex of L shifted up one degree.  Its
+    betti numbers h(T) are computed on first use and kept; sets T are bit
+    masks over the vertices.
 
     For a spec with independent images of orders k_v, the cover is the
     polyhedral product of (k_v-gon, its vertices) over L, and over a field
     its betti numbers split over vertex subsets (Bahri-Bendersky-Cohen-Gitler):
     b_i = sum over T within S = {v : k_v > 1} of prod_{v in T} (k_v - 1) h_i(T).
-    Sets T are bit masks over the vertices; entries are computed on first use.
+
+    Any other spec is split into its p-part P and its part Q' of order prime
+    to p (split_betti).
     """
 
     def __init__(self, L: SimplicialComplex, prime: int):
         self.prime = prime
         self._dims = (1,) + L.f_vector()
         self._plans = [cube_facets(L, i) for i in range(1, len(self._dims))]
+        self._unshifted = ([0],) * L.n_vertices
         self.entries: Dict[int, Tuple[int, ...]] = {}
+
+    def _betti(self, n_deck: int, shift, units: int) -> Tuple[int, ...]:
+        cc = cube_chain_complex(self._dims, self._plans, n_deck, shift, units)
+        return betti_Fp(cc, self.prime)
 
     def h(self, T: int) -> Tuple[int, ...]:
         if T not in self.entries:
-            dims = self._dims
-            boundaries = {
-                i: SparseIntMatrix(dims[i - 1], dims[i], {
-                    (fpos, col): sign
-                    for col, cube in enumerate(plans)
-                    for fpos, v, sign in cube if T >> v & 1})
-                for i, plans in enumerate(self._plans, 1)}
-            self.entries[T] = betti_Fp(ChainComplexZ(dims, boundaries), self.prime)
+            self.entries[T] = self._betti(1, self._unshifted, T)
         return self.entries[T]
 
     def cover_betti(self, orders: Sequence[int]) -> Tuple[int, ...]:
@@ -236,6 +250,39 @@ class SupportTable:
                 return tuple(total)
             T = (T - 1) & S
 
+    def split_betti(self, spec: FiniteQuotientSpec, index: int) -> Tuple[int, ...]:
+        """Betti numbers of the cover of any spec of the given index.
+
+        Write the deck group Q as P x Q' (FiniteQuotientSpec.sylow_split).
+        Over F_p with the roots of unity of order |Q'| adjoined, F_p[Q']
+        splits into the characters chi of Q', and the chain complex of the
+        cover into one summand per chi: the P-cover complex with coefficient
+        chi(phi'(v)) t_v - 1 in direction v.  Where chi(phi'(v)) != 1 that
+        coefficient is a unit, since t_v - 1 is nilpotent in F_p[P], and
+        rescaling the cells turns it into 1.  So
+        b_i = sum over T of N(T) b_i(K_T), N(T) being the number of
+        characters of support T and K_T the P-cover complex with unit
+        directions T (cube_chain_complex); for a trivial P, K_T is the
+        support complex of T.  The P deck group is enumerated once.
+        """
+        p_part, rest = spec.sylow_split(self.prime)
+        deck, shift = p_part.cayley_table()
+        order = rest.index
+        if len(deck) * order != index:
+            raise CorruptComplexError(
+                f"p-part of order {len(deck)} and p'-part of order {order} "
+                f"do not multiply to the index {index}")
+        counts = rest.character_supports()
+        if sum(counts.values()) != order:
+            raise CorruptComplexError(
+                f"{sum(counts.values())} characters counted for a p'-part of order {order}")
+        total = [0] * len(self._dims)
+        for T, count in counts.items():
+            row = self.h(T) if len(deck) == 1 else self._betti(len(deck), shift, T)
+            for i, b in enumerate(row):
+                total[i] += count * b
+        return tuple(total)
+
 
 def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
                       prime: int) -> GrowthSeries:
@@ -243,20 +290,21 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
 
     specs must be ordered by strictly increasing index, and no cover may have
     more than models.MAX_COVER_CELLS cells; both are checked from the Smith
-    normal form index before any cover is built.  The per-degree
-    reference is the reduced betti number of L one degree down (zero in degree
-    zero).
+    normal form index before anything is computed.  prime must be a prime
+    below 2^64.  The per-degree reference is the reduced betti number of L
+    one degree down (zero in degree zero).
 
-    A spec with independent images is read off one SupportTable shared by the
-    call, and no cover is built.  Every other spec builds its cover on L, one
-    after another.
+    One SupportTable serves the call and no cover is built: a spec with
+    independent images is read off its entries h(T), any other spec is split
+    into its p-part and its p'-part (SupportTable.split_betti).  Every row is
+    checked against the Euler characteristic of the cover,
+    index * (1 - chi(L)).
     """
     flag, witness = is_flag(L)
     if not flag:
         raise NotFlagError(f"growth experiment needs a flag complex; minimal non-face {witness}",
                            witness=witness)
-    if not _is_prime(prime):
-        raise CoverSpecError(f"{prime} is not prime")
+    check_prime(prime)
     if not specs:
         raise CoverSpecError("no covers requested")
     indices = [spec.index for spec in specs]
@@ -264,31 +312,32 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
         raise CoverSpecError(f"specs must have strictly increasing index, got {indices}")
     for idx in indices:
         check_cover_size(L, idx)
-
-    orders = [independent_orders(spec, idx) for spec, idx in zip(specs, indices)]
-    direct = [i for i, o in enumerate(orders) if o is None]
     for spec in specs:
         check_generator_count(L, spec)
 
     reduced = homology_summary(L, primes=(prime,), reduced=True).betti_fp(prime)
     reference = (0,) + tuple(reduced)  # degree i of the cover vs degree i-1 of L
 
-    betti_rows: List[Optional[Tuple[int, ...]]] = [None] * len(specs)
-    for i in direct:
-        betti_rows[i] = betti_Fp(finite_cover(L, specs[i]).chain_complex(), prime)
-    if len(direct) < len(specs):
-        table = SupportTable(L, prime)
-        for i, o in enumerate(orders):
-            if o is not None:
-                betti_rows[i] = table.cover_betti(o)
-        # h(V) is the augmented chain complex of L shifted up one degree, so
-        # it must equal the reference column; the empty L is skipped, since
-        # reference reads its reduced homology in degree -1 as zero
-        full = table.entries.get((1 << L.n_vertices) - 1)
-        if L.n_vertices and full is not None and full != reference:
+    table = SupportTable(L, prime)
+    betti_rows = []
+    for spec, idx in zip(specs, indices):
+        orders = independent_orders(spec, idx)
+        betti_rows.append(table.split_betti(spec, idx) if orders is None
+                          else table.cover_betti(orders))
+    # h(V) is the augmented chain complex of L shifted up one degree, so it
+    # must equal the reference column; the empty L is skipped, since
+    # reference reads its reduced homology in degree -1 as zero
+    full = table.entries.get((1 << L.n_vertices) - 1)
+    if L.n_vertices and full is not None and full != reference:
+        raise CorruptComplexError(
+            f"support table entry for T = V, {list(full)}, differs from "
+            f"the reference column {list(reference)}")
+    chi = 1 - L.euler_characteristic()
+    for spec, idx, row in zip(specs, indices, betti_rows):
+        if sum((-1) ** i * b for i, b in enumerate(row)) != idx * chi:
             raise CorruptComplexError(
-                f"support table entry for T = V, {list(full)}, differs from "
-                f"the reference column {list(reference)}")
+                f"betti numbers {list(row)} of the cover {spec.label()} do not sum "
+                f"to its Euler characteristic {idx * chi}")
 
     family, expected = _derivable_family(L, specs, indices)
     covers = tuple(

@@ -370,6 +370,42 @@ def prime_factors(n: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, for n < 2^64; raises ValueError from 2^64 on.
+
+    Miller-Rabin with the first twelve primes as bases, which no composite
+    below 3.3 * 10^24 passes (Sorenson-Webster 2015), so the answer is exact.
+
+    >>> [n for n in range(30) if is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    """
+    if n >= 1 << 64:
+        raise ValueError(f"{n} is too large: primality is decided below 2^64")
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def invariant_factors(orders: Iterable[int]) -> Tuple[int, ...]:
     """Normalize a bag of finite cyclic orders into a divisibility chain.
 

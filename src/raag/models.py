@@ -25,12 +25,16 @@ position of deck[qi] + phi(v), so a boundary entry costs a list lookup and no
 group arithmetic.  The index |<phi(v)>| comes separately from a Smith normal
 form, before anything is enumerated: a cover above MAX_COVER_CELLS cells is
 refused up front, and the enumeration is checked against it.
+cube_chain_complex writes the boundaries from a shift table; directions it
+is told have coefficient 1 give the support complexes and p-part complexes
+that growth.SupportTable reduces in place of a built cover.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, mod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -170,6 +174,64 @@ class FiniteQuotientSpec:
     def label(self) -> str:
         return "x".join(str(k) for k in self.moduli) if self.moduli else "1"
 
+    def sylow_split(self, p: int) -> Tuple["FiniteQuotientSpec", "FiniteQuotientSpec"]:
+        """(P, Q'): the deck group as its p-part P times its part Q' of order
+        prime to p.
+
+        Z/k = Z/p^a x Z/(k / p^a) with p^a the largest power of p dividing k,
+        so P takes the moduli p^a and Q' the moduli k / p^a, each with the
+        images reduced, and |P| |Q'| = index.  Coordinates of modulus 1 are
+        dropped.
+        """
+        powers = []
+        for k in self.moduli:
+            q = 1
+            while k % p == 0:
+                k //= p
+                q *= p
+            powers.append(q)
+
+        def part(moduli):
+            keep = [j for j, k in enumerate(moduli) if k > 1]
+            return FiniteQuotientSpec(moduli=tuple(moduli[j] for j in keep),
+                                      images=tuple(tuple(img[j] for j in keep)
+                                                   for img in self.images))
+        return part(powers), part([k // q for k, q in zip(self.moduli, powers)])
+
+    def character_supports(self) -> Dict[int, int]:
+        """Number of characters of the deck group per support, the bit mask of
+        the vertices whose image the character does not send to 1.
+
+        A character is fixed by its values on the images.  The characters c
+        of the ambient group take the value sum_j c_j x_j M / k_j in Z/M,
+        M = lcm(moduli), on an image x, so the characters of the deck group
+        form the subgroup of (Z/M)^r, one coordinate per distinct nonzero
+        image, spanned by one vector g_j per modulus.  It is enumerated coset
+        by coset: each g_j adds the multiples of g_j below its order modulo
+        the span of the earlier ones.  Zero images lie in no support.
+        """
+        masks: Dict[Tuple[int, ...], int] = {}
+        for v, img in enumerate(self.images):
+            if any(img):
+                masks[img] = masks.get(img, 0) | 1 << v
+        if not masks:
+            return {0: 1}
+        m = math.lcm(*self.moduli)
+        cols: List[List[int]] = [[0] for _ in masks]  # the span so far, per image
+        for j, k in enumerate(self.moduli):
+            g = tuple(img[j] * (m // k) % m for img in masks)
+            span = set(zip(*cols))
+            order, x = 1, g
+            while x not in span:
+                order += 1
+                x = tuple((a + b) % m for a, b in zip(x, g))
+            if order > 1:
+                cols = [[(x + i * gi) % m for i in range(order) for x in col]
+                        for col, gi in zip(cols, g)]
+        counts = Counter(zip(*([x != 0 for x in col] for col in cols)))
+        return {sum(mask for nonzero, mask in zip(pattern, masks.values()) if nonzero): n
+                for pattern, n in counts.items()}
+
 
 def standard_spec(L: SimplicialComplex, k: int) -> FiniteQuotientSpec:
     """Each generator to its own coordinate of (Z/k)^n."""
@@ -222,6 +284,50 @@ def cube_facets(base: SimplicialComplex, i: int) -> List[List[Tuple[int, int, in
     below = base.face_index(i - 2) if i >= 2 else {EMPTY: 0}
     return [[(below[s[:j] + s[j + 1:]], v, (-1) ** j) for j, v in enumerate(s)]
             for s in base.faces(i - 1)]
+
+
+def cube_chain_complex(base_cells: Sequence[int],
+                       plans: Sequence[List[List[Tuple[int, int, int]]]], n_deck: int,
+                       shift: Sequence[Sequence[int]], units: int = 0) -> ChainComplexZ:
+    """Chain complex of n_deck copies of the cube cells of a base, twisted by a
+    deck group.
+
+    base_cells[i] counts the i-cubes of the base (the empty simplex alone in
+    degree 0), plans[i - 1] is cube_facets(base, i), and shift[v][qi] is the
+    deck position of deck[qi] + phi(v).  The cell over base cell s at deck
+    position qi is qi * base_cells[i] + position of s.  Direction j of the
+    cube over (v_0 < ... < v_k) contributes (-1)^j times (translated facet -
+    untranslated facet), so a zero image puts both facets on one cell, where
+    they cancel.  A direction v in the bit mask units has coefficient 1
+    instead of t_v - 1: it contributes (-1)^j times the untranslated facet
+    alone.
+    """
+    dims = tuple(n_deck * c for c in base_cells)
+    boundaries: Dict[int, SparseIntMatrix] = {}
+    for i, cubes in enumerate(plans, 1):
+        if n_deck == 1:  # every translation is trivial: only unit directions write
+            boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], {
+                (fpos, col): sign for col, cube in enumerate(cubes)
+                for fpos, v, sign in cube if units >> v & 1})
+            continue
+        n_below = base_cells[i - 1]
+        # per base cell: (facet position, shift list or None for a unit, sign)
+        plan = [[(fpos, None if units >> v & 1 else shift[v], sign) for fpos, v, sign in cube]
+                for cube in cubes]
+        entries: Dict[Tuple[int, int], int] = {}
+        col = 0
+        for qi in range(n_deck):
+            here = qi * n_below
+            for cube in plan:
+                for fpos, to, sign in cube:
+                    if to is None:
+                        entries[(here + fpos, col)] = sign
+                    elif to[qi] != qi:
+                        entries[(to[qi] * n_below + fpos, col)] = sign
+                        entries[(here + fpos, col)] = -sign
+                col += 1
+        boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], entries)
+    return ChainComplexZ(dims, boundaries)
 
 
 class CubeComplex:
@@ -283,33 +389,11 @@ class CubeComplex:
         return qi * len(self.base_cells(i)) + pos
 
     def chain_complex(self) -> ChainComplexZ:
-        """Cubical boundary maps: direction j of the cube over (v_0 < ... < v_k)
-        contributes (-1)^j times (translated facet - untranslated facet).
-
-        A zero image puts both facets on the same cell, where they cancel.
-        """
-        if self._cc is not None:
-            return self._cc
-        dims = self.cell_counts()
-        boundaries: Dict[int, SparseIntMatrix] = {}
-        for i in range(1, self.dim + 1):
-            n_below = len(self.base_cells(i - 1))
-            # per base cell: (facet position, shift list, sign) per direction
-            plans = [[(fpos, self._shift[v], sign) for fpos, v, sign in cube]
-                     for cube in cube_facets(self.base, i)]
-            entries: Dict[Tuple[int, int], int] = {}
-            col = 0
-            for qi in range(len(self.deck)):
-                here = qi * n_below
-                for plan in plans:
-                    for fpos, shift, sign in plan:
-                        t = shift[qi]
-                        if t != qi:
-                            entries[(t * n_below + fpos, col)] = sign
-                            entries[(here + fpos, col)] = -sign
-                    col += 1
-            boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], entries)
-        self._cc = ChainComplexZ(dims, boundaries)
+        """Cubical boundary maps, from cube_chain_complex with no unit directions."""
+        if self._cc is None:
+            base_cells = tuple(len(self.base_cells(i)) for i in range(self.dim + 1))
+            plans = [cube_facets(self.base, i) for i in range(1, self.dim + 1)]
+            self._cc = cube_chain_complex(base_cells, plans, len(self.deck), self._shift)
         return self._cc
 
     def to_json_dict(self) -> dict:

@@ -323,3 +323,27 @@ def random_facets(rng: random.Random, max_vertices: int = 7) -> List[Tuple[int, 
     used = sorted({v for f in facets for v in f})
     relabel = {v: i for i, v in enumerate(used)}
     return [tuple(relabel[v] for v in f) for f in facets]
+
+
+def character_counts_mobius(moduli: Sequence[int], images: Sequence[Sequence[int]]
+                            ) -> Dict[int, int]:
+    """Characters of the group Q generated by the images, counted per support
+    (the bit mask of the vertices whose image a character does not send to
+    1), by Moebius inversion over sets U of vertices with nonzero image:
+    N(T) = sum over U within T of (-1)^|T - U| |Q| / |<images of v not in U>|,
+    since |Q| / |H| characters are trivial on a subgroup H.  Subgroup orders
+    come from deck_group_bfs; supports with no character are left out."""
+    order = len(deck_group_bfs(moduli, images))
+    S = [v for v, img in enumerate(images) if any(x % k for x, k in zip(img, moduli))]
+    trivial_on = {}
+    for r in range(len(S) + 1):
+        for U in itertools.combinations(S, r):
+            outside = [img for v, img in enumerate(images) if v not in U]
+            trivial_on[U] = order // len(deck_group_bfs(moduli, outside))
+    counts = {}
+    for T in trivial_on:
+        n = sum((-1) ** (len(T) - r) * trivial_on[U]
+                for r in range(len(T) + 1) for U in itertools.combinations(T, r))
+        if n:
+            counts[sum(1 << v for v in T)] = n
+    return counts

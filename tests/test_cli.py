@@ -169,6 +169,29 @@ def test_homology_rejects_non_prime(capsys):
     assert code == 14
 
 
+MERSENNE_61 = str(2 ** 61 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("homology", "--fixture", "cycle", "--n", "4", "--primes", MERSENNE_61),
+    ("growth", "--fixture", "cycle", "--n", "4", "--prime", MERSENNE_61, "--moduli", "2"),
+])
+def test_large_prime_is_accepted_at_once(capsys, argv):
+    # trial division up to sqrt(p) would take hours here
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("command, flag", [("homology", "--primes"), ("growth", "--prime")])
+def test_prime_of_two_to_the_64_or_more_exits_fourteen(capsys, command, flag):
+    argv = [command, "--fixture", "cycle", "--n", "4", flag, str(2 ** 64 + 13)]
+    code, out, err = run(capsys, *argv, *(["--moduli", "2"] if command == "growth" else []))
+    assert code == 14
+    assert "decided below 2^64" in err and "Traceback" not in err
+
+
 # -- classify ------------------------------------------------------------------------
 
 
@@ -346,3 +369,14 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "classify" in proc.stdout
+
+
+@pytest.mark.parametrize("primes", ["4", "1", "2,x"])
+def test_growth_sweep_rejects_bad_primes_with_usage_error(tmp_path, primes):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "growth_sweep.py"
+    src = str(Path(raag.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(script), "--primes", primes,
+                           "--family", "free2", "--kmax", "2"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

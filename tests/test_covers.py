@@ -1,14 +1,14 @@
 """Cover chain complexes from integer deck indices against the tuple-based
 build, the Smith-form index against enumeration, the cover size budget, the
 column-wise boundary check, and cover betti numbers read off the support
-table against the built cover."""
+table or split into p-part and p'-part against the built cover."""
 
 import itertools
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import cover_boundaries_tuples, deck_group_bfs
+from oracles import character_counts_mobius, cover_boundaries_tuples, deck_group_bfs
 
 import raag.models as models
 from raag.errors import CorruptComplexError, CoverSpecError
@@ -191,3 +191,62 @@ def test_shared_coordinate_images_are_not_independent():
     mixed = FiniteQuotientSpec(moduli=(2, 2), images=((1, 1), (0, 1), (0, 0), (0, 0)))
     assert independent_orders(mixed, mixed.index) == (2, 2, 1, 1)
     assert independent_orders(standard_spec(c4, 3), 81) == (3, 3, 3, 3)
+
+
+# -- Sylow split against the built cover -------------------------------------------
+
+
+@st.composite
+def sylow_specs(draw, n, p):
+    """Specs on n vertices whose deck group is a p-group, a group of order
+    prime to p, or mixed: each modulus is p^a m with m prime to p.  Modulus 1
+    coordinates, zero images and coordinates shared by several vertices are
+    common."""
+    kind = draw(st.sampled_from(("p-group", "p'-group", "mixed")))
+    prime_to_p = [m for m in range(1, 8) if m % p]
+    moduli = tuple(
+        p ** (0 if kind == "p'-group" else draw(st.integers(0, 2)))
+        * (1 if kind == "p-group" else draw(st.sampled_from(prime_to_p)))
+        for _ in range(draw(st.integers(1, 3))))
+    vector = st.tuples(*(st.integers(0, k - 1) for k in moduli))
+    pool = draw(st.lists(vector, min_size=1, max_size=3)) + [tuple(0 for _ in moduli)]
+    return FiniteQuotientSpec(moduli=moduli,
+                              images=tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+
+
+def _check_split_against_cover(L, spec, p):
+    index = spec.index
+    got = SupportTable(L, p).split_betti(spec, index)
+    assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
+    P, rest = spec.sylow_split(p)
+    assert P.index * rest.index == index
+    assert all(k % p == 0 for k in P.moduli) and all(k % p for k in rest.moduli)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sylow_split_matches_built_cover(data):
+    L = data.draw(flag_complexes())
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    spec = data.draw(sylow_specs(L.n_vertices, p))
+    assume(spec.index * (1 + sum(L.f_vector())) <= ORACLE_CELLS)
+    _check_split_against_cover(L, spec, p)
+
+
+@pytest.mark.parametrize("name, n, moduli, images, p", [
+    ("cycle", 4, (6,), ((1,),) * 4, 2),                      # mixed, shared coordinate
+    ("cycle", 4, (3,), ((1,), (2,), (0,), (1,)), 2),         # p'-group, a zero image
+    ("cycle", 5, (4, 1), ((1, 0), (2, 0), (3, 0), (0, 0), (1, 0)), 2),  # p-group
+    ("octahedron", None, (15,), ((1,), (5,), (3,), (0,), (6,), (10,)), 5),
+    ("octahedron", None, (2, 3), ((1, 0), (0, 1), (1, 1), (1, 2), (0, 0), (0, 2)), 3),
+    ("path", 4, (12,), ((3,), (4,), (6,), (2,)), 2),
+])
+def test_sylow_split_matches_built_cover_on_fixtures(name, n, moduli, images, p):
+    _check_split_against_cover(fixture(name, n=n), FiniteQuotientSpec(moduli, images), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: specs(n, max_coords=3, max_modulus=6)))
+def test_character_supports_match_moebius_inversion(spec):
+    assume(spec.index <= 200)
+    assert spec.character_supports() == character_counts_mobius(spec.moduli, spec.images)

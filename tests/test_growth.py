@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import raag.growth as growth
+import raag.models as models
 import raag.simplicial as simplicial
 from raag.errors import CorruptComplexError, CoverSpecError, NotFlagError
 from raag.fixtures import fixture
@@ -119,13 +120,13 @@ def test_report_always_carries_caveat():
 
 
 def _shared(k):
-    """Every generator of the 4-cycle to 1 in Z/k: a direct-route spec."""
+    """Every generator of the 4-cycle to 1 in Z/k: images not independent."""
     return FiniteQuotientSpec(moduli=(k,), images=((1,),) * 4)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_mixed_routes_keep_spec_order(monkeypatch, threads):
-    # indices 2, 16, 32, 81: direct, support table, direct, support table;
+    # indices 2, 16, 32, 81: split, support table, split, support table;
     # RAAG_THREADS is no longer read, so either value gives the serial result
     c4 = fixture("cycle", n=4)
     specs = [_shared(2), standard_spec(c4, 2), _shared(32), standard_spec(c4, 3)]
@@ -147,9 +148,10 @@ def test_support_table_cross_checks_reference(monkeypatch):
         growth_experiment(c4, [standard_spec(c4, 2)], 2)
 
 
-def test_deck_group_enumerated_once_per_direct_route_spec(monkeypatch):
-    # the ordering check takes the index from the Smith normal form, and specs
-    # with independent images are read off the support table
+def test_p_part_enumerated_once_per_spec_without_independent_images(monkeypatch):
+    # the ordering check takes the index from the Smith normal form, specs
+    # with independent images are read off the support table, and every other
+    # spec enumerates the deck group of its p-part once
     calls = []
     original = FiniteQuotientSpec.cayley_table
 
@@ -165,9 +167,9 @@ def test_deck_group_enumerated_once_per_direct_route_spec(monkeypatch):
     assert series.exact_match()
     assert calls == []
     c4 = fixture("cycle", n=4)
-    specs = [_shared(2), standard_spec(c4, 2), _shared(32)]
+    specs = [_shared(3), standard_spec(c4, 2), _shared(24)]
     growth_experiment(c4, specs, 2)
-    assert calls == [specs[0], specs[2]]
+    assert calls == [FiniteQuotientSpec(moduli=(), images=((),) * 4), _shared(8)]
 
 
 def test_flag_check_runs_once_per_experiment(monkeypatch):
@@ -186,3 +188,50 @@ def test_reference_column_uses_reduced_mod_p_betti():
     series = growth_experiment(x, [spec], 2)
     # reduced betti of the flag complex over F_2 is (0, 1, 1)
     assert series.reference == (0, 0, 1, 1)
+
+
+def test_splits_mixed_deck_group_without_building_the_cover(monkeypatch):
+    # Z/6 = Z/2 x Z/3 at p = 2: the trivial character of Z/3 gives the double
+    # cover, (1, 4, 5), and the other two see every vertex, giving twice the
+    # double-cover complex with unit coefficients, (0, 0, 2)
+    c4 = fixture("cycle", n=4)
+    want = betti_Fp(finite_cover(c4, _shared(6)).chain_complex(), 2)
+    monkeypatch.setattr(models.CubeComplex, "__init__", _refuse_cover)
+    series = growth_experiment(c4, [_shared(6)], 2)
+    assert series.covers[0].betti == want == (1, 4, 9)
+
+
+def _refuse_cover(*args):
+    raise AssertionError("a cover was built")
+
+
+def test_p_part_and_p_prime_part_must_multiply_to_index(monkeypatch):
+    # a split that leaves P as the whole deck group is refused
+    split = FiniteQuotientSpec.sylow_split
+    monkeypatch.setattr(FiniteQuotientSpec, "sylow_split",
+                        lambda spec, p: (spec, split(spec, p)[1]))
+    c4 = fixture("cycle", n=4)
+    with pytest.raises(CorruptComplexError, match="do not multiply to the index 6"):
+        growth_experiment(c4, [_shared(6)], 2)
+
+
+def test_character_count_must_match_p_prime_part(monkeypatch):
+    supports = FiniteQuotientSpec.character_supports
+    monkeypatch.setattr(FiniteQuotientSpec, "character_supports",
+                        lambda spec: {**supports(spec), 0: 2})
+    c4 = fixture("cycle", n=4)
+    with pytest.raises(CorruptComplexError, match="4 characters counted for a p'-part of order 3"):
+        growth_experiment(c4, [_shared(6)], 2)
+
+
+@pytest.mark.parametrize("route, spec", [("cover_betti", None), ("split_betti", _shared(6))])
+def test_every_row_is_checked_against_euler_characteristic(monkeypatch, route, spec):
+    # chi(C_4) = 0, so every cover has Euler characteristic index * 1; a row
+    # off by one in degree 0 is caught on either route
+    original = getattr(growth.SupportTable, route)
+    monkeypatch.setattr(growth.SupportTable, route,
+                        lambda self, *a: (lambda b: (b[0] + 1,) + b[1:])(original(self, *a)))
+    c4 = fixture("cycle", n=4)
+    spec = spec or standard_spec(c4, 2)
+    with pytest.raises(CorruptComplexError, match="Euler characteristic"):
+        growth_experiment(c4, [spec], 2)

@@ -16,7 +16,7 @@ from raag.homology import (ChainComplexZ, HomologySummary, betti_Fp,
                            flag_reduced_summary, homology_summary,
                            join_homology_kunneth, simplicial_chain_complex,
                            top_cohomology_nonzero, uct_betti_fp, with_primes)
-from raag.linalg import SparseIntMatrix, rank_mod_p, smith_normal_form
+from raag.linalg import SparseIntMatrix, is_prime, rank_mod_p, smith_normal_form
 from raag.simplicial import from_facets, join
 
 
@@ -259,3 +259,17 @@ def test_chain_complex_validates_boundary_squared():
 def test_chain_complex_shape_mismatch_rejected():
     with pytest.raises(CorruptComplexError):
         ChainComplexZ((2, 2), {1: SparseIntMatrix.from_dense([[1], [1]])})
+
+
+def test_is_prime_matches_trial_division_and_refuses_two_to_the_64():
+    small = [n for n in range(-5, 5000)
+             if n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(-5, 5000) if is_prime(n)] == small
+    # 2^61 - 1 and 2^64 - 59 are prime; the others are composites that pass
+    # Miller-Rabin to several small bases (a Carmichael number, strong
+    # pseudoprimes to bases 2..7 and to bases 2..23, and 2^64 - 1)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+    for n in (561, 3215031751, 3825123056546413051, 2 ** 64 - 1):
+        assert not is_prime(n)
+    with pytest.raises(ValueError, match="2\\^64"):
+        is_prime(2 ** 64)
