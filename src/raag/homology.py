@@ -194,6 +194,15 @@ def homology_Z(cc: ChainComplexZ) -> HomologySummary:
 
     Reduced when the complex is augmented.  Raises CorruptComplexError if any
     boundary composition is nonzero.
+
+    The boundaries are reduced from the top degree down, clearing as it goes:
+    the columns of d_i indexed by the unit-pivot rows R of d_{i+1} are left
+    out.  With C the pivot columns, the minor d_{i+1}[R, C] has determinant
+    +-1, so from d_i d_{i+1} = 0 the columns d_i[:, R] are integer
+    combinations of the other columns of d_i; unimodular column operations
+    zero them, which keeps the rank and the invariant factors.  The rows of
+    phase-2 pivots are not cleared: their minor need not be unimodular, and
+    leaving those columns out can change the torsion.
     """
     cc.validate()
     top = cc.top
@@ -201,8 +210,10 @@ def homology_Z(cc: ChainComplexZ) -> HomologySummary:
         return HomologySummary(reduced=cc.augmented, betti=(), torsion=())
     snfs: Dict[int, SNFResult] = {}
     lo = 0 if cc.augmented else 1
-    for i in range(lo, top + 1):
-        snfs[i] = smith_normal_form(cc.boundary(i))
+    cleared: AbstractSet[int] = frozenset()
+    for i in range(top, lo - 1, -1):
+        snfs[i] = smith_normal_form(cc.boundary(i), cleared)
+        cleared = snfs[i].unit_rows
     betti = []
     torsion = []
     for i in range(top + 1):

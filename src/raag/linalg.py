@@ -13,7 +13,16 @@ The integer Smith normal form eliminates in two phases:
     minimal-absolute-value Smith reduction with divisibility fix-ups.
 
 Unit pivots keep phase 1 fraction-free, so boundary matrices of simplicial and
-cubical complexes (entries +-1) mostly never reach phase 2.
+cubical complexes (entries +-1) mostly never reach phase 2.  Each bucket of
+columns of equal weight keeps a min-heap, so the lowest column of the sparsest
+bucket is found without scanning the bucket.
+
+The Smith normal form reports the rows of its unit pivots.  Those pivots span
+a minor with determinant +-1 (the product of the pivots), which lets
+`homology.homology_Z` clear across consecutive boundaries over Z as
+`betti_Fp` does over F_p.  Phase-2 pivots are left out: a minor with a
+non-unit determinant does not make the cleared columns integer combinations
+of the others.
 
 Rank over F_p is a column reduction: columns are reduced left to right, each
 against the earlier column sharing its lowest (largest-index) nonzero row,
@@ -25,8 +34,9 @@ d_i indexed by the pivot rows of d_{i+1} never need reducing.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 
 class SparseIntMatrix:
@@ -79,9 +89,11 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Diagonal of the Smith normal form, divisibility-ordered, zeros trailing."""
+    """Diagonal of the Smith normal form, divisibility-ordered, zeros trailing,
+    and the rows of the unit-phase pivots."""
 
     diagonal: Tuple[int, ...]
+    unit_rows: FrozenSet[int] = frozenset()
 
     @property
     def rank(self) -> int:
@@ -95,19 +107,23 @@ class SNFResult:
 class _Elimination:
     """Mutable sparse elimination state of the integer Smith normal form."""
 
-    def __init__(self, m: SparseIntMatrix):
+    def __init__(self, m: SparseIntMatrix, skip: AbstractSet[int] = frozenset()):
         self.row: Dict[int, Dict[int, int]] = {}
         self.col: Dict[int, Set[int]] = {}
         self.buckets: Dict[int, Set[int]] = {}
         for (r, c), v in m.entries.items():
-            self.row.setdefault(r, {})[c] = v
+            if c not in skip:
+                self.row.setdefault(r, {})[c] = v
         for r, cs in self.row.items():
             for c in cs:
                 self.col.setdefault(c, set()).add(r)
         for c, rs in self.col.items():
             self.buckets.setdefault(len(rs), set()).add(c)
+        self.heaps: Dict[int, List[int]] = {k: sorted(b) for k, b in self.buckets.items()}
 
-    # bucket bookkeeping: buckets[k] is the set of columns with k live entries
+    # bucket bookkeeping: buckets[k] is the set of columns with k live entries;
+    # heaps[k] is a min-heap holding every column of buckets[k], plus stale
+    # entries of columns that have left it, dropped when they reach the top
 
     def _rebucket(self, c: int, old: int) -> None:
         new = len(self.col.get(c, ()))
@@ -118,8 +134,17 @@ class _Elimination:
             bucket.discard(c)
             if not bucket:
                 del self.buckets[old]
+                del self.heaps[old]
         if new:
             self.buckets.setdefault(new, set()).add(c)
+            heapq.heappush(self.heaps.setdefault(new, []), c)
+
+    def _lowest(self, size: int) -> int:
+        """Lowest column of buckets[size]."""
+        heap, bucket = self.heaps[size], self.buckets[size]
+        while heap[0] not in bucket:
+            heapq.heappop(heap)
+        return heap[0]
 
     def _set(self, r: int, c: int, v: int) -> None:
         row = self.row.setdefault(r, {})
@@ -158,13 +183,12 @@ class _Elimination:
     def _unit_pivot(self) -> Optional[Tuple[int, int]]:
         """Sparsest column holding a unit entry; within it the sparsest row."""
         for size in sorted(self.buckets):
-            bucket = self.buckets[size]
             # the lowest column of a boundary matrix almost always holds a
             # unit, so try it before paying for a full sort of the bucket
-            cand = self._unit_in_col(min(bucket))
+            cand = self._unit_in_col(self._lowest(size))
             if cand is not None:
                 return cand
-            for c in sorted(bucket):
+            for c in sorted(self.buckets[size]):
                 cand = self._unit_in_col(c)
                 if cand is not None:
                     return cand
@@ -192,14 +216,15 @@ class _Elimination:
                 cur = self.row.get(rr, {}).get(cc, 0)
                 self._set(rr, cc, cur - factor * pv)
 
-    def run_unit_phase(self) -> int:
-        count = 0
+    def run_unit_phase(self) -> List[int]:
+        """Eliminate unit pivots while any is left; returns their rows."""
+        rows: List[int] = []
         while True:
             piv = self._unit_pivot()
             if piv is None:
-                return count
+                return rows
             self._schur_eliminate(*piv)
-            count += 1
+            rows.append(piv[0])
 
     # -- phase 2: classical Smith reduction -----------------------------------
 
@@ -276,22 +301,29 @@ class _Elimination:
         return diag
 
 
-def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
-    """Smith normal form diagonal of an integer matrix.
+def smith_normal_form(m: SparseIntMatrix,
+                      skip: AbstractSet[int] = frozenset()) -> SNFResult:
+    """Smith normal form of an integer matrix, leaving out the columns in skip.
 
-    The result satisfies d_1 | d_2 | ... with zeros trailing and is padded to
-    min(rows, cols); it is invariant under row/column permutation and under
-    any unimodular change of basis.
+    The diagonal satisfies d_1 | d_2 | ... with zeros trailing and is padded to
+    min(rows, columns kept); it is invariant under row/column permutation and
+    under any unimodular change of basis.  unit_rows holds the rows of the
+    unit-phase pivots only: they and the pivot columns span a minor of
+    determinant +-1.
 
     >>> smith_normal_form(SparseIntMatrix.from_dense([[2, 0], [0, 3]])).diagonal
     (1, 6)
+    >>> m = SparseIntMatrix.from_dense([[1, 1, 0], [0, 2, 4]])
+    >>> smith_normal_form(m).diagonal, smith_normal_form(m, skip={0})
+    ((1, 2), SNFResult(diagonal=(1, 4), unit_rows=frozenset({0})))
     """
-    elim = _Elimination(m)
+    elim = _Elimination(m, skip)
     units = elim.run_unit_phase()
     rest = elim.run_smith_phase()
-    diag = [1] * units + rest
-    diag += [0] * (min(m.rows, m.cols) - len(diag))
-    return SNFResult(tuple(diag))
+    diag = [1] * len(units) + rest
+    kept = m.cols - sum(1 for c in skip if 0 <= c < m.cols)
+    diag += [0] * (min(m.rows, kept) - len(diag))
+    return SNFResult(tuple(diag), frozenset(units))
 
 
 def pivot_rows_mod_p(m: SparseIntMatrix, p: int,

@@ -36,7 +36,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("n_vertices", "facets", "name", "dim", "_faces", "_face_sets",
-                 "_face_index", "_flag")
+                 "_face_index", "_flag", "_factors")
 
     def __init__(self, n_vertices: int, facets: Tuple[Simplex, ...], name: str = ""):
         self.n_vertices = n_vertices
@@ -47,6 +47,8 @@ class SimplicialComplex:
         self._face_sets: Dict[int, frozenset] = {}
         self._face_index: Dict[int, Dict[Simplex, int]] = {}
         self._flag: Optional[Tuple[bool, Optional[Simplex]]] = None  # set by is_flag
+        # set by join_factors; () when the complex does not split
+        self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -85,7 +87,20 @@ class SimplicialComplex:
         return t in self.face_set(len(t) - 1)
 
     def f_vector(self) -> Tuple[int, ...]:
-        return tuple(len(self.faces(k)) for k in range(self.dim + 1))
+        """(f_0, ..., f_dim).  A complex known to be flag whose join factors
+        are cached is the join of its factors, so (1, f_0, f_1, ...) is the
+        convolution of theirs and no face of the join is listed."""
+        if not self._factors or self._flag is None or not self._flag[0]:
+            return tuple(len(self.faces(k)) for k in range(self.dim + 1))
+        f = [1]
+        for part in self._factors:
+            g = (1,) + part.f_vector()
+            h = [0] * (len(f) + len(g) - 1)
+            for i, a in enumerate(f):
+                for j, b in enumerate(g):
+                    h[i + j] += a * b
+            f = h
+        return tuple(f[1:])
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
@@ -317,12 +332,14 @@ def join_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
     Factors are the connected components of the complement of the 1-skeleton;
     for a flag complex the complex equals the join of the induced subcomplexes
     (cliques of a complete multipartite-style graph split across parts).
-    Returns [x] when indecomposable.  Callers must ensure x is flag.
+    Returns [x] when indecomposable.  Callers must ensure x is flag.  The
+    factors are cached on the complex, which is immutable.
     """
-    parts = complement_components(x)
-    if len(parts) <= 1:
-        return [x]
-    return [induced_subcomplex(x, p)[0] for p in parts]
+    if x._factors is None:
+        parts = complement_components(x)
+        x._factors = (() if len(parts) <= 1
+                      else tuple(induced_subcomplex(x, p)[0] for p in parts))
+    return list(x._factors) or [x]
 
 
 def induced_subcomplex(x: SimplicialComplex, vertices: Sequence[int]) -> Tuple[SimplicialComplex, Tuple[int, ...]]:

@@ -1,22 +1,24 @@
-"""Rank over F_p by column reduction, and the clearing across boundaries in
-betti_Fp, against dense Gaussian elimination of every boundary with no
-clearing."""
+"""Clearing across boundaries: rank over F_p by column reduction in
+betti_Fp, and Smith normal forms over Z in homology_Z, against dense
+elimination of every boundary with no clearing."""
 
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_betti_fp, rank_gf
+from oracles import brute_betti_fp, brute_homology, dense_snf, random_facets, rank_gf
 
-from raag.homology import betti_Fp, simplicial_chain_complex
-from raag.linalg import SparseIntMatrix, pivot_rows_mod_p
+from raag.fixtures import fixture
+from raag.homology import ChainComplexZ, betti_Fp, homology_Z, simplicial_chain_complex
+from raag.linalg import SparseIntMatrix, _Elimination, pivot_rows_mod_p, smith_normal_form
 from raag.models import FiniteQuotientSpec, finite_cover
 from raag.simplicial import flag_completion, from_facets
 
 
-def _random_flag(rng: random.Random):
-    n = rng.randint(1, 6)
+def _random_flag(rng: random.Random, max_vertices: int = 6):
+    n = rng.randint(1, max_vertices)
     edges = [list(e) for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
     return flag_completion(from_facets([[v] for v in range(n)] + edges))
 
@@ -75,3 +77,119 @@ def test_skipped_columns_match_dense_rank_without_them(seed, p):
 def test_skip_on_unstructured_matrices(rows, skip, p):
     m = SparseIntMatrix.from_dense(rows)
     assert len(pivot_rows_mod_p(m, p, skip)) == rank_gf(_without_columns(m, skip), p)
+
+
+# -- clearing over Z -------------------------------------------------------------
+
+
+def _dense_homology(cc):
+    """(betti, torsion) from dense Smith normal forms of every boundary, no clearing."""
+    lo = 0 if cc.augmented else 1
+    snfs = {i: dense_snf(cc.boundary(i).to_dense()) for i in range(lo, cc.top + 1)}
+    betti = tuple(cc.dims[i] - len(snfs.get(i, ())) - len(snfs.get(i + 1, ()))
+                  for i in range(cc.top + 1))
+    torsion = tuple(tuple(d for d in snfs.get(i + 1, ()) if d > 1) for i in range(cc.top + 1))
+    return betti, torsion
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_homology_z_with_clearing_matches_brute_oracle(seed, reduced):
+    rng = random.Random(seed)
+    facets = random_facets(rng, max_vertices=7)
+    h = homology_Z(simplicial_chain_complex(from_facets(facets), augmented=reduced))
+    b, t = brute_homology(facets, reduced=reduced)
+    assert h.betti == tuple(b)
+    assert h.torsion == tuple(tuple(ts) for ts in t)
+    # and a cube complex: a Z/2 cover, against dense Smith forms of its boundaries
+    L = _random_flag(rng, max_vertices=4)
+    spec = FiniteQuotientSpec(
+        moduli=(2,), images=tuple((rng.randrange(2),) for _ in range(L.n_vertices)))
+    cover = finite_cover(L, spec).chain_complex()
+    h = homology_Z(cover)
+    assert (h.betti, h.torsion) == _dense_homology(cover)
+
+
+def _chain(dims, dense):
+    return ChainComplexZ(dims, {i: SparseIntMatrix.from_dense(rows)
+                                for i, rows in dense.items()})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_moore_flag_torsion(q):
+    x = fixture("moore_flag", q=q)
+    for reduced in (False, True):
+        h = homology_Z(simplicial_chain_complex(x, augmented=reduced))
+        assert h.betti == ((0 if reduced else 1), 0, 0)
+        assert h.torsion == ((), (q,), ())
+
+
+def test_rp2_flag_torsion():
+    h = homology_Z(simplicial_chain_complex(fixture("rp2_flag")))
+    assert h.betti == (1, 0, 0) and h.torsion == ((), (2,), ())
+
+
+def test_phase_two_pivot_rows_are_not_cleared():
+    # Z --2--> Z: the only pivot is not a unit, so no row may be cleared
+    cc = _chain((1, 1), {1: [[2]]})
+    assert smith_normal_form(cc.boundary(1)).unit_rows == frozenset()
+    h = homology_Z(cc)
+    assert h.betti == (0, 0) and h.torsion == ((2,), ())
+    # Z --(3, -2)--> Z^2 --(2 3)--> Z is exact.  d_2 has no unit, its
+    # phase-2 pivot sits on row 1, and d_1 without column 1 is (2), which
+    # would make H_0 = Z/2
+    cc = _chain((1, 2, 1), {1: [[2, 3]], 2: [[3], [-2]]})
+    assert smith_normal_form(cc.boundary(2)).unit_rows == frozenset()
+    h = homology_Z(cc)
+    assert h.betti == (0, 0, 0) and h.torsion == ((), (), ())
+
+
+def _unimodular_on(rows, unit_rows, cols):
+    """Whether some columns of cols span a minor of det +-1 on unit_rows."""
+    return any(dense_snf([[rows[r][c] for c in chosen] for r in sorted(unit_rows)])
+               == [1] * len(unit_rows)
+               for chosen in itertools.combinations(cols, len(unit_rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=1, max_size=5),
+       st.sets(st.integers(0, 4)))
+def test_smith_skip_matches_dense_snf_without_columns(rows, skip):
+    m = SparseIntMatrix.from_dense(rows)
+    snf = smith_normal_form(m, skip)
+    kept = [c for c in range(5) if c not in skip]
+    expected = dense_snf(_without_columns(m, skip)) if kept else []
+    assert [d for d in snf.diagonal if d] == expected
+    assert len(snf.diagonal) == min(len(rows), len(kept))
+    assert snf.unit_rows <= set(range(len(rows)))
+    assert _unimodular_on(rows, snf.unit_rows, kept)
+
+
+def _expected_unit_pivot(e):
+    """Sparsest column holding a unit, lowest index; within it the sparsest
+    row with a unit, lowest index."""
+    cands = [(len(rs), c) for c, rs in e.col.items()
+             if any(e.row[r][c] in (1, -1) for r in rs)]
+    if not cands:
+        return None
+    c = min(cands)[1]
+    return min((len(e.row[r]), r) for r in e.col[c] if e.row[r][c] in (1, -1))[1], c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_unit_pivot_order(seed):
+    rng = random.Random(seed)
+    n_rows, n_cols = rng.randint(1, 14), rng.randint(1, 14)
+    entries = {(rng.randrange(n_rows), rng.randrange(n_cols)): rng.choice((1, -1, 1, -1, 2))
+               for _ in range(rng.randint(0, n_rows * n_cols // 2))}
+    matrices = [SparseIntMatrix(n_rows, n_cols, entries),
+                simplicial_chain_complex(_random_flag(rng)).boundary(1)]
+    for m in matrices:
+        e = _Elimination(m)
+        while True:
+            piv = e._unit_pivot()
+            assert piv == _expected_unit_pivot(e)
+            if piv is None:
+                break
+            e._schur_eliminate(*piv)

@@ -1,12 +1,13 @@
 """Simplicial core: construction, flagness, transforms, serialization."""
 
+import functools
 import itertools
 import json
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (complement_components_networkx, is_flag_exhaustive,
                      maximal_cliques_networkx, maximal_simplices_quadratic,
@@ -323,6 +324,48 @@ def test_maximal_cliques_match_networkx(graph):
     n, edges = graph
     x = from_facets([[v] for v in range(n)] + [list(e) for e in edges])
     assert sorted(_maximal_cliques(x)) == maximal_cliques_networkx(n, edges)
+
+def _enumerated_f_vector(x):
+    return tuple(len(x.faces(k)) for k in range(x.dim + 1))
+
+
+def _split_f_vector(x):
+    """f-vector of a flag complex after join_factors; the flag check lists
+    the edges, and no face of higher dimension is listed."""
+    assert is_flag(x)[0] and len(join_factors(x)) > 1
+    fv = x.f_vector()
+    assert all(k not in x._faces for k in range(2, x.dim + 1))
+    return fv
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(graphs(max_vertices=5), min_size=2, max_size=3))
+def test_join_f_vector_from_factors_matches_enumeration(parts):
+    factors = [flag_completion(from_facets([[v] for v in range(n)] + list(edges)))
+               for n, edges in parts if n]
+    assume(len(factors) >= 2)
+    x = functools.reduce(join, factors)
+    assert _split_f_vector(x) == _enumerated_f_vector(x)
+
+
+def test_big_join_f_vector_from_factors():
+    x = join(fixture("rp2_flag"), fixture("moore_flag", q=3))
+    assert _split_f_vector(x) == (110, 2779, 14772, 31362, 28980, 9720)
+    assert _enumerated_f_vector(x) == (110, 2779, 14772, 31362, 28980, 9720)
+
+
+def test_f_vector_of_non_flag_complex_ignores_its_split():
+    # the hollow triangle splits into three points, whose join is the solid
+    # triangle; the split says nothing about a complex that is not flag
+    hollow = from_facets([[0, 1], [1, 2], [0, 2]])
+    assert len(join_factors(hollow)) == 3
+    assert hollow.f_vector() == (3, 3)
+    assert not is_flag(hollow)[0]
+    assert hollow.f_vector() == (3, 3)
+    solid = from_facets([[0, 1, 2]])
+    assert is_flag(solid)[0] and len(join_factors(solid)) == 3
+    assert solid.f_vector() == (3, 3, 1)
+
 
 
 def test_induced_subcomplex_relabels():
