@@ -162,7 +162,12 @@ def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None,
     Requires a nonempty flag complex.  Order of attack: nonzero top reduced
     cohomology forces positive entropy; in any dimension other than 2 its
     vanishing forces zero entropy; in dimension 2 a verified witness or a
-    collapse of L itself certifies zero, otherwise Undetermined.
+    collapse of L itself certifies zero, otherwise Undetermined.  L itself
+    is searched for a collapse only when its reduced homology vanishes.
+
+    The homology is computed on L's chain complex, which is cached on L; a
+    later replay_certificate shares it (and its boundary-squared check) and
+    recomputes every Smith normal form and mod-p rank on it.
     """
     if L.is_empty():
         raise MalformedComplexError(
@@ -200,7 +205,9 @@ def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None,
             })
             return Verdict(ZERO, d, d + 1, cert, summary)
         notes.append(f"witness unusable: {reason}")
-    seq = collapse(L, budget=budget)
+    # collapsible implies contractible, so nonzero reduced homology rules
+    # out every collapse and the search is skipped
+    seq = collapse(L, budget=budget) if summary.is_trivial() else None
     if seq is not None:
         cert = Certificate(CERT_COLLAPSE, {"collapse": seq.to_json_dict()})
         return Verdict(ZERO, d, d + 1, cert, summary)
@@ -212,7 +219,12 @@ def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None,
 
 
 def replay_certificate(L: SimplicialComplex, verdict: Verdict) -> Tuple[bool, str]:
-    """Re-verify a verdict's certificate from scratch against L."""
+    """Re-verify a verdict's certificate from scratch against L.
+
+    Homology certificates are rechecked by recomputing all of L's homology
+    (every Smith normal form and mod-p rank) on the chain complex cached on
+    L, so classify and its replay build that complex once.
+    """
     cert = verdict.certificate
     if cert is None:
         return False, "no certificate attached"

@@ -5,20 +5,21 @@ homology tables), classify (entropy verdict with certificate), growth (mod-p
 betti numbers of finite covers).  Machine-readable output goes to stdout or
 the -o file; human-readable summaries go to stderr, so pipes stay clean.
 
-Exit codes: 0 success or classified; 3 undetermined; 10 malformed input or
-unknown fixture; 11 input not flag; 12 witness rejected; 13 degenerate
-quotient; 14 bad cover spec, or a coefficient that is not a prime below
-2^64 (primality is decided exactly up to there); 15 internal consistency
-failure; 20 unexpected error.  growth reads the betti numbers of its
-standard covers off a support table the size of L and builds no cover.  It
-refuses, with exit 14 and before computing anything, a cover of more than
-models.MAX_COVER_CELLS (250,000) cells, counted as
-index * (1 + number of faces of L) over all dimensions.
+Exit codes: 0 success or classified; 3 undetermined; 10 malformed input,
+unknown fixture or usage error (a negative classify --budget is one); 11
+input not flag; 12 witness rejected; 13 degenerate quotient; 14 bad cover
+spec, or a coefficient that is not a prime below 2^64 (primality is decided
+exactly up to there); 15 internal consistency failure; 20 unexpected error.
+growth reads the betti numbers of its standard covers off a support table
+the size of L and builds no cover.  It refuses, with exit 14 and before
+computing anything, a cover of more than models.MAX_COVER_CELLS (250,000)
+cells, counted as index * (1 + number of faces of L) over all dimensions.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -67,7 +68,21 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
                    help="write the machine-readable result here instead of stdout")
 
 
+def _budget(text: str) -> int:
+    """--budget: a nonnegative integer; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; each parse_args
+    call still fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="raag",
         description="classify right-angled Artin groups by minimal volume "
@@ -99,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_args(c)
     c.add_argument("--witness", default=None, metavar="PATH",
                    help="embedding-witness JSON for the dimension-2 gap")
-    c.add_argument("--budget", type=int, default=64,
+    c.add_argument("--budget", type=_budget, default=64,
                    help="randomized collapse restarts (default 64)")
     c.add_argument("--flag-completion", action="store_true",
                    help="classify the clique complex of the input's 1-skeleton "

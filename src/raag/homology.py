@@ -103,7 +103,16 @@ def simplicial_chain_complex(x: SimplicialComplex, augmented: bool = False) -> C
 
     The boundary of a simplex is the alternating sum over vertex deletions in
     sorted order; the full 2-simplex has the single column (+1, -1, +1).
+    The complex is built once per value of augmented and cached on x, which
+    is immutable; its boundary-squared check then also runs once.
     """
+    cached = x._chain.get(augmented)
+    if cached is None:
+        cached = x._chain[augmented] = _build_chain_complex(x, augmented)
+    return cached
+
+
+def _build_chain_complex(x: SimplicialComplex, augmented: bool) -> ChainComplexZ:
     top = x.dim
     if top < 0:
         return ChainComplexZ((), {}, augmented=augmented)

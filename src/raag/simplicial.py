@@ -36,7 +36,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("n_vertices", "facets", "name", "dim", "_faces", "_face_sets",
-                 "_face_index", "_flag", "_factors")
+                 "_face_index", "_flag", "_factors", "_chain")
 
     def __init__(self, n_vertices: int, facets: Tuple[Simplex, ...], name: str = ""):
         self.n_vertices = n_vertices
@@ -49,6 +49,7 @@ class SimplicialComplex:
         self._flag: Optional[Tuple[bool, Optional[Simplex]]] = None  # set by is_flag
         # set by join_factors; () when the complex does not split
         self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
+        self._chain: Dict[bool, object] = {}  # set by homology.simplicial_chain_complex
 
     # -- basic queries ------------------------------------------------------
 

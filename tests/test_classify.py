@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_betti_fp
 
+import raag.homology as homology_module
 from raag.classify import (CERT_COLLAPSE, CERT_COMPLEMENTARY, CERT_TOP,
                            CERT_WITNESS, POSITIVE, UNDETERMINED, ZERO,
                            Certificate, EmbeddingWitness, Verdict, classify,
@@ -268,3 +269,79 @@ def test_report_mentions_prediction_and_certificate():
     text = report(L, classify(L, budget=2))
     assert "verdict: Undetermined" in text
     assert "notes:" in text
+
+
+# -- what classify leaves out ----------------------------------------------------------
+
+
+ANNULUS_VERDICT = """{
+  "certificate": null,
+  "d": 2,
+  "gdim": 3,
+  "homology": {
+    "betti": [
+      0,
+      1,
+      0
+    ],
+    "betti_mod_p": {
+      "2": [
+        0,
+        1,
+        0
+      ]
+    },
+    "reduced": true,
+    "torsion": [
+      [],
+      [],
+      []
+    ]
+  },
+  "notes": "no collapse of the complex itself in 64 restarts; dimension-2 gap: \
+top cohomology vanishes but contractible embedding is unverified; positive and zero \
+entropy are not known to be complementary here",
+  "outcome": "Undetermined"
+}"""
+
+ANNULUS_REPORT = """complex L: dimension 2, f-vector (12, 24, 12)
+geometric dimension of the group: 3
+  reduced H_0 = 0   [b(F_2)=0]
+  reduced H_1 = Z   [b(F_2)=1]
+  reduced H_2 = 0   [b(F_2)=0]
+verdict: Undetermined
+notes: no collapse of the complex itself in 64 restarts; dimension-2 gap: top \
+cohomology vanishes but contractible embedding is unverified; positive and zero \
+entropy are not known to be complementary here"""
+
+
+def test_annulus_verdict_and_report_pinned():
+    # the skipped search leaves the verdict, its notes and the report as they were
+    annulus, _, _ = _annulus_and_disk()
+    v = classify(annulus)
+    assert v.to_json() == ANNULUS_VERDICT
+    assert report(annulus, v) == ANNULUS_REPORT
+
+
+@pytest.mark.parametrize("make", [
+    lambda: from_facets(fixture("rp2_flag").facets),
+    lambda: barycentric_subdivision(fixture("octahedron")).complex,
+    lambda: cone(fixture("moore_flag", q=3)),
+])
+def test_report_recomputes_every_smith_normal_form(monkeypatch, make):
+    # the replay shares L's chain complex but none of its homology
+    calls = []
+    real = homology_module.smith_normal_form
+
+    def counted(m, skip=frozenset()):
+        calls.append(m)
+        return real(m, skip)
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", counted)
+    L = make()
+    v = classify(L)
+    in_classify = len(calls)
+    text = report(L, v)
+    assert "replay ok" in text
+    assert in_classify > 0
+    assert len(calls) == 2 * in_classify

@@ -1,5 +1,6 @@
 """Command-line interface: stdout/stderr split, pipelines, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,11 +11,14 @@ from pathlib import Path
 import pytest
 
 import raag
+import raag.homology as homology_module
+from raag import cli
 from raag.classify import EmbeddingWitness
 from raag.cli import main
 from raag.fixtures import _polygon_disk, fixture
 from raag.models import FiniteQuotientSpec
-from raag.simplicial import complex_to_json_dict, induced_subcomplex
+from raag.simplicial import (barycentric_subdivision, complex_to_json_dict, cone,
+                             induced_subcomplex)
 
 
 def run(capsys, *argv):
@@ -211,6 +215,51 @@ def test_classify_undetermined_exit_three(capsys):
     assert json.loads(out)["outcome"] == "Undetermined"
 
 
+@pytest.mark.parametrize("budget", ["-3", "-1"])
+def test_classify_negative_budget_is_usage_error(capsys, budget):
+    code, out, err = run(capsys, "classify", "--fixture", "cycle", "--budget", budget)
+    assert code == 10
+    assert out == ""
+    assert f"argument --budget: must be at least 0, got {budget}" in err
+    assert "Traceback" not in err
+
+
+def test_classify_budget_zero_runs_the_deterministic_pass(capsys):
+    code, out, _ = run(capsys, "classify", "--fixture", "disk_flag", "--budget", "0")
+    assert code == 0
+    assert json.loads(out)["certificate"]["kind"] == "CollapsibleSelf"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fixture("rp2_flag"),
+    lambda: barycentric_subdivision(fixture("octahedron")).complex,
+    lambda: cone(fixture("moore_flag", q=3)),
+])
+def test_classify_builds_one_augmented_chain_complex_per_complex(tmp_path, monkeypatch,
+                                                                 capsys, make):
+    # classification, its prime scan and the certificate replay share each build
+    path = write_json(tmp_path / "L.json", complex_to_json_dict(make()))
+    asked, built = [], []
+    real_get, real_build = (homology_module.simplicial_chain_complex,
+                            homology_module._build_chain_complex)
+
+    def get(x, augmented=False):
+        asked.append((x, augmented))
+        return real_get(x, augmented)
+
+    def build(x, augmented):
+        built.append((x, augmented))
+        return real_build(x, augmented)
+
+    monkeypatch.setattr(homology_module, "simplicial_chain_complex", get)
+    monkeypatch.setattr(homology_module, "_build_chain_complex", build)
+    code, _, err = run(capsys, "classify", path)
+    assert code == 0 and "replay ok" in err
+    assert all(augmented for _, augmented in asked)
+    assert sorted(id(x) for x, _ in built) == sorted({id(x) for x, _ in asked})
+    assert len(asked) > len(built)
+
+
 def test_classify_non_flag_exit_eleven(capsys):
     code, out, err = run(capsys, "classify", "--fixture", "rp2_6")
     assert code == 11
@@ -351,6 +400,47 @@ def test_no_arguments_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["classify", "--help"]) == 0
+
+
+def _fresh_call(argv):
+    """(exit code, stdout, stderr) of argv in a new interpreter."""
+    src = str(Path(raag.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "raag.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_built_once_and_every_call_starts_fresh(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli._build_parser.cache_clear()
+    sequences = [
+        # no pipeline step carries over to the plain build
+        [["build", "--fixture", "cycle", "--n", "5", "--sd", "--cone"],
+         ["build", "--fixture", "cycle", "--n", "5"]],
+        # the hollow triangle is not flag: exit 0 with completion, 11 without
+        [["classify", "--fixture", "cycle", "--n", "3", "--flag-completion"],
+         ["classify", "--fixture", "cycle", "--n", "3"]],
+        [["classify", "--fixture", "cycle", "--n", "5", "--budget", "-3"],
+         ["classify", "--fixture", "cycle", "--n", "5"]],
+        [["--help"], ["classify", "--help"]],
+    ]
+    fresh = {}
+    for sequence in sequences:
+        for argv in sequence:
+            key = tuple(argv)
+            if key not in fresh:
+                fresh[key] = _fresh_call(argv)
+            assert run(capsys, *argv) == fresh[key], argv
+    assert [code for code, _, _ in fresh.values()] == [0, 0, 0, 11, 10, 0, 0, 0]
+    assert built.count("raag") == 1
 
 
 def test_import_loads_no_networkx_or_process_pool():

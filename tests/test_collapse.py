@@ -1,11 +1,18 @@
 """Collapse search, replay checking, and certificate serialization."""
 
 import importlib
+import itertools
 import json
 
+from hypothesis import assume, given, settings, strategies as st
+
+from oracles import brute_homology
+
+from raag.classify import UNDETERMINED, ZERO, classify
 from raag.collapse import CollapseSequence, collapse, replay_collapse
-from raag.fixtures import fixture
-from raag.simplicial import barycentric_subdivision, cone, from_facets
+from raag.fixtures import _polygon_disk, fixture
+from raag.simplicial import (barycentric_subdivision, cone, flag_completion, from_facets,
+                             induced_subcomplex)
 
 # the package re-exports the function collapse under the submodule's name
 collapse_module = importlib.import_module("raag.collapse")
@@ -118,3 +125,45 @@ def test_sequence_json_round_trip():
     back = CollapseSequence.from_json(json.dumps(data))
     assert back == seq
     assert replay_collapse(x, back)[0]
+
+
+# -- collapse searches that homology rules out ------------------------------------------
+
+
+def test_classify_searches_only_acyclic_two_complexes(monkeypatch):
+    calls = _count_attempts(monkeypatch)
+    annulus, _ = induced_subcomplex(_polygon_disk(6), range(12))
+    assert classify(annulus).outcome == UNDETERMINED
+    assert calls == []
+    for name, outcome in (("dunce_flag", UNDETERMINED), ("disk_flag", ZERO)):
+        calls.clear()
+        assert classify(fixture(name)).outcome == outcome
+        assert len(calls) >= 1
+
+
+@st.composite
+def flag_two_complexes(draw):
+    """Clique complexes of K_4-free graphs on at most 8 vertices: an edge is
+    kept only if its ends have no adjacent common neighbours."""
+    n = draw(st.integers(3, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    order = draw(st.permutations(pairs))
+    wanted = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = {v: set() for v in range(n)}
+    for (u, v), keep in zip(order, wanted):
+        common = adj[u] & adj[v]
+        if keep and not any(adj[a] & common for a in common):
+            adj[u].add(v)
+            adj[v].add(u)
+    edges = [[u, v] for u in range(n) for v in adj[u] if u < v]
+    return flag_completion(from_facets([[v] for v in range(n)] + edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag_two_complexes())
+def test_nonzero_reduced_homology_admits_no_collapse(L):
+    # the premise of classify's skip: collapsible implies contractible
+    assume(L.dim == 2)
+    betti, torsion = brute_homology(list(L.facets), reduced=True)
+    assume(any(betti) or any(torsion))
+    assert collapse(L, budget=4) is None

@@ -273,3 +273,29 @@ def test_is_prime_matches_trial_division_and_refuses_two_to_the_64():
         assert not is_prime(n)
     with pytest.raises(ValueError, match="2\\^64"):
         is_prime(2 ** 64)
+
+
+# -- chain complex cache -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,kwargs", [("rp2_flag", {}), ("moore_flag", dict(q=3)),
+                                         ("cycle", dict(n=5)), ("simplex", dict(n=0))])
+def test_chain_complex_is_cached_per_augmented_value(name, kwargs):
+    base = fixture(name, **kwargs)
+    x = from_facets(base.facets, n_vertices=base.n_vertices)
+    plain = simplicial_chain_complex(x)
+    reduced = simplicial_chain_complex(x, augmented=True)
+    assert simplicial_chain_complex(x, False) is plain
+    assert simplicial_chain_complex(x, True) is reduced
+    assert plain is not reduced
+    assert (plain.augmented, reduced.augmented) == (False, True)
+    # an equal complex gets its own build, with the same boundaries
+    copy = from_facets(base.facets, n_vertices=base.n_vertices)
+    for augmented, cc in ((True, reduced), (False, plain)):
+        fresh = simplicial_chain_complex(copy, augmented)
+        assert fresh is not cc
+        assert (fresh.dims, fresh.augmented) == (cc.dims, cc.augmented)
+        for i in range(-1, cc.top + 2):
+            assert fresh.boundary(i).entries == cc.boundary(i).entries
+            assert (fresh.boundary(i).rows, fresh.boundary(i).cols) == \
+                (cc.boundary(i).rows, cc.boundary(i).cols)
