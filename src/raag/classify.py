@@ -22,9 +22,8 @@ from typing import Dict, Optional, Tuple
 
 from .collapse import CollapseSequence, collapse, replay_collapse
 from .errors import MalformedComplexError, NotFlagError, WitnessRejectedError
-from .homology import (HomologySummary, flag_reduced_summary, homology_summary,
-                       top_cohomology_nonzero, with_primes)
-from .linalg import prime_factors
+from .homology import (HomologySummary, default_primes, flag_reduced_summary,
+                       homology_summary, top_cohomology_nonzero, with_primes)
 from .simplicial import (SimplicialComplex, complex_from_json_dict,
                          complex_to_json_dict, is_flag)
 
@@ -135,22 +134,23 @@ def verify_witness(L: SimplicialComplex, w: EmbeddingWitness,
                    budget: int = 64) -> Tuple[bool, str, Optional[CollapseSequence]]:
     """Check an embedding witness; returns (ok, reason, collapse sequence).
 
-    A structurally sound witness whose supercomplex merely fails to collapse
-    within budget is reported as "contractibility unverified" unless the
-    supercomplex has nonzero reduced homology, in which case it is genuinely
-    not contractible.
+    A supercomplex with nonzero reduced homology is not contractible, so it
+    is rejected before any collapse search (collapsible implies
+    contractible).  A structurally sound, acyclic witness whose supercomplex
+    merely fails to collapse within budget is reported as "contractibility
+    unverified".
     """
     err = _witness_structural_error(L, w)
     if err is not None:
         return False, err, None
+    h = homology_summary(w.supercomplex, reduced=True)
+    for i in range(h.dim + 1):
+        b, tor = h.group(i)
+        if b or tor:
+            return False, (f"supercomplex is not contractible: reduced H_{i} "
+                           f"is nonzero"), None
     seq = collapse(w.supercomplex, budget=budget)
     if seq is None:
-        h = homology_summary(w.supercomplex, reduced=True)
-        for i in range(h.dim + 1):
-            b, tor = h.group(i)
-            if b or tor:
-                return False, (f"supercomplex is not contractible: reduced H_{i} "
-                               f"is nonzero"), None
         return False, "contractibility unverified: no collapse found within budget", None
     return True, f"supercomplex collapses to a vertex (seed {seq.seed})", seq
 
@@ -179,9 +179,7 @@ def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None,
             witness=nonface)
     d = L.dim
     summary = flag_reduced_summary(L)
-    primes = sorted({2} | {p for degree in summary.torsion
-                           for t in degree for p in prime_factors(t)})
-    summary = with_primes(summary, primes)
+    summary = with_primes(summary, default_primes(summary))
     nonzero, detail = top_cohomology_nonzero(L, summary=summary)
 
     if nonzero:

@@ -33,9 +33,8 @@ from .errors import (CorruptComplexError, CoverSpecError, FixtureError,
                      RaagError, WitnessRejectedError)
 from .fixtures import FIXTURE_NAMES, fixture
 from .growth import check_prime, growth_experiment
-from .homology import (betti_Fp, homology_Z, simplicial_chain_complex,
+from .homology import (betti_Fp, default_primes, homology_Z, simplicial_chain_complex,
                        uct_betti_fp)
-from .linalg import prime_factors
 from .models import standard_spec
 from .simplicial import (SimplicialComplex, barycentric_subdivision, cone,
                          flag_completion, is_flag, join, simplicial_quotient)
@@ -183,8 +182,7 @@ def cmd_homology(ns) -> int:
     cc = simplicial_chain_complex(x)
     base = homology_Z(cc)
     if ns.primes is None:
-        primes = sorted({2} | {p for degree in base.torsion for t in degree
-                              for p in prime_factors(t)})
+        primes = default_primes(base)
     else:
         primes = _validated_primes(_int_list(ns.primes, "--primes"))
     summary = replace(base, betti_mod_p=tuple((p, betti_Fp(cc, p)) for p in primes))

@@ -6,21 +6,25 @@ so the universal-coefficient identity
 
     b_i(F_p) = b_i(Q) + #{t in torsion_i : p | t} + #{t in torsion_{i-1} : p | t}
 
-is a genuine cross-check between two routes, not a tautology.  Reduced
-homology is handled by augmenting the chain complex with the all-ones map
-C_0 -> Z rather than by special-casing degree zero.
+is a genuine cross-check between two routes, not a tautology.  The
+top-cohomology criterion applies it in the top degree d alone, where only one
+boundary matters: b_d(L, F_p) = f_d - rank_p d_d, and for a flag L that splits
+as a join it is the product of the same number over the join factors.
+Reduced homology is handled by augmenting the chain complex with the all-ones
+map C_0 -> Z rather than by special-casing degree zero.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError
 from .linalg import (SNFResult, SparseIntMatrix, invariant_factors, pivot_rows_mod_p,
                      prime_factors, smith_normal_form)
-from .simplicial import SimplicialComplex, join_factors
+from .simplicial import SimplicialComplex, is_flag, join_factors
 
 
 class ChainComplexZ:
@@ -256,14 +260,9 @@ def betti_Fp(cc: ChainComplexZ, p: int) -> Tuple[int, ...]:
     return tuple(cc.dims[i] - ranks.get(i, 0) - ranks.get(i + 1, 0) for i in range(top + 1))
 
 
-def homology_summary(x: SimplicialComplex, primes: Sequence[int] = (),
-                     reduced: bool = False) -> HomologySummary:
-    """Full summary of a simplicial complex, one chain complex build."""
-    cc = simplicial_chain_complex(x, augmented=reduced)
-    base = homology_Z(cc)
-    table = tuple((p, betti_Fp(cc, p)) for p in primes)
-    return HomologySummary(reduced=reduced, betti=base.betti,
-                           torsion=base.torsion, betti_mod_p=table)
+def homology_summary(x: SimplicialComplex, reduced: bool = False) -> HomologySummary:
+    """Integral summary of a simplicial complex, one chain complex build."""
+    return homology_Z(simplicial_chain_complex(x, augmented=reduced))
 
 
 def uct_betti_fp(betti: Sequence[int], torsion: Sequence[Sequence[int]], p: int) -> Tuple[int, ...]:
@@ -285,7 +284,7 @@ def _tensor(g1: Tuple[int, Tuple[int, ...]], g2: Tuple[int, Tuple[int, ...]]):
     torsion = list(t2) * r1 + list(t1) * r2
     for s in t1:
         for t in t2:
-            g = _gcd(s, t)
+            g = math.gcd(s, t)
             if g > 1:
                 torsion.append(g)
     return r1 * r2, torsion
@@ -295,20 +294,13 @@ def _tor(g1: Tuple[int, Tuple[int, ...]], g2: Tuple[int, Tuple[int, ...]]):
     torsion = []
     for s in g1[1]:
         for t in g2[1]:
-            g = _gcd(s, t)
+            g = math.gcd(s, t)
             if g > 1:
                 torsion.append(g)
     return 0, torsion
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def join_homology_kunneth(h1: HomologySummary, h2: HomologySummary,
-                          primes: Sequence[int] = ()) -> HomologySummary:
+def join_homology_kunneth(h1: HomologySummary, h2: HomologySummary) -> HomologySummary:
     """Reduced homology of a join from reduced homology of the factors.
 
     The reduced chain complex of a join is the shifted tensor product of the
@@ -319,7 +311,7 @@ def join_homology_kunneth(h1: HomologySummary, h2: HomologySummary,
 
     Both inputs must be reduced summaries of nonempty complexes; the output is
     a reduced summary in degrees 0..dim(A)+dim(B)+1 with torsion normalized to
-    invariant factors, and mod-p tables derived by universal coefficients.
+    invariant factors.
     """
     if not (h1.reduced and h2.reduced):
         raise ValueError("join assembly needs reduced summaries")
@@ -343,12 +335,10 @@ def join_homology_kunneth(h1: HomologySummary, h2: HomologySummary,
             tors.extend(t)
         betti.append(rank)
         torsion.append(invariant_factors(tors) if tors else ())
-    table = tuple((p, uct_betti_fp(betti, torsion, p)) for p in primes)
-    return HomologySummary(reduced=True, betti=tuple(betti),
-                           torsion=tuple(torsion), betti_mod_p=table)
+    return HomologySummary(reduced=True, betti=tuple(betti), torsion=tuple(torsion))
 
 
-def flag_reduced_summary(x: SimplicialComplex, primes: Sequence[int] = ()) -> HomologySummary:
+def flag_reduced_summary(x: SimplicialComplex) -> HomologySummary:
     """Reduced summary of a flag complex, factoring joins first.
 
     A flag complex is the join of its induced pieces over the connected
@@ -357,16 +347,11 @@ def flag_reduced_summary(x: SimplicialComplex, primes: Sequence[int] = ()) -> Ho
     responsible for flagness; on an indecomposable complex this is just
     homology_summary(..., reduced=True).
     """
-    factors = join_factors(x)
-    if len(factors) == 1:
-        return homology_summary(x, primes=primes, reduced=True)
-    summaries = [homology_summary(f, reduced=True) for f in factors]
+    summaries = [homology_summary(f, reduced=True) for f in join_factors(x)]
     out = summaries[0]
     for h in summaries[1:]:
         out = join_homology_kunneth(out, h)
-    return HomologySummary(reduced=True, betti=out.betti, torsion=out.torsion,
-                           betti_mod_p=tuple((p, uct_betti_fp(out.betti, out.torsion, p))
-                                             for p in primes))
+    return out
 
 
 # -- top cohomology criterion --------------------------------------------------
@@ -379,10 +364,20 @@ def with_primes(h: HomologySummary, primes: Sequence[int]) -> HomologySummary:
         betti_mod_p=tuple((p, uct_betti_fp(h.betti, h.torsion, p)) for p in primes))
 
 
-# Above this many cells the prime scan in top_cohomology_nonzero switches from
-# independent matrix ranks to the universal-coefficient formula; the rank route
-# on (say) a big join would dominate the whole classification.
-_SCAN_CELL_LIMIT = 3000
+def default_primes(h: HomologySummary) -> List[int]:
+    """2 and every prime dividing a torsion coefficient of h, ascending."""
+    return sorted({2} | {p for degree in h.torsion for t in degree for p in prime_factors(t)})
+
+
+def _top_betti_fp(x: SimplicialComplex, p: int) -> int:
+    """Reduced top betti number of x over F_p, from its top boundary alone.
+
+    Nothing lies above the top degree d, so the top reduced homology is the
+    kernel of d_d (for d = 0, the augmentation row) and has dimension
+    f_d - rank_p d_d.
+    """
+    cc = simplicial_chain_complex(x, augmented=True)
+    return cc.dims[cc.top] - len(pivot_rows_mod_p(cc.boundary(cc.top), p))
 
 
 def top_cohomology_nonzero(x: SimplicialComplex,
@@ -393,12 +388,20 @@ def top_cohomology_nonzero(x: SimplicialComplex,
     is positive or H_{d-1} has torsion; in top degree this is also equivalent
     to b_d(L, F_p) > 0 for some prime p.  The returned detail dict records
     which condition fired and the finite prime scan that cross-checks the
-    equivalence (2 plus every prime dividing a torsion coefficient); a scan
-    mismatch would mean an engine bug and raises.
+    equivalence (2 plus every prime dividing a torsion coefficient of
+    H_{d-1}); a scan mismatch would mean an engine bug and raises.
 
-    A precomputed reduced summary may be passed in; on complexes small enough
-    the scan recomputes mod-p ranks from the boundary matrices, otherwise it
-    falls back to the universal-coefficient formula (detail key cross_check).
+    The scan ranks top boundaries over F_p, independently of the Smith
+    normal forms behind the summary: b_d(L, F_p) = f_d - rank_p d_d.  A flag
+    L that splits as a join takes the product of that number over its join
+    factors, the top Kunneth term over a field; a complex that is not flag is
+    its own only factor.  A precomputed reduced summary may be passed in.
+
+    >>> from raag.simplicial import from_facets
+    >>> square = from_facets([[0, 1], [1, 2], [2, 3], [0, 3]])  # S^0 * S^0
+    >>> nonzero, detail = top_cohomology_nonzero(square)
+    >>> nonzero, detail["condition"], detail["checked_primes"]
+    (True, 'top_betti_positive', {'2': 1})
     """
     if x.is_empty():
         raise ValueError("empty complex has no top dimension")
@@ -415,18 +418,8 @@ def top_cohomology_nonzero(x: SimplicialComplex,
     scan = {2}
     for t in torsion_below:
         scan.update(prime_factors(t))
-    for t in h.torsion[d]:
-        scan.update(prime_factors(t))
-    checked = {}
-    if sum(x.f_vector()) <= _SCAN_CELL_LIMIT:
-        cross_check = "matrix_rank"
-        cc = simplicial_chain_complex(x, augmented=True)
-        for p in sorted(scan):
-            checked[p] = betti_Fp(cc, p)[d]
-    else:
-        cross_check = "universal_coefficients"
-        for p in sorted(scan):
-            checked[p] = uct_betti_fp(h.betti, h.torsion, p)[d]
+    factors = join_factors(x) if is_flag(x)[0] else [x]
+    checked = {p: math.prod(_top_betti_fp(f, p) for f in factors) for p in sorted(scan)}
     if (any(v > 0 for v in checked.values())) != result:
         raise CorruptComplexError(
             f"universal-coefficient cross-check failed in top degree: {checked} vs {result}")
@@ -447,7 +440,7 @@ def top_cohomology_nonzero(x: SimplicialComplex,
         "witness_prime": witness_prime,
         "all_primes": all_primes,
         "checked_primes": {str(p): v for p, v in sorted(checked.items())},
-        "cross_check": cross_check,
+        "cross_check": "matrix_rank",
     }
     return result, detail
 

@@ -56,10 +56,6 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(self.cols, self.rows,
-                               {(c, r): v for (r, c), v in self.entries.items()})
-
     def to_dense(self) -> List[List[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():

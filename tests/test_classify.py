@@ -1,5 +1,6 @@
 """Entropy classification: verdicts, witnesses, certificates, replay."""
 
+import importlib
 import itertools
 import json
 import random
@@ -19,6 +20,9 @@ from raag.errors import (MalformedComplexError, NotFlagError,
 from raag.fixtures import _polygon_disk, fixture
 from raag.simplicial import (barycentric_subdivision, cone, flag_completion,
                              from_facets, induced_subcomplex)
+
+
+collapse_module = importlib.import_module("raag.collapse")
 
 
 def _annulus_and_disk():
@@ -144,6 +148,17 @@ def test_unusable_witness_noted_and_ignored():
     v = classify(annulus, witness=self_witness, budget=8)
     assert v.outcome == UNDETERMINED
     assert "witness unusable" in v.notes
+
+
+def test_non_contractible_witness_rejected_without_collapse_search(monkeypatch):
+    annulus, _, _ = _annulus_and_disk()
+    calls = []
+    attempt = collapse_module._attempt
+    monkeypatch.setattr(collapse_module, "_attempt",
+                        lambda x, seed: calls.append(seed) or attempt(x, seed))
+    ok, reason, seq = verify_witness(annulus, EmbeddingWitness(annulus, tuple(range(12))))
+    assert not ok and seq is None and "not contractible" in reason
+    assert calls == []
 
 
 # -- certificates: serialization and replay ---------------------------------------------

@@ -1,5 +1,6 @@
 """Exact linear algebra and homology engine against dense reference oracles."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -17,7 +18,8 @@ from raag.homology import (ChainComplexZ, HomologySummary, betti_Fp,
                            join_homology_kunneth, simplicial_chain_complex,
                            top_cohomology_nonzero, uct_betti_fp, with_primes)
 from raag.linalg import SparseIntMatrix, is_prime, rank_mod_p, smith_normal_form
-from raag.simplicial import from_facets, join
+from raag.simplicial import (barycentric_subdivision, flag_completion, from_facets,
+                             is_flag, join)
 
 
 def _betti_fp(x, p, reduced=False):
@@ -209,7 +211,61 @@ def test_top_cohomology_agrees_with_prime_scan(seed):
     primes = [int(p) for p in detail["checked_primes"]]
     scan = any(_betti_fp(x, p, reduced=True)[d] > 0 for p in primes)
     assert nz == scan
-    assert detail["cross_check"] == "matrix_rank"  # small complexes take the rank route
+    assert detail["cross_check"] == "matrix_rank"  # the only route, whatever the size
+
+
+def _random_flag(rng, max_vertices):
+    n = rng.randint(1, max_vertices)
+    edges = [list(e) for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+    return flag_completion(from_facets([[v] for v in range(n)] + edges))
+
+
+def _random_non_flag(rng):
+    # a flag complex with every face containing the triangle {0, 1, 2} split
+    # into its three faces without it: the edges of {0, 1, 2} stay, it goes
+    n = rng.randint(3, 6)
+    edges = [list(e) for e in itertools.combinations(range(n), 2)
+             if e in ((0, 1), (0, 2), (1, 2)) or rng.random() < 0.6]
+    facets = []
+    for f in flag_completion(from_facets([[v] for v in range(n)] + edges)).facets:
+        if {0, 1, 2} <= set(f):
+            facets.extend([u for u in f if u != v] for v in (0, 1, 2))
+        else:
+            facets.append(list(f))
+    return from_facets(facets)
+
+
+def _random_join(rng):
+    x = _random_flag(rng, 4)
+    for _ in range(rng.randint(1, 2)):
+        x = join(x, _random_flag(rng, 4))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["flag", "join", "non_flag"]), st.integers(0, 10 ** 6))
+def test_top_scan_matches_whole_complex_ranks(kind, seed):
+    rng = random.Random(seed)
+    x = {"flag": lambda: _random_flag(rng, 7), "join": lambda: _random_join(rng),
+         "non_flag": lambda: _random_non_flag(rng)}[kind]()
+    assert is_flag(x)[0] == (kind != "non_flag")
+    _, detail = top_cohomology_nonzero(x)
+    for p, value in detail["checked_primes"].items():
+        assert value == _betti_fp(x, int(p), reduced=True)[x.dim], (kind, p)
+
+
+@pytest.mark.parametrize("build, checked", [
+    (lambda: join(fixture("rp2_flag"), fixture("moore_flag", q=3)), {"2": 0}),
+    (lambda: barycentric_subdivision(
+        barycentric_subdivision(fixture("rp2_flag")).complex).complex, {"2": 1}),
+])
+def test_top_scan_on_large_complexes_matches_universal_coefficients(build, checked):
+    x = build()
+    h = flag_reduced_summary(x)
+    _, detail = top_cohomology_nonzero(x, h)
+    assert detail["checked_primes"] == checked
+    assert checked == {p: uct_betti_fp(h.betti, h.torsion, int(p))[x.dim] for p in checked}
+    assert detail["cross_check"] == "matrix_rank"
 
 
 def test_top_cohomology_rejects_unreduced_summary():
