@@ -116,7 +116,7 @@ def _witness_structural_error(L: SimplicialComplex, w: EmbeddingWitness) -> Opti
     emb = w.embedding
     if len(emb) != L.n_vertices:
         return (f"embedding lists {len(emb)} images for {L.n_vertices} vertices")
-    if any(not isinstance(v, int) or v < 0 or v >= w.supercomplex.n_vertices for v in emb):
+    if any(type(v) is not int or not 0 <= v < w.supercomplex.n_vertices for v in emb):
         return "embedding image out of range in the supercomplex"
     if len(set(emb)) != len(emb):
         return "embedding is not injective"

@@ -5,15 +5,18 @@ homology tables), classify (entropy verdict with certificate), growth (mod-p
 betti numbers of finite covers).  Machine-readable output goes to stdout or
 the -o file; human-readable summaries go to stderr, so pipes stay clean.
 
-Exit codes: 0 success or classified; 3 undetermined; 10 malformed input,
-unknown fixture or usage error (a negative classify --budget is one); 11
-input not flag; 12 witness rejected; 13 degenerate quotient; 14 bad cover
-spec, or a coefficient that is not a prime below 2^64 (primality is decided
-exactly up to there); 15 internal consistency failure; 20 unexpected error.
-growth reads the betti numbers of its standard covers off a support table
-the size of L and builds no cover.  It refuses, with exit 14 and before
-computing anything, a cover of more than models.MAX_COVER_CELLS (250,000)
-cells, counted as index * (1 + number of faces of L) over all dimensions.
+Exit codes: 0 success or classified; 3 undetermined; 10 malformed or
+unreadable input, an unwritable -o path, unknown fixture or usage error (a
+negative classify --budget is one); 11 input not flag; 12 witness rejected;
+13 degenerate quotient; 14 bad cover spec, or a coefficient that is not a
+prime below 2^64 (primality is decided exactly up to there); 15 internal
+consistency failure; 20 unexpected error.  homology splits a flag complex
+into its join factors, as classify does, and builds only their chain
+complexes.  growth reads the betti numbers of its standard covers off a
+support table the size of L and builds no cover.  It refuses, with exit 14
+and before computing anything, a cover of more than models.MAX_COVER_CELLS
+(250,000) cells, counted as index * (1 + number of faces of L) over all
+dimensions.
 """
 
 from __future__ import annotations
@@ -23,18 +26,16 @@ import functools
 import json
 import sys
 import traceback
-from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 from . import io as rio
 from .classify import UNDETERMINED, classify, report
-from .errors import (CorruptComplexError, CoverSpecError, FixtureError,
-                     MalformedComplexError, NotFlagError, QuotientDegenerateError,
-                     RaagError, WitnessRejectedError)
+from .errors import (CorruptComplexError, CoverSpecError, MalformedComplexError,
+                     NotFlagError, QuotientDegenerateError, RaagError,
+                     WitnessRejectedError)
 from .fixtures import FIXTURE_NAMES, fixture
 from .growth import check_prime, growth_experiment
-from .homology import (betti_Fp, default_primes, homology_Z, simplicial_chain_complex,
-                       uct_betti_fp)
+from .homology import homology_summary
 from .models import standard_spec
 from .simplicial import (SimplicialComplex, barycentric_subdivision, cone,
                          flag_completion, is_flag, join, simplicial_quotient)
@@ -147,8 +148,11 @@ def _resolve_input(ns) -> SimplicialComplex:
 
 def _emit(ns, text: str) -> None:
     if ns.output:
-        with open(ns.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(ns.output, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            raise RaagError(f"cannot write {ns.output}: {e}") from e
     else:
         print(text)
 
@@ -179,37 +183,21 @@ def cmd_build(ns) -> int:
 
 def cmd_homology(ns) -> int:
     x = _resolve_input(ns)
-    cc = simplicial_chain_complex(x)
-    base = homology_Z(cc)
-    if ns.primes is None:
-        primes = default_primes(base)
-    else:
-        primes = _validated_primes(_int_list(ns.primes, "--primes"))
-    summary = replace(base, betti_mod_p=tuple((p, betti_Fp(cc, p)) for p in primes))
-    uct_ok = all(summary.betti_fp(p) == uct_betti_fp(summary.betti, summary.torsion, p)
-                 for p in primes)
-
+    primes = None if ns.primes is None else _validated_primes(_int_list(ns.primes, "--primes"))
+    summary = homology_summary(x, primes=primes)  # raises if the UCT check fails
     name = x.name or (ns.input or "complex")
-    lines = [f"complex {name}: f-vector {x.f_vector()}, chi {x.euler_characteristic()}"]
-    header = "degree  H_i(Z)          b(Q)" + "".join(f"  b(F_{p})" for p in primes)
-    lines.append(header)
+    lines = [f"complex {name}: f-vector {x.f_vector()}, chi {x.euler_characteristic()}",
+             "degree  H_i(Z)          b(Q)" + "".join(f"  b(F_{p})" for p in summary.primes())]
     for i in range(summary.dim + 1):
-        row = f"{i:<7} {summary.group_text(i):<15} {summary.betti[i]:<4}"
-        for p in primes:
-            row += f"  {summary.betti_fp(p)[i]:<6}"
-        lines.append(row)
-    lines.append("universal-coefficient cross-check: " + ("ok" if uct_ok else "MISMATCH"))
+        lines.append(f"{i:<7} {summary.group_text(i):<15} {summary.betti[i]:<4}"
+                     + "".join(f"  {table[i]:<6}" for _, table in summary.betti_mod_p))
+    lines.append("universal-coefficient cross-check: ok")
     if ns.output:
         payload = {"complex": name, "f_vector": list(x.f_vector()),
-                   "chi": x.euler_characteristic(),
-                   "summary": summary.to_json_dict(),
-                   "uct_check": "ok" if uct_ok else "mismatch"}
+                   "chi": x.euler_characteristic(), "summary": summary.to_json_dict(),
+                   "uct_check": "ok"}
         _emit(ns, json.dumps(payload, indent=2, sort_keys=True))
-        print("\n".join(lines), file=sys.stderr)
-    else:
-        print("\n".join(lines))
-    if not uct_ok:
-        raise CorruptComplexError("universal-coefficient cross-check failed")
+    print("\n".join(lines), file=sys.stderr if ns.output else sys.stdout)
     return 0
 
 
@@ -256,9 +244,6 @@ _ERROR_CODES: Tuple[Tuple[type, int], ...] = (
     (QuotientDegenerateError, 13),
     (CoverSpecError, 14),
     (CorruptComplexError, 15),
-    (FixtureError, 10),
-    (MalformedComplexError, 10),
-    (RaagError, 10),
 )
 
 

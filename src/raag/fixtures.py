@@ -220,9 +220,3 @@ def standard_fixtures() -> Dict[str, SimplicialComplex]:
     ]:
         menu[nm] = fixture(**kw)
     return menu
-
-
-def flag_fixtures() -> Dict[str, SimplicialComplex]:
-    """The flag subset of the standard menu (valid classifier inputs)."""
-    from .simplicial import is_flag
-    return {nm: x for nm, x in standard_fixtures().items() if is_flag(x)[0]}

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
-from .homology import betti_Fp, simplicial_chain_complex
+from .homology import betti_Fp, betti_table
 from .linalg import is_prime
 from .models import (FiniteQuotientSpec, check_cover_size, check_generator_count,
                      cube_chain_complex, cube_facets)
@@ -315,8 +315,7 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     for spec in specs:
         check_generator_count(L, spec)
 
-    reduced = betti_Fp(simplicial_chain_complex(L, augmented=True), prime)
-    reference = (0,) + tuple(reduced)  # degree i of the cover vs degree i-1 of L
+    reference = (0,) + betti_table(L, prime, reduced=True)  # cover degree i vs L's i - 1
 
     table = SupportTable(L, prime)
     betti_rows = []

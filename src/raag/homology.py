@@ -12,11 +12,16 @@ boundary matters: b_d(L, F_p) = f_d - rank_p d_d, and for a flag L that splits
 as a join it is the product of the same number over the join factors.
 Reduced homology is handled by augmenting the chain complex with the all-ones
 map C_0 -> Z rather than by special-casing degree zero.
+
+A simplicial complex has one route to its homology, homology_summary (and
+betti_table over F_p alone): a flag complex splits into its join factors, a
+complex that is not flag is its own only factor, and the reduced homology of
+the factors' augmented chain complexes is assembled by the Kunneth formula.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
@@ -189,9 +194,6 @@ class HomologySummary:
             "betti_mod_p": {str(p): list(t) for p, t in self.betti_mod_p},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @staticmethod
     def from_json_dict(data: dict) -> "HomologySummary":
         return HomologySummary(
@@ -260,11 +262,6 @@ def betti_Fp(cc: ChainComplexZ, p: int) -> Tuple[int, ...]:
     return tuple(cc.dims[i] - ranks.get(i, 0) - ranks.get(i + 1, 0) for i in range(top + 1))
 
 
-def homology_summary(x: SimplicialComplex, reduced: bool = False) -> HomologySummary:
-    """Integral summary of a simplicial complex, one chain complex build."""
-    return homology_Z(simplicial_chain_complex(x, augmented=reduced))
-
-
 def uct_betti_fp(betti: Sequence[int], torsion: Sequence[Sequence[int]], p: int) -> Tuple[int, ...]:
     """Mod-p betti numbers predicted from integral data (universal coefficients)."""
     out = []
@@ -278,26 +275,9 @@ def uct_betti_fp(betti: Sequence[int], torsion: Sequence[Sequence[int]], p: int)
 # -- join homology ------------------------------------------------------------
 
 
-def _tensor(g1: Tuple[int, Tuple[int, ...]], g2: Tuple[int, Tuple[int, ...]]):
-    r1, t1 = g1
-    r2, t2 = g2
-    torsion = list(t2) * r1 + list(t1) * r2
-    for s in t1:
-        for t in t2:
-            g = math.gcd(s, t)
-            if g > 1:
-                torsion.append(g)
-    return r1 * r2, torsion
-
-
-def _tor(g1: Tuple[int, Tuple[int, ...]], g2: Tuple[int, Tuple[int, ...]]):
-    torsion = []
-    for s in g1[1]:
-        for t in g2[1]:
-            g = math.gcd(s, t)
-            if g > 1:
-                torsion.append(g)
-    return 0, torsion
+def _gcds(t1: Sequence[int], t2: Sequence[int]) -> List[int]:
+    """Orders of Z/s (x) Z/t, which is also Tor(Z/s, Z/t): gcd(s, t) when above 1."""
+    return [g for s in t1 for t in t2 if (g := math.gcd(s, t)) > 1]
 
 
 def join_homology_kunneth(h1: HomologySummary, h2: HomologySummary) -> HomologySummary:
@@ -324,34 +304,85 @@ def join_homology_kunneth(h1: HomologySummary, h2: HomologySummary) -> HomologyS
     for k in range(top + 1):
         rank = 0
         tors: List[int] = []
-        for i in range(0, k):
-            j = k - 1 - i
-            r, t = _tensor(h1.group(i), h2.group(j))
-            rank += r
-            tors.extend(t)
-        for i in range(0, k - 1):
-            j = k - 2 - i
-            _, t = _tor(h1.group(i), h2.group(j))
-            tors.extend(t)
+        for i in range(k):
+            (r1, t1), (r2, t2) = h1.group(i), h2.group(k - 1 - i)
+            rank += r1 * r2
+            tors += list(t2) * r1 + list(t1) * r2 + _gcds(t1, t2)
+        for i in range(k - 1):
+            tors += _gcds(h1.group(i)[1], h2.group(k - 2 - i)[1])
         betti.append(rank)
         torsion.append(invariant_factors(tors) if tors else ())
     return HomologySummary(reduced=True, betti=tuple(betti), torsion=tuple(torsion))
 
 
-def flag_reduced_summary(x: SimplicialComplex) -> HomologySummary:
-    """Reduced summary of a flag complex, factoring joins first.
+# -- the homology of a simplicial complex, one join factor at a time ----------
 
-    A flag complex is the join of its induced pieces over the connected
-    components of the complement of the 1-skeleton; computing the factors and
-    assembling with the Kunneth routine keeps large joins cheap.  Caller is
-    responsible for flagness; on an indecomposable complex this is just
-    homology_summary(..., reduced=True).
+
+def homology_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
+    """The join factors of a flag complex; any other complex is its own only factor."""
+    return join_factors(x) if is_flag(x)[0] else [x]
+
+
+def homology_summary(x: SimplicialComplex, reduced: bool = False,
+                     primes: Optional[Sequence[int]] = ()) -> HomologySummary:
+    """Integral homology of x, with mod-p tables at primes (None: 2 and every
+    torsion prime of the result), built from the homology factors alone.
+
+    Unreduced homology adds Z in degree 0; the empty complex has no degrees.
+    Each factor's mod-p ranks are checked against its Smith normal forms by
+    universal coefficients, and a mismatch raises CorruptComplexError.
+
+    >>> from raag.fixtures import fixture
+    >>> from raag.simplicial import join
+    >>> x = join(fixture("rp2_flag"), fixture("discrete", n=2))  # suspension of RP^2
+    >>> len(homology_factors(x))
+    2
+    >>> h = homology_summary(x, primes=None)
+    >>> h.betti, h.torsion, h.betti_mod_p
+    ((1, 0, 0, 0), ((), (), (2,), ()), ((2, (1, 0, 1, 1)),))
     """
-    summaries = [homology_summary(f, reduced=True) for f in join_factors(x)]
-    out = summaries[0]
-    for h in summaries[1:]:
-        out = join_homology_kunneth(out, h)
-    return out
+    chains = [simplicial_chain_complex(f, augmented=True) for f in homology_factors(x)]
+    parts = [homology_Z(cc) for cc in chains]
+    h = functools.reduce(join_homology_kunneth, parts)
+    tables = []
+    for p in default_primes(h) if primes is None else primes:
+        rows = [betti_Fp(cc, p) for cc in chains]
+        if any(row != uct_betti_fp(q.betti, q.torsion, p) for row, q in zip(rows, parts)):
+            raise CorruptComplexError(f"universal-coefficient cross-check failed at p = {p}")
+        tables.append((p, _join_fp(rows, reduced)))
+    return HomologySummary(reduced, _unreduce(h.betti, reduced), h.torsion, tuple(tables))
+
+
+def betti_table(x: SimplicialComplex, p: int, reduced: bool = False) -> Tuple[int, ...]:
+    """Betti numbers of x over F_p from ranks alone, factor by factor."""
+    rows = [betti_Fp(simplicial_chain_complex(f, augmented=True), p)
+            for f in homology_factors(x)]
+    return _join_fp(rows, reduced)
+
+
+def _join_fp(rows: Sequence[Tuple[int, ...]], reduced: bool) -> Tuple[int, ...]:
+    """F_p betti numbers of a join from its factors' reduced ones.
+
+    Kunneth over a field: b_k(A * B) = sum over i + j = k - 1 of a_i b_j.
+    """
+    out = rows[0]
+    for row in rows[1:]:
+        joined = [0] * (len(out) + len(row))
+        for i, a in enumerate(out):
+            for j, b in enumerate(row):
+                joined[i + j + 1] += a * b
+        out = tuple(joined)
+    return _unreduce(out, reduced)
+
+
+def _unreduce(betti: Tuple[int, ...], reduced: bool) -> Tuple[int, ...]:
+    """Reduced betti numbers, or unreduced ones: one more in degree 0."""
+    return betti if reduced or not betti else (betti[0] + 1,) + betti[1:]
+
+
+def flag_reduced_summary(x: SimplicialComplex) -> HomologySummary:
+    """Reduced integral summary of a flag complex: classify's homology_summary."""
+    return homology_summary(x, reduced=True)
 
 
 # -- top cohomology criterion --------------------------------------------------
@@ -406,19 +437,16 @@ def top_cohomology_nonzero(x: SimplicialComplex,
     if x.is_empty():
         raise ValueError("empty complex has no top dimension")
     d = x.dim
-    if summary is None:
-        h = homology_summary(x, reduced=True)
-    else:
-        if not summary.reduced:
-            raise ValueError("top cohomology check needs a reduced summary")
-        h = summary
+    h = homology_summary(x, reduced=True) if summary is None else summary
+    if not h.reduced:
+        raise ValueError("top cohomology check needs a reduced summary")
     betti_top = h.betti[d]
     torsion_below = h.torsion[d - 1] if d >= 1 else ()
     result = betti_top > 0 or bool(torsion_below)
     scan = {2}
     for t in torsion_below:
         scan.update(prime_factors(t))
-    factors = join_factors(x) if is_flag(x)[0] else [x]
+    factors = homology_factors(x)
     checked = {p: math.prod(_top_betti_fp(f, p) for f in factors) for p in sorted(scan)}
     if (any(v > 0 for v in checked.values())) != result:
         raise CorruptComplexError(

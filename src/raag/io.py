@@ -21,13 +21,15 @@ PathLike = Union[str, Path]
 
 def _read_json(path: PathLike) -> object:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise MalformedComplexError(f"cannot read {path}: {e}") from e
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedComplexError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise MalformedComplexError(f"{path} nests JSON too deeply to read") from e
 
 
 def load_complex(path: PathLike) -> SimplicialComplex:
@@ -47,13 +49,13 @@ def load_witness(path: PathLike) -> EmbeddingWitness:
         raise MalformedComplexError(
             f"{path}: witness JSON must have supercomplex and embedding keys")
     emb = data["embedding"]
-    if not isinstance(emb, list) or any(not isinstance(v, int) for v in emb):
+    if not isinstance(emb, list) or any(type(v) is not int for v in emb):
         raise MalformedComplexError(f"{path}: embedding must be a list of integers")
     return EmbeddingWitness.from_json_dict(data)
 
 
 def load_vertex_map(path: PathLike) -> Tuple[int, ...]:
     data = _read_json(path)
-    if not isinstance(data, list) or any(not isinstance(v, int) for v in data):
+    if not isinstance(data, list) or any(type(v) is not int for v in data):
         raise MalformedComplexError(f"{path}: vertex map must be a JSON list of integers")
     return tuple(data)

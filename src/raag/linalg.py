@@ -56,12 +56,6 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def to_dense(self) -> List[List[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     @staticmethod
     def from_dense(data: Iterable[Iterable[int]]) -> "SparseIntMatrix":
         rows = [list(r) for r in data]

@@ -33,7 +33,6 @@ that growth.SupportTable reduces in place of a built cover.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from operator import add, mod
@@ -374,19 +373,6 @@ class CubeComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * c for i, c in enumerate(self.cell_counts()))
-
-    def cells(self, i: int):
-        """Iterate (deck element, base simplex) for dimension i, in order."""
-        for q in self.deck:
-            for s in self.base_cells(i):
-                yield (q, s)
-
-    def cell_index(self, i: int, q: Tuple[int, ...], s: Simplex) -> int:
-        qi = bisect_left(self.deck, q)
-        if qi == len(self.deck) or self.deck[qi] != q:
-            raise KeyError(q)
-        pos = 0 if i == 0 else self.base.face_index(i - 1)[s]
-        return qi * len(self.base_cells(i)) + pos
 
     def chain_complex(self) -> ChainComplexZ:
         """Cubical boundary maps, from cube_chain_complex with no unit directions."""

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import MalformedComplexError, NotFlagError, QuotientDegenerateError
+from .errors import MalformedComplexError, QuotientDegenerateError
 
 Simplex = Tuple[int, ...]
 
@@ -374,9 +374,6 @@ class Subdivision:
 
     complex: SimplicialComplex
     vertex_simplex: Tuple[Simplex, ...]
-
-    def vertex_of(self, s: Sequence[int]) -> int:
-        return self.vertex_simplex.index(tuple(sorted(s)))
 
 
 def barycentric_subdivision(x: SimplicialComplex) -> Subdivision:

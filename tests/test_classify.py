@@ -125,6 +125,18 @@ def test_verify_witness_structural_failures():
     assert not ok and "not a simplex" in reason
 
 
+def test_boolean_embedding_images_are_rejected():
+    # true == 1 as a Python int, so without the check this embeds the triangle
+    triangle = from_facets([[0, 1, 2]])
+    w = EmbeddingWitness(triangle, (True, 0, 2))
+    ok, reason, _ = verify_witness(triangle, w)
+    assert not ok and "out of range" in reason
+    cert = Certificate(CERT_WITNESS, {"supercomplex": {"facets": [[0, 1, 2]]},
+                                      "embedding": [True, 0, 2], "collapse": {}})
+    ok, reason = replay_certificate(triangle, Verdict(ZERO, 2, 3, cert, classify(triangle).homology))
+    assert not ok and "out of range" in reason
+
+
 def test_annulus_needs_its_witness():
     annulus, disk, witness = _annulus_and_disk()
     assert classify(annulus, budget=8).outcome == UNDETERMINED

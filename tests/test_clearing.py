@@ -29,16 +29,23 @@ def _random_spec(rng: random.Random, n: int) -> FiniteQuotientSpec:
     return FiniteQuotientSpec(moduli=moduli, images=images)
 
 
+def _dense(m: SparseIntMatrix):
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        out[r][c] = v
+    return out
+
+
 def _dense_betti(cc, p):
     """Betti numbers from dense ranks of each boundary, no clearing."""
     lo = 0 if cc.augmented else 1
-    ranks = {i: rank_gf(cc.boundary(i).to_dense(), p) for i in range(lo, cc.top + 1)}
+    ranks = {i: rank_gf(_dense(cc.boundary(i)), p) for i in range(lo, cc.top + 1)}
     return tuple(cc.dims[i] - ranks.get(i, 0) - ranks.get(i + 1, 0)
                  for i in range(cc.top + 1))
 
 
 def _without_columns(m: SparseIntMatrix, skip):
-    return [[v for j, v in enumerate(row) if j not in skip] for row in m.to_dense()]
+    return [[v for j, v in enumerate(row) if j not in skip] for row in _dense(m)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,7 +92,7 @@ def test_skip_on_unstructured_matrices(rows, skip, p):
 def _dense_homology(cc):
     """(betti, torsion) from dense Smith normal forms of every boundary, no clearing."""
     lo = 0 if cc.augmented else 1
-    snfs = {i: dense_snf(cc.boundary(i).to_dense()) for i in range(lo, cc.top + 1)}
+    snfs = {i: dense_snf(_dense(cc.boundary(i))) for i in range(lo, cc.top + 1)}
     betti = tuple(cc.dims[i] - len(snfs.get(i, ())) - len(snfs.get(i + 1, ()))
                   for i in range(cc.top + 1))
     torsion = tuple(tuple(d for d in snfs.get(i + 1, ()) if d > 1) for i in range(cc.top + 1))

@@ -13,12 +13,13 @@ import pytest
 import raag
 import raag.homology as homology_module
 from raag import cli
+from raag import io as rio
 from raag.classify import EmbeddingWitness
 from raag.cli import main
 from raag.fixtures import _polygon_disk, fixture
 from raag.models import FiniteQuotientSpec
 from raag.simplicial import (barycentric_subdivision, complex_to_json_dict, cone,
-                             induced_subcomplex)
+                             from_facets, induced_subcomplex, join, join_factors)
 
 
 def run(capsys, *argv):
@@ -124,6 +125,44 @@ def test_build_rejects_corrupt_file(tmp_path, capsys):
     assert code == 10
 
 
+def test_non_utf8_input_exits_ten(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"facets": [[0, 1]], "name": "\xff\xfe"}')
+    code, _, err = run(capsys, "homology", str(bad))
+    assert code == 10 and "cannot read" in err and "Traceback" not in err
+
+
+def test_deeply_nested_input_exits_ten(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code, _, err = run(capsys, "homology", str(deep))
+    assert code == 10 and "nests JSON too deeply" in err and "Traceback" not in err
+
+
+def test_unwritable_output_path_exits_ten(tmp_path, capsys):
+    target = tmp_path / "missing" / "h.json"
+    code, out, err = run(capsys, "homology", "--fixture", "cycle", "--n", "4",
+                         "-o", str(target))
+    assert code == 10 and out == ""
+    assert f"cannot write {target}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("vertex_map", [[True, 0, 1], [0, False, 1]])
+def test_boolean_vertex_map_entries_exit_ten(tmp_path, capsys, vertex_map):
+    path = write_json(tmp_path / "tri.json", {"facets": [[0, 1], [1, 2], [2, 3]]})
+    mapfile = write_json(tmp_path / "map.json", vertex_map + [2])
+    code, _, err = run(capsys, "build", path, "--quotient", mapfile)
+    assert code == 10 and "list of integers" in err
+
+
+def test_boolean_witness_embedding_exits_ten(tmp_path, capsys):
+    triangle = write_json(tmp_path / "tri.json", {"facets": [[0, 1, 2]]})
+    witness = write_json(tmp_path / "w.json", {"supercomplex": {"facets": [[0, 1, 2]]},
+                                               "embedding": [True, 0, 2]})
+    code, out, err = run(capsys, "classify", triangle, "--witness", witness)
+    assert code == 10 and out == "" and "list of integers" in err
+
+
 # -- homology ------------------------------------------------------------------------
 
 
@@ -171,6 +210,38 @@ def test_homology_rejects_non_prime(capsys):
     code, _, err = run(capsys, "homology", "--fixture", "cycle", "--n", "4",
                        "--primes", "6")
     assert code == 14
+
+
+@pytest.mark.parametrize("make", [
+    lambda: from_facets([range(20)]),
+    lambda: join(fixture("rp2_flag"), fixture("moore_flag", q=3)),
+], ids=["facet(20)", "rp2_flag*moore_flag(3)"])
+def test_homology_builds_only_the_join_factors(tmp_path, monkeypatch, capsys, make):
+    # the whole complex would have 2^20 - 1 faces, or 9,720 facets
+    path = write_json(tmp_path / "L.json", complex_to_json_dict(make()))
+    built = []
+    real_build = homology_module._build_chain_complex
+
+    def build(x, augmented):
+        built.append((x.facets, augmented))
+        return real_build(x, augmented)
+
+    monkeypatch.setattr(homology_module, "_build_chain_complex", build)
+    code, out, _ = run(capsys, "homology", path)
+    assert code == 0 and "cross-check: ok" in out
+    factors = join_factors(rio.load_complex(path))
+    assert len(factors) > 1
+    assert sorted(built) == sorted((f.facets, True) for f in factors)
+
+
+def test_homology_of_a_facet_adds_z_in_degree_zero_only(tmp_path, capsys):
+    path = write_json(tmp_path / "L.json", {"facets": [list(range(20))]})
+    code, out, _ = run(capsys, "homology", path, "--primes", "2,3")
+    assert code == 0
+    rows = out.strip().split("\n")[2:-1]
+    assert len(rows) == 20
+    assert rows[0].split() == ["0", "Z", "1", "1", "1"]
+    assert all(row.split()[1:] == ["0", "0", "0", "0"] for row in rows[1:])
 
 
 MERSENNE_61 = str(2 ** 61 - 1)

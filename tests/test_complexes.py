@@ -186,7 +186,6 @@ def test_sd_metadata_vertex_simplices():
     labels = set(sd.vertex_simplex)
     expected = {f for k in range(x.dim + 1) for f in x.faces(k)}
     assert labels == expected
-    assert sd.vertex_of((0, 1, 2)) == sd.vertex_simplex.index((0, 1, 2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from oracles import (brute_betti_fp, brute_homology, dense_snf, rank_fraction,
                      rank_gf, random_facets)
 
+import raag.homology as homology_module
 from raag.errors import CorruptComplexError
 from raag.fixtures import fixture, standard_fixtures
-from raag.homology import (ChainComplexZ, HomologySummary, betti_Fp,
-                           flag_reduced_summary, homology_summary,
-                           join_homology_kunneth, simplicial_chain_complex,
-                           top_cohomology_nonzero, uct_betti_fp, with_primes)
+from raag.homology import (ChainComplexZ, HomologySummary, betti_Fp, betti_table,
+                           flag_reduced_summary, homology_Z, homology_factors,
+                           homology_summary, join_homology_kunneth,
+                           simplicial_chain_complex, top_cohomology_nonzero,
+                           uct_betti_fp, with_primes)
 from raag.linalg import SparseIntMatrix, is_prime, rank_mod_p, smith_normal_form
 from raag.simplicial import (barycentric_subdivision, flag_completion, from_facets,
                              is_flag, join)
@@ -162,7 +164,7 @@ def test_join_kunneth_matches_direct_small():
     for a, b in pairs:
         ha = homology_summary(a, reduced=True)
         hb = homology_summary(b, reduced=True)
-        direct = homology_summary(join(a, b), reduced=True)
+        direct = homology_Z(simplicial_chain_complex(join(a, b), augmented=True))
         derived = join_homology_kunneth(ha, hb)
         assert derived.betti == direct.betti
         assert derived.torsion == direct.torsion
@@ -171,9 +173,56 @@ def test_join_kunneth_matches_direct_small():
 def test_flag_reduced_summary_uses_factors():
     for name in ("octahedron", "rp2_flag"):
         x = fixture(name)
-        direct = homology_summary(x, reduced=True)
+        direct = homology_Z(simplicial_chain_complex(x, augmented=True))
         got = flag_reduced_summary(x)
         assert got.betti == direct.betti and got.torsion == direct.torsion
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans())
+def test_split_route_matches_brute_oracles_on_joins(n_factors, seed, reduced):
+    # whole facet lists through the dense oracles, against the factor route
+    rng = random.Random(seed)
+    size = {1: 7, 2: 4, 3: 3}[n_factors]
+    x = _random_flag(rng, size)
+    for _ in range(n_factors - 1):
+        x = join(x, _random_flag(rng, size))
+    facets = list(x.facets)
+    h = homology_summary(x, reduced=reduced, primes=[2, 3])
+    betti, torsion = brute_homology(facets, reduced=reduced)
+    assert h.reduced == reduced
+    assert h.betti == tuple(betti) and h.torsion == tuple(tuple(t) for t in torsion)
+    for p in (2, 3):
+        assert h.betti_fp(p) == tuple(brute_betti_fp(facets, p, reduced=reduced))
+        assert betti_table(x, p, reduced=reduced) == h.betti_fp(p)
+
+
+def test_non_flag_complex_is_its_own_factor():
+    x = fixture("simplex_boundary", n=2)  # hollow triangle, not flag
+    assert homology_factors(x) == [x]
+    h = homology_summary(x, primes=None)
+    assert h.betti == (1, 1) and h.betti_mod_p == ((2, (1, 1)),)
+
+
+def test_empty_complex_has_no_degrees():
+    x = from_facets([])
+    for reduced in (False, True):
+        h = homology_summary(x, reduced=reduced, primes=[2])
+        assert h.betti == () and h.torsion == () and h.betti_fp(2) == ()
+        assert betti_table(x, 3, reduced=reduced) == ()
+
+
+def test_factor_uct_mismatch_raises(monkeypatch):
+    x = join(fixture("rp2_flag"), fixture("discrete", n=2))
+    real = homology_module.betti_Fp
+
+    def off_by_one(cc, p):
+        row = real(cc, p)
+        return row if cc.dims[0] == 2 else (row[0] + 1,) + row[1:]
+
+    monkeypatch.setattr(homology_module, "betti_Fp", off_by_one)
+    with pytest.raises(CorruptComplexError, match="universal-coefficient"):
+        homology_summary(x, primes=[3])
 
 
 # -- top cohomology criterion --------------------------------------------------------

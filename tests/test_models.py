@@ -221,14 +221,6 @@ def test_cover_boundary_squared_validates():
     finite_cover(x, standard_spec(x, 2)).chain_complex().validate()
 
 
-def test_cell_index_matches_label_order():
-    edge = fixture("simplex", n=1)
-    cover = finite_cover(edge, standard_spec(edge, 2))
-    for i in range(cover.dim + 1):
-        for pos, (q, s) in enumerate(cover.cells(i)):
-            assert cover.cell_index(i, q, s) == pos
-
-
 def test_cover_json_dict():
     c4 = fixture("cycle", n=4)
     data = finite_cover(c4, standard_spec(c4, 2)).to_json_dict()
