@@ -15,8 +15,7 @@ from .linalg import (SNFResult, SparseIntMatrix, invariant_factors, prime_factor
                      rank_mod_p, smith_normal_form)
 from .homology import (ChainComplexZ, HomologySummary, betti_Fp, flag_reduced_summary,
                        homology_Z, homology_summary, join_homology_kunneth,
-                       simplicial_chain_complex, top_cohomology_nonzero, uct_betti_fp,
-                       with_primes)
+                       simplicial_chain_complex, top_cohomology_nonzero, uct_betti_fp)
 from .models import (CubeComplex, FiniteQuotientSpec, PosetComplex, fiber_dimension,
                      finite_cover, poset_complex, salvetti_complex, standard_spec,
                      toral_euler_characteristic, trivial_spec)

@@ -11,7 +11,8 @@ the honest verdict is Undetermined; collapsibility is only a sufficient test
 for contractibility and its failure proves nothing.
 
 Every verdict carries a machine-checkable certificate that replays from its
-serialized form.
+serialized form; a homology certificate replays on one route, an F_p rank
+for positivity or Smith normal forms for complementary vanishing.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import Dict, Optional, Tuple
 
 from .collapse import CollapseSequence, collapse, replay_collapse
 from .errors import MalformedComplexError, NotFlagError, WitnessRejectedError
-from .homology import (HomologySummary, default_primes, flag_reduced_summary,
-                       homology_summary, top_cohomology_nonzero, with_primes)
+from .homology import (HomologySummary, betti_table, flag_reduced_summary,
+                       homology_summary, top_cohomology_nonzero)
+from .linalg import is_prime
 from .simplicial import (SimplicialComplex, complex_from_json_dict,
                          complex_to_json_dict, is_flag)
 
@@ -165,9 +167,9 @@ def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None,
     collapse of L itself certifies zero, otherwise Undetermined.  L itself
     is searched for a collapse only when its reduced homology vanishes.
 
-    The homology is computed on L's chain complex, which is cached on L; a
-    later replay_certificate shares it (and its boundary-squared check) and
-    recomputes every Smith normal form and mod-p rank on it.
+    The homology is flag_reduced_summary's: Smith normal forms and checked
+    F_p tables of L's join factors, whose chain complexes are cached and
+    shared with a later replay_certificate.
     """
     if L.is_empty():
         raise MalformedComplexError(
@@ -179,7 +181,6 @@ def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None,
             witness=nonface)
     d = L.dim
     summary = flag_reduced_summary(L)
-    summary = with_primes(summary, default_primes(summary))
     nonzero, detail = top_cohomology_nonzero(L, summary=summary)
 
     if nonzero:
@@ -219,23 +220,31 @@ def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None,
 def replay_certificate(L: SimplicialComplex, verdict: Verdict) -> Tuple[bool, str]:
     """Re-verify a verdict's certificate from scratch against L.
 
-    Homology certificates are rechecked by recomputing all of L's homology
-    (every Smith normal form and mod-p rank) on the chain complex cached on
-    L, so classify and its replay build that complex once.
+    A homology certificate must record d = dim L and replays on one route.
+    TopCohomologyNonzero needs reduced b_d(L, F_p) > 0 at its witness prime,
+    from F_p ranks alone (H^d(L, F_p) = H^d(L, Z) (x) F_p in the top degree);
+    ComplementaryVanishing needs, away from dimension 2, b_d = 0 and no
+    torsion in H_{d-1}, from Smith normal forms alone.
     """
     cert = verdict.certificate
     if cert is None:
         return False, "no certificate attached"
+    if cert.kind in (CERT_TOP, CERT_COMPLEMENTARY):
+        d = cert.data.get("dimension")
+        if type(d) is not int or L.is_empty() or d != L.dim:
+            return False, f"certificate records dimension {d!r}, complex has dimension {L.dim}"
     if cert.kind == CERT_TOP:
-        nonzero, detail = top_cohomology_nonzero(L, summary=flag_reduced_summary(L))
-        if not nonzero:
-            return False, "top cohomology recomputes to zero"
-        return True, f"top cohomology nonzero reconfirmed ({detail['condition']})"
+        p = cert.data.get("witness_prime")
+        if type(p) is not int or p >= 1 << 64 or not is_prime(p):
+            return False, f"witness prime {p!r} is not a prime below 2^64"
+        if betti_table(L, p, reduced=True)[d] == 0:
+            return False, f"top cohomology over F_{p} recomputes to zero"
+        return True, f"top cohomology nonzero reconfirmed ({cert.data.get('condition')})"
     if cert.kind == CERT_COMPLEMENTARY:
-        if L.dim == 2:
+        if d == 2:
             return False, "complementary vanishing does not apply in dimension 2"
-        nonzero, _ = top_cohomology_nonzero(L, summary=flag_reduced_summary(L))
-        if nonzero:
+        h = homology_summary(L, reduced=True)
+        if h.betti[d] or h.group(d - 1)[1]:
             return False, "top cohomology recomputes to nonzero"
         return True, "vanishing top cohomology reconfirmed in dimension != 2"
     if cert.kind == CERT_COLLAPSE:

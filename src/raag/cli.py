@@ -6,15 +6,16 @@ betti numbers of finite covers).  Machine-readable output goes to stdout or
 the -o file; human-readable summaries go to stderr, so pipes stay clean.
 
 Exit codes: 0 success or classified; 3 undetermined; 10 malformed or
-unreadable input, an unwritable -o path, unknown fixture or usage error (a
-negative classify --budget is one); 11 input not flag; 12 witness rejected;
-13 degenerate quotient; 14 bad cover spec, or a coefficient that is not a
-prime below 2^64 (primality is decided exactly up to there); 15 internal
-consistency failure; 20 unexpected error.  homology splits a flag complex
-into its join factors, as classify does, and builds only their chain
+unreadable input, an unwritable -o path or stdout (a pipe whose reader has
+gone), unknown fixture, a --n or --q the fixture does not take, or usage
+error (a negative classify --budget is one); 11 input not flag; 12 witness
+rejected; 13 degenerate quotient; 14 bad cover spec, or a coefficient that is
+not a prime below 2^64 (primality is decided exactly up to there); 15
+internal consistency failure; 20 unexpected error.  homology splits a flag
+complex into its join factors, as classify does, and builds only their chain
 complexes.  growth reads the betti numbers of its standard covers off a
-support table the size of L and builds no cover.  It refuses, with exit 14
-and before computing anything, a cover of more than models.MAX_COVER_CELLS
+support table the size of L and builds no cover.  It refuses, with exit 14 and
+before computing anything, a cover of more than models.MAX_COVER_CELLS
 (250,000) cells, counted as index * (1 + number of faces of L) over all
 dimensions.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from typing import List, Optional, Sequence, Tuple
@@ -261,7 +263,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return 0 if not e.code else 10
     try:
-        return _DISPATCH[ns.command](ns)
+        code = _DISPATCH[ns.command](ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as e:
+        print(f"error: cannot write to stdout: {e}", file=sys.stderr)
+        # what stays buffered goes nowhere, so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 10
     except RaagError as e:
         print(f"error: {e}", file=sys.stderr)
         return _exit_code(e)

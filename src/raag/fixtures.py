@@ -169,20 +169,23 @@ def _facet_deletions(s: Tuple[int, ...]):
         yield s[:i] + s[i + 1:]
 
 
+_PARAMETER = {"simplex": "n", "simplex_boundary": "n", "cycle": "n", "path": "n",
+              "discrete": "n", "moore": "q", "moore_flag": "q"}
+
+
 def fixture(name: str, n: Optional[int] = None, q: Optional[int] = None) -> SimplicialComplex:
     """Build a named fixture; parameters n (family size) and q (Moore order).
 
     Names: simplex, simplex_boundary, cycle, path, discrete, octahedron,
     icosahedron, rp2_6, rp2_flag, moore, moore_flag, disk_flag, dunce,
-    dunce_flag.
+    dunce_flag.  A parameter the fixture does not take raises FixtureError.
     """
+    for param, value in (("n", n), ("q", q)):
+        if value is not None and name in FIXTURE_NAMES and _PARAMETER.get(name) != param:
+            raise FixtureError(f"fixture {name} takes no parameter {param}")
     x = _build(name, n, q)
-    label = name
-    if n is not None:
-        label = f"{name}({n})"
-    elif q is not None:
-        label = f"{name}({q})"
-    return _named(x, label)
+    value = n if q is None else q
+    return _named(x, name if value is None else f"{name}({value})")
 
 
 FIXTURE_NAMES = ("simplex", "simplex_boundary", "cycle", "path", "discrete",

@@ -6,17 +6,16 @@ so the universal-coefficient identity
 
     b_i(F_p) = b_i(Q) + #{t in torsion_i : p | t} + #{t in torsion_{i-1} : p | t}
 
-is a genuine cross-check between two routes, not a tautology.  The
-top-cohomology criterion applies it in the top degree d alone, where only one
-boundary matters: b_d(L, F_p) = f_d - rank_p d_d, and for a flag L that splits
-as a join it is the product of the same number over the join factors.
-Reduced homology is handled by augmenting the chain complex with the all-ones
-map C_0 -> Z rather than by special-casing degree zero.
+is a genuine cross-check between two routes, not a tautology.  Reduced
+homology is handled by augmenting the chain complex with the all-ones map
+C_0 -> Z rather than by special-casing degree zero.
 
 A simplicial complex has one route to its homology, homology_summary (and
 betti_table over F_p alone): a flag complex splits into its join factors, a
 complex that is not flag is its own only factor, and the reduced homology of
 the factors' augmented chain complexes is assembled by the Kunneth formula.
+Its mod-p tables are the factors' F_p ranks, checked factor by factor
+against their Smith normal forms; the top-cohomology criterion reads them.
 """
 
 from __future__ import annotations
@@ -381,34 +380,16 @@ def _unreduce(betti: Tuple[int, ...], reduced: bool) -> Tuple[int, ...]:
 
 
 def flag_reduced_summary(x: SimplicialComplex) -> HomologySummary:
-    """Reduced integral summary of a flag complex: classify's homology_summary."""
-    return homology_summary(x, reduced=True)
+    """Classify's homology_summary: reduced, with checked tables at default primes."""
+    return homology_summary(x, reduced=True, primes=None)
 
 
 # -- top cohomology criterion --------------------------------------------------
 
 
-def with_primes(h: HomologySummary, primes: Sequence[int]) -> HomologySummary:
-    """Copy of a summary with mod-p tables derived by universal coefficients."""
-    return HomologySummary(
-        reduced=h.reduced, betti=h.betti, torsion=h.torsion,
-        betti_mod_p=tuple((p, uct_betti_fp(h.betti, h.torsion, p)) for p in primes))
-
-
 def default_primes(h: HomologySummary) -> List[int]:
     """2 and every prime dividing a torsion coefficient of h, ascending."""
     return sorted({2} | {p for degree in h.torsion for t in degree for p in prime_factors(t)})
-
-
-def _top_betti_fp(x: SimplicialComplex, p: int) -> int:
-    """Reduced top betti number of x over F_p, from its top boundary alone.
-
-    Nothing lies above the top degree d, so the top reduced homology is the
-    kernel of d_d (for d = 0, the augmentation row) and has dimension
-    f_d - rank_p d_d.
-    """
-    cc = simplicial_chain_complex(x, augmented=True)
-    return cc.dims[cc.top] - len(pivot_rows_mod_p(cc.boundary(cc.top), p))
 
 
 def top_cohomology_nonzero(x: SimplicialComplex,
@@ -422,11 +403,10 @@ def top_cohomology_nonzero(x: SimplicialComplex,
     equivalence (2 plus every prime dividing a torsion coefficient of
     H_{d-1}); a scan mismatch would mean an engine bug and raises.
 
-    The scan ranks top boundaries over F_p, independently of the Smith
-    normal forms behind the summary: b_d(L, F_p) = f_d - rank_p d_d.  A flag
-    L that splits as a join takes the product of that number over its join
-    factors, the top Kunneth term over a field; a complex that is not flag is
-    its own only factor.  A precomputed reduced summary may be passed in.
+    The scan reads the top degree of the summary's mod-p tables: F_p ranks
+    that homology_summary checks against the Smith normal forms.  A
+    precomputed summary may be passed in; one that is not reduced or lacks
+    a scanned prime's table raises ValueError.
 
     >>> from raag.simplicial import from_facets
     >>> square = from_facets([[0, 1], [1, 2], [2, 3], [0, 3]])  # S^0 * S^0
@@ -437,7 +417,7 @@ def top_cohomology_nonzero(x: SimplicialComplex,
     if x.is_empty():
         raise ValueError("empty complex has no top dimension")
     d = x.dim
-    h = homology_summary(x, reduced=True) if summary is None else summary
+    h = homology_summary(x, reduced=True, primes=None) if summary is None else summary
     if not h.reduced:
         raise ValueError("top cohomology check needs a reduced summary")
     betti_top = h.betti[d]
@@ -446,8 +426,10 @@ def top_cohomology_nonzero(x: SimplicialComplex,
     scan = {2}
     for t in torsion_below:
         scan.update(prime_factors(t))
-    factors = homology_factors(x)
-    checked = {p: math.prod(_top_betti_fp(f, p) for f in factors) for p in sorted(scan)}
+    tables = dict(h.betti_mod_p)
+    if not scan <= tables.keys():
+        raise ValueError(f"top cohomology check needs mod-p tables at p = {sorted(scan)}")
+    checked = {p: tables[p][d] for p in sorted(scan)}
     if (any(v > 0 for v in checked.values())) != result:
         raise CorruptComplexError(
             f"universal-coefficient cross-check failed in top degree: {checked} vs {result}")

@@ -106,9 +106,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
 
-    def edges(self) -> Tuple[Simplex, ...]:
-        return self.faces(1)
-
     def is_empty(self) -> bool:
         return self.n_vertices == 0
 

@@ -17,7 +17,7 @@ from raag.classify import (CERT_COLLAPSE, CERT_COMPLEMENTARY, CERT_TOP,
                            replay_certificate, report, verify_witness)
 from raag.errors import (MalformedComplexError, NotFlagError,
                          WitnessRejectedError)
-from raag.fixtures import _polygon_disk, fixture
+from raag.fixtures import _polygon_disk, fixture, standard_fixtures
 from raag.simplicial import (barycentric_subdivision, cone, flag_completion,
                              from_facets, induced_subcomplex)
 
@@ -350,25 +350,58 @@ def test_annulus_verdict_and_report_pinned():
     assert report(annulus, v) == ANNULUS_REPORT
 
 
-@pytest.mark.parametrize("make", [
-    lambda: from_facets(fixture("rp2_flag").facets),
-    lambda: barycentric_subdivision(fixture("octahedron")).complex,
-    lambda: cone(fixture("moore_flag", q=3)),
+RANKS, SMITH = "pivot_rows_mod_p", "smith_normal_form"
+
+
+@pytest.mark.parametrize("make, kind, route, unused", [
+    pytest.param(lambda: from_facets(fixture("rp2_flag").facets), CERT_TOP, RANKS, SMITH,
+                 id="rp2_flag"),
+    pytest.param(lambda: barycentric_subdivision(fixture("octahedron")).complex, CERT_TOP,
+                 RANKS, SMITH, id="sd_octahedron"),
+    pytest.param(lambda: cone(fixture("moore_flag", q=3)), CERT_COMPLEMENTARY, SMITH, RANKS,
+                 id="cone_moore_flag3"),
+    pytest.param(lambda: fixture("path", n=4), CERT_COMPLEMENTARY, SMITH, RANKS, id="path4"),
 ])
-def test_report_recomputes_every_smith_normal_form(monkeypatch, make):
-    # the replay shares L's chain complex but none of its homology
-    calls = []
-    real = homology_module.smith_normal_form
-
-    def counted(m, skip=frozenset()):
-        calls.append(m)
-        return real(m, skip)
-
-    monkeypatch.setattr(homology_module, "smith_normal_form", counted)
+def test_each_homology_certificate_replays_on_one_route(monkeypatch, make, kind, route,
+                                                         unused):
+    # positivity replays by F_p ranks alone, complementary vanishing by Smith forms alone
     L = make()
     v = classify(L)
-    in_classify = len(calls)
-    text = report(L, v)
-    assert "replay ok" in text
-    assert in_classify > 0
-    assert len(calls) == 2 * in_classify
+    assert v.certificate.kind == kind
+    calls = {route: 0, unused: 0}
+    for name in calls:
+        def counted(*args, _real=getattr(homology_module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(homology_module, name, counted)
+    assert "replay ok" in report(L, v)
+    assert calls[route] > 0 and calls[unused] == 0
+
+
+def _tampered(L, key, value):
+    data = json.loads(classify(L).to_json())
+    data["certificate"]["data"][key] = value
+    return Verdict.from_json_dict(data)
+
+
+@pytest.mark.parametrize("prime", [3, 5, 4, 1, 0, -2, None, True, "2", 1 << 64], ids=repr)
+def test_replay_rejects_a_witness_prime_without_top_cohomology(prime):
+    # b_2(rp2_flag; F_p) = 0 at every odd prime; 4, 1, ... are no primes at all
+    L = fixture("rp2_flag")
+    ok, why = replay_certificate(L, _tampered(L, "witness_prime", prime))
+    assert not ok
+    assert why == ("top cohomology over F_%d recomputes to zero" % prime
+                   if prime in (3, 5) else
+                   f"witness prime {prime!r} is not a prime below 2^64")
+
+
+@pytest.mark.parametrize("name, dimension", [
+    ("path(4)", 3), ("path(4)", 0), ("path(4)", "1"), ("path(4)", 1.0), ("path(4)", True),
+    ("rp2_flag", 1), ("rp2_flag", None),
+], ids=["path4-3", "path4-0", "path4-string", "path4-float", "path4-bool", "rp2_flag-1",
+        "rp2_flag-None"])
+def test_replay_rejects_a_wrong_dimension(name, dimension):
+    L = standard_fixtures()[name]
+    ok, why = replay_certificate(L, _tampered(L, "dimension", dimension))
+    assert not ok
+    assert why == f"certificate records dimension {dimension!r}, complex has dimension {L.dim}"

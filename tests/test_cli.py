@@ -147,6 +147,26 @@ def test_unwritable_output_path_exits_ten(tmp_path, capsys):
     assert f"cannot write {target}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "--fixture", "octahedron"],          # fits the buffer: fails at the flush
+    ["build", "--fixture", "rp2_flag", "--sd"],       # outgrows it: fails inside print
+])
+def test_closed_stdout_exits_ten(argv):
+    # stdout is a pipe whose read end is already closed
+    src = str(Path(raag.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "raag.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 10
+    assert proc.stderr.splitlines()[-1].startswith("error: cannot write to stdout")
+    assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("vertex_map", [[True, 0, 1], [0, False, 1]])
 def test_boolean_vertex_map_entries_exit_ten(tmp_path, capsys, vertex_map):
     path = write_json(tmp_path / "tri.json", {"facets": [[0, 1], [1, 2], [2, 3]]})
@@ -340,6 +360,17 @@ def test_classify_non_flag_exit_eleven(capsys):
 def test_classify_unknown_fixture_exit_ten(capsys):
     code, _, err = run(capsys, "classify", "--fixture", "klein_bottle")
     assert code == 10
+
+
+@pytest.mark.parametrize("argv, param", [
+    (["--fixture", "moore_flag", "--n", "7", "--q", "2"], "n"),
+    (["--fixture", "octahedron", "--n", "5"], "n"),
+    (["--fixture", "cycle", "--n", "5", "--q", "3"], "q"),
+])
+def test_classify_unused_fixture_parameter_exit_ten(capsys, argv, param):
+    code, out, err = run(capsys, "classify", *argv)
+    assert code == 10 and out == ""
+    assert err == f"error: fixture {argv[1]} takes no parameter {param}\n"
 
 
 def test_classify_with_witness_file(tmp_path, capsys):

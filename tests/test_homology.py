@@ -18,7 +18,7 @@ from raag.homology import (ChainComplexZ, HomologySummary, betti_Fp, betti_table
                            flag_reduced_summary, homology_Z, homology_factors,
                            homology_summary, join_homology_kunneth,
                            simplicial_chain_complex, top_cohomology_nonzero,
-                           uct_betti_fp, with_primes)
+                           uct_betti_fp)
 from raag.linalg import SparseIntMatrix, is_prime, rank_mod_p, smith_normal_form
 from raag.simplicial import (barycentric_subdivision, flag_completion, from_facets,
                              is_flag, join)
@@ -171,11 +171,15 @@ def test_join_kunneth_matches_direct_small():
 
 
 def test_flag_reduced_summary_uses_factors():
-    for name in ("octahedron", "rp2_flag"):
-        x = fixture(name)
+    for name, primes in (("octahedron", (2,)), ("rp2_flag", (2,)), ("moore_flag(3)", (2, 3))):
+        x = standard_fixtures()[name]
         direct = homology_Z(simplicial_chain_complex(x, augmented=True))
         got = flag_reduced_summary(x)
         assert got.betti == direct.betti and got.torsion == direct.torsion
+        # checked F_p tables at 2 and every torsion prime, as whole-complex ranks give them
+        assert got.primes() == primes
+        for p in primes:
+            assert got.betti_fp(p) == _betti_fp(x, p, reduced=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,25 +329,25 @@ def test_top_cohomology_rejects_unreduced_summary():
 
 def test_top_cohomology_accepts_precomputed_summary():
     x = fixture("rp2_flag")
-    h = homology_summary(x, reduced=True)
+    h = homology_summary(x, reduced=True, primes=None)
     nz, detail = top_cohomology_nonzero(x, h)
     assert nz and detail["witness_prime"] == 2
+
+
+@pytest.mark.parametrize("name, primes", [("rp2_flag", ()), ("moore_flag(3)", (2,))])
+def test_top_cohomology_rejects_summary_without_scan_tables(name, primes):
+    # the scan reads the summary's checked tables; it computes none of its own
+    x = standard_fixtures()[name]
+    with pytest.raises(ValueError, match="mod-p tables"):
+        top_cohomology_nonzero(x, homology_summary(x, reduced=True, primes=primes))
 
 
 # -- summaries: derived tables and serialization --------------------------------------
 
 
-def test_with_primes_extends_tables():
-    h = homology_summary(fixture("rp2_6"), reduced=True)
-    h2 = with_primes(h, (2, 3, 5))
-    assert [p for p, _ in h2.betti_mod_p] == [2, 3, 5]
-    assert h2.betti_fp(2) == (0, 1, 1)
-    assert h2.betti_fp(5) == (0, 0, 0)
-    assert h2.betti == h.betti and h2.torsion == h.torsion
-
-
 def test_summary_json_round_trip():
-    h = with_primes(homology_summary(fixture("rp2_6"), reduced=True), (2, 3))
+    h = homology_summary(fixture("rp2_6"), reduced=True, primes=[2, 3])
+    assert h.betti_mod_p == ((2, (0, 1, 1)), (3, (0, 0, 0)))
     data = json.loads(json.dumps(h.to_json_dict()))
     assert HomologySummary.from_json_dict(data) == h
 
