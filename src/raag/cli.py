@@ -6,11 +6,11 @@ betti numbers of finite covers).  Machine-readable output goes to stdout or
 the -o file; human-readable summaries go to stderr, so pipes stay clean.
 
 Exit codes: 0 success or classified; 3 undetermined; 10 malformed or
-unreadable input, an unwritable -o path or stdout (a pipe whose reader has
-gone), unknown fixture, a --n or --q the fixture does not take, or usage
-error (a negative classify --budget is one); 11 input not flag; 12 witness
-rejected; 13 degenerate quotient; 14 bad cover spec, or a coefficient that is
-not a prime below 2^64 (primality is decided exactly up to there); 15
+unreadable input, an unwritable -o path, stdout or stderr (a pipe whose
+reader has gone), unknown fixture, a --n or --q the fixture does not take,
+or usage error (a negative classify --budget is one); 11 input not flag; 12
+witness rejected; 13 degenerate quotient; 14 bad cover spec, or a coefficient
+that is not a prime below 2^64 (primality is decided exactly up to there); 15
 internal consistency failure; 20 unexpected error.  homology splits a flag
 complex into its join factors, as classify does, and builds only their chain
 complexes.  growth reads the betti numbers of its standard covers off a
@@ -263,20 +263,48 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return 0 if not e.code else 10
     try:
-        code = _DISPATCH[ns.command](ns)
+        code = _run(ns)
         sys.stdout.flush()
         return code
     except BrokenPipeError as e:
-        print(f"error: cannot write to stdout: {e}", file=sys.stderr)
-        # what stays buffered goes nowhere, so the interpreter's last flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_lost_streams(e)
         return 10
+
+
+def _run(ns) -> int:
+    """The subcommand's exit code; a RaagError or an unexpected error is
+    reported on stderr, whose loss main handles."""
+    try:
+        return _DISPATCH[ns.command](ns)
+    except BrokenPipeError:
+        raise
     except RaagError as e:
         print(f"error: {e}", file=sys.stderr)
         return _exit_code(e)
     except Exception:
         traceback.print_exc()
         return 20
+
+
+def _drop_lost_streams(e: BrokenPipeError) -> None:
+    """After stdout or stderr lost its reader, say so where a reader is left.
+
+    A pipe never gets its reader back, so if the error line reaches stderr,
+    stdout was the one lost; otherwise stderr was, and stdout may still hold
+    output for a live reader.  A lost stream is pointed at devnull, so what
+    stays buffered goes nowhere and the interpreter's last flush cannot fail.
+    """
+    lost = [sys.stdout]
+    try:
+        print(f"error: cannot write to stdout: {e}", file=sys.stderr)
+    except BrokenPipeError:
+        lost = [sys.stderr]
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            lost.append(sys.stdout)
+    for stream in lost:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ All values are immutable and all constructions are pure functions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -47,7 +48,7 @@ class SimplicialComplex:
         self._face_sets: Dict[int, frozenset] = {}
         self._face_index: Dict[int, Dict[Simplex, int]] = {}
         self._flag: Optional[Tuple[bool, Optional[Simplex]]] = None  # set by is_flag
-        # set by join_factors; () when the complex does not split
+        # set by is_flag or join_factors; () when the complex does not split
         self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
         self._chain: Dict[bool, object] = {}  # set by homology.simplicial_chain_complex
 
@@ -151,17 +152,22 @@ def from_facets(facets: Iterable[Iterable[int]], name: str = "",
     # Walk by decreasing size.  containing[v] lists the kept facets of strictly
     # larger size through v; a facet containing s is in the list of every vertex
     # of s, so the shortest such list is the only one to search.  A size's kept
-    # facets are indexed only once a smaller size follows.
+    # facets are indexed only once a smaller size follows.  The largest size is
+    # kept whole: no strictly larger simplex exists to contain it, and it is
+    # often the whole input (a pure complex, such as a join of pure factors).
     containing: List[List[frozenset]] = [[] for _ in range(n)]
     maximal: List[Simplex] = []
     kept: List[Simplex] = []
     for _, same_size in itertools.groupby(reversed(simplices), key=len):
-        for f in kept:
-            fs = frozenset(f)
-            for v in f:
-                containing[v].append(fs)
-        kept = [s for s in same_size
-                if not any(m.issuperset(s) for m in min((containing[v] for v in s), key=len))]
+        if not maximal:
+            kept = list(same_size)
+        else:
+            for f in kept:
+                fs = frozenset(f)
+                for v in f:
+                    containing[v].append(fs)
+            kept = [s for s in same_size
+                    if not any(m.issuperset(s) for m in min((containing[v] for v in s), key=len))]
         maximal.extend(kept)
     maximal.reverse()
     return SimplicialComplex(n, tuple(maximal), name=name)
@@ -257,6 +263,15 @@ def is_flag(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
     Returns (True, None) or (False, w) where w is a minimal non-face with
     pairwise adjacent vertices (an "empty simplex"), canonical smallest by
     (size, lex).  The answer is cached on the complex, which is immutable.
+
+    The complement of the 1-skeleton is split first.  A complex whose
+    complement splits is flag iff it is the join of its factors and each
+    factor is flag, since the cliques of a join are the unions of cliques of
+    its factors; so a flag join is certified by clique searches of its
+    factors, whose maximal cliques number far fewer than the join's (their
+    product).  The factors of a join are cached for join_factors.  A complex
+    that is not such a join, or has a factor that is not flag, is searched
+    whole, so its witness is the canonical one.
     """
     if x._flag is None:
         x._flag = _flag_check(x)
@@ -264,6 +279,55 @@ def is_flag(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
 
 
 def _flag_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
+    parts = complement_components(x)
+    if len(parts) <= 1:
+        x._factors = ()
+        return _clique_check(x)
+    factors = _join_split(x, parts)
+    if factors is None:
+        return _clique_check(x)
+    x._factors = factors
+    for f in factors:
+        f._flag = _clique_check(f)
+    if all(f._flag[0] for f in factors):
+        return True, None
+    return _clique_check(x)
+
+
+def _join_split(x: SimplicialComplex, parts: Sequence[Tuple[int, ...]]
+                ) -> Optional[Tuple[SimplicialComplex, ...]]:
+    """The complexes induced on the parts, relabeled as induced_subcomplex
+    does, when x is their join; None otherwise.
+
+    One pass restricts every facet to every part.  If each facet meets each
+    part and the facet count is the product of the numbers of distinct
+    restrictions, the map from facets to tuples of restrictions, injective
+    since a facet is the union of its restrictions, is onto: every union of
+    one restriction per part is a facet.  Then the restrictions of a part
+    form an antichain (a smaller one would give a smaller facet) and x is the
+    join of the complexes they span.  A facet missing a part is not counted
+    as the empty restriction: the product would then hold for non-joins.
+    """
+    where: List[Tuple[int, int]] = [(0, 0)] * x.n_vertices
+    for i, part in enumerate(parts):
+        for j, v in enumerate(part):
+            where[v] = (i, j)
+    restrictions = [set() for _ in parts]
+    for f in x.facets:
+        pieces: List[List[int]] = [[] for _ in parts]
+        for v in f:
+            i, j = where[v]
+            pieces[i].append(j)
+        if not all(pieces):
+            return None
+        for seen, piece in zip(restrictions, pieces):
+            seen.add(tuple(piece))
+    if math.prod(len(seen) for seen in restrictions) != len(x.facets):
+        return None
+    return tuple(from_facets(seen) for seen in restrictions)
+
+
+def _clique_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
     # a maximal clique that is a face lies in a facet, which is a clique too,
     # so it is that facet
     facets = set(x.facets)
@@ -272,6 +336,7 @@ def _flag_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
     if not witnesses:
         return True, None
     return False, min(witnesses, key=lambda s: (len(s), s))
+
 
 def _shrink_to_minimal_nonface(x: SimplicialComplex, clique: Simplex) -> Simplex:
     # subsets of a skeleton clique are pairwise adjacent, so the first
@@ -327,11 +392,13 @@ def complement_components(x: SimplicialComplex) -> List[Tuple[int, ...]]:
 def join_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
     """Decompose a flag complex as a join of induced factors.
 
-    Factors are the connected components of the complement of the 1-skeleton;
-    for a flag complex the complex equals the join of the induced subcomplexes
-    (cliques of a complete multipartite-style graph split across parts).
-    Returns [x] when indecomposable.  Callers must ensure x is flag.  The
-    factors are cached on the complex, which is immutable.
+    Factors are the subcomplexes induced on the connected components of the
+    complement of the 1-skeleton, relabeled densely.  Returns [x] when the
+    complement is connected.  Callers must ensure x is flag: a flag complex
+    is the join of its factors, but another complex need not be (the hollow
+    triangle splits into three points, whose join is the solid triangle).
+    The factors are cached on the complex, which is immutable; is_flag has
+    already cached them for a flag complex.
     """
     if x._factors is None:
         parts = complement_components(x)

@@ -147,24 +147,43 @@ def test_unwritable_output_path_exits_ten(tmp_path, capsys):
     assert f"cannot write {target}" in err and "Traceback" not in err
 
 
+def _run_with_lost_reader(stream, argv):
+    """raag.cli in a subprocess whose stdout or stderr (stream) is a pipe whose
+    read end is already closed; the other stream is captured."""
+    src = str(Path(raag.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
+    try:
+        return subprocess.run([sys.executable, "-m", "raag.cli", *argv], text=True,
+                              env={**os.environ, "PYTHONPATH": src}, **pipes)
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("argv", [
     ["homology", "--fixture", "octahedron"],          # fits the buffer: fails at the flush
     ["build", "--fixture", "rp2_flag", "--sd"],       # outgrows it: fails inside print
 ])
 def test_closed_stdout_exits_ten(argv):
-    # stdout is a pipe whose read end is already closed
-    src = str(Path(raag.__file__).resolve().parents[1])
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "raag.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
-    finally:
-        os.close(write_end)
+    proc = _run_with_lost_reader("stdout", argv)
     assert proc.returncode == 10
     assert proc.stderr.splitlines()[-1].startswith("error: cannot write to stdout")
     assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--fixture", "rp2_flag"],            # fails writing the report
+    ["build", "--fixture", "rp2_flag"],               # fails writing the f-vector line
+    ["classify", "--fixture", "no_such_fixture"],     # fails writing the error line
+])
+def test_closed_stderr_exits_ten(capsys, argv):
+    # stdout still reaches its reader whole; a failed last flush of stderr
+    # would exit 120
+    proc = _run_with_lost_reader("stderr", argv)
+    main(argv)
+    assert proc.returncode == 10
+    assert proc.stdout == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("vertex_map", [[True, 0, 1], [0, False, 1]])

@@ -13,6 +13,7 @@ from oracles import (complement_components_networkx, is_flag_exhaustive,
                      maximal_cliques_networkx, maximal_simplices_quadratic,
                      random_facets)
 
+from raag import simplicial
 from raag.errors import MalformedComplexError, QuotientDegenerateError
 from raag.fixtures import fixture, standard_fixtures
 from raag.simplicial import (Subdivision, _maximal_cliques, as_simplex,
@@ -364,6 +365,82 @@ def test_f_vector_of_non_flag_complex_ignores_its_split():
     solid = from_facets([[0, 1, 2]])
     assert is_flag(solid)[0] and len(join_factors(solid)) == 3
     assert solid.f_vector() == (3, 3, 1)
+
+
+# -- the flag check of a complex whose complement splits ----------------------------
+
+
+def _random_factor(rng, max_vertices):
+    """One of three kinds: a random facet list, which is often not flag; the
+    clique complex of a random graph; or one whose graph has a connected
+    complement, which the split of a join keeps whole, with a facet of 3 or
+    more vertices replaced by its boundary, which makes it not flag."""
+    kind = rng.choice(("facets", "graph", "hollow"))
+    if kind == "facets":
+        return from_facets(random_facets(rng, max_vertices=max_vertices))
+    n = rng.randint(1, max_vertices) if kind == "graph" else max_vertices
+    pairs = list(itertools.combinations(range(n), 2))
+    if kind == "graph":
+        edges = [e for e in pairs if rng.random() < 0.5]
+    else:  # the complement is a random tree plus random chords
+        co_edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges = [e for e in pairs if e not in co_edges and rng.random() < 0.8]
+    facets = list(flag_completion(from_facets([[v] for v in range(n)] + edges)).facets)
+    big = [f for f in facets if len(f) >= 3]
+    if kind == "hollow" and big:
+        f = rng.choice(big)
+        facets.remove(f)
+        facets.extend(itertools.combinations(f, len(f) - 1))
+    return from_facets(facets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3), st.sampled_from(("join", "drop", "add")),
+       st.randoms(use_true_random=False))
+def test_split_flag_check_matches_whole_complex_oracles(n_factors, perturb, rng):
+    size = {2: 6, 3: 5}[n_factors]
+    factors = [_random_factor(rng, size) for _ in range(n_factors)]
+    facets = list(functools.reduce(join, factors).facets)
+    if perturb == "drop":
+        # only a facet whose vertices all lie in other facets, so ids stay dense
+        droppable = [f for f in facets
+                     if all(any(v in g for g in facets if g != f) for v in f)]
+        if droppable:
+            facets.remove(rng.choice(droppable))
+    elif perturb == "add":
+        n = max(max(f) for f in facets) + 1
+        facets.append(rng.sample(range(n), min(n, rng.randint(2, 3))))
+    x = from_facets(facets)
+    flag = is_flag(x)
+    assert flag[0] == is_flag_exhaustive(x.n_vertices, x.facets)
+    assert flag == simplicial._clique_check(from_facets(facets))
+    parts = complement_components_networkx(x.n_vertices, x.faces(1))
+    want = [induced_subcomplex(x, p)[0] for p in parts] if len(parts) > 1 else [x]
+    assert join_factors(x) == want
+
+
+def test_facet_missing_a_part_is_not_a_join():
+    # the complement splits into {0, 1, 3} and {2}, and the facet (1, 3)
+    # misses the second part; counted as an empty restriction, the four
+    # facets would look like 4 x 1 facets of a join
+    x = from_facets([[0, 2], [1, 2], [1, 3], [2, 3]])
+    assert complement_components(x) == [(0, 1, 3), (2,)]
+    assert is_flag(x) == (False, (1, 2, 3))
+
+
+def test_flag_check_of_a_join_searches_only_its_factors(monkeypatch):
+    original = simplicial._maximal_cliques
+    x = join(fixture("rp2_flag"), fixture("moore_flag", q=3))
+    searched = []
+    monkeypatch.setattr(simplicial, "_maximal_cliques",
+                        lambda x: searched.append(x.n_vertices) or original(x))
+    assert is_flag(x) == (True, None)
+    assert sorted(searched) == [31, 79]
+    calls = []
+    monkeypatch.setattr(simplicial, "complement_components", calls.append)
+    monkeypatch.setattr(simplicial, "induced_subcomplex", lambda *args: calls.append(args))
+    assert [f.n_vertices for f in join_factors(x)] == [31, 79]
+    assert calls == []
 
 
 
