@@ -11,13 +11,14 @@ reader has gone), unknown fixture, a --n or --q the fixture does not take,
 or usage error (a negative classify --budget is one); 11 input not flag; 12
 witness rejected; 13 degenerate quotient; 14 bad cover spec, or a coefficient
 that is not a prime below 2^64 (primality is decided exactly up to there); 15
-internal consistency failure; 20 unexpected error.  homology splits a flag
-complex into its join factors, as classify does, and builds only their chain
-complexes.  growth reads the betti numbers of its standard covers off a
-support table the size of L and builds no cover.  It refuses, with exit 14 and
-before computing anything, a cover of more than models.MAX_COVER_CELLS
-(250,000) cells, counted as index * (1 + number of faces of L) over all
-dimensions.
+internal consistency failure; 20 unexpected error.  homology splits any
+join into its join factors, flag or not, since the Kunneth formula holds for
+every join, and builds only their chain complexes.  growth reads the betti
+numbers of its standard covers off a support table the size of L and builds
+no cover.  It refuses, with exit 14 and before computing anything, a cover
+that would take more than models.MAX_COVER_CELLS (250,000) cells: moduli k_v
+read 2^|S| table entries, S = {v : k_v > 1}, of 1 + f(L) cells each, f(L)
+being the number of faces of L over all dimensions.
 """
 
 from __future__ import annotations

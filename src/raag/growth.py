@@ -288,11 +288,12 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
                       prime: int) -> GrowthSeries:
     """Betti numbers of the covers of the cube complex of L over F_prime.
 
-    specs must be ordered by strictly increasing index, and no cover may have
-    more than models.MAX_COVER_CELLS cells; both are checked from the Smith
-    normal form index before anything is computed.  prime must be a prime
-    below 2^64.  The per-degree reference is the reduced betti number of L
-    one degree down (zero in degree zero).
+    specs must be ordered by strictly increasing index, and no cover may take
+    more than models.MAX_COVER_CELLS cells: index copies of the Salvetti
+    complex of L, or 2^|S| for independent images (S = {v : k_v > 1}); both
+    are checked from the Smith normal form index before anything is
+    computed.  prime must be a prime below 2^64.  The per-degree reference
+    is the reduced betti number of L one degree down (zero in degree zero).
 
     One SupportTable serves the call and no cover is built: a spec with
     independent images is read off its entries h(T), any other spec is split
@@ -310,19 +311,20 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     indices = [spec.index for spec in specs]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise CoverSpecError(f"specs must have strictly increasing index, got {indices}")
-    for idx in indices:
-        check_cover_size(L, idx)
+    all_orders = [independent_orders(spec, idx) for spec, idx in zip(specs, indices)]
+    for idx, orders in zip(indices, all_orders):
+        # cover_betti reads one table entry per subset of S = {v : k_v > 1}
+        check_cover_size(L, idx, None if orders is None
+                         else 2 ** (len(orders) - orders.count(1)))
     for spec in specs:
         check_generator_count(L, spec)
 
     reference = (0,) + betti_table(L, prime, reduced=True)  # cover degree i vs L's i - 1
 
     table = SupportTable(L, prime)
-    betti_rows = []
-    for spec, idx in zip(specs, indices):
-        orders = independent_orders(spec, idx)
-        betti_rows.append(table.split_betti(spec, idx) if orders is None
-                          else table.cover_betti(orders))
+    betti_rows = [table.split_betti(spec, idx) if orders is None
+                  else table.cover_betti(orders)
+                  for spec, idx, orders in zip(specs, indices, all_orders)]
     # h(V) is the augmented chain complex of L shifted up one degree, so it
     # must equal the reference column; the empty L is skipped, since
     # reference reads its reduced homology in degree -1 as zero

@@ -11,9 +11,9 @@ homology is handled by augmenting the chain complex with the all-ones map
 C_0 -> Z rather than by special-casing degree zero.
 
 A simplicial complex has one route to its homology, homology_summary (and
-betti_table over F_p alone): a flag complex splits into its join factors, a
-complex that is not flag is its own only factor, and the reduced homology of
-the factors' augmented chain complexes is assembled by the Kunneth formula.
+betti_table over F_p alone): the complex is split by simplicial.join_factors,
+flag or not, and the reduced homology of the factors' augmented chain
+complexes is assembled by the Kunneth formula, which holds for every join.
 Its mod-p tables are the factors' F_p ranks, checked factor by factor
 against their Smith normal forms; the top-cohomology criterion reads them.
 """
@@ -28,7 +28,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 from .errors import CorruptComplexError
 from .linalg import (SNFResult, SparseIntMatrix, invariant_factors, pivot_rows_mod_p,
                      prime_factors, smith_normal_form)
-from .simplicial import SimplicialComplex, is_flag, join_factors
+from .simplicial import SimplicialComplex, join_factors
 
 
 class ChainComplexZ:
@@ -317,30 +317,25 @@ def join_homology_kunneth(h1: HomologySummary, h2: HomologySummary) -> HomologyS
 # -- the homology of a simplicial complex, one join factor at a time ----------
 
 
-def homology_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
-    """The join factors of a flag complex; any other complex is its own only factor."""
-    return join_factors(x) if is_flag(x)[0] else [x]
-
-
 def homology_summary(x: SimplicialComplex, reduced: bool = False,
                      primes: Optional[Sequence[int]] = ()) -> HomologySummary:
     """Integral homology of x, with mod-p tables at primes (None: 2 and every
-    torsion prime of the result), built from the homology factors alone.
+    torsion prime of the result), built from the join factors alone.
 
     Unreduced homology adds Z in degree 0; the empty complex has no degrees.
     Each factor's mod-p ranks are checked against its Smith normal forms by
     universal coefficients, and a mismatch raises CorruptComplexError.
 
     >>> from raag.fixtures import fixture
-    >>> from raag.simplicial import join
+    >>> from raag.simplicial import join, join_factors
     >>> x = join(fixture("rp2_flag"), fixture("discrete", n=2))  # suspension of RP^2
-    >>> len(homology_factors(x))
+    >>> len(join_factors(x))
     2
     >>> h = homology_summary(x, primes=None)
     >>> h.betti, h.torsion, h.betti_mod_p
     ((1, 0, 0, 0), ((), (), (2,), ()), ((2, (1, 0, 1, 1)),))
     """
-    chains = [simplicial_chain_complex(f, augmented=True) for f in homology_factors(x)]
+    chains = [simplicial_chain_complex(f, augmented=True) for f in join_factors(x)]
     parts = [homology_Z(cc) for cc in chains]
     h = functools.reduce(join_homology_kunneth, parts)
     tables = []
@@ -355,7 +350,7 @@ def homology_summary(x: SimplicialComplex, reduced: bool = False,
 def betti_table(x: SimplicialComplex, p: int, reduced: bool = False) -> Tuple[int, ...]:
     """Betti numbers of x over F_p from ranks alone, factor by factor."""
     rows = [betti_Fp(simplicial_chain_complex(f, augmented=True), p)
-            for f in homology_factors(x)]
+            for f in join_factors(x)]
     return _join_fp(rows, reduced)
 
 

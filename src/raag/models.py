@@ -264,12 +264,16 @@ def check_generator_count(base: SimplicialComplex, spec: FiniteQuotientSpec) -> 
             f"spec assigns {len(spec.images)} generators, base has {base.n_vertices}")
 
 
-def check_cover_size(base: SimplicialComplex, index: int) -> None:
-    """Raise CoverSpecError if a cover of this index exceeds MAX_COVER_CELLS."""
-    cells = index * (1 + sum(base.f_vector()))
+def check_cover_size(base: SimplicialComplex, index: int,
+                     copies: Optional[int] = None) -> None:
+    """Raise CoverSpecError if computing a cover of this index would take
+    more than MAX_COVER_CELLS cells: copies * (1 + f(base)), one copy of the
+    Salvetti complex per deck element (copies = index, the default) or per
+    support-table entry that growth.SupportTable.cover_betti reads."""
+    cells = (index if copies is None else copies) * (1 + sum(base.f_vector()))
     if cells > MAX_COVER_CELLS:
         raise CoverSpecError(
-            f"cover of index {index} would have {cells} cells, "
+            f"cover of index {index} needs {cells} cells, "
             f"more than the limit of {MAX_COVER_CELLS}")
 
 

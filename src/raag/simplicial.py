@@ -36,7 +36,7 @@ class SimplicialComplex:
     absorbs non-maximal faces.
     """
 
-    __slots__ = ("n_vertices", "facets", "name", "dim", "_faces", "_face_sets",
+    __slots__ = ("n_vertices", "facets", "name", "dim", "_faces",
                  "_face_index", "_flag", "_factors", "_chain")
 
     def __init__(self, n_vertices: int, facets: Tuple[Simplex, ...], name: str = ""):
@@ -45,10 +45,11 @@ class SimplicialComplex:
         self.name = name
         self.dim = max((len(f) for f in facets), default=0) - 1  # -1 when empty
         self._faces: Dict[int, Tuple[Simplex, ...]] = {}
-        self._face_sets: Dict[int, frozenset] = {}
         self._face_index: Dict[int, Dict[Simplex, int]] = {}
-        self._flag: Optional[Tuple[bool, Optional[Simplex]]] = None  # set by is_flag
-        # set by is_flag or join_factors; () when the complex does not split
+        # set by is_flag, on a join's factors too, so each is searched once
+        self._flag: Optional[Tuple[bool, Optional[Simplex]]] = None
+        # set by join_factors; () when the complex is not a join of two or more
+        # factors, which every factor's own connected complement makes it
         self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
         self._chain: Dict[bool, object] = {}  # set by homology.simplicial_chain_complex
 
@@ -66,11 +67,6 @@ class SimplicialComplex:
             self._faces[k] = tuple(sorted(seen))
         return self._faces[k]
 
-    def face_set(self, k: int) -> frozenset:
-        if k not in self._face_sets:
-            self._face_sets[k] = frozenset(self.faces(k))
-        return self._face_sets[k]
-
     def face_index(self, k: int) -> Dict[Simplex, int]:
         """Face -> position in the canonical order of dimension k."""
         if k not in self._face_index:
@@ -86,16 +82,18 @@ class SimplicialComplex:
 
     def has_face(self, s: Sequence[int]) -> bool:
         t = tuple(sorted(s))
-        return t in self.face_set(len(t) - 1)
+        return t in self.face_index(len(t) - 1)
 
     def f_vector(self) -> Tuple[int, ...]:
-        """(f_0, ..., f_dim).  A complex known to be flag whose join factors
-        are cached is the join of its factors, so (1, f_0, f_1, ...) is the
-        convolution of theirs and no face of the join is listed."""
-        if not self._factors or self._flag is None or not self._flag[0]:
+        """(f_0, ..., f_dim).  The faces of a join are the unions of one face
+        or the empty face per factor, so for a complex that join_factors
+        splits (1, f_0, f_1, ...) is the convolution of its factors' and no
+        face of the join is listed."""
+        factors = join_factors(self)
+        if len(factors) == 1:
             return tuple(len(self.faces(k)) for k in range(self.dim + 1))
         f = [1]
-        for part in self._factors:
+        for part in factors:
             g = (1,) + part.f_vector()
             h = [0] * (len(f) + len(g) - 1)
             for i, a in enumerate(f):
@@ -264,14 +262,13 @@ def is_flag(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
     pairwise adjacent vertices (an "empty simplex"), canonical smallest by
     (size, lex).  The answer is cached on the complex, which is immutable.
 
-    The complement of the 1-skeleton is split first.  A complex whose
-    complement splits is flag iff it is the join of its factors and each
-    factor is flag, since the cliques of a join are the unions of cliques of
-    its factors; so a flag join is certified by clique searches of its
-    factors, whose maximal cliques number far fewer than the join's (their
-    product).  The factors of a join are cached for join_factors.  A complex
-    that is not such a join, or has a factor that is not flag, is searched
-    whole, so its witness is the canonical one.
+    A complex that join_factors splits is flag iff each factor is, since
+    the cliques of a join are the unions of cliques of its factors; so a
+    flag join is certified by clique searches of its factors, whose maximal
+    cliques number far fewer than the join's (their product), and each
+    factor's answer is cached on it.  A complex that does not split, or has
+    a factor that is not flag, is searched whole, so its witness is the
+    canonical one.
     """
     if x._flag is None:
         x._flag = _flag_check(x)
@@ -279,18 +276,12 @@ def is_flag(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
 
 
 def _flag_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
-    parts = complement_components(x)
-    if len(parts) <= 1:
-        x._factors = ()
-        return _clique_check(x)
-    factors = _join_split(x, parts)
-    if factors is None:
-        return _clique_check(x)
-    x._factors = factors
-    for f in factors:
-        f._flag = _clique_check(f)
-    if all(f._flag[0] for f in factors):
-        return True, None
+    factors = join_factors(x)
+    if len(factors) > 1:
+        for f in factors:
+            f._flag = _clique_check(f)
+        if all(f._flag[0] for f in factors):
+            return True, None
     return _clique_check(x)
 
 
@@ -390,20 +381,23 @@ def complement_components(x: SimplicialComplex) -> List[Tuple[int, ...]]:
 
 
 def join_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
-    """Decompose a flag complex as a join of induced factors.
+    """The join factors of x, or [x] when x is not a join of two or more.
 
-    Factors are the subcomplexes induced on the connected components of the
-    complement of the 1-skeleton, relabeled densely.  Returns [x] when the
-    complement is connected.  Callers must ensure x is flag: a flag complex
-    is the join of its factors, but another complex need not be (the hollow
-    triangle splits into three points, whose join is the solid triangle).
-    The factors are cached on the complex, which is immutable; is_flag has
-    already cached them for a flag complex.
+    The candidates are the subcomplexes induced on the connected components
+    of the complement of the 1-skeleton, relabeled densely, and x splits
+    when it is their join (_join_split).  A flag complex always is; another
+    complex need not be (the hollow triangle's complement splits into three
+    points, whose join is the solid triangle), and then it is its own only
+    factor.  A factor's complement is a connected component, so a factor
+    does not split again.  The factors are cached on the complex, which is
+    immutable.
     """
     if x._factors is None:
         parts = complement_components(x)
-        x._factors = (() if len(parts) <= 1
-                      else tuple(induced_subcomplex(x, p)[0] for p in parts))
+        factors = _join_split(x, parts) if len(parts) > 1 else None
+        x._factors = factors or ()
+        for f in x._factors:
+            f._factors = ()
     return list(x._factors) or [x]
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import raag
 import raag.homology as homology_module
+import raag.simplicial as simplicial
 from raag import cli
 from raag import io as rio
 from raag.classify import EmbeddingWitness
@@ -254,9 +255,11 @@ def test_homology_rejects_non_prime(capsys):
 @pytest.mark.parametrize("make", [
     lambda: from_facets([range(20)]),
     lambda: join(fixture("rp2_flag"), fixture("moore_flag", q=3)),
-], ids=["facet(20)", "rp2_flag*moore_flag(3)"])
+    lambda: join(fixture("moore", q=3), fixture("moore", q=5)),
+], ids=["facet(20)", "rp2_flag*moore_flag(3)", "moore(3)*moore(5)"])
 def test_homology_builds_only_the_join_factors(tmp_path, monkeypatch, capsys, make):
-    # the whole complex would have 2^20 - 1 faces, or 9,720 facets
+    # the whole complex would have 2^20 - 1 faces, or 9,720 facets; a join
+    # that is not flag splits all the same
     path = write_json(tmp_path / "L.json", complex_to_json_dict(make()))
     built = []
     real_build = homology_module._build_chain_complex
@@ -271,6 +274,19 @@ def test_homology_builds_only_the_join_factors(tmp_path, monkeypatch, capsys, ma
     factors = join_factors(rio.load_complex(path))
     assert len(factors) > 1
     assert sorted(built) == sorted((f.facets, True) for f in factors)
+
+
+def test_homology_runs_no_clique_search(tmp_path, monkeypatch, capsys):
+    # the split of L into join factors does not need to know whether L is flag
+    sd2 = barycentric_subdivision(barycentric_subdivision(fixture("rp2_flag")).complex)
+    path = write_json(tmp_path / "L.json", complex_to_json_dict(sd2.complex))
+    original = simplicial._maximal_cliques
+    searched = []
+    monkeypatch.setattr(simplicial, "_maximal_cliques",
+                        lambda x: searched.append(x.n_vertices) or original(x))
+    code, out, _ = run(capsys, "homology", path)
+    assert code == 0 and "cross-check: ok" in out
+    assert searched == []
 
 
 def test_homology_of_a_facet_adds_z_in_degree_zero_only(tmp_path, capsys):
@@ -494,6 +510,18 @@ def test_growth_oversized_cover_exits_fourteen_before_enumerating(monkeypatch, c
     assert code == 14
     assert out == ""
     assert "index 2147483648" in err and "Traceback" not in err
+
+
+def test_growth_standard_cover_is_bounded_by_its_table_entries(monkeypatch, capsys):
+    # (Z/20)^5 has index 3,200,000, or 35.2 million cells in the cover, but
+    # the support table reads 2^5 entries of 1 + 10 cells
+    monkeypatch.setattr(FiniteQuotientSpec, "cayley_table", _refuse_enumeration)
+    code, out, err = run(capsys, "growth", "--fixture", "cycle", "--n", "5",
+                         "--prime", "2", "--moduli", "20")
+    assert code == 0
+    rows = [l.rstrip("\r").split(",") for l in out.strip().split("\n")[1:]]
+    assert [r[1:4] for r in rows] == [["3200000", "0", "1"], ["3200000", "1", "38100"],
+                                      ["3200000", "2", "3238099"]]
 
 
 def test_growth_trivial_cover_of_many_vertices_reads_one_table_entry(monkeypatch, capsys):

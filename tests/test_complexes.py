@@ -330,20 +330,23 @@ def _enumerated_f_vector(x):
 
 
 def _split_f_vector(x):
-    """f-vector of a flag complex after join_factors; the flag check lists
-    the edges, and no face of higher dimension is listed."""
-    assert is_flag(x)[0] and len(join_factors(x)) > 1
+    """f-vector of a join, flag or not; the split lists the edges, and no
+    face of higher dimension is listed."""
     fv = x.f_vector()
+    assert len(join_factors(x)) > 1
     assert all(k not in x._faces for k in range(2, x.dim + 1))
     return fv
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(graphs(max_vertices=5), min_size=2, max_size=3))
-def test_join_f_vector_from_factors_matches_enumeration(parts):
+@given(st.lists(graphs(max_vertices=5), min_size=2, max_size=3), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_join_f_vector_from_factors_matches_enumeration(parts, non_flag, rng):
     factors = [flag_completion(from_facets([[v] for v in range(n)] + list(edges)))
                for n, edges in parts if n]
     assume(len(factors) >= 2)
+    if non_flag:
+        factors[-1] = _unsplit_non_flag(rng, 5)
     x = functools.reduce(join, factors)
     assert _split_f_vector(x) == _enumerated_f_vector(x)
 
@@ -355,10 +358,10 @@ def test_big_join_f_vector_from_factors():
 
 
 def test_f_vector_of_non_flag_complex_ignores_its_split():
-    # the hollow triangle splits into three points, whose join is the solid
-    # triangle; the split says nothing about a complex that is not flag
+    # the complement of the hollow triangle splits into three points, whose
+    # join is the solid triangle, so the hollow one is its own only factor
     hollow = from_facets([[0, 1], [1, 2], [0, 2]])
-    assert len(join_factors(hollow)) == 3
+    assert join_factors(hollow) == [hollow]
     assert hollow.f_vector() == (3, 3)
     assert not is_flag(hollow)[0]
     assert hollow.f_vector() == (3, 3)
@@ -394,6 +397,16 @@ def _random_factor(rng, max_vertices):
     return from_facets(facets)
 
 
+def _unsplit_non_flag(rng, max_vertices):
+    """A _random_factor that is not flag and whose complement is connected,
+    so a join keeps it whole as one factor."""
+    while True:
+        x = _random_factor(rng, max_vertices)
+        if (len(complement_components_networkx(x.n_vertices, x.faces(1))) == 1
+                and not is_flag_exhaustive(x.n_vertices, x.facets)):
+            return x
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 3), st.sampled_from(("join", "drop", "add")),
        st.randoms(use_true_random=False))
@@ -414,9 +427,14 @@ def test_split_flag_check_matches_whole_complex_oracles(n_factors, perturb, rng)
     flag = is_flag(x)
     assert flag[0] == is_flag_exhaustive(x.n_vertices, x.facets)
     assert flag == simplicial._clique_check(from_facets(facets))
+    # x is a join when its facets are exactly the unions of one facet of
+    # each induced factor, mapped back through the relabeling tables
     parts = complement_components_networkx(x.n_vertices, x.faces(1))
-    want = [induced_subcomplex(x, p)[0] for p in parts] if len(parts) > 1 else [x]
-    assert join_factors(x) == want
+    induced = [induced_subcomplex(x, p) for p in parts]
+    unions = {tuple(sorted(table[v] for (_, table), f in zip(induced, pick) for v in f))
+              for pick in itertools.product(*(sub.facets for sub, _ in induced))}
+    is_join = len(parts) > 1 and unions == set(x.facets)
+    assert join_factors(x) == ([sub for sub, _ in induced] if is_join else [x])
 
 
 def test_facet_missing_a_part_is_not_a_join():

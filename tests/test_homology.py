@@ -1,5 +1,6 @@
 """Exact linear algebra and homology engine against dense reference oracles."""
 
+import functools
 import itertools
 import json
 import random
@@ -8,20 +9,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (brute_betti_fp, brute_homology, dense_snf, rank_fraction,
-                     rank_gf, random_facets)
+from oracles import (brute_betti_fp, brute_homology, complement_components_networkx,
+                     dense_snf, rank_fraction, rank_gf, random_facets)
 
 import raag.homology as homology_module
 from raag.errors import CorruptComplexError
 from raag.fixtures import fixture, standard_fixtures
 from raag.homology import (ChainComplexZ, HomologySummary, betti_Fp, betti_table,
-                           flag_reduced_summary, homology_Z, homology_factors,
-                           homology_summary, join_homology_kunneth,
-                           simplicial_chain_complex, top_cohomology_nonzero,
-                           uct_betti_fp)
+                           flag_reduced_summary, homology_Z, homology_summary,
+                           join_homology_kunneth, simplicial_chain_complex,
+                           top_cohomology_nonzero, uct_betti_fp)
 from raag.linalg import SparseIntMatrix, is_prime, rank_mod_p, smith_normal_form
 from raag.simplicial import (barycentric_subdivision, flag_completion, from_facets,
-                             is_flag, join)
+                             is_flag, join, join_factors)
 
 
 def _betti_fp(x, p, reduced=False):
@@ -183,14 +183,18 @@ def test_flag_reduced_summary_uses_factors():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans())
-def test_split_route_matches_brute_oracles_on_joins(n_factors, seed, reduced):
-    # whole facet lists through the dense oracles, against the factor route
+@given(st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans(), st.booleans())
+def test_split_route_matches_brute_oracles_on_joins(n_factors, seed, reduced, non_flag):
+    # whole facet lists through the dense oracles, against the factor route;
+    # a non-flag last factor, whose complement is connected, is split off whole
     rng = random.Random(seed)
     size = {1: 7, 2: 4, 3: 3}[n_factors]
-    x = _random_flag(rng, size)
-    for _ in range(n_factors - 1):
-        x = join(x, _random_flag(rng, size))
+    factors = [_random_flag(rng, size) for _ in range(n_factors)]
+    if non_flag:
+        factors[-1] = _random_unsplit_non_flag(rng, max(size - 1, 4))
+    x = functools.reduce(join, factors)
+    assert len(join_factors(x)) == sum(
+        len(complement_components_networkx(f.n_vertices, f.faces(1))) for f in factors)
     facets = list(x.facets)
     h = homology_summary(x, reduced=reduced, primes=[2, 3])
     betti, torsion = brute_homology(facets, reduced=reduced)
@@ -202,8 +206,8 @@ def test_split_route_matches_brute_oracles_on_joins(n_factors, seed, reduced):
 
 
 def test_non_flag_complex_is_its_own_factor():
-    x = fixture("simplex_boundary", n=2)  # hollow triangle, not flag
-    assert homology_factors(x) == [x]
+    x = fixture("simplex_boundary", n=2)  # hollow triangle: not the join of three points
+    assert join_factors(x) == [x]
     h = homology_summary(x, primes=None)
     assert h.betti == (1, 1) and h.betti_mod_p == ((2, (1, 1)),)
 
@@ -273,10 +277,10 @@ def _random_flag(rng, max_vertices):
     return flag_completion(from_facets([[v] for v in range(n)] + edges))
 
 
-def _random_non_flag(rng):
+def _random_non_flag(rng, max_vertices=6):
     # a flag complex with every face containing the triangle {0, 1, 2} split
     # into its three faces without it: the edges of {0, 1, 2} stay, it goes
-    n = rng.randint(3, 6)
+    n = rng.randint(3, max_vertices)
     edges = [list(e) for e in itertools.combinations(range(n), 2)
              if e in ((0, 1), (0, 2), (1, 2)) or rng.random() < 0.6]
     facets = []
@@ -286,6 +290,14 @@ def _random_non_flag(rng):
         else:
             facets.append(list(f))
     return from_facets(facets)
+
+
+def _random_unsplit_non_flag(rng, max_vertices):
+    # 4 vertices at least: the complement of a hollow triangle is edgeless
+    while True:
+        x = _random_non_flag(rng, max_vertices)
+        if len(complement_components_networkx(x.n_vertices, x.faces(1))) == 1:
+            return x
 
 
 def _random_join(rng):
