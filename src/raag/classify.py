@@ -223,8 +223,10 @@ def replay_certificate(L: SimplicialComplex, verdict: Verdict) -> Tuple[bool, st
     A homology certificate must record d = dim L and replays on one route.
     TopCohomologyNonzero needs reduced b_d(L, F_p) > 0 at its witness prime,
     from F_p ranks alone (H^d(L, F_p) = H^d(L, Z) (x) F_p in the top degree);
-    ComplementaryVanishing needs, away from dimension 2, b_d = 0 and no
-    torsion in H_{d-1}, from Smith normal forms alone.
+    one that sets all_primes, which report prints as growth at every prime,
+    also needs condition top_betti_positive and b_d > 0 over Q, from Smith
+    normal forms.  ComplementaryVanishing needs, away from dimension 2,
+    b_d = 0 and no torsion in H_{d-1}, from Smith normal forms alone.
     """
     cert = verdict.certificate
     if cert is None:
@@ -239,6 +241,12 @@ def replay_certificate(L: SimplicialComplex, verdict: Verdict) -> Tuple[bool, st
             return False, f"witness prime {p!r} is not a prime below 2^64"
         if betti_table(L, p, reduced=True)[d] == 0:
             return False, f"top cohomology over F_{p} recomputes to zero"
+        if cert.data.get("all_primes"):
+            if cert.data.get("condition") != "top_betti_positive":
+                return False, (f"all_primes needs condition top_betti_positive, "
+                               f"not {cert.data.get('condition')!r}")
+            if homology_summary(L, reduced=True).betti[d] == 0:
+                return False, "all_primes claimed, but b_d over Q recomputes to zero"
         return True, f"top cohomology nonzero reconfirmed ({cert.data.get('condition')})"
     if cert.kind == CERT_COMPLEMENTARY:
         if d == 2:

@@ -29,13 +29,11 @@ import json
 import os
 import sys
 import traceback
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import io as rio
 from .classify import UNDETERMINED, classify, report
-from .errors import (CorruptComplexError, CoverSpecError, MalformedComplexError,
-                     NotFlagError, QuotientDegenerateError, RaagError,
-                     WitnessRejectedError)
+from .errors import CoverSpecError, MalformedComplexError, RaagError
 from .fixtures import FIXTURE_NAMES, fixture
 from .growth import check_prime, growth_experiment
 from .homology import homology_summary
@@ -241,21 +239,6 @@ _DISPATCH = {
     "growth": cmd_growth,
 }
 
-_ERROR_CODES: Tuple[Tuple[type, int], ...] = (
-    (WitnessRejectedError, 12),
-    (NotFlagError, 11),
-    (QuotientDegenerateError, 13),
-    (CoverSpecError, 14),
-    (CorruptComplexError, 15),
-)
-
-
-def _exit_code(e: RaagError) -> int:
-    for etype, code in _ERROR_CODES:
-        if isinstance(e, etype):
-            return code
-    return 10
-
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
@@ -281,7 +264,7 @@ def _run(ns) -> int:
         raise
     except RaagError as e:
         print(f"error: {e}", file=sys.stderr)
-        return _exit_code(e)
+        return e.exit_code
     except Exception:
         traceback.print_exc()
         return 20

@@ -1,11 +1,14 @@
 """Exception taxonomy shared across the package.
 
-Every error the CLI can surface maps to one of these; exit codes live in cli.py.
+Every error the CLI can surface is one of these, and its class carries the
+exit code the CLI returns for it (see the README's exit-code table).
 """
 
 
 class RaagError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 10
 
 
 class MalformedComplexError(RaagError):
@@ -15,6 +18,8 @@ class MalformedComplexError(RaagError):
 class NotFlagError(RaagError):
     """Operation requires a flag complex; carries a minimal non-face witness."""
 
+    exit_code = 11
+
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
@@ -22,6 +27,8 @@ class NotFlagError(RaagError):
 
 class QuotientDegenerateError(RaagError):
     """A vertex map collapses two vertices of one simplex."""
+
+    exit_code = 13
 
 
 class FixtureError(RaagError):
@@ -31,10 +38,16 @@ class FixtureError(RaagError):
 class CorruptComplexError(RaagError):
     """A chain complex failed the boundary-squared check."""
 
+    exit_code = 15
+
 
 class CoverSpecError(RaagError):
     """Finite quotient data is inconsistent (moduli, vertices, ordering)."""
 
+    exit_code = 14
+
 
 class WitnessRejectedError(RaagError):
     """An embedding witness is structurally malformed."""
+
+    exit_code = 12

@@ -210,13 +210,17 @@ def homology_Z(cc: ChainComplexZ) -> HomologySummary:
     boundary composition is nonzero.
 
     The boundaries are reduced from the top degree down, clearing as it goes:
-    the columns of d_i indexed by the unit-pivot rows R of d_{i+1} are left
-    out.  With C the pivot columns, the minor d_{i+1}[R, C] has determinant
-    +-1, so from d_i d_{i+1} = 0 the columns d_i[:, R] are integer
-    combinations of the other columns of d_i; unimodular column operations
-    zero them, which keeps the rank and the invariant factors.  The rows of
-    phase-2 pivots are not cleared: their minor need not be unimodular, and
-    leaving those columns out can change the torsion.
+    the columns of d_i indexed by the rows R of the +-1 pivots of d_{i+1}
+    (SNFResult.unit_rows) are left out.  The reduced pivot columns of
+    d_{i+1} are cycles of d_i, as integer combinations of columns of d_{i+1},
+    and on R they form a triangular block with a +-1 diagonal, which is
+    invertible over Z.  So for each r in R some integer combination of them
+    is 1 on r and 0 on the rest of R, and d_i d_{i+1} = 0 makes column r of
+    d_i an integer combination of the columns outside R; unimodular column
+    operations zero the columns in R, which keeps the rank and the invariant
+    factors.  This is betti_Fp's argument over Z.  The rows of the columns
+    set aside by the reduction are not cleared: their block need not be
+    unimodular, and leaving those columns out can change the torsion.
     """
     cc.validate()
     top = cc.top

@@ -1,42 +1,35 @@
 """Exact sparse linear algebra over Z and F_p.
 
 Everything here is arbitrary-precision: matrices hold Python ints, there is no
-floating point and no overflow.  Smith normal form over Z and rank over F_p
-run on separate kernels.
+floating point and no overflow.
 
-The integer Smith normal form eliminates in two phases:
+Smith normal form over Z and rank over F_p run one column reduction: columns
+are reduced left to right, each against the stored pivot column sharing its
+lowest (largest-index) nonzero row, until that row is a new pivot or the
+column is zero.  Over F_p every nonzero lowest entry makes a pivot; over F_2
+a column is a Python int and reduction is XOR.  Over Z a new lowest entry
+makes a pivot only when it is +-1, so the reduction stays fraction-free, and
+any other column is set aside.  Boundary matrices of simplicial and cubical
+complexes (entries +-1) set aside few columns or none.
 
-  * phase 1 consumes +-1 pivots, chosen Markowitz-style: sparsest column
-    first, then the sparsest row within it, ties broken by lowest index so
-    runs are deterministic;
-  * the leftover with no unit entries goes through the classical
-    minimal-absolute-value Smith reduction with divisibility fix-ups.
+The pivot columns, restricted to their pivot rows, form a triangular block
+with an invertible diagonal, +-1 over Z.  Over Z the set-aside columns are
+then reduced at every pivot row, highest row first, which zeroes them there;
+row operations by the unimodular pivot block then split the matrix into an
+identity block and the set-aside columns, whose Smith normal form comes from
+the classical minimal-absolute-value reduction with divisibility fix-ups.
 
-Unit pivots keep phase 1 fraction-free, so boundary matrices of simplicial and
-cubical complexes (entries +-1) mostly never reach phase 2.  Each bucket of
-columns of equal weight keeps a min-heap, so the lowest column of the sparsest
-bucket is found without scanning the bucket.
-
-The Smith normal form reports the rows of its unit pivots.  Those pivots span
-a minor with determinant +-1 (the product of the pivots), which lets
-`homology.homology_Z` clear across consecutive boundaries over Z as
-`betti_Fp` does over F_p.  Phase-2 pivots are left out: a minor with a
-non-unit determinant does not make the cleared columns integer combinations
-of the others.
-
-Rank over F_p is a column reduction: columns are reduced left to right, each
-against the earlier column sharing its lowest (largest-index) nonzero row,
-until that row is a new pivot or the column is zero.  Over F_2 a column is a
-Python int and reduction is XOR.  The kernel returns the pivot rows, which
-lets `homology.betti_Fp` clear across consecutive boundaries: the columns of
-d_i indexed by the pivot rows of d_{i+1} never need reducing.
+Both kernels report their pivot rows, which lets `homology.betti_Fp` and
+`homology.homology_Z` clear across consecutive boundaries: the columns of d_i
+indexed by the pivot rows of d_{i+1} never need reducing.  Over Z only the
++-1 pivots are reported; a set-aside column does not span a unimodular minor,
+and leaving its rows out of d_i could change the torsion.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 
 class SparseIntMatrix:
@@ -80,7 +73,7 @@ class SparseIntMatrix:
 @dataclass(frozen=True)
 class SNFResult:
     """Diagonal of the Smith normal form, divisibility-ordered, zeros trailing,
-    and the rows of the unit-phase pivots."""
+    and the rows of the +-1 pivots of the column reduction."""
 
     diagonal: Tuple[int, ...]
     unit_rows: FrozenSet[int] = frozenset()
@@ -94,129 +87,92 @@ class SNFResult:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-class _Elimination:
-    """Mutable sparse elimination state of the integer Smith normal form."""
+def _columns(m: SparseIntMatrix, skip: AbstractSet[int], p: int = 0) -> Dict[int, Dict[int, int]]:
+    """The columns of m not in skip, as {column: {row: value}}, reduced mod p
+    when p is nonzero."""
+    cols: Dict[int, Dict[int, int]] = {}
+    for (r, c), v in m.entries.items():
+        if p:
+            v %= p
+        if v and c not in skip:
+            cols.setdefault(c, {})[r] = v
+    return cols
 
-    def __init__(self, m: SparseIntMatrix, skip: AbstractSet[int] = frozenset()):
+
+def _subtract(col: Dict[int, int], f: int, other: Dict[int, int]) -> None:
+    """col -= f * other over Z."""
+    for r, v in other.items():
+        nv = col.get(r, 0) - f * v
+        if nv:
+            col[r] = nv
+        else:
+            del col[r]
+
+
+def _reduce_columns(cols: Dict[int, Dict[int, int]],
+                    p: int) -> Tuple[Dict[int, Dict[int, int]], List[Dict[int, int]]]:
+    """Column reduction over F_p, or over Z when p is 0, in place.
+
+    Returns the pivot columns keyed by their lowest row, each scaled so that
+    its lowest entry is 1, and over Z the columns set aside because their
+    lowest entry is not +-1 on a row that holds no pivot yet.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    aside: List[Dict[int, int]] = []
+    for c in sorted(cols):
+        col = cols[c]
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is not None:
+                f = col[low]
+                if p:
+                    for r, v in other.items():
+                        nv = (col.get(r, 0) - f * v) % p
+                        if nv:
+                            col[r] = nv
+                        else:
+                            del col[r]
+                else:
+                    _subtract(col, f, other)
+                continue
+            a = col[low]
+            if p:
+                inv = pow(a, -1, p)
+                pivots[low] = {r: v * inv % p for r, v in col.items()}
+            elif a == 1:
+                pivots[low] = col
+            elif a == -1:
+                pivots[low] = {r: -v for r, v in col.items()}
+            else:
+                aside.append(col)
+            break
+    return pivots, aside
+
+
+class _Elimination:
+    """Mutable sparse state of the classical Smith reduction."""
+
+    def __init__(self, cols: Iterable[Dict[int, int]]):
         self.row: Dict[int, Dict[int, int]] = {}
         self.col: Dict[int, Set[int]] = {}
-        self.buckets: Dict[int, Set[int]] = {}
-        for (r, c), v in m.entries.items():
-            if c not in skip:
+        for c, col in enumerate(cols):
+            for r, v in col.items():
                 self.row.setdefault(r, {})[c] = v
-        for r, cs in self.row.items():
-            for c in cs:
                 self.col.setdefault(c, set()).add(r)
-        for c, rs in self.col.items():
-            self.buckets.setdefault(len(rs), set()).add(c)
-        self.heaps: Dict[int, List[int]] = {k: sorted(b) for k, b in self.buckets.items()}
-
-    # bucket bookkeeping: buckets[k] is the set of columns with k live entries;
-    # heaps[k] is a min-heap holding every column of buckets[k], plus stale
-    # entries of columns that have left it, dropped when they reach the top
-
-    def _rebucket(self, c: int, old: int) -> None:
-        new = len(self.col.get(c, ()))
-        if new == old:
-            return
-        bucket = self.buckets.get(old)
-        if bucket is not None:
-            bucket.discard(c)
-            if not bucket:
-                del self.buckets[old]
-                del self.heaps[old]
-        if new:
-            self.buckets.setdefault(new, set()).add(c)
-            heapq.heappush(self.heaps.setdefault(new, []), c)
-
-    def _lowest(self, size: int) -> int:
-        """Lowest column of buckets[size]."""
-        heap, bucket = self.heaps[size], self.buckets[size]
-        while heap[0] not in bucket:
-            heapq.heappop(heap)
-        return heap[0]
 
     def _set(self, r: int, c: int, v: int) -> None:
         row = self.row.setdefault(r, {})
-        present = c in row
         if v:
             row[c] = v
-            if not present:
-                old = len(self.col.get(c, ()))
-                self.col.setdefault(c, set()).add(r)
-                self._rebucket(c, old)
-        elif present:
+            self.col.setdefault(c, set()).add(r)
+        elif c in row:
             del row[c]
             if not row:
                 del self.row[r]
-            old = len(self.col[c])
             self.col[c].discard(r)
             if not self.col[c]:
                 del self.col[c]
-            self._rebucket(c, old)
-
-    def entries_left(self) -> bool:
-        return bool(self.row)
-
-    # -- phase 1: unit pivots ------------------------------------------------
-
-    def _unit_in_col(self, c: int) -> Optional[Tuple[int, int]]:
-        best = None
-        for r in self.col[c]:
-            if self.row[r][c] not in (1, -1):
-                continue
-            key = (len(self.row[r]), r)
-            if best is None or key < best:
-                best = key
-        return None if best is None else (best[1], c)
-
-    def _unit_pivot(self) -> Optional[Tuple[int, int]]:
-        """Sparsest column holding a unit entry; within it the sparsest row."""
-        for size in sorted(self.buckets):
-            # the lowest column of a boundary matrix almost always holds a
-            # unit, so try it before paying for a full sort of the bucket
-            cand = self._unit_in_col(self._lowest(size))
-            if cand is not None:
-                return cand
-            for c in sorted(self.buckets[size]):
-                cand = self._unit_in_col(c)
-                if cand is not None:
-                    return cand
-        return None
-
-    def _schur_eliminate(self, r: int, c: int) -> None:
-        """Clear column c with the unit pivot at (r, c), then drop row r, col c."""
-        a = self.row[r].pop(c)
-        prow = self.row.pop(r, {})
-        for cc in prow:
-            old = len(self.col[cc])
-            self.col[cc].discard(r)
-            if not self.col[cc]:
-                del self.col[cc]
-            self._rebucket(cc, old)
-        carriers = self.col.pop(c, set())
-        carriers.discard(r)
-        self._rebucket(c, len(carriers) + 1)
-        for rr in carriers:
-            v = self.row[rr].pop(c)
-            if not self.row[rr]:
-                del self.row[rr]
-            factor = v * a  # a = +-1 is its own inverse
-            for cc, pv in prow.items():
-                cur = self.row.get(rr, {}).get(cc, 0)
-                self._set(rr, cc, cur - factor * pv)
-
-    def run_unit_phase(self) -> List[int]:
-        """Eliminate unit pivots while any is left; returns their rows."""
-        rows: List[int] = []
-        while True:
-            piv = self._unit_pivot()
-            if piv is None:
-                return rows
-            self._schur_eliminate(*piv)
-            rows.append(piv[0])
-
-    # -- phase 2: classical Smith reduction -----------------------------------
 
     def _min_entry(self) -> Tuple[int, int]:
         best = None
@@ -238,9 +194,9 @@ class _Elimination:
             cur = self.row[r].get(dst, 0)
             self._set(r, dst, cur + k * v)
 
-    def run_smith_phase(self) -> List[int]:
+    def run(self) -> List[int]:
         diag: List[int] = []
-        while self.entries_left():
+        while self.row:
             r, c = self._min_entry()
             while True:
                 moved = False
@@ -297,23 +253,31 @@ def smith_normal_form(m: SparseIntMatrix,
 
     The diagonal satisfies d_1 | d_2 | ... with zeros trailing and is padded to
     min(rows, columns kept); it is invariant under row/column permutation and
-    under any unimodular change of basis.  unit_rows holds the rows of the
-    unit-phase pivots only: they and the pivot columns span a minor of
-    determinant +-1.
+    under any unimodular change of basis.  unit_rows holds the rows of the +-1
+    pivots of the column reduction: on those rows the pivot columns, as
+    reduced, are triangular with a +-1 diagonal, so the original pivot columns
+    span a minor of determinant +-1 there.  Rows of the set-aside columns are
+    never reported.
 
     >>> smith_normal_form(SparseIntMatrix.from_dense([[2, 0], [0, 3]])).diagonal
     (1, 6)
     >>> m = SparseIntMatrix.from_dense([[1, 1, 0], [0, 2, 4]])
     >>> smith_normal_form(m).diagonal, smith_normal_form(m, skip={0})
-    ((1, 2), SNFResult(diagonal=(1, 4), unit_rows=frozenset({0})))
+    ((1, 2), SNFResult(diagonal=(1, 4), unit_rows=frozenset()))
     """
-    elim = _Elimination(m, skip)
-    units = elim.run_unit_phase()
-    rest = elim.run_smith_phase()
-    diag = [1] * len(units) + rest
+    pivots, aside = _reduce_columns(_columns(m, skip), 0)
+    if aside:
+        order = sorted(pivots, reverse=True)
+        for col in aside:
+            # the pivot at r touches no row below r, so one pass clears them all
+            for r in order:
+                f = col.get(r)
+                if f:
+                    _subtract(col, f, pivots[r])
+    diag = [1] * len(pivots) + _Elimination(aside).run()
     kept = m.cols - sum(1 for c in skip if 0 <= c < m.cols)
     diag += [0] * (min(m.rows, kept) - len(diag))
-    return SNFResult(tuple(diag), frozenset(units))
+    return SNFResult(tuple(diag), frozenset(pivots))
 
 
 def pivot_rows_mod_p(m: SparseIntMatrix, p: int,
@@ -326,46 +290,23 @@ def pivot_rows_mod_p(m: SparseIntMatrix, p: int,
     """
     if p < 2:
         raise ValueError(f"modulus must be a prime >= 2, got {p}")
-    if p == 2:
-        bits: Dict[int, int] = {}
-        for (r, c), v in m.entries.items():
-            if v & 1 and c not in skip:
-                bits[c] = bits.get(c, 0) | (1 << r)
-        packed: Dict[int, int] = {}
-        for c in sorted(bits):
-            col = bits[c]
-            while col:
-                low = col.bit_length() - 1
-                other = packed.get(low)
-                if other is None:
-                    packed[low] = col
-                    break
-                col ^= other
-        return set(packed)
-    cols: Dict[int, Dict[int, int]] = {}
+    if p > 2:
+        return set(_reduce_columns(_columns(m, skip, p), p)[0])
+    bits: Dict[int, int] = {}
     for (r, c), v in m.entries.items():
-        v %= p
-        if v and c not in skip:
-            cols.setdefault(c, {})[r] = v
-    # each stored pivot column is scaled so that its lowest entry is 1
-    pivots: Dict[int, Dict[int, int]] = {}
-    for c in sorted(cols):
-        col = cols[c]
+        if v & 1 and c not in skip:
+            bits[c] = bits.get(c, 0) | (1 << r)
+    packed: Dict[int, int] = {}
+    for c in sorted(bits):
+        col = bits[c]
         while col:
-            low = max(col)
-            other = pivots.get(low)
+            low = col.bit_length() - 1
+            other = packed.get(low)
             if other is None:
-                inv = pow(col[low], -1, p)
-                pivots[low] = {r: v * inv % p for r, v in col.items()}
+                packed[low] = col
                 break
-            f = col[low]
-            for r, v in other.items():
-                nv = (col.get(r, 0) - f * v) % p
-                if nv:
-                    col[r] = nv
-                else:
-                    del col[r]
-    return set(pivots)
+            col ^= other
+    return set(packed)
 
 
 def rank_mod_p(m: SparseIntMatrix, p: int) -> int:

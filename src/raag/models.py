@@ -161,13 +161,15 @@ class FiniteQuotientSpec:
         """|<images>| = prod(moduli) / |Z^r / (images + moduli lattice)|.
 
         The cokernel order is the product of the Smith normal form diagonal
-        of the images stacked over diag(moduli), which has full column rank,
-        so nothing is enumerated.
+        of diag(moduli) stacked above the images, which has full column rank,
+        so nothing is enumerated.  Row order does not change a Smith form;
+        this one puts the lowest entries of the columns on image rows, which
+        are often +-1 pivots.
         """
         n, r = len(self.images), len(self.moduli)
-        entries = {(i, j): x for i, img in enumerate(self.images) for j, x in enumerate(img)}
-        entries.update(((n + j, j), k) for j, k in enumerate(self.moduli))
-        snf = smith_normal_form(SparseIntMatrix(n + r, r, entries))
+        entries = {(r + i, j): x for i, img in enumerate(self.images) for j, x in enumerate(img)}
+        entries.update(((j, j), k) for j, k in enumerate(self.moduli))
+        snf = smith_normal_form(SparseIntMatrix(r + n, r, entries))
         return math.prod(self.moduli) // math.prod(snf.diagonal)
 
     def label(self) -> str:

@@ -264,11 +264,13 @@ def is_flag(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
 
     A complex that join_factors splits is flag iff each factor is, since
     the cliques of a join are the unions of cliques of its factors; so a
-    flag join is certified by clique searches of its factors, whose maximal
-    cliques number far fewer than the join's (their product), and each
-    factor's answer is cached on it.  A complex that does not split, or has
-    a factor that is not flag, is searched whole, so its witness is the
-    canonical one.
+    join is checked by clique searches of its factors, whose maximal cliques
+    number far fewer than the join's (their product), and each factor's
+    answer is cached on it.  A minimal non-face of a join lies in one factor
+    (its restriction to each part is a face or the whole of it), and the
+    part tables are increasing, so the canonical witness of a join is the
+    smallest of its factors' witnesses mapped back through the parts.  A
+    complex that does not split is searched whole.
     """
     if x._flag is None:
         x._flag = _flag_check(x)
@@ -277,12 +279,16 @@ def is_flag(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
 
 def _flag_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
     factors = join_factors(x)
-    if len(factors) > 1:
-        for f in factors:
-            f._flag = _clique_check(f)
-        if all(f._flag[0] for f in factors):
-            return True, None
-    return _clique_check(x)
+    if len(factors) == 1:
+        return _clique_check(x)
+    for f in factors:
+        f._flag = _clique_check(f)
+    if all(f._flag[0] for f in factors):
+        return True, None
+    # the parts come in the order join_factors gave the factors
+    witnesses = [tuple(part[v] for v in f._flag[1])
+                 for part, f in zip(complement_components(x), factors) if not f._flag[0]]
+    return False, min(witnesses, key=lambda s: (len(s), s))
 
 
 def _join_split(x: SimplicialComplex, parts: Sequence[Tuple[int, ...]]
@@ -442,10 +448,7 @@ def barycentric_subdivision(x: SimplicialComplex) -> Subdivision:
     for top in x.facets:
         for chain in _full_chains(top):
             facets.append(tuple(sorted(index[s] for s in chain)))
-    sd = from_facets(facets, name=_derived_name(x, "sd"))
-    if x.is_empty():
-        sd = SimplicialComplex(0, (), name=_derived_name(x, "sd"))
-    return Subdivision(sd, tuple(cells))
+    return Subdivision(from_facets(facets, name=_derived_name(x, "sd")), tuple(cells))
 
 def _full_chains(top: Simplex) -> Iterable[List[Simplex]]:
     # maximal chains s_0 < s_1 < ... < top with |s_i| = i+1: orderings of top

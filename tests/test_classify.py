@@ -223,6 +223,26 @@ def test_replay_rejects_mismatched_certificates():
     assert not ok and "unknown" in why
 
 
+def test_replay_proves_all_primes_over_q():
+    # H^2(rp2_flag; F_3) = 0: a claim of growth at every prime must not replay
+    L = fixture("rp2_flag")
+    data = json.loads(classify(L).to_json())
+    data["certificate"]["data"].update(all_primes=True)
+    ok, why = replay_certificate(L, Verdict.from_json_dict(data))
+    assert not ok and "condition" in why
+    data["certificate"]["data"].update(condition="top_betti_positive")
+    tampered = Verdict.from_json_dict(data)
+    ok, why = replay_certificate(L, tampered)
+    assert not ok and "over Q" in why
+    assert "replay FAILED" in report(L, tampered)
+    # b_2 = 1 over Q for cycle(5) = S^1
+    L = fixture("cycle", n=5)
+    v = classify(L)
+    assert v.certificate.data["all_primes"]
+    assert replay_certificate(L, v) == (True, "top cohomology nonzero reconfirmed "
+                                              "(top_betti_positive)")
+
+
 def test_undetermined_has_nothing_to_replay():
     L = fixture("dunce_flag")
     v = classify(L, budget=2)
@@ -353,29 +373,31 @@ def test_annulus_verdict_and_report_pinned():
 RANKS, SMITH = "pivot_rows_mod_p", "smith_normal_form"
 
 
-@pytest.mark.parametrize("make, kind, route, unused", [
-    pytest.param(lambda: from_facets(fixture("rp2_flag").facets), CERT_TOP, RANKS, SMITH,
+@pytest.mark.parametrize("make, kind, used", [
+    pytest.param(lambda: from_facets(fixture("rp2_flag").facets), CERT_TOP, {RANKS},
                  id="rp2_flag"),
     pytest.param(lambda: barycentric_subdivision(fixture("octahedron")).complex, CERT_TOP,
-                 RANKS, SMITH, id="sd_octahedron"),
-    pytest.param(lambda: cone(fixture("moore_flag", q=3)), CERT_COMPLEMENTARY, SMITH, RANKS,
+                 {RANKS, SMITH}, id="sd_octahedron"),
+    pytest.param(lambda: cone(fixture("moore_flag", q=3)), CERT_COMPLEMENTARY, {SMITH},
                  id="cone_moore_flag3"),
-    pytest.param(lambda: fixture("path", n=4), CERT_COMPLEMENTARY, SMITH, RANKS, id="path4"),
+    pytest.param(lambda: fixture("path", n=4), CERT_COMPLEMENTARY, {SMITH}, id="path4"),
 ])
-def test_each_homology_certificate_replays_on_one_route(monkeypatch, make, kind, route,
-                                                         unused):
-    # positivity replays by F_p ranks alone, complementary vanishing by Smith forms alone
+def test_each_homology_certificate_replays_on_one_route(monkeypatch, make, kind, used):
+    # positivity replays by F_p ranks, complementary vanishing by Smith forms
+    # alone; a claim of growth at every prime (sd_octahedron: b_2 = 1 over Q)
+    # also reads b_d over Q from Smith forms
     L = make()
     v = classify(L)
     assert v.certificate.kind == kind
-    calls = {route: 0, unused: 0}
+    assert v.certificate.data.get("all_primes", False) == (used == {RANKS, SMITH})
+    calls = {RANKS: 0, SMITH: 0}
     for name in calls:
         def counted(*args, _real=getattr(homology_module, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(homology_module, name, counted)
     assert "replay ok" in report(L, v)
-    assert calls[route] > 0 and calls[unused] == 0
+    assert {name for name, n in calls.items() if n} == used
 
 
 def _tampered(L, key, value):

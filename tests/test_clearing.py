@@ -6,13 +6,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_betti_fp, brute_homology, dense_snf, random_facets, rank_gf
 
 from raag.fixtures import fixture
 from raag.homology import ChainComplexZ, betti_Fp, homology_Z, simplicial_chain_complex
-from raag.linalg import SparseIntMatrix, _Elimination, pivot_rows_mod_p, smith_normal_form
+from raag.linalg import SparseIntMatrix, pivot_rows_mod_p, smith_normal_form
 from raag.models import FiniteQuotientSpec, finite_cover
 from raag.simplicial import flag_completion, from_facets
 
@@ -142,9 +142,9 @@ def test_phase_two_pivot_rows_are_not_cleared():
     assert smith_normal_form(cc.boundary(1)).unit_rows == frozenset()
     h = homology_Z(cc)
     assert h.betti == (0, 0) and h.torsion == ((2,), ())
-    # Z --(3, -2)--> Z^2 --(2 3)--> Z is exact.  d_2 has no unit, its
-    # phase-2 pivot sits on row 1, and d_1 without column 1 is (2), which
-    # would make H_0 = Z/2
+    # Z --(3, -2)--> Z^2 --(2 3)--> Z is exact.  d_2 has no unit: its column
+    # is set aside with lowest entry -2 on row 1, and d_1 without column 1 is
+    # (2), which would make H_0 = Z/2
     cc = _chain((1, 2, 1), {1: [[2, 3]], 2: [[3], [-2]]})
     assert smith_normal_form(cc.boundary(2)).unit_rows == frozenset()
     h = homology_Z(cc)
@@ -161,6 +161,14 @@ def _unimodular_on(rows, unit_rows, cols):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=1, max_size=5),
        st.sets(st.integers(0, 4)))
+# columns set aside by the reduction over Z: a unit above a non-unit lowest entry
+@example([[1, 1, 0, 0, 0], [0, 2, 4, 0, 0]], {0})
+# column 1 reaches the non-unit lowest entry 2 only after reduction by column 0,
+# and column 2 then makes a pivot on a row where column 1 is nonzero
+@example([[0, 1, 1, 0, 0], [0, 2, 0, 0, 0], [1, 1, 0, 0, 0]], set())
+# the index matrix of FiniteQuotientSpec(moduli=(4, 2), images=((2, 1), (2, 1))):
+# diag(moduli) above the images, which are not independent
+@example([[4, 0, 0, 0, 0], [0, 2, 0, 0, 0], [2, 1, 0, 0, 0], [2, 1, 0, 0, 0]], set())
 def test_smith_skip_matches_dense_snf_without_columns(rows, skip):
     m = SparseIntMatrix.from_dense(rows)
     snf = smith_normal_form(m, skip)
@@ -170,33 +178,3 @@ def test_smith_skip_matches_dense_snf_without_columns(rows, skip):
     assert len(snf.diagonal) == min(len(rows), len(kept))
     assert snf.unit_rows <= set(range(len(rows)))
     assert _unimodular_on(rows, snf.unit_rows, kept)
-
-
-def _expected_unit_pivot(e):
-    """Sparsest column holding a unit, lowest index; within it the sparsest
-    row with a unit, lowest index."""
-    cands = [(len(rs), c) for c, rs in e.col.items()
-             if any(e.row[r][c] in (1, -1) for r in rs)]
-    if not cands:
-        return None
-    c = min(cands)[1]
-    return min((len(e.row[r]), r) for r in e.col[c] if e.row[r][c] in (1, -1))[1], c
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_unit_pivot_order(seed):
-    rng = random.Random(seed)
-    n_rows, n_cols = rng.randint(1, 14), rng.randint(1, 14)
-    entries = {(rng.randrange(n_rows), rng.randrange(n_cols)): rng.choice((1, -1, 1, -1, 2))
-               for _ in range(rng.randint(0, n_rows * n_cols // 2))}
-    matrices = [SparseIntMatrix(n_rows, n_cols, entries),
-                simplicial_chain_complex(_random_flag(rng)).boundary(1)]
-    for m in matrices:
-        e = _Elimination(m)
-        while True:
-            piv = e._unit_pivot()
-            assert piv == _expected_unit_pivot(e)
-            if piv is None:
-                break
-            e._schur_eliminate(*piv)

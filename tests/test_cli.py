@@ -13,7 +13,7 @@ import pytest
 import raag
 import raag.homology as homology_module
 import raag.simplicial as simplicial
-from raag import cli
+from raag import cli, errors
 from raag import io as rio
 from raag.classify import EmbeddingWitness
 from raag.cli import main
@@ -395,6 +395,24 @@ def test_classify_non_flag_exit_eleven(capsys):
 def test_classify_unknown_fixture_exit_ten(capsys):
     code, _, err = run(capsys, "classify", "--fixture", "klein_bottle")
     assert code == 10
+
+
+# the README's exit-code table, one row per error class
+ERROR_CODES = {errors.RaagError: 10, errors.MalformedComplexError: 10,
+               errors.FixtureError: 10, errors.NotFlagError: 11,
+               errors.WitnessRejectedError: 12, errors.QuotientDegenerateError: 13,
+               errors.CoverSpecError: 14, errors.CorruptComplexError: 15}
+
+
+@pytest.mark.parametrize("error", list(ERROR_CODES), ids=lambda e: e.__name__)
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error):
+    assert set(ERROR_CODES) == {errors.RaagError, *errors.RaagError.__subclasses__()}
+
+    def fail(ns):
+        raise error("boom")
+    monkeypatch.setitem(cli._DISPATCH, "homology", fail)
+    code, out, err = run(capsys, "homology", "--fixture", "cycle")
+    assert (code, out, err) == (ERROR_CODES[error], "", "error: boom\n")
 
 
 @pytest.mark.parametrize("argv, param", [

@@ -169,6 +169,12 @@ def test_sd_edge_is_path():
     assert sd.complex.f_vector() == (3, 2)
 
 
+def test_sd_of_the_empty_complex_is_the_named_empty_complex():
+    sd = barycentric_subdivision(from_facets([], name="e"))
+    assert sd.vertex_simplex == () and sd.complex.n_vertices == 0 and sd.complex.is_empty()
+    assert sd.complex.name == "sd(e)"
+
+
 def test_sd_triangle_boundary_is_hexagon():
     sd = barycentric_subdivision(fixture("simplex_boundary", n=2)).complex
     assert sd.f_vector() == (6, 6)
@@ -446,20 +452,35 @@ def test_facet_missing_a_part_is_not_a_join():
     assert is_flag(x) == (False, (1, 2, 3))
 
 
+def _interleaved_join(a, b):
+    """join(a, b) with its vertices shuffled, so that the parts interleave."""
+    x = join(a, b)
+    perm = list(range(x.n_vertices))
+    random.Random(0).shuffle(perm)
+    return from_facets([[perm[v] for v in f] for f in x.facets])
+
+
 def test_flag_check_of_a_join_searches_only_its_factors(monkeypatch):
     original = simplicial._maximal_cliques
-    x = join(fixture("rp2_flag"), fixture("moore_flag", q=3))
-    searched = []
-    monkeypatch.setattr(simplicial, "_maximal_cliques",
-                        lambda x: searched.append(x.n_vertices) or original(x))
-    assert is_flag(x) == (True, None)
-    assert sorted(searched) == [31, 79]
-    calls = []
-    monkeypatch.setattr(simplicial, "complement_components", calls.append)
-    monkeypatch.setattr(simplicial, "induced_subcomplex", lambda *args: calls.append(args))
-    assert [f.n_vertices for f in join_factors(x)] == [31, 79]
-    assert calls == []
-
+    # a flag join, and joins with non-flag factors, whose witness must be the
+    # one the whole-complex search finds
+    for build in (lambda: join(fixture("rp2_flag"), fixture("moore_flag", q=3)),
+                  lambda: join(fixture("moore", q=3), fixture("moore", q=5)),
+                  lambda: _interleaved_join(fixture("rp2_flag"), fixture("moore", q=3))):
+        expected = simplicial._clique_check(build())
+        x = build()
+        sizes = sorted(f.n_vertices for f in join_factors(build()))
+        searched = []
+        monkeypatch.setattr(simplicial, "_maximal_cliques",
+                            lambda x: searched.append(x.n_vertices) or original(x))
+        assert is_flag(x) == expected
+        assert sorted(searched) == sizes
+        calls = []
+        monkeypatch.setattr(simplicial, "complement_components", calls.append)
+        monkeypatch.setattr(simplicial, "induced_subcomplex", lambda *args: calls.append(args))
+        assert sorted(f.n_vertices for f in join_factors(x)) == sizes
+        assert calls == []
+        monkeypatch.undo()
 
 
 def test_induced_subcomplex_relabels():
