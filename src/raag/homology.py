@@ -106,24 +106,25 @@ def _columns(m: SparseIntMatrix) -> Dict[int, List[Tuple[int, int]]]:
     return cols
 
 
-def simplicial_chain_complex(x: SimplicialComplex, augmented: bool = False) -> ChainComplexZ:
-    """Chain complex with the canonical ordered simplex bases.
+def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
+    """Augmented chain complex with the canonical ordered simplex bases.
 
     The boundary of a simplex is the alternating sum over vertex deletions in
     sorted order; the full 2-simplex has the single column (+1, -1, +1).
-    The complex is built once per value of augmented and cached on x, which
-    is immutable; its boundary-squared check then also runs once.
+    boundary(0) is the augmentation, so homology read off it is reduced;
+    _unreduce gives the unreduced betti numbers.  The complex is built once
+    and cached on x, which is immutable; its boundary-squared check then
+    also runs once.
     """
-    cached = x._chain.get(augmented)
-    if cached is None:
-        cached = x._chain[augmented] = _build_chain_complex(x, augmented)
-    return cached
+    if x._chain is None:
+        x._chain = _build_chain_complex(x)
+    return x._chain
 
 
-def _build_chain_complex(x: SimplicialComplex, augmented: bool) -> ChainComplexZ:
+def _build_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
     top = x.dim
     if top < 0:
-        return ChainComplexZ((), {}, augmented=augmented)
+        return ChainComplexZ((), {}, augmented=True)
     dims = [len(x.faces(k)) for k in range(top + 1)]
     boundaries: Dict[int, SparseIntMatrix] = {}
     for k in range(1, top + 1):
@@ -134,7 +135,7 @@ def _build_chain_complex(x: SimplicialComplex, augmented: bool) -> ChainComplexZ
                 fct = s[:drop] + s[drop + 1:]
                 entries[(below[fct], j)] = (-1) ** drop
         boundaries[k] = SparseIntMatrix(dims[k - 1], dims[k], entries)
-    return ChainComplexZ(dims, boundaries, augmented=augmented)
+    return ChainComplexZ(dims, boundaries, augmented=True)
 
 
 @dataclass(frozen=True)
@@ -238,8 +239,7 @@ def homology_Z(cc: ChainComplexZ) -> HomologySummary:
         rank_in = snfs[i].rank if i in snfs else 0
         rank_out = snfs[i + 1].rank if i + 1 in snfs else 0
         betti.append(cc.dims[i] - rank_in - rank_out)
-        tors = snfs[i + 1].nonunit() if i + 1 in snfs else ()
-        torsion.append(tuple(invariant_factors(tors)) if tors else ())
+        torsion.append(snfs[i + 1].nonunit() if i + 1 in snfs else ())
     return HomologySummary(reduced=cc.augmented, betti=tuple(betti), torsion=tuple(torsion))
 
 
@@ -339,7 +339,7 @@ def homology_summary(x: SimplicialComplex, reduced: bool = False,
     >>> h.betti, h.torsion, h.betti_mod_p
     ((1, 0, 0, 0), ((), (), (2,), ()), ((2, (1, 0, 1, 1)),))
     """
-    chains = [simplicial_chain_complex(f, augmented=True) for f in join_factors(x)]
+    chains = [simplicial_chain_complex(f) for f in join_factors(x)]
     parts = [homology_Z(cc) for cc in chains]
     h = functools.reduce(join_homology_kunneth, parts)
     tables = []
@@ -353,8 +353,7 @@ def homology_summary(x: SimplicialComplex, reduced: bool = False,
 
 def betti_table(x: SimplicialComplex, p: int, reduced: bool = False) -> Tuple[int, ...]:
     """Betti numbers of x over F_p from ranks alone, factor by factor."""
-    rows = [betti_Fp(simplicial_chain_complex(f, augmented=True), p)
-            for f in join_factors(x)]
+    rows = [betti_Fp(simplicial_chain_complex(f), p) for f in join_factors(x)]
     return _join_fp(rows, reduced)
 
 

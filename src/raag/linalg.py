@@ -16,8 +16,10 @@ The pivot columns, restricted to their pivot rows, form a triangular block
 with an invertible diagonal, +-1 over Z.  Over Z the set-aside columns are
 then reduced at every pivot row, highest row first, which zeroes them there;
 row operations by the unimodular pivot block then split the matrix into an
-identity block and the set-aside columns, whose Smith normal form comes from
-the classical minimal-absolute-value reduction with divisibility fix-ups.
+identity block and the set-aside columns.  Those stay in the one
+representation, column dicts, from the reduction to the diagonal: the
+classical least-absolute-value Smith reduction runs on them in place, with
+the same column subtraction, and builds no row index.
 
 Both kernels report their pivot rows, which lets `homology.betti_Fp` and
 `homology.homology_Z` clear across consecutive boundaries: the columns of d_i
@@ -150,117 +152,69 @@ def _reduce_columns(cols: Dict[int, Dict[int, int]],
     return pivots, aside
 
 
-class _Elimination:
-    """Mutable sparse state of the classical Smith reduction."""
+def _smith_phase(cols: List[Dict[int, int]]) -> List[int]:
+    """Nonzero Smith diagonal of the columns cols, which it consumes.
 
-    def __init__(self, cols: Iterable[Dict[int, int]]):
-        self.row: Dict[int, Dict[int, int]] = {}
-        self.col: Dict[int, Set[int]] = {}
-        for c, col in enumerate(cols):
-            for r, v in col.items():
-                self.row.setdefault(r, {})[c] = v
-                self.col.setdefault(c, set()).add(r)
-
-    def _set(self, r: int, c: int, v: int) -> None:
-        row = self.row.setdefault(r, {})
-        if v:
-            row[c] = v
-            self.col.setdefault(c, set()).add(r)
-        elif c in row:
-            del row[c]
-            if not row:
-                del self.row[r]
-            self.col[c].discard(r)
-            if not self.col[c]:
-                del self.col[c]
-
-    def _min_entry(self) -> Tuple[int, int]:
-        best = None
-        for r, cs in self.row.items():
-            for c, v in cs.items():
-                key = (abs(v), r, c)
-                if best is None or key < best:
-                    best = key
-        return best[1], best[2]
-
-    def _row_axpy(self, dst: int, src: int, k: int) -> None:
-        for c, v in list(self.row.get(src, {}).items()):
-            cur = self.row.get(dst, {}).get(c, 0)
-            self._set(dst, c, cur + k * v)
-
-    def _col_axpy(self, dst: int, src: int, k: int) -> None:
-        for r in list(self.col.get(src, ())):
-            v = self.row[r][src]
-            cur = self.row[r].get(dst, 0)
-            self._set(r, dst, cur + k * v)
-
-    def run(self) -> List[int]:
-        diag: List[int] = []
-        while self.row:
-            r, c = self._min_entry()
-            while True:
-                moved = False
-                # clear the pivot column with row operations
-                for rr in sorted(self.col.get(c, ())):
-                    if rr == r:
-                        continue
-                    a = self.row[r][c]
-                    q = self.row[rr][c] // a
-                    if q:
-                        self._row_axpy(rr, r, -q)
-                    if self.row.get(rr, {}).get(c):
-                        r, moved = rr, True  # remainder beats the pivot
-                        break
-                if moved:
-                    continue
-                # clear the pivot row with column operations
-                for cc in sorted(self.row.get(r, {})):
-                    if cc == c:
-                        continue
-                    a = self.row[r][c]
-                    q = self.row[r][cc] // a
-                    if q:
-                        self._col_axpy(cc, c, -q)
-                    if self.row.get(r, {}).get(cc):
-                        c, moved = cc, True
-                        break
-                if moved:
-                    continue
-                if len(self.col.get(c, ())) == 1 and len(self.row.get(r, {})) == 1:
-                    break
-            a = self.row[r][c]
-            offender = None
-            for rr, cs in self.row.items():
-                if rr == r:
-                    continue
-                for cc, v in cs.items():
-                    if v % a:
-                        offender = rr
-                        break
-                if offender is not None:
-                    break
-            if offender is not None:
-                self._row_axpy(r, offender, 1)  # classic trick: re-enter the loop
-                continue
-            diag.append(abs(a))
-            self._set(r, c, 0)
-        return diag
+    Each pass takes an entry a of least absolute value, at row r of column pc,
+    and clears row r by column operations; row r is then zero off pc, so row
+    operations by row r change pc alone and clear the rest of it.  Either
+    clearing can leave a remainder, a smaller entry, which starts a new pass.
+    Once a is alone in its row and column, an entry not divisible by a has
+    its row added to row r, which touches no entry of pc, and clearing row r
+    again leaves a remainder; otherwise |a| is emitted and pc dropped.  Every
+    entry left is then a multiple of |a|, and integer operations keep it so,
+    so the output is a divisibility chain.
+    """
+    diag: List[int] = []
+    cols = [col for col in cols if col]
+    while cols:
+        _, r, j = min((abs(v), r, j) for j, col in enumerate(cols) for r, v in col.items())
+        pc = cols.pop(j)
+        a = pc[r]
+        while True:
+            for col in cols:
+                if r in col:
+                    _subtract(col, col[r] // a, pc)
+            if any(r in col for col in cols):
+                break
+            for rr in [rr for rr in pc if rr != r]:
+                v = pc.pop(rr) % a
+                if v:
+                    pc[rr] = v
+            if len(pc) > 1:
+                break
+            bad = next((rr for col in cols for rr, v in col.items() if v % a), None)
+            if bad is None:
+                diag.append(abs(a))
+                pc = {}
+                break
+            for col in cols:
+                if bad in col:
+                    col[r] = col[bad]
+        cols = [col for col in cols if col]
+        if pc:
+            cols.append(pc)
+    return diag
 
 
 def smith_normal_form(m: SparseIntMatrix,
                       skip: AbstractSet[int] = frozenset()) -> SNFResult:
     """Smith normal form of an integer matrix, leaving out the columns in skip.
 
-    The diagonal satisfies d_1 | d_2 | ... with zeros trailing and is padded to
-    min(rows, columns kept); it is invariant under row/column permutation and
-    under any unimodular change of basis.  unit_rows holds the rows of the +-1
-    pivots of the column reduction: on those rows the pivot columns, as
-    reduced, are triangular with a +-1 diagonal, so the original pivot columns
-    span a minor of determinant +-1 there.  Rows of the set-aside columns are
-    never reported.
+    The diagonal is a divisibility chain d_1 | d_2 | ... with zeros trailing,
+    padded to min(rows, columns kept): one 1 per +-1 pivot of the column
+    reduction, then what _smith_phase emits from the set-aside columns, which
+    is already a chain, so its entries > 1 are the invariant factors as they
+    stand.  It is invariant under row/column permutation and under any
+    unimodular change of basis.  unit_rows holds the rows of the +-1 pivots:
+    on those rows the pivot columns, as reduced, are triangular with a +-1
+    diagonal, so the original pivot columns span a minor of determinant +-1
+    there.  Rows of the set-aside columns are never reported.
 
     >>> smith_normal_form(SparseIntMatrix.from_dense([[2, 0], [0, 3]])).diagonal
     (1, 6)
+    >>> smith_normal_form(SparseIntMatrix.from_dense([[2, 4], [6, 8]]))
+    SNFResult(diagonal=(2, 4), unit_rows=frozenset())
     >>> m = SparseIntMatrix.from_dense([[1, 1, 0], [0, 2, 4]])
     >>> smith_normal_form(m).diagonal, smith_normal_form(m, skip={0})
     ((1, 2), SNFResult(diagonal=(1, 4), unit_rows=frozenset()))
@@ -274,7 +228,7 @@ def smith_normal_form(m: SparseIntMatrix,
                 f = col.get(r)
                 if f:
                     _subtract(col, f, pivots[r])
-    diag = [1] * len(pivots) + _Elimination(aside).run()
+    diag = [1] * len(pivots) + _smith_phase(aside)
     kept = m.cols - sum(1 for c in skip if 0 <= c < m.cols)
     diag += [0] * (min(m.rows, kept) - len(diag))
     return SNFResult(tuple(diag), frozenset(pivots))

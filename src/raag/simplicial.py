@@ -51,7 +51,7 @@ class SimplicialComplex:
         # set by join_factors; () when the complex is not a join of two or more
         # factors, which every factor's own connected complement makes it
         self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
-        self._chain: Dict[bool, object] = {}  # set by homology.simplicial_chain_complex
+        self._chain: Optional[object] = None  # set by homology.simplicial_chain_complex
 
     # -- basic queries ------------------------------------------------------
 

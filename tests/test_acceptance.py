@@ -128,7 +128,7 @@ def test_acceptance_4_universal_coefficients_suite():
     for _ in range(100):
         x = from_facets(random_facets(rng, max_vertices=7))
         h = homology_summary(x, reduced=True, primes=None)
-        cc = simplicial_chain_complex(x, augmented=True)
+        cc = simplicial_chain_complex(x)
         primes = {2, 3, 5, 7}
         for degree in h.torsion:
             for t in degree:

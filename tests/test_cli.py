@@ -264,16 +264,16 @@ def test_homology_builds_only_the_join_factors(tmp_path, monkeypatch, capsys, ma
     built = []
     real_build = homology_module._build_chain_complex
 
-    def build(x, augmented):
-        built.append((x.facets, augmented))
-        return real_build(x, augmented)
+    def build(x):
+        built.append(x.facets)
+        return real_build(x)
 
     monkeypatch.setattr(homology_module, "_build_chain_complex", build)
     code, out, _ = run(capsys, "homology", path)
     assert code == 0 and "cross-check: ok" in out
     factors = join_factors(rio.load_complex(path))
     assert len(factors) > 1
-    assert sorted(built) == sorted((f.facets, True) for f in factors)
+    assert sorted(built) == sorted(f.facets for f in factors)
 
 
 def test_homology_runs_no_clique_search(tmp_path, monkeypatch, capsys):
@@ -369,20 +369,19 @@ def test_classify_builds_one_augmented_chain_complex_per_complex(tmp_path, monke
     real_get, real_build = (homology_module.simplicial_chain_complex,
                             homology_module._build_chain_complex)
 
-    def get(x, augmented=False):
-        asked.append((x, augmented))
-        return real_get(x, augmented)
+    def get(x):
+        asked.append(x)
+        return real_get(x)
 
-    def build(x, augmented):
-        built.append((x, augmented))
-        return real_build(x, augmented)
+    def build(x):
+        built.append(x)
+        return real_build(x)
 
     monkeypatch.setattr(homology_module, "simplicial_chain_complex", get)
     monkeypatch.setattr(homology_module, "_build_chain_complex", build)
     code, _, err = run(capsys, "classify", path)
     assert code == 0 and "replay ok" in err
-    assert all(augmented for _, augmented in asked)
-    assert sorted(id(x) for x, _ in built) == sorted({id(x) for x, _ in asked})
+    assert sorted(id(x) for x in built) == sorted({id(x) for x in asked})
     assert len(asked) > len(built)
 
 

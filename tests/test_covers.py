@@ -21,10 +21,11 @@ from raag.simplicial import flag_completion, from_facets
 
 
 @st.composite
-def flag_complexes(draw, max_vertices=6):
-    n = draw(st.integers(1, max_vertices))
+def flag_complexes(draw, max_vertices=6, min_edges=0):
+    n = draw(st.integers(2 if min_edges else 1, max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = (draw(st.lists(st.sampled_from(pairs), min_size=min_edges, unique=True))
+             if pairs else [])
     return flag_completion(from_facets([[v] for v in range(n)] + [list(e) for e in edges]))
 
 
@@ -43,6 +44,17 @@ def specs(draw, n, max_coords=3, max_modulus=4):
 def covers(draw):
     L = draw(flag_complexes())
     return L, draw(specs(L.n_vertices))
+
+
+@st.composite
+def covers_past_degree_one(draw):
+    """Covers of an L with an edge, by a spec with one more coordinate of
+    modulus 2 in which vertex 0 maps to 1: d_1 is then nonzero and d_2 has
+    at least two columns."""
+    L = draw(flag_complexes(min_edges=1))
+    spec = draw(specs(L.n_vertices))
+    images = tuple(image + (int(v == 0),) for v, image in enumerate(spec.images))
+    return L, FiniteQuotientSpec(moduli=spec.moduli + (2,), images=images)
 
 
 @settings(max_examples=80, deadline=None)
@@ -81,7 +93,7 @@ def _corrupted(cc: ChainComplexZ, i: int, k: int) -> ChainComplexZ:
 
 
 @settings(max_examples=60, deadline=None)
-@given(covers())
+@given(covers_past_degree_one())
 def test_validate_rejects_corruption_outside_first_column(case):
     # adding 1 at (k, c) of d_{i+1} adds column k of d_i to column c of the
     # product, which is nonzero when that column of d_i is
@@ -96,7 +108,7 @@ def test_validate_rejects_corruption_outside_first_column(case):
 
 
 def test_validate_rejects_corruption_in_augmented_simplicial_complex():
-    cc = simplicial_chain_complex(from_facets([[0, 1, 2], [1, 2, 3]]), augmented=True)
+    cc = simplicial_chain_complex(from_facets([[0, 1, 2], [1, 2, 3]]))
     cc.validate()
     for i, k in ((0, 0), (1, 4)):
         with pytest.raises(CorruptComplexError):

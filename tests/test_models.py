@@ -196,7 +196,7 @@ def test_cover_fp_alternating_sum_consistency():
         cover = finite_cover(x, standard_spec(x, 2))
         cc = cover.chain_complex()
         chi_toral = toral_euler_characteristic(x)
-        ref = simplicial_chain_complex(x, augmented=True)
+        ref = simplicial_chain_complex(x)
         for p in (2, 3):
             b = betti_Fp(cc, p)
             total = sum((-1) ** i * v for i, v in enumerate(b))
