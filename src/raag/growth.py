@@ -34,18 +34,19 @@ Euler characteristic / covers of tori / products):
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
 from .homology import betti_Fp, betti_table
 from .linalg import is_prime
 from .models import (FiniteQuotientSpec, check_cover_size, check_generator_count,
                      cube_chain_complex, cube_facets)
-from .simplicial import SimplicialComplex, complement_components, is_flag
+from .simplicial import SimplicialComplex, complement_components, is_flag, join_factors
 
 CAVEAT = ("abelian quotient kernels of a nonabelian group do not form a residual "
           "chain; ratios are descriptive unless an exact closed form is noted")
@@ -136,10 +137,11 @@ def check_prime(p: int) -> None:
 
 
 def _derivable_family(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
-                      indices: Sequence[int]):
+                      indices: Sequence[int], parts: Sequence[Tuple[int, ...]]):
     """(family tag, expected betti per spec) or (None, [None]*len).
 
-    indices[i] is the index of specs[i], computed once by the caller.
+    indices[i] is the index of specs[i], computed once by the caller, and
+    parts are the vertex parts of the join factors of L (SupportTable.parts).
     """
     n = L.n_vertices
     if L.dim == 0:
@@ -148,7 +150,6 @@ def _derivable_family(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     if len(L.facets) == 1 and len(L.facets[0]) == n:
         row = tuple(math.comb(n, i) for i in range(n + 1))
         return "free abelian group, torus covers", [row for _ in specs]
-    parts = complement_components(L)
     if L.dim == 1 and len(parts) == 2:
         a, b = (len(p) for p in parts)
         expected = []
@@ -207,14 +208,25 @@ class SupportTable:
     of the Salvetti complex (the empty simplex and every face s of L, in
     degree |s|) and the cube boundary restricted to the directions in T:
     d e_s = sum over j with s_j in T of (-1)^j e_{s - s_j}.  T = {} gives zero
-    maps, T = V the augmented chain complex of L shifted up one degree.  Its
-    betti numbers h(T) are computed on first use and kept; sets T are bit
-    masks over the vertices.
+    maps, T = V the augmented chain complex of L shifted up one degree.
+
+    L is the join of its join factors F, on the vertex parts of the
+    complement graph, which may interleave (C_4's are (0, 2) and (1, 3)).
+    The support complex of T is, up to signs, the tensor product of the
+    factors' support complexes of T_F, the vertices of T in F's part, so over
+    F_p (Kunneth) h(T) is the convolution of the factors' rows h_F(T_F) as
+    polynomials in the degree.  Those rows are computed on first use and
+    kept, one dict per factor in entries, keyed by bit masks over the
+    factor's own vertices.  A complex that does not split is its own only
+    factor.
 
     For a spec with independent images of orders k_v, the cover is the
     polyhedral product of (k_v-gon, its vertices) over L, and over a field
     its betti numbers split over vertex subsets (Bahri-Bendersky-Cohen-Gitler):
     b_i = sum over T within S = {v : k_v > 1} of prod_{v in T} (k_v - 1) h_i(T).
+    The weight is a product over the vertices, so the sum is the convolution
+    over the factors F of the same sum over the subsets of S_F, the vertices
+    of S in F's part (cover_betti); it reads sum_F 2^|S_F| factor entries.
 
     Any other spec is split into its p-part P and its part Q' of order prime
     to p (split_betti).
@@ -222,33 +234,61 @@ class SupportTable:
 
     def __init__(self, L: SimplicialComplex, prime: int):
         self.prime = prime
-        self._dims = (1,) + L.f_vector()
-        self._plans = [cube_facets(L, i) for i in range(1, len(self._dims))]
+        self._L = L
+        factors = join_factors(L)
+        # the parts come in the order join_factors gave the factors
+        self.parts = (complement_components(L) if len(factors) > 1
+                      else [tuple(range(L.n_vertices))])
+        self._dims = [(1,) + F.f_vector() for F in factors]
+        self._plans = [[cube_facets(F, i) for i in range(1, len(dims))]
+                       for F, dims in zip(factors, self._dims)]
         self._unshifted = ([0],) * L.n_vertices
-        self.entries: Dict[int, Tuple[int, ...]] = {}
+        self.entries: List[Dict[int, Tuple[int, ...]]] = [{} for _ in factors]
 
-    def _betti(self, n_deck: int, shift, units: int) -> Tuple[int, ...]:
-        cc = cube_chain_complex(self._dims, self._plans, n_deck, shift, units)
-        return betti_Fp(cc, self.prime)
+    @functools.cached_property
+    def _whole(self):
+        """(dims, plans) of L itself, for the P-cover complexes of split_betti."""
+        L = self._L
+        return (1,) + L.f_vector(), [cube_facets(L, i) for i in range(1, L.dim + 2)]
+
+    def _entry(self, i: int, T: int) -> Tuple[int, ...]:
+        """h_i(T) of factor i, T a mask over its own vertices."""
+        row = self.entries[i].get(T)
+        if row is None:
+            cc = cube_chain_complex(self._dims[i], self._plans[i], 1, self._unshifted, T)
+            row = self.entries[i][T] = betti_Fp(cc, self.prime)
+        return row
 
     def h(self, T: int) -> Tuple[int, ...]:
-        if T not in self.entries:
-            self.entries[T] = self._betti(1, self._unshifted, T)
-        return self.entries[T]
+        if len(self.parts) == 1:
+            return self._entry(0, T)
+        return _convolve([self._entry(i, sum(1 << j for j, v in enumerate(part) if T >> v & 1))
+                          for i, part in enumerate(self.parts)])
+
+    def full_entry(self) -> Optional[Tuple[int, ...]]:
+        """h(V), if every factor has its entry for its whole part."""
+        rows = [entries.get((1 << len(part)) - 1)
+                for entries, part in zip(self.entries, self.parts)]
+        return None if None in rows else _convolve(rows)
 
     def cover_betti(self, orders: Sequence[int]) -> Tuple[int, ...]:
         """Betti numbers of the cover of a spec whose images are independent,
         of orders k_v = orders[v]."""
-        S = sum(1 << v for v, k in enumerate(orders) if k > 1)
-        total = [0] * len(self._dims)
-        T = S
-        while True:  # every subset of S, S first and the empty set last
-            weight = math.prod(k - 1 for v, k in enumerate(orders) if T >> v & 1)
-            for i, b in enumerate(self.h(T)):
-                total[i] += weight * b
-            if T == 0:
-                return tuple(total)
-            T = (T - 1) & S
+        rows = []
+        for i, part in enumerate(self.parts):
+            ks = [orders[v] for v in part]
+            S = sum(1 << j for j, k in enumerate(ks) if k > 1)
+            total = [0] * len(self._dims[i])
+            T = S
+            while True:  # every subset of S, S first and the empty set last
+                weight = math.prod(k - 1 for j, k in enumerate(ks) if T >> j & 1)
+                for d, b in enumerate(self._entry(i, T)):
+                    total[d] += weight * b
+                if T == 0:
+                    break
+                T = (T - 1) & S
+            rows.append(total)
+        return _convolve(rows)
 
     def split_betti(self, spec: FiniteQuotientSpec, index: int) -> Tuple[int, ...]:
         """Betti numbers of the cover of any spec of the given index.
@@ -276,12 +316,25 @@ class SupportTable:
         if sum(counts.values()) != order:
             raise CorruptComplexError(
                 f"{sum(counts.values())} characters counted for a p'-part of order {order}")
-        total = [0] * len(self._dims)
+        total = [0] * (self._L.dim + 2)
         for T, count in counts.items():
-            row = self.h(T) if len(deck) == 1 else self._betti(len(deck), shift, T)
+            row = (self.h(T) if len(deck) == 1 else
+                   betti_Fp(cube_chain_complex(*self._whole, len(deck), shift, T), self.prime))
             for i, b in enumerate(row):
                 total[i] += count * b
         return tuple(total)
+
+
+def _convolve(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """Coefficients of the product of the polynomials sum_d row[d] t^d."""
+    total = list(rows[0])
+    for row in rows[1:]:
+        out = [0] * (len(total) + len(row) - 1)
+        for i, a in enumerate(total):
+            for j, b in enumerate(row):
+                out[i + j] += a * b
+        total = out
+    return tuple(total)
 
 
 def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
@@ -325,10 +378,11 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     betti_rows = [table.split_betti(spec, idx) if orders is None
                   else table.cover_betti(orders)
                   for spec, idx, orders in zip(specs, indices, all_orders)]
-    # h(V) is the augmented chain complex of L shifted up one degree, so it
-    # must equal the reference column; the empty L is skipped, since
-    # reference reads its reduced homology in degree -1 as zero
-    full = table.entries.get((1 << L.n_vertices) - 1)
+    # h(V) is the augmented chain complex of L shifted up one degree, so the
+    # convolution of the factors' entries for their whole parts must equal
+    # the reference column; the empty L is skipped, since reference reads its
+    # reduced homology in degree -1 as zero
+    full = table.full_entry()
     if L.n_vertices and full is not None and full != reference:
         raise CorruptComplexError(
             f"support table entry for T = V, {list(full)}, differs from "
@@ -340,7 +394,7 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
                 f"betti numbers {list(row)} of the cover {spec.label()} do not sum "
                 f"to its Euler characteristic {idx * chi}")
 
-    family, expected = _derivable_family(L, specs, indices)
+    family, expected = _derivable_family(L, specs, indices, table.parts)
     covers = tuple(
         CoverResult(moduli_label=spec.label(), index=idx,
                     betti=tuple(row), expected=exp)

@@ -8,7 +8,8 @@ import itertools
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import character_counts_mobius, cover_boundaries_tuples, deck_group_bfs
+from oracles import (character_counts_mobius, cover_boundaries_tuples, deck_group_bfs,
+                     support_table_unsplit)
 
 import raag.models as models
 from raag.errors import CorruptComplexError, CoverSpecError
@@ -17,7 +18,7 @@ from raag.growth import SupportTable, independent_orders
 from raag.homology import ChainComplexZ, betti_Fp, simplicial_chain_complex
 from raag.linalg import SparseIntMatrix
 from raag.models import CubeComplex, FiniteQuotientSpec, finite_cover, standard_spec
-from raag.simplicial import flag_completion, from_facets
+from raag.simplicial import flag_completion, from_facets, join, join_factors
 
 
 @st.composite
@@ -162,13 +163,15 @@ def independent_specs(draw, n, max_modulus=4):
 
 def _check_against_cover(table: SupportTable, L, spec, p):
     """The table's betti numbers for spec equal the built cover's, and the
-    entries it added are all subsets of S = {v : k_v > 1}."""
+    entries it added for each join factor are all subsets of the factor's
+    part of S = {v : k_v > 1}, as masks over the factor's own vertices."""
     orders = independent_orders(spec, spec.index)
     assert orders is not None
-    S = sum(1 << v for v, k in enumerate(orders) if k > 1)
-    before = set(table.entries)
+    before = [set(entries) for entries in table.entries]
     got = table.cover_betti(orders)
-    assert all(T & ~S == 0 for T in set(table.entries) - before)
+    for part, entries, seen in zip(table.parts, table.entries, before):
+        S = sum(1 << j for j, v in enumerate(part) if orders[v] > 1)
+        assert all(T & ~S == 0 for T in set(entries) - seen)
     assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
 
 
@@ -196,6 +199,45 @@ def test_support_table_matches_direct_cover(data):
 def test_support_table_matches_direct_cover_on_fixtures(name, n, k, p):
     L = fixture(name, n=n)
     _check_against_cover(SupportTable(L, p), L, standard_spec(L, k), p)
+
+
+@st.composite
+def joins(draw):
+    """A * B for flag complexes A and B, at most 8 vertices, relabelled by a
+    permutation so that the factors' vertex parts interleave."""
+    a = draw(flag_complexes())
+    b = draw(flag_complexes(max_vertices=min(6, 8 - a.n_vertices)))
+    x = join(a, b)
+    perm = draw(st.permutations(range(x.n_vertices)))
+    return from_facets([[perm[v] for v in f] for f in x.facets])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_join_split_matches_unsplit_support_table(data):
+    # the per-factor convolution against the sum over whole-L support
+    # complexes, and against the built cover where it is small
+    L = data.draw(joins())
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    spec = data.draw(independent_specs(L.n_vertices))
+    orders = independent_orders(spec, spec.index)
+    table = SupportTable(L, p)
+    assert len(table.parts) == len(join_factors(L)) >= 2
+    got = table.cover_betti(orders)
+    assert got == support_table_unsplit(L, orders, p)
+    if spec.index * (1 + sum(L.f_vector())) <= ORACLE_CELLS:
+        assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
+
+
+@pytest.mark.parametrize("name, n, orders", [
+    ("cycle", 4, (3, 2, 1, 4)),         # parts (0, 2) and (1, 3)
+    ("octahedron", None, (2, 3, 1, 2, 2, 3)),
+    ("simplex", 3, (2, 3, 4, 2)),       # four one-vertex factors
+])
+@pytest.mark.parametrize("p", (2, 3))
+def test_join_split_matches_unsplit_support_table_on_fixtures(name, n, orders, p):
+    L = fixture(name, n=n)
+    assert SupportTable(L, p).cover_betti(orders) == support_table_unsplit(L, orders, p)
 
 
 def test_shared_coordinate_images_are_not_independent():
