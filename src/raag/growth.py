@@ -6,17 +6,19 @@ rational.  The reference column is the reduced betti number of L one degree
 down, which is the limit along exhausting residual chains.
 
 No cover is built; two routes give the betti numbers, both from complexes
-written by models.cube_chain_complex and kept in one SupportTable per (L, p)
+written by models.cube_chain_complex, through one SupportTable per (L, p)
 and experiment.  When the generator images are independent (the deck group
 is the direct sum of the cyclic groups they generate, as for every
 standard_spec), the cover is a polyhedral product and its betti numbers are
 a weighted sum over vertex subsets T of the betti numbers h(T) of complexes
-the size of L.  Every other spec is split into its p-part P and its part Q'
+the size of L.  When L is a join, h(T) is the convolution of its join
+factors' entries, and so is the weighted sum: the table keeps one set of
+entries per factor, each a complex the size of that factor.  Every other spec is split into its p-part P and its part Q'
 of order prime to p: over F_p with roots of unity adjoined the cover's chain
 complex splits over the characters of Q', and its betti numbers are a sum
 over vertex sets T, weighted by the number of characters of support T, of
 complexes the size of the P-cover (SupportTable.split_betti).  The table's
-entry for T = V is the reference column, and every row's alternating sum is
+h(V) is the reference column, and every row's alternating sum is
 the cover's Euler characteristic, index * (1 - chi(L)); both are checked.
 
 Abelian quotients of a nonabelian A_L never form a residual chain, so except
@@ -245,6 +247,12 @@ class SupportTable:
         self._unshifted = ([0],) * L.n_vertices
         self.entries: List[Dict[int, Tuple[int, ...]]] = [{} for _ in factors]
 
+    def cells(self, orders: Sequence[int]) -> int:
+        """Cells of the factor entries cover_betti(orders) reads: 2^|S_F|
+        support complexes of 1 + f(F) cells per factor F."""
+        return sum(2 ** sum(orders[v] > 1 for v in part) * sum(dims)
+                   for part, dims in zip(self.parts, self._dims))
+
     @functools.cached_property
     def _whole(self):
         """(dims, plans) of L itself, for the P-cover complexes of split_betti."""
@@ -343,13 +351,14 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
 
     specs must be ordered by strictly increasing index, and no cover may take
     more than models.MAX_COVER_CELLS cells: index copies of the Salvetti
-    complex of L, or 2^|S| for independent images (S = {v : k_v > 1}); both
-    are checked from the Smith normal form index before anything is
-    computed.  prime must be a prime below 2^64.  The per-degree reference
+    complex of L, or for independent images 2^|S_F| support complexes of
+    1 + f(F) cells per join factor F of L, S_F being the vertices v of F with
+    k_v > 1 (SupportTable.cells); both are checked from the Smith normal form
+    index before any homology is computed.  prime must be a prime below 2^64.  The per-degree reference
     is the reduced betti number of L one degree down (zero in degree zero).
 
     One SupportTable serves the call and no cover is built: a spec with
-    independent images is read off its entries h(T), any other spec is split
+    independent images is read off its factors' entries, any other spec is split
     into its p-part and its p'-part (SupportTable.split_betti).  Every row is
     checked against the Euler characteristic of the cover,
     index * (1 - chi(L)).
@@ -364,17 +373,15 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     indices = [spec.index for spec in specs]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise CoverSpecError(f"specs must have strictly increasing index, got {indices}")
-    all_orders = [independent_orders(spec, idx) for spec, idx in zip(specs, indices)]
-    for idx, orders in zip(indices, all_orders):
-        # cover_betti reads one table entry per subset of S = {v : k_v > 1}
-        check_cover_size(L, idx, None if orders is None
-                         else 2 ** (len(orders) - orders.count(1)))
     for spec in specs:
         check_generator_count(L, spec)
+    table = SupportTable(L, prime)
+    all_orders = [independent_orders(spec, idx) for spec, idx in zip(specs, indices)]
+    for idx, orders in zip(indices, all_orders):
+        check_cover_size(L, idx, None if orders is None else table.cells(orders))
 
     reference = (0,) + betti_table(L, prime, reduced=True)  # cover degree i vs L's i - 1
 
-    table = SupportTable(L, prime)
     betti_rows = [table.split_betti(spec, idx) if orders is None
                   else table.cover_betti(orders)
                   for spec, idx, orders in zip(specs, indices, all_orders)]

@@ -267,12 +267,14 @@ def check_generator_count(base: SimplicialComplex, spec: FiniteQuotientSpec) -> 
 
 
 def check_cover_size(base: SimplicialComplex, index: int,
-                     copies: Optional[int] = None) -> None:
+                     cells: Optional[int] = None) -> None:
     """Raise CoverSpecError if computing a cover of this index would take
-    more than MAX_COVER_CELLS cells: copies * (1 + f(base)), one copy of the
-    Salvetti complex per deck element (copies = index, the default) or per
-    support-table entry that growth.SupportTable.cover_betti reads."""
-    cells = (index if copies is None else copies) * (1 + sum(base.f_vector()))
+    more than MAX_COVER_CELLS cells: by default index * (1 + f(base)), one
+    copy of the Salvetti complex per deck element, or the cells of the
+    support-table entries growth.SupportTable.cover_betti reads
+    (SupportTable.cells)."""
+    if cells is None:
+        cells = index * (1 + sum(base.f_vector()))
     if cells > MAX_COVER_CELLS:
         raise CoverSpecError(
             f"cover of index {index} needs {cells} cells, "

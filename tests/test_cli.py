@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -539,6 +540,22 @@ def test_growth_standard_cover_is_bounded_by_its_table_entries(monkeypatch, caps
     rows = [l.rstrip("\r").split(",") for l in out.strip().split("\n")[1:]]
     assert [r[1:4] for r in rows] == [["3200000", "0", "1"], ["3200000", "1", "38100"],
                                       ["3200000", "2", "3238099"]]
+
+
+def test_growth_bound_counts_the_cells_of_each_join_factor(tmp_path, capsys):
+    # the 6-fold join of S^0 has 12 vertices and 1 + f = 3^6 cells, so the
+    # whole-L table would take 2^12 * 729 = 2,985,984 cells; its six factors
+    # read 2^2 entries of 3 cells each, 72 in all, and every factor's double
+    # cover of F_2 has betti numbers (1, 5)
+    x = fixture("discrete", n=2)
+    for _ in range(5):
+        x = join(x, fixture("discrete", n=2))
+    path = write_json(tmp_path / "s0_join6.json", complex_to_json_dict(x))
+    code, out, err = run(capsys, "growth", path, "--prime", "2", "--moduli", "2")
+    assert code == 0
+    rows = [l.rstrip("\r").split(",") for l in out.strip().split("\n")[1:]]
+    assert [int(r[3]) for r in rows] == [math.comb(6, i) * 5 ** i for i in range(7)]
+    assert {r[1] for r in rows} == {str(2 ** 12)}
 
 
 def test_growth_trivial_cover_of_many_vertices_reads_one_table_entry(monkeypatch, capsys):

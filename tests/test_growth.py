@@ -172,18 +172,20 @@ def test_p_part_enumerated_once_per_spec_without_independent_images(monkeypatch)
 
 
 def test_cover_bound_counts_the_cells_each_route_reads(monkeypatch):
-    # the 4-cycle's Salvetti complex has 1 + 8 cells; standard_spec(c4, 3)
-    # has index 81 but reads the 2^4 support-table entries of the subsets of
-    # its 4 vertices, and _shared(k), whose images are not independent, is
-    # split into Sylow parts at its index k
+    # the 4-cycle's Salvetti complex has 1 + 8 cells, and _shared(k), whose
+    # images are not independent, is split into Sylow parts at its index k;
+    # standard_spec(c4, 3) has index 81 but reads, for each of the two join
+    # factors S^0, the 2^2 support-table entries of the subsets of its part,
+    # of 1 + 2 cells each
     c4 = fixture("cycle", n=4)
     monkeypatch.setattr(models, "MAX_COVER_CELLS", 144)
     assert growth_experiment(c4, [_shared(16)], 2).covers[0].index == 16
-    assert growth_experiment(c4, [standard_spec(c4, 3)], 2).covers[0].index == 81
     with pytest.raises(CoverSpecError, match="index 17 needs 153 cells"):
         growth_experiment(c4, [_shared(17)], 2)
-    monkeypatch.setattr(models, "MAX_COVER_CELLS", 143)
-    with pytest.raises(CoverSpecError, match="index 81 needs 144 cells"):
+    monkeypatch.setattr(models, "MAX_COVER_CELLS", 24)
+    assert growth_experiment(c4, [standard_spec(c4, 3)], 2).covers[0].index == 81
+    monkeypatch.setattr(models, "MAX_COVER_CELLS", 23)
+    with pytest.raises(CoverSpecError, match="index 81 needs 24 cells"):
         growth_experiment(c4, [standard_spec(c4, 3)], 2)
 
 
