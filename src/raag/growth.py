@@ -260,7 +260,7 @@ class SupportTable:
         return (1,) + L.f_vector(), [cube_facets(L, i) for i in range(1, L.dim + 2)]
 
     def _entry(self, i: int, T: int) -> Tuple[int, ...]:
-        """h_i(T) of factor i, T a mask over its own vertices."""
+        """h_F(T) of the i-th factor F, T a bit mask over F's own vertices."""
         row = self.entries[i].get(T)
         if row is None:
             cc = cube_chain_complex(self._dims[i], self._plans[i], 1, self._unshifted, T)
@@ -268,8 +268,6 @@ class SupportTable:
         return row
 
     def h(self, T: int) -> Tuple[int, ...]:
-        if len(self.parts) == 1:
-            return self._entry(0, T)
         return _convolve([self._entry(i, sum(1 << j for j, v in enumerate(part) if T >> v & 1))
                           for i, part in enumerate(self.parts)])
 
