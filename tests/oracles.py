@@ -3,10 +3,7 @@
 Everything here is deliberately naive: dense matrices, textbook algorithms,
 exhaustive enumeration.  None of it imports the package's linear algebra or
 flag machinery, so agreement is meaningful evidence rather than an identity
-check of one code path against itself.  The one package import is
-models.cube_chain_complex, which writes the whole-L support complexes of
-support_table_unsplit: the route the join split of growth.SupportTable
-replaced, ranked here by dense elimination.
+check of one code path against itself.
 """
 
 from __future__ import annotations
@@ -17,8 +14,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
-
-from raag.models import cube_chain_complex, cube_facets
 
 
 # -- dense Smith normal form ---------------------------------------------------
@@ -216,34 +211,38 @@ def brute_betti_fp(facets: Sequence[Tuple[int, ...]], p: int,
 # -- finite covers of the cube complex -------------------------------------------
 
 
-def support_table_unsplit(L, orders: Sequence[int], p: int) -> Tuple[int, ...]:
-    """F_p betti numbers of the cover of the cube complex of L for a spec with
-    independent images of orders k_v = orders[v], without splitting L.
+def support_table_unsplit(facets: Sequence[Tuple[int, ...]], orders: Sequence[int],
+                          p: int) -> Tuple[int, ...]:
+    """F_p betti numbers of the cover of the cube complex of L, given by its
+    facets, for a spec with independent images of orders k_v = orders[v],
+    without splitting L into join factors.
 
     The sum over subsets T of S = {v : k_v > 1} of prod_{v in T} (k_v - 1)
-    times the betti numbers of the support complex of T, each built on the
-    whole of L by cube_chain_complex and ranked densely.
+    times the betti numbers of the support complex of T on the whole of L:
+    one cell e_s per face s of L and the empty face, in degree |s|, and
+    d e_s = sum over j with s_j in T of (-1)^j e_{s - s_j}, ranked densely.
     """
-    dims = (1,) + tuple(len(L.faces(k)) for k in range(L.dim + 1))
-    plans = [cube_facets(L, i) for i in range(1, len(dims))]
+    faces = all_faces(facets)
+    cells = [[()]] + [faces[d] for d in sorted(faces)]
     S = [v for v, k in enumerate(orders) if k > 1]
-    total = [0] * len(dims)
+    total = [0] * len(cells)
     for size in range(len(S) + 1):
         for T in itertools.combinations(S, size):
-            cc = cube_chain_complex(dims, plans, 1, (), sum(1 << v for v in T))
             ranks = [0]
-            for i in range(1, len(dims)):
-                m = cc.boundary(i)
-                dense = [[0] * m.cols for _ in range(m.rows)]
-                for (r, c), x in m.entries.items():
-                    dense[r][c] = x
-                ranks.append(rank_gf(dense, p))
+            for i in range(1, len(cells)):
+                lower = {f: r for r, f in enumerate(cells[i - 1])}
+                mat = [[0] * len(cells[i]) for _ in lower]
+                for c, f in enumerate(cells[i]):
+                    for j, v in enumerate(f):
+                        if v in T:
+                            mat[lower[f[:j] + f[j + 1:]]][c] = (-1) ** j
+                ranks.append(rank_gf(mat, p))
             ranks.append(0)
             weight = 1
             for v in T:
                 weight *= orders[v] - 1
-            for i, n in enumerate(dims):
-                total[i] += weight * (n - ranks[i] - ranks[i + 1])
+            for i, row in enumerate(cells):
+                total[i] += weight * (len(row) - ranks[i] - ranks[i + 1])
     return tuple(total)
 
 

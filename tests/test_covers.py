@@ -224,7 +224,7 @@ def test_join_split_matches_unsplit_support_table(data):
     table = SupportTable(L, p)
     assert len(table.parts) == len(join_factors(L)) >= 2
     got = table.cover_betti(orders)
-    assert got == support_table_unsplit(L, orders, p)
+    assert got == support_table_unsplit(L.facets, orders, p)
     if spec.index * (1 + sum(L.f_vector())) <= ORACLE_CELLS:
         assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
 
@@ -237,7 +237,7 @@ def test_join_split_matches_unsplit_support_table(data):
 @pytest.mark.parametrize("p", (2, 3))
 def test_join_split_matches_unsplit_support_table_on_fixtures(name, n, orders, p):
     L = fixture(name, n=n)
-    assert SupportTable(L, p).cover_betti(orders) == support_table_unsplit(L, orders, p)
+    assert SupportTable(L, p).cover_betti(orders) == support_table_unsplit(L.facets, orders, p)
 
 
 def test_shared_coordinate_images_are_not_independent():
