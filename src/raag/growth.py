@@ -255,8 +255,11 @@ class SupportTable:
 
     @functools.cached_property
     def _whole(self):
-        """(dims, plans) of L itself, for the P-cover complexes of split_betti."""
+        """(dims, plans) of L itself, for the P-cover complexes of split_betti;
+        a complex that does not split has them as its only factor's."""
         L = self._L
+        if len(self.parts) == 1:
+            return self._dims[0], self._plans[0]
         return (1,) + L.f_vector(), [cube_facets(L, i) for i in range(1, L.dim + 2)]
 
     def _entry(self, i: int, T: int) -> Tuple[int, ...]:
@@ -268,6 +271,8 @@ class SupportTable:
         return row
 
     def h(self, T: int) -> Tuple[int, ...]:
+        if len(self.parts) == 1:  # T is already a mask over the only factor
+            return self._entry(0, T)
         return _convolve([self._entry(i, sum(1 << j for j, v in enumerate(part) if T >> v & 1))
                           for i, part in enumerate(self.parts)])
 
