@@ -338,7 +338,7 @@ class SupportTable:
 
 def _convolve(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     """Coefficients of the product of the polynomials sum_d row[d] t^d."""
-    total = list(rows[0])
+    total = rows[0]
     for row in rows[1:]:
         out = [0] * (len(total) + len(row) - 1)
         for i, a in enumerate(total):
