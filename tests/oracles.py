@@ -3,7 +3,8 @@
 Everything here is deliberately naive: dense matrices, textbook algorithms,
 exhaustive enumeration.  None of it imports the package's linear algebra or
 flag machinery, so agreement is meaningful evidence rather than an identity
-check of one code path against itself.
+check of one code path against itself.  perfbench/check.py imports this
+module without the package on its path, so nothing here imports raag.
 """
 
 from __future__ import annotations
