@@ -9,7 +9,7 @@ from .simplicial import (SimplicialComplex, Simplex, Subdivision, as_simplex,
                          barycentric_subdivision, complement_components,
                          complex_from_json_dict, complex_to_json_dict, cone,
                          flag_completion, from_facets, induced_subcomplex, is_flag,
-                         join, join_factors, simplicial_quotient)
+                         join, join_factors, join_parts, simplicial_quotient)
 from .fixtures import FIXTURE_NAMES, fixture, moore_space, standard_fixtures
 from .linalg import (SNFResult, SparseIntMatrix, invariant_factors, prime_factors,
                      rank_mod_p, smith_normal_form)

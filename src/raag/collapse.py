@@ -15,6 +15,7 @@ replayable certificates.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -88,7 +89,9 @@ class _State:
         return len(self.faces) == 1 and len(next(iter(self.faces))) == 1
 
 
-def _attempt(x: SimplicialComplex, seed: Optional[int]) -> Optional[CollapseSequence]:
+def _attempt(x: SimplicialComplex, seed: Optional[int]) -> Tuple[bool, CollapseSequence]:
+    """One greedy pass: (whether it left one vertex, the pairs it removed).
+    Its heap starts with every free face, so it removes none iff x has none."""
     state = _State(x.all_faces())
     if seed is None:
         key = {f: (-len(f), f) for f in state.faces}
@@ -109,9 +112,7 @@ def _attempt(x: SimplicialComplex, seed: Optional[int]) -> Optional[CollapseSequ
             if state.is_free(sub):
                 heapq.heappush(heap, (key[sub], sub))
         pairs.append((sigma, tau))
-    if state.at_single_vertex():
-        return CollapseSequence(pairs=tuple(pairs), seed=seed)
-    return None
+    return state.at_single_vertex(), CollapseSequence(pairs=tuple(pairs), seed=seed)
 
 
 def collapse(x: SimplicialComplex, budget: int = 64) -> Optional[CollapseSequence]:
@@ -120,21 +121,18 @@ def collapse(x: SimplicialComplex, budget: int = 64) -> Optional[CollapseSequenc
     Runs the deterministic pass and then `budget` seeded restarts; returns the
     first successful sequence, or None when every attempt gets stuck.  None
     does not certify non-collapsibility.  The restarts are skipped when x has
-    no free face: then every attempt is stuck at its first step, whatever the
-    order, and fails exactly as the deterministic pass did.
+    no free face, which the deterministic pass shows by removing no pair:
+    then every attempt is stuck at its first step, whatever the order, and
+    fails exactly as the deterministic pass did.
     """
     if x.is_empty():
         return None
-    found = _attempt(x, None)
-    if found is not None:
-        return found
-    start = _State(x.all_faces())
-    if not any(start.is_free(f) for f in start.faces):
-        return None
-    for seed in range(budget):
-        found = _attempt(x, seed)
-        if found is not None:
+    for seed in itertools.chain([None], range(budget)):
+        done, found = _attempt(x, seed)
+        if done:
             return found
+        if not found.pairs:
+            return None
     return None
 
 

@@ -36,7 +36,9 @@ class FixtureError(RaagError):
 
 
 class CorruptComplexError(RaagError):
-    """A chain complex failed the boundary-squared check."""
+    """An internal consistency check failed, an engine bug: a chain complex's
+    shape or boundary-squared check, or a cross-check between two routes to
+    one number (universal coefficients, Euler characteristic, deck order)."""
 
     exit_code = 15
 

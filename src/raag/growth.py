@@ -13,13 +13,15 @@ standard_spec), the cover is a polyhedral product and its betti numbers are
 a weighted sum over vertex subsets T of the betti numbers h(T) of complexes
 the size of L.  When L is a join, h(T) is the convolution of its join
 factors' entries, and so is the weighted sum: the table keeps one set of
-entries per factor, each a complex the size of that factor.  Every other spec is split into its p-part P and its part Q'
-of order prime to p: over F_p with roots of unity adjoined the cover's chain
-complex splits over the characters of Q', and its betti numbers are a sum
-over vertex sets T, weighted by the number of characters of support T, of
-complexes the size of the P-cover (SupportTable.split_betti).  The table's
-h(V) is the reference column, and every row's alternating sum is
-the cover's Euler characteristic, index * (1 - chi(L)); both are checked.
+entries per factor, each a complex the size of that factor, on the vertex
+part that simplicial.join_parts gives it.  Every other spec is split into
+its p-part P and its part Q' of order prime to p: over F_p with roots of
+unity adjoined the cover's chain complex splits over the characters of Q',
+and its betti numbers are a sum over vertex sets T, weighted by the number
+of characters of support T, of complexes the size of the P-cover
+(SupportTable.split_betti).  The table's h(V) is the reference column, and
+every row's alternating sum is the cover's Euler characteristic,
+index * (1 - chi(L)); both are checked.
 
 Abelian quotients of a nonabelian A_L never form a residual chain, so except
 for the exactly derivable families below the ratios are descriptive only and
@@ -45,10 +47,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
 from .homology import betti_Fp, betti_table
-from .linalg import is_prime
+from .linalg import convolve, is_prime
 from .models import (FiniteQuotientSpec, check_cover_size, check_generator_count,
                      cube_chain_complex, cube_facets)
-from .simplicial import SimplicialComplex, complement_components, is_flag, join_factors
+from .simplicial import SimplicialComplex, is_flag, join_factors, join_parts
 
 CAVEAT = ("abelian quotient kernels of a nonabelian group do not form a residual "
           "chain; ratios are descriptive unless an exact closed form is noted")
@@ -212,15 +214,15 @@ class SupportTable:
     d e_s = sum over j with s_j in T of (-1)^j e_{s - s_j}.  T = {} gives zero
     maps, T = V the augmented chain complex of L shifted up one degree.
 
-    L is the join of its join factors F, on the vertex parts of the
-    complement graph, which may interleave (C_4's are (0, 2) and (1, 3)).
+    L is the join of its join factors F, on their vertex parts (join_parts),
+    which may interleave (C_4's are (0, 2) and (1, 3)).
     The support complex of T is, up to signs, the tensor product of the
     factors' support complexes of T_F, the vertices of T in F's part, so over
     F_p (Kunneth) h(T) is the convolution of the factors' rows h_F(T_F) as
     polynomials in the degree.  Those rows are computed on first use and
     kept, one dict per factor in entries, keyed by bit masks over the
     factor's own vertices.  A complex that does not split is its own only
-    factor.
+    factor, on all its vertices, so its masks are L's own.
 
     For a spec with independent images of orders k_v, the cover is the
     polyhedral product of (k_v-gon, its vertices) over L, and over a field
@@ -238,9 +240,7 @@ class SupportTable:
         self.prime = prime
         self._L = L
         factors = join_factors(L)
-        # the parts come in the order join_factors gave the factors
-        self.parts = (complement_components(L) if len(factors) > 1
-                      else [tuple(range(L.n_vertices))])
+        self.parts = join_parts(L)
         self._dims = [(1,) + F.f_vector() for F in factors]
         self._plans = [[cube_facets(F, i) for i in range(1, len(dims))]
                        for F, dims in zip(factors, self._dims)]
@@ -271,16 +271,15 @@ class SupportTable:
         return row
 
     def h(self, T: int) -> Tuple[int, ...]:
-        if len(self.parts) == 1:  # T is already a mask over the only factor
-            return self._entry(0, T)
-        return _convolve([self._entry(i, sum(1 << j for j, v in enumerate(part) if T >> v & 1))
-                          for i, part in enumerate(self.parts)])
+        """h(T), T a bit mask over L's vertices."""
+        return convolve([self._entry(i, sum(1 << j for j, v in enumerate(part) if T >> v & 1))
+                         for i, part in enumerate(self.parts)])
 
     def full_entry(self) -> Optional[Tuple[int, ...]]:
         """h(V), if every factor has its entry for its whole part."""
         rows = [entries.get((1 << len(part)) - 1)
                 for entries, part in zip(self.entries, self.parts)]
-        return None if None in rows else _convolve(rows)
+        return None if None in rows else convolve(rows)
 
     def cover_betti(self, orders: Sequence[int]) -> Tuple[int, ...]:
         """Betti numbers of the cover of a spec whose images are independent,
@@ -299,7 +298,7 @@ class SupportTable:
                     break
                 T = (T - 1) & S
             rows.append(total)
-        return _convolve(rows)
+        return convolve(rows)
 
     def split_betti(self, spec: FiniteQuotientSpec, index: int) -> Tuple[int, ...]:
         """Betti numbers of the cover of any spec of the given index.
@@ -334,18 +333,6 @@ class SupportTable:
             for i, b in enumerate(row):
                 total[i] += count * b
         return tuple(total)
-
-
-def _convolve(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """Coefficients of the product of the polynomials sum_d row[d] t^d."""
-    total = rows[0]
-    for row in rows[1:]:
-        out = [0] * (len(total) + len(row) - 1)
-        for i, a in enumerate(total):
-            for j, b in enumerate(row):
-                out[i + j] += a * b
-        total = out
-    return tuple(total)
 
 
 def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError
-from .linalg import (SNFResult, SparseIntMatrix, invariant_factors, pivot_rows_mod_p,
-                     prime_factors, smith_normal_form)
+from .linalg import (SNFResult, SparseIntMatrix, convolve, invariant_factors,
+                     pivot_rows_mod_p, prime_factors, smith_normal_form)
 from .simplicial import SimplicialComplex, join_factors
 
 
@@ -360,16 +360,10 @@ def betti_table(x: SimplicialComplex, p: int, reduced: bool = False) -> Tuple[in
 def _join_fp(rows: Sequence[Tuple[int, ...]], reduced: bool) -> Tuple[int, ...]:
     """F_p betti numbers of a join from its factors' reduced ones.
 
-    Kunneth over a field: b_k(A * B) = sum over i + j = k - 1 of a_i b_j.
+    Kunneth over a field: b_k(A * B) = sum over i + j = k - 1 of a_i b_j,
+    the product of the rows as polynomials shifted up one degree per join.
     """
-    out = rows[0]
-    for row in rows[1:]:
-        joined = [0] * (len(out) + len(row))
-        for i, a in enumerate(out):
-            for j, b in enumerate(row):
-                joined[i + j + 1] += a * b
-        out = tuple(joined)
-    return _unreduce(out, reduced)
+    return _unreduce((0,) * (len(rows) - 1) + convolve(rows), reduced)
 
 
 def _unreduce(betti: Tuple[int, ...], reduced: bool) -> Tuple[int, ...]:

@@ -31,7 +31,7 @@ and leaving its rows out of d_i could change the torsion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
 class SparseIntMatrix:
@@ -285,6 +285,22 @@ def prime_factors(n: int) -> Tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def convolve(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """Coefficients of the product of the polynomials sum_d row[d] t^d.
+
+    >>> convolve([(1, 1), (1, 2, 1)])
+    (1, 3, 3, 1)
+    """
+    total = rows[0]
+    for row in rows[1:]:
+        out = [0] * (len(total) + len(row) - 1)
+        for i, a in enumerate(total):
+            for j, b in enumerate(row):
+                out[i + j] += a * b
+        total = out
+    return tuple(total)
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

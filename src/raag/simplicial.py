@@ -14,19 +14,21 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import MalformedComplexError, QuotientDegenerateError
+from .linalg import convolve
 
 Simplex = Tuple[int, ...]
 
 
 def as_simplex(vertices: Iterable[int]) -> Simplex:
-    """Sorted tuple of distinct vertex ids; rejects duplicates and non-ints."""
-    vs = tuple(sorted(vertices))
+    """Sorted tuple of distinct vertex ids; rejects non-ints (before sorting) and duplicates."""
+    vs = list(vertices)
     for v in vs:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise MalformedComplexError(f"vertex ids must be nonnegative integers, got {v!r}")
+    vs.sort()
     if len(set(vs)) != len(vs):
-        raise MalformedComplexError(f"duplicate vertices within a facet: {vs}")
-    return vs
+        raise MalformedComplexError(f"duplicate vertices within a facet: {tuple(vs)}")
+    return tuple(vs)
 
 
 class SimplicialComplex:
@@ -37,7 +39,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("n_vertices", "facets", "name", "dim", "_faces",
-                 "_face_index", "_flag", "_factors", "_chain")
+                 "_face_index", "_flag", "_factors", "_parts", "_chain")
 
     def __init__(self, n_vertices: int, facets: Tuple[Simplex, ...], name: str = ""):
         self.n_vertices = n_vertices
@@ -48,9 +50,11 @@ class SimplicialComplex:
         self._face_index: Dict[int, Dict[Simplex, int]] = {}
         # set by is_flag, on a join's factors too, so each is searched once
         self._flag: Optional[Tuple[bool, Optional[Simplex]]] = None
-        # set by join_factors; () when the complex is not a join of two or more
-        # factors, which every factor's own connected complement makes it
+        # set by join_factors, with their vertex parts; () when the complex is
+        # not a join of two or more factors, which every factor's own connected
+        # complement makes it
         self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
+        self._parts: Tuple[Simplex, ...] = ()
         self._chain: Optional[object] = None  # set by homology.simplicial_chain_complex
 
     # -- basic queries ------------------------------------------------------
@@ -92,15 +96,7 @@ class SimplicialComplex:
         factors = join_factors(self)
         if len(factors) == 1:
             return tuple(len(self.faces(k)) for k in range(self.dim + 1))
-        f = [1]
-        for part in factors:
-            g = (1,) + part.f_vector()
-            h = [0] * (len(f) + len(g) - 1)
-            for i, a in enumerate(f):
-                for j, b in enumerate(g):
-                    h[i + j] += a * b
-            f = h
-        return tuple(f[1:])
+        return convolve([(1,) + F.f_vector() for F in factors])[1:]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
@@ -142,9 +138,10 @@ def from_facets(facets: Iterable[Iterable[int]], name: str = "",
     for s in simplices:
         used.update(s)
     n = (max(used) + 1) if used else 0
-    if used and used != set(range(n)):
-        missing = sorted(set(range(n)) - used)
-        raise MalformedComplexError(f"vertex ids must be dense 0..{n - 1}; missing {missing}")
+    if len(used) != n:  # counted, not listed: the first ten lie below len(used) + 10
+        first = list(itertools.islice((v for v in range(n) if v not in used), 10))
+        raise MalformedComplexError(
+            f"vertex ids must be dense 0..{n - 1}; {n - len(used)} missing, the first {first}")
     if n_vertices is not None and n_vertices != n:
         raise MalformedComplexError(f"declared vertex count {n_vertices} != inferred {n}")
     # Walk by decreasing size.  containing[v] lists the kept facets of strictly
@@ -189,12 +186,8 @@ def complex_from_json_dict(data: dict) -> SimplicialComplex:
     facets = data["facets"]
     if not isinstance(facets, list) or any(not isinstance(f, list) for f in facets):
         raise MalformedComplexError("facets must be a list of vertex lists")
-    for f in facets:
-        for v in f:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise MalformedComplexError(f"vertex ids must be integers, got {v!r}")
     n_vertices = data.get("vertices")
-    if n_vertices is not None and not isinstance(n_vertices, int):
+    if n_vertices is not None and type(n_vertices) is not int:
         raise MalformedComplexError("vertex count must be an integer")
     return from_facets(facets, name=name, n_vertices=n_vertices)
 
@@ -285,9 +278,8 @@ def _flag_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
         f._flag = _clique_check(f)
     if all(f._flag[0] for f in factors):
         return True, None
-    # the parts come in the order join_factors gave the factors
     witnesses = [tuple(part[v] for v in f._flag[1])
-                 for part, f in zip(complement_components(x), factors) if not f._flag[0]]
+                 for part, f in zip(join_parts(x), factors) if not f._flag[0]]
     return False, min(witnesses, key=lambda s: (len(s), s))
 
 
@@ -396,15 +388,27 @@ def join_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
     points, whose join is the solid triangle), and then it is its own only
     factor.  A factor's complement is a connected component, so a factor
     does not split again.  The factors are cached on the complex, which is
-    immutable.
+    immutable, with their vertex parts (join_parts): this is the only
+    complement search.
     """
     if x._factors is None:
         parts = complement_components(x)
         factors = _join_split(x, parts) if len(parts) > 1 else None
         x._factors = factors or ()
+        x._parts = tuple(parts) if factors else ()
         for f in x._factors:
             f._factors = ()
     return list(x._factors) or [x]
+
+
+def join_parts(x: SimplicialComplex) -> List[Simplex]:
+    """The vertex parts of x's join factors, from the one complement search
+    of join_factors: vertex j of join_factors(x)[i] is vertex parts[i][j] of
+    x.  Parts may interleave (C_4's are (0, 2) and (1, 3)); a complex that
+    does not split is its own only part, [all vertices]."""
+    if x._factors is None:  # the search runs inside join_factors, and only there
+        join_factors(x)
+    return list(x._parts) or [tuple(range(x.n_vertices))]
 
 
 def induced_subcomplex(x: SimplicialComplex, vertices: Sequence[int]) -> Tuple[SimplicialComplex, Tuple[int, ...]]:
@@ -483,9 +487,9 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
 def simplicial_quotient(x: SimplicialComplex, vertex_map: Sequence[int]) -> SimplicialComplex:
     """Image complex under a vertex map given as a table over 0..n-1.
 
-    The map must be injective on every simplex (checked on facets) and
-    surjective onto a dense target range; violating simplices are reported so
-    the caller can subdivide first.
+    The map must be injective on every simplex (checked on facets; violating
+    simplices are reported so the caller can subdivide first) and onto a
+    dense range, which from_facets checks on the image of the facets.
     """
     if len(vertex_map) != x.n_vertices:
         raise MalformedComplexError(
@@ -495,10 +499,7 @@ def simplicial_quotient(x: SimplicialComplex, vertex_map: Sequence[int]) -> Simp
         if len(set(images)) != len(images):
             raise QuotientDegenerateError(
                 f"simplex {f} degenerates under the vertex map; subdivide first")
-    targets = set(vertex_map)
-    if x.n_vertices and targets != set(range(max(targets) + 1)):
-        raise MalformedComplexError("vertex map image must be dense 0..m-1")
-    facets = [tuple(sorted(vertex_map[v] for v in f)) for f in x.facets]
+    facets = [[vertex_map[v] for v in f] for f in x.facets]
     return from_facets(facets, name=_derived_name(x, "quot"))
 
 

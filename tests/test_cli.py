@@ -196,6 +196,31 @@ def test_boolean_vertex_map_entries_exit_ten(tmp_path, capsys, vertex_map):
     assert code == 10 and "list of integers" in err
 
 
+@pytest.mark.parametrize("facets, vertex_map", [
+    ([[0], [2_000_000]], None),
+    ([[0], [1]], [0, 2_000_000]),
+])
+def test_sparse_ids_exit_ten_with_a_short_message(tmp_path, capsys, facets, vertex_map):
+    # the missing ids are counted, not listed: a far id costs no more memory
+    # or message than a near one
+    argv = ["build", write_json(tmp_path / "x.json", {"facets": facets})]
+    if vertex_map is not None:
+        argv += ["--quotient", write_json(tmp_path / "map.json", vertex_map)]
+    code, out, err = run(capsys, *argv)
+    assert code == 10 and out == ""
+    assert "1999999 missing" in err and len(err) < 300
+
+
+@pytest.mark.parametrize("data", [
+    {"facets": [[0]], "vertices": True},  # a JSON boolean is no vertex count
+    {"facets": [[None, 1]]},              # ids are checked before they are sorted
+    {"facets": [[0, 1.5]]},
+])
+def test_non_integer_vertex_data_exits_ten(tmp_path, capsys, data):
+    code, _, err = run(capsys, "build", write_json(tmp_path / "x.json", data))
+    assert code == 10 and "Traceback" not in err
+
+
 def test_boolean_witness_embedding_exits_ten(tmp_path, capsys):
     triangle = write_json(tmp_path / "tri.json", {"facets": [[0, 1, 2]]})
     witness = write_json(tmp_path / "w.json", {"supercomplex": {"facets": [[0, 1, 2]]},

@@ -77,6 +77,19 @@ def test_no_free_face_skips_restarts(monkeypatch):
         assert calls == [None]
 
 
+def test_no_free_face_builds_the_face_state_once(monkeypatch):
+    # the deterministic pass removes no pair exactly when no face is free,
+    # so no second state is built to ask
+    built = []
+    state = collapse_module._State
+    monkeypatch.setattr(collapse_module, "_State",
+                        lambda faces: built.append(1) or state(faces))
+    for x in (fixture("cycle", n=5), fixture("dunce_flag"), fixture("discrete", n=2)):
+        built.clear()
+        assert collapse(x, budget=8) is None
+        assert built == [1]
+
+
 def test_free_faces_but_stuck_runs_every_restart(monkeypatch):
     calls = _count_attempts(monkeypatch)
     # a 4-cycle with a pendant edge: vertex 4 is free, the cycle then sticks

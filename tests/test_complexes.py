@@ -16,11 +16,14 @@ from oracles import (complement_components_networkx, is_flag_exhaustive,
 from raag import simplicial
 from raag.errors import MalformedComplexError, QuotientDegenerateError
 from raag.fixtures import fixture, standard_fixtures
-from raag.simplicial import (Subdivision, _maximal_cliques, as_simplex,
+from raag.growth import SupportTable, growth_experiment
+from raag.homology import homology_summary
+from raag.models import standard_spec
+from raag.simplicial import (SimplicialComplex, Subdivision, _maximal_cliques, as_simplex,
                              barycentric_subdivision, complement_components,
                              complex_from_json_dict, complex_to_json_dict, cone,
                              flag_completion, from_facets, induced_subcomplex,
-                             is_flag, join, join_factors, simplicial_quotient)
+                             is_flag, join, join_factors, join_parts, simplicial_quotient)
 
 
 # -- construction and canonical form -------------------------------------------
@@ -73,6 +76,31 @@ def test_from_facets_rejects_bad_input():
         from_facets([[-1, 0]])
     with pytest.raises(MalformedComplexError):
         from_facets([[0, 1], []])
+
+
+@pytest.mark.parametrize("facet", [[None, 1], [1, "a"], [0, 1.0], [True, 2]])
+def test_vertex_types_are_checked_before_sorting(facet):
+    # sorting first would raise TypeError on values that do not compare
+    with pytest.raises(MalformedComplexError, match="nonnegative integers"):
+        from_facets([facet])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: from_facets([[0], [2_000_000]]),
+    lambda: simplicial_quotient(from_facets([[0], [1]]), [0, 2_000_000]),
+])
+def test_sparse_ids_are_reported_by_count_and_first_ten(build):
+    with pytest.raises(MalformedComplexError) as info:
+        build()
+    message = str(info.value)
+    assert "1999999 missing, the first [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]" in message
+    assert len(message) < 300
+
+
+def test_quotient_rejects_negative_targets():
+    # the image {-1, 1} has as many ids as 0..1, so the sizes alone would pass
+    with pytest.raises(MalformedComplexError, match="nonnegative"):
+        simplicial_quotient(from_facets([[0], [1]]), [-1, 1])
 
 
 def test_face_enumeration_closure():
@@ -483,6 +511,54 @@ def test_flag_check_of_a_join_searches_only_its_factors(monkeypatch):
         monkeypatch.undo()
 
 
+def _count_complement_searches(monkeypatch):
+    """The complexes complement_components is called on, through every
+    module of the package that binds the name."""
+    original = simplicial.complement_components
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "raag" or name.startswith("raag."))
+                and getattr(module, "complement_components", None) is original):
+            monkeypatch.setattr(module, "complement_components", counted)
+    return calls
+
+
+def test_every_route_searches_the_complement_once_per_complex(monkeypatch):
+    calls = _count_complement_searches(monkeypatch)
+    joins = (lambda: fixture("cycle", n=4), lambda: fixture("octahedron"))
+    cases = [(lambda x: not is_flag(x)[0],
+              lambda: join(fixture("moore", q=3), fixture("moore", q=5)))]
+    cases += [(route, build) for build in joins for route in (
+        SimplicialComplex.f_vector, homology_summary,
+        lambda x: growth_experiment(x, [standard_spec(x, 2)], 2))]
+    for route, build in cases:
+        x = build()
+        calls.clear()
+        assert route(x)
+        assert [c is x for c in calls] == [True]
+    for build in joins:
+        L = build()
+        assert len(join_factors(L)) > 1
+        assert SupportTable(L, 2).parts == join_parts(L)
+
+
+def test_join_parts_follow_the_factors():
+    c4 = fixture("cycle", n=4)
+    assert join_parts(c4) == [(0, 2), (1, 3)]
+    x = _interleaved_join(fixture("rp2_flag"), fixture("moore", q=3))
+    for factor, part in zip(join_factors(x), join_parts(x)):
+        assert induced_subcomplex(x, part) == (factor, part)
+    hollow = fixture("simplex_boundary", n=2)  # three points, but not their join
+    assert join_factors(hollow) == [hollow]
+    assert join_parts(hollow) == [(0, 1, 2)]
+    assert join_parts(from_facets([])) == [()]
+
+
 def test_induced_subcomplex_relabels():
     x = fixture("octahedron")
     sub, table = induced_subcomplex(x, [0, 1, 2, 3])
@@ -510,3 +586,9 @@ def test_complex_json_rejects_malformed():
         complex_from_json_dict({"facets": [[0, "a"]]})
     with pytest.raises(MalformedComplexError):
         complex_from_json_dict({"facets": [[0, 1]], "vertices": 5})
+
+
+def test_complex_json_rejects_a_boolean_vertex_count():
+    # JSON true is a Python bool, which is an int
+    with pytest.raises(MalformedComplexError, match="vertex count"):
+        complex_from_json_dict({"facets": [[0]], "vertices": True})

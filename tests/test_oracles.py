@@ -4,6 +4,10 @@ These run first in spirit: every other test that leans on an oracle is only
 as good as the checks here.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 from oracles import (brute_betti_fp, brute_homology, dense_snf, is_flag_exhaustive,
                      rank_fraction, rank_gf)
 
@@ -64,3 +68,12 @@ def test_is_flag_exhaustive_hand_cases():
     assert is_flag_exhaustive(3, full)
     square = [(0, 1), (1, 2), (2, 3), (0, 3)]
     assert is_flag_exhaustive(4, square)
+
+
+def test_oracles_import_without_the_package():
+    # perfbench/check.py loads this module by path as its raag-free reference,
+    # so an import of raag here would stop every benchmark run
+    tests = str(Path(__file__).resolve().parent)
+    code = f"import sys; sys.path.insert(0, {tests!r}); sys.modules['raag'] = None; import oracles"
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
