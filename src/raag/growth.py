@@ -6,8 +6,10 @@ rational.  The reference column is the reduced betti number of L one degree
 down, which is the limit along exhausting residual chains.
 
 No cover is built; two routes give the betti numbers, both from complexes
-written by models.cube_chain_complex, through one SupportTable per (L, p)
-and experiment.  When the generator images are independent (the deck group
+written by models.cube_chain_complex, through one SupportTable per (L, p).
+L keeps its tables, one per prime, so a table's entries and reference
+column are computed once per complex and prime, however many experiments
+read them.  When the generator images are independent (the deck group
 is the direct sum of the cyclic groups they generate, as for every
 standard_spec), the cover is a polyhedral product and its betti numbers are
 a weighted sum over vertex subsets T of the betti numbers h(T) of complexes
@@ -21,7 +23,7 @@ and its betti numbers are a sum over vertex sets T, weighted by the number
 of characters of support T, of complexes the size of the P-cover
 (SupportTable.split_betti).  The table's h(V) is the reference column, and
 every row's alternating sum is the cover's Euler characteristic,
-index * (1 - chi(L)); both are checked.
+index * (1 - chi(L)); both are checked in every experiment.
 
 Abelian quotients of a nonabelian A_L never form a residual chain, so except
 for the exactly derivable families below the ratios are descriptive only and
@@ -204,6 +206,13 @@ def independent_orders(spec: FiniteQuotientSpec, index: int) -> Optional[Tuple[i
     return orders if math.prod(orders) == index else None
 
 
+def support_cells(L: SimplicialComplex, orders: Sequence[int]) -> int:
+    """Cells of the factor entries SupportTable.cover_betti(orders) reads:
+    2^|S_F| support complexes of 1 + f(F) cells per join factor F of L."""
+    return sum(2 ** sum(orders[v] > 1 for v in part) * (1 + sum(F.f_vector()))
+               for F, part in zip(join_factors(L), join_parts(L)))
+
+
 class SupportTable:
     """F_p betti numbers of covers of the cube complex of L, from complexes
     with one cell per Salvetti cell and deck element of a p-group.
@@ -234,11 +243,16 @@ class SupportTable:
 
     Any other spec is split into its p-part P and its part Q' of order prime
     to p (split_betti).
+
+    The table also holds the reference column (0,) + the reduced F_p betti
+    numbers of L, which h(V) must equal.  growth_experiment keeps one table
+    per prime on L, so the table lives as long as L and holds at most one
+    row per support complex it has computed: 2^|part| per factor, the P-cover
+    complexes of split_betti not among them.
     """
 
     def __init__(self, L: SimplicialComplex, prime: int):
         self.prime = prime
-        self._L = L
         factors = join_factors(L)
         self.parts = join_parts(L)
         self._dims = [(1,) + F.f_vector() for F in factors]
@@ -246,21 +260,22 @@ class SupportTable:
                        for F, dims in zip(factors, self._dims)]
         self._unshifted = ([0],) * L.n_vertices
         self.entries: List[Dict[int, Tuple[int, ...]]] = [{} for _ in factors]
-
-    def cells(self, orders: Sequence[int]) -> int:
-        """Cells of the factor entries cover_betti(orders) reads: 2^|S_F|
-        support complexes of 1 + f(F) cells per factor F."""
-        return sum(2 ** sum(orders[v] > 1 for v in part) * sum(dims)
-                   for part, dims in zip(self.parts, self._dims))
+        # cover degree i against L's degree i - 1
+        self.reference = (0,) + betti_table(L, prime, reduced=True)
+        # L keeps its tables (growth_experiment), so a table keeps no
+        # reference to L, only what _whole needs to rebuild it
+        self._base = (L.n_vertices, L.facets)
 
     @functools.cached_property
     def _whole(self):
         """(dims, plans) of L itself, for the P-cover complexes of split_betti;
-        a complex that does not split has them as its only factor's."""
-        L = self._L
+        a complex that does not split has them as its only factor's, and a
+        join's are read off a complex on L's facets."""
         if len(self.parts) == 1:
             return self._dims[0], self._plans[0]
-        return (1,) + L.f_vector(), [cube_facets(L, i) for i in range(1, L.dim + 2)]
+        dims = convolve(self._dims)
+        base = SimplicialComplex(*self._base)
+        return dims, [cube_facets(base, i) for i in range(1, len(dims))]
 
     def _entry(self, i: int, T: int) -> Tuple[int, ...]:
         """h_F(T) of the i-th factor F, T a bit mask over F's own vertices."""
@@ -326,7 +341,7 @@ class SupportTable:
         if sum(counts.values()) != order:
             raise CorruptComplexError(
                 f"{sum(counts.values())} characters counted for a p'-part of order {order}")
-        total = [0] * (self._L.dim + 2)
+        total = [0] * len(self.reference)  # degrees 0..dim L + 1
         for T, count in counts.items():
             row = (self.h(T) if len(deck) == 1 else
                    betti_Fp(cube_chain_complex(*self._whole, len(deck), shift, T), self.prime))
@@ -343,15 +358,19 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     more than models.MAX_COVER_CELLS cells: index copies of the Salvetti
     complex of L, or for independent images 2^|S_F| support complexes of
     1 + f(F) cells per join factor F of L, S_F being the vertices v of F with
-    k_v > 1 (SupportTable.cells); both are checked from the Smith normal form
-    index before any homology is computed.  prime must be a prime below 2^64.  The per-degree reference
-    is the reduced betti number of L one degree down (zero in degree zero).
+    k_v > 1 (support_cells); both are checked from the Smith normal form
+    index before any homology is computed.  prime must be a prime below 2^64.
+    The per-degree reference is the reduced betti number of L one degree
+    down (zero in degree zero).
 
-    One SupportTable serves the call and no cover is built: a spec with
-    independent images is read off its factors' entries, any other spec is split
-    into its p-part and its p'-part (SupportTable.split_betti).  Every row is
-    checked against the Euler characteristic of the cover,
-    index * (1 - chi(L)).
+    L's SupportTable at prime serves the call, built on the first call at
+    that prime and kept on L after it, and no cover is built: a spec with
+    independent images is read off its factors' entries, any other spec is
+    split into its p-part and its p'-part (SupportTable.split_betti).  Every
+    call checks every row against the Euler characteristic of the cover,
+    index * (1 - chi(L)), and the table's h(V), when computed, against the
+    reference column; a call whose check fails leaves L without a table at
+    prime, so the next call starts a new one.
     """
     flag, witness = is_flag(L)
     if not flag:
@@ -365,12 +384,15 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
         raise CoverSpecError(f"specs must have strictly increasing index, got {indices}")
     for spec in specs:
         check_generator_count(L, spec)
-    table = SupportTable(L, prime)
     all_orders = [independent_orders(spec, idx) for spec, idx in zip(specs, indices)]
     for idx, orders in zip(indices, all_orders):
-        check_cover_size(L, idx, None if orders is None else table.cells(orders))
-
-    reference = (0,) + betti_table(L, prime, reduced=True)  # cover degree i vs L's i - 1
+        check_cover_size(L, idx, None if orders is None else support_cells(L, orders))
+    # the table is taken off L for the call and put back only once every
+    # check below has passed, so a table that failed one is not kept
+    if L._tables is None:
+        L._tables = {}
+    table = L._tables.pop(prime, None) or SupportTable(L, prime)
+    reference = table.reference
 
     betti_rows = [table.split_betti(spec, idx) if orders is None
                   else table.cover_betti(orders)
@@ -390,6 +412,8 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
             raise CorruptComplexError(
                 f"betti numbers {list(row)} of the cover {spec.label()} do not sum "
                 f"to its Euler characteristic {idx * chi}")
+
+    L._tables[prime] = table
 
     family, expected = _derivable_family(L, specs, indices, table.parts)
     covers = tuple(

@@ -272,7 +272,7 @@ def check_cover_size(base: SimplicialComplex, index: int,
     more than MAX_COVER_CELLS cells: by default index * (1 + f(base)), one
     copy of the Salvetti complex per deck element, or the cells of the
     support-table entries growth.SupportTable.cover_betti reads
-    (SupportTable.cells)."""
+    (growth.support_cells)."""
     if cells is None:
         cells = index * (1 + sum(base.f_vector()))
     if cells > MAX_COVER_CELLS:

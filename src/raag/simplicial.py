@@ -39,7 +39,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("n_vertices", "facets", "name", "dim", "_faces",
-                 "_face_index", "_flag", "_factors", "_parts", "_chain")
+                 "_face_index", "_flag", "_factors", "_parts", "_chain", "_tables")
 
     def __init__(self, n_vertices: int, facets: Tuple[Simplex, ...], name: str = ""):
         self.n_vertices = n_vertices
@@ -56,6 +56,9 @@ class SimplicialComplex:
         self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
         self._parts: Tuple[Simplex, ...] = ()
         self._chain: Optional[object] = None  # set by homology.simplicial_chain_complex
+        # set by growth.growth_experiment: prime -> the growth.SupportTable of
+        # the complex at that prime, kept as long as the complex
+        self._tables: Optional[Dict[int, object]] = None
 
     # -- basic queries ------------------------------------------------------
 

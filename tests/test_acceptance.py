@@ -202,11 +202,21 @@ def _free_cover_b1(x, spec):
     return cov.index, betti
 
 
+def _free_growth_problems(x, spec, index, n):
+    """growth_experiment of one spec on the free group's x must hit the
+    closed form b_1 = index (n - 1) + 1."""
+    cov = growth_experiment(x, [spec], 2).covers[0]
+    if cov.index != index or cov.betti != cov.expected or cov.betti[1] != index * (n - 1) + 1:
+        return [f"free n={n} {spec}: growth_experiment {cov}"]
+    return []
+
+
 def test_acceptance_6_growth_exact_families():
     t0 = time.monotonic()
     problems = []
 
-    # (a) free groups: every abelian cover of index <= 625, coordinate surjections
+    # (a) free groups: every abelian cover of index <= 625, coordinate surjections,
+    # built and through growth_experiment on one x, which keeps its tables
     for n in (2, 3):
         x = fixture("discrete", n=n)
         seen = []
@@ -216,6 +226,7 @@ def test_acceptance_6_growth_exact_families():
             index, betti = _free_cover_b1(x, spec)
             if betti != (1, index * (n - 1) + 1):
                 problems.append(f"free n={n} moduli={moduli}: betti {betti}")
+            problems += _free_growth_problems(x, spec, index, n)
             seen.append((index, Fraction(betti[1], index)))
         seen.sort()
         for (i1, r1), (i2, r2) in zip(seen, seen[1:]):
@@ -235,6 +246,7 @@ def test_acceptance_6_growth_exact_families():
             index, betti = _free_cover_b1(x, spec)
             if betti[1] != index * (n - 1) + 1:
                 problems.append(f"free n={n} scrambled {spec.moduli}: betti {betti}")
+            problems += _free_growth_problems(x, spec, index, n)
 
     # (b) full 1-simplex: every cover is a torus
     edge = fixture("simplex", n=1)

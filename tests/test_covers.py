@@ -14,7 +14,7 @@ from oracles import (character_counts_mobius, cover_boundaries_tuples, deck_grou
 import raag.models as models
 from raag.errors import CorruptComplexError, CoverSpecError
 from raag.fixtures import fixture
-from raag.growth import SupportTable, independent_orders
+from raag.growth import SupportTable, growth_experiment, independent_orders
 from raag.homology import ChainComplexZ, betti_Fp, simplicial_chain_complex
 from raag.linalg import SparseIntMatrix
 from raag.models import CubeComplex, FiniteQuotientSpec, finite_cover, standard_spec
@@ -299,6 +299,48 @@ def test_sylow_split_matches_built_cover(data):
 ])
 def test_sylow_split_matches_built_cover_on_fixtures(name, n, moduli, images, p):
     _check_split_against_cover(fixture(name, n=n), FiniteQuotientSpec(moduli, images), p)
+
+
+# -- support tables kept on the complex ------------------------------------------
+
+
+def _same_as_fresh_complex(L, spec, p):
+    """growth_experiment on L, which keeps the tables earlier calls left on
+    it, gives the rows, reference and family of the same call on a new
+    complex on L's facets."""
+    got = growth_experiment(L, [spec], p)
+    want = growth_experiment(from_facets(L.facets), [spec], p)
+    assert got.covers == want.covers
+    assert (got.reference, got.derivable_family) == (want.reference, want.derivable_family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kept_tables_match_fresh_complexes(data):
+    # one L serves a sweep of specs on both routes, at primes that come back
+    # after another, so each call reads what earlier calls left in the table
+    # of its own prime
+    L = data.draw(flag_complexes())
+    cells = 1 + sum(L.f_vector())
+    for p in (2, 3, 2, 5):
+        spec = data.draw(st.one_of(independent_specs(L.n_vertices),
+                                   sylow_specs(L.n_vertices, p)))
+        assume(spec.index * cells <= ORACLE_CELLS)
+        _same_as_fresh_complex(L, spec, p)
+    assert sorted(L._tables) == [2, 3, 5]
+
+
+def test_kept_tables_are_read_at_their_own_prime():
+    # rp2_flag has 2-torsion: at p = 2 the characters of Z/3 and Z/5 read
+    # h(V) = (0, 0, 1, 1), at p = 3 and 5 those of Z/2 read (0, 0, 0, 0);
+    # a table of the wrong prime would give the other row
+    L = fixture("rp2_flag")
+    rest = ((0,),) * (L.n_vertices - 1)
+    for p, k in ((2, 3), (3, 2), (2, 5), (5, 2), (3, 4)):
+        _same_as_fresh_complex(L, FiniteQuotientSpec((k,), ((1,),) * L.n_vertices), p)
+        _same_as_fresh_complex(L, FiniteQuotientSpec((k,), ((1,),) + rest), p)
+    assert [L._tables[p].reference for p in (2, 3, 5)] == \
+        [(0, 0, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0)]
 
 
 @settings(max_examples=150, deadline=None)

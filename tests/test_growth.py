@@ -147,6 +147,58 @@ def test_support_table_cross_checks_reference(monkeypatch):
         growth_experiment(c4, [standard_spec(c4, 2)], 2)
 
 
+def test_a_table_that_failed_a_check_is_not_kept(monkeypatch):
+    # a poisoned h(V) is refused, on a new complex and on one that already
+    # keeps a table at p = 2 (entries of vertex 0 only, no h(V)); once the
+    # poison is gone the same object gives the rows of a new complex
+    partial = FiniteQuotientSpec(moduli=(2,), images=((1,), (0,), (0,), (0,)))
+    for warm in (False, True):
+        c4 = fixture("cycle", n=4)
+        if warm:
+            growth_experiment(c4, [partial], 2)
+        with monkeypatch.context() as m:
+            m.setattr(growth, "betti_Fp", lambda cc, p: (1,) + betti_Fp(cc, p)[1:])
+            with pytest.raises(CorruptComplexError, match="support table"):
+                growth_experiment(c4, [standard_spec(c4, 2)], 2)
+        for spec in (standard_spec(c4, 2), partial):
+            assert growth_experiment(c4, [spec], 2).covers == \
+                growth_experiment(from_facets(c4.facets), [spec], 2).covers
+        assert growth_experiment(c4, [standard_spec(c4, 2)], 2).covers[0].betti == (1, 10, 25)
+
+
+def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
+    # every divisibility chain of index <= 60 on discrete(3), as coordinate
+    # specs, and two scrambled specs, one call each, on one object: the
+    # support complexes (n_deck == 1) and the reference column are computed
+    # once per prime, in one table per prime
+    counts = {"entries": 0, "tables": 0, "references": 0}
+
+    def counted(key, original, when=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            counts[key] += when(*args)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(growth, "cube_chain_complex", counted(
+        "entries", growth.cube_chain_complex, lambda base, plans, n_deck, *rest: n_deck == 1))
+    monkeypatch.setattr(growth.SupportTable, "__init__",
+                        counted("tables", growth.SupportTable.__init__))
+    monkeypatch.setattr(growth, "betti_table", counted("references", growth.betti_table))
+    x = fixture("discrete", n=3)
+    chains = [(a, b, c) for c in range(1, 61) for b in range(1, c + 1) for a in range(1, b + 1)
+              if c % b == 0 and b % a == 0 and a * b * c <= 60]
+    coordinate = [FiniteQuotientSpec(moduli=m, images=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+                  for m in chains]
+    scrambled = [FiniteQuotientSpec(moduli=(4, 8), images=((1, 3), (2, 1), (0, 1))),
+                 FiniteQuotientSpec(moduli=(6, 6), images=((1, 1), (2, 3), (1, 5)))]
+    for p in (2, 3):
+        for spec in coordinate + scrambled:
+            series = growth_experiment(x, [spec], p)
+            assert series.covers[0].betti == (1, 2 * spec.index + 1)
+    assert counts == {"entries": 16, "tables": 2, "references": 2}
+    assert [len(x._tables[p].entries[0]) for p in (2, 3)] == [8, 8]
+
+
 def test_p_part_enumerated_once_per_spec_without_independent_images(monkeypatch):
     # the ordering check takes the index from the Smith normal form, specs
     # with independent images are read off the support table, and every other
