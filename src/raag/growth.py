@@ -21,7 +21,10 @@ its p-part P and its part Q' of order prime to p: over F_p with roots of
 unity adjoined the cover's chain complex splits over the characters of Q',
 and its betti numbers are a sum over vertex sets T, weighted by the number
 of characters of support T, of complexes the size of the P-cover
-(SupportTable.split_betti).  The table's h(V) is the reference column, and
+(SupportTable.split_betti).  When Q' is cyclic, which is when the lcm of the
+image orders is |Q'|, the characters are counted by order, with no list:
+the phi(e) characters of order e are 1 exactly on the images whose order
+divides |Q'| / e.  The table's h(V) is the reference column, and
 every row's alternating sum is the cover's Euler characteristic,
 index * (1 - chi(L)); both are checked in every experiment.
 
@@ -195,14 +198,14 @@ def _side_blocks(spec: FiniteQuotientSpec, parts: Sequence[Sequence[int]]):
 
 
 def independent_orders(spec: FiniteQuotientSpec, index: int) -> Optional[Tuple[int, ...]]:
-    """Orders k_v of the generator images if they are independent, else None.
+    """Orders k_v of the generator images (FiniteQuotientSpec.image_orders)
+    if they are independent, else None.
 
     The images are independent when the deck group, of order index, is the
     direct sum of the cyclic groups they generate: index == prod k_v.  Every
     standard_spec is of this kind.
     """
-    orders = tuple(math.lcm(*(k // math.gcd(x, k) for x, k in zip(img, spec.moduli)))
-                   for img in spec.images)
+    orders = spec.image_orders()
     return orders if math.prod(orders) == index else None
 
 
@@ -328,7 +331,11 @@ class SupportTable:
         b_i = sum over T of N(T) b_i(K_T), N(T) being the number of
         characters of support T and K_T the P-cover complex with unit
         directions T (cube_chain_complex); for a trivial P, K_T is the
-        support complex of T.  The P deck group is enumerated once.
+        support complex of T.  The P deck group is enumerated once.  N(T)
+        comes from FiniteQuotientSpec.character_supports, given |Q'| from
+        its Smith normal form: a cyclic Q' is counted by character order in
+        d(|Q'|) steps, any other Q' by listing its characters.  |P| |Q'| must
+        be the index, and the characters counted must number |Q'|.
         """
         p_part, rest = spec.sylow_split(self.prime)
         deck, shift = p_part.cayley_table()
@@ -337,7 +344,7 @@ class SupportTable:
             raise CorruptComplexError(
                 f"p-part of order {len(deck)} and p'-part of order {order} "
                 f"do not multiply to the index {index}")
-        counts = rest.character_supports()
+        counts = rest.character_supports(order)
         if sum(counts.values()) != order:
             raise CorruptComplexError(
                 f"{sum(counts.values())} characters counted for a p'-part of order {order}")

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, MalformedComplexError, NotFlagError
 from .homology import ChainComplexZ
-from .linalg import SparseIntMatrix, smith_normal_form
+from .linalg import SparseIntMatrix, prime_factors, smith_normal_form
 from .simplicial import Simplex, SimplicialComplex, barycentric_subdivision, cone, is_flag
 
 EMPTY: Simplex = ()
@@ -199,18 +199,38 @@ class FiniteQuotientSpec:
                                                    for img in self.images))
         return part(powers), part([k // q for k, q in zip(self.moduli, powers)])
 
-    def character_supports(self) -> Dict[int, int]:
-        """Number of characters of the deck group per support, the bit mask of
-        the vertices whose image the character does not send to 1.
+    def image_orders(self) -> Tuple[int, ...]:
+        """Order of each generator image, lcm_j k_j / gcd(x_j, k_j)."""
+        return tuple(math.lcm(*(k // math.gcd(x, k) for x, k in zip(img, self.moduli)))
+                     for img in self.images)
 
-        A character is fixed by its values on the images.  The characters c
-        of the ambient group take the value sum_j c_j x_j M / k_j in Z/M,
-        M = lcm(moduli), on an image x, so the characters of the deck group
-        form the subgroup of (Z/M)^r, one coordinate per distinct nonzero
-        image, spanned by one vector g_j per modulus.  It is enumerated coset
-        by coset: each g_j adds the multiples of g_j below its order modulo
-        the span of the earlier ones.  Zero images lie in no support.
+    def character_supports(self, order: int) -> Dict[int, int]:
+        """Number of characters of the deck group, of the given order (the
+        index), per support: the bit mask of the vertices whose image the
+        character does not send to 1.  Zero images lie in no support.
+
+        The deck group is cyclic exactly when the lcm of the image orders,
+        its exponent, equals its order n.  Then its phi(e) characters of
+        order e, for each divisor e of n, share one kernel, the subgroup of
+        order n / e, which holds exactly the images whose order divides
+        n / e; so the count is one sum over the divisors of n, with no
+        character listed.
+
+        Otherwise the characters are listed.  A character is fixed by its
+        values on the images.  The characters c of the ambient group take the
+        value sum_j c_j x_j M / k_j in Z/M, M = lcm(moduli), on an image x, so
+        the characters of the deck group form the subgroup of (Z/M)^r, one
+        coordinate per distinct nonzero image, spanned by one vector g_j per
+        modulus.  It is enumerated coset by coset: each g_j adds the
+        multiples of g_j below its order modulo the span of the earlier ones.
+
+        >>> spec = FiniteQuotientSpec((6,), ((1,), (2,), (3,), (0,)))
+        >>> dict(sorted(spec.character_supports(6).items()))
+        {0: 1, 3: 2, 5: 1, 7: 2}
         """
+        orders = self.image_orders()
+        if math.lcm(*orders) == order:
+            return _cyclic_supports(order, orders)
         masks: Dict[Tuple[int, ...], int] = {}
         for v, img in enumerate(self.images):
             if any(img):
@@ -222,16 +242,42 @@ class FiniteQuotientSpec:
         for j, k in enumerate(self.moduli):
             g = tuple(img[j] * (m // k) % m for img in masks)
             span = set(zip(*cols))
-            order, x = 1, g
+            mult, x = 1, g  # the order of g modulo the span
             while x not in span:
-                order += 1
+                mult += 1
                 x = tuple((a + b) % m for a, b in zip(x, g))
-            if order > 1:
-                cols = [[(x + i * gi) % m for i in range(order) for x in col]
+            if mult > 1:
+                cols = [[(x + i * gi) % m for i in range(mult) for x in col]
                         for col, gi in zip(cols, g)]
         counts = Counter(zip(*([x != 0 for x in col] for col in cols)))
         return {sum(mask for nonzero, mask in zip(pattern, masks.values()) if nonzero): n
                 for pattern, n in counts.items()}
+
+
+def _cyclic_supports(n: int, orders: Sequence[int]) -> Dict[int, int]:
+    """Characters of a cyclic group of order n per support, the images having
+    the given orders: the phi(e) characters of order e send to 1 exactly the
+    images whose order divides n / e."""
+    masks: Dict[int, int] = {}  # vertices per image order above 1
+    for v, o in enumerate(orders):
+        if o > 1:
+            masks[o] = masks.get(o, 0) | 1 << v
+    divisors = [(1, 1)]  # (e, phi(e)) for the divisors e of n
+    for q in prime_factors(n):
+        a, m = 0, n
+        while m % q == 0:
+            m //= q
+            a += 1
+        divisors += [(e * q ** i, phi * (q - 1) * q ** (i - 1))
+                     for e, phi in divisors for i in range(1, a + 1)]
+    counts: Dict[int, int] = {}
+    for e, phi in divisors:
+        T = 0
+        for o, mask in masks.items():
+            if (n // e) % o:
+                T |= mask
+        counts[T] = counts.get(T, 0) + phi
+    return counts
 
 
 def standard_spec(L: SimplicialComplex, k: int) -> FiniteQuotientSpec:

@@ -4,6 +4,7 @@ column-wise boundary check, and cover betti numbers read off the support
 table or split into p-part and p'-part against the built cover."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -16,7 +17,7 @@ from raag.errors import CorruptComplexError, CoverSpecError
 from raag.fixtures import fixture
 from raag.growth import SupportTable, growth_experiment, independent_orders
 from raag.homology import ChainComplexZ, betti_Fp, simplicial_chain_complex
-from raag.linalg import SparseIntMatrix
+from raag.linalg import SparseIntMatrix, prime_factors
 from raag.models import CubeComplex, FiniteQuotientSpec, finite_cover, standard_spec
 from raag.simplicial import flag_completion, from_facets, join, join_factors
 
@@ -296,9 +297,25 @@ def test_sylow_split_matches_built_cover(data):
     ("octahedron", None, (15,), ((1,), (5,), (3,), (0,), (6,), (10,)), 5),
     ("octahedron", None, (2, 3), ((1, 0), (0, 1), (1, 1), (1, 2), (0, 0), (0, 2)), 3),
     ("path", 4, (12,), ((3,), (4,), (6,), (2,)), 2),
+    # cyclic p'-parts, counted by character order: Z/105 with image orders
+    # 1, 3, 5, 7 and 105, and Z/3 x Z/5 = Z/15
+    ("cycle", 5, (105,), ((0,), (35,), (21,), (15,), (1,)), 2),
+    ("octahedron", None, (3, 5), ((1, 0), (0, 1), (1, 1), (2, 3), (0, 0), (1, 4)), 2),
 ])
 def test_sylow_split_matches_built_cover_on_fixtures(name, n, moduli, images, p):
     _check_split_against_cover(fixture(name, n=n), FiniteQuotientSpec(moduli, images), p)
+
+
+def test_cyclic_p_prime_part_of_large_index():
+    # Z/15 x Z/1001 = Z/15015, 15015 = 3 5 7 11 13, at p = 2: the 32 divisors
+    # are counted in place of 15015 characters; F_2 has b_1 = index + 1
+    L = fixture("discrete", n=2)
+    spec = FiniteQuotientSpec((15, 1001), ((1, 1), (3, 0)))
+    assert spec.image_orders() == (15015, 5)
+    series = growth_experiment(L, [spec], 2)
+    assert series.covers[0].index == 15015
+    assert series.covers[0].betti == (1, 15016)
+    assert series.exact_match()
 
 
 # -- support tables kept on the complex ------------------------------------------
@@ -347,4 +364,63 @@ def test_kept_tables_are_read_at_their_own_prime():
 @given(st.integers(0, 5).flatmap(lambda n: specs(n, max_coords=3, max_modulus=6)))
 def test_character_supports_match_moebius_inversion(spec):
     assume(spec.index <= 200)
-    assert spec.character_supports() == character_counts_mobius(spec.moduli, spec.images)
+    want = character_counts_mobius(spec.moduli, spec.images)
+    assert spec.character_supports(spec.index) == want
+
+
+# orders up to 420 with many divisors; other orders are drawn too
+MANY_DIVISORS = (12, 24, 30, 36, 60, 72, 84, 90, 105, 120, 180, 210, 240, 360, 420)
+
+
+@st.composite
+def cyclic_specs(draw, n):
+    """Specs on n vertices whose ambient group is cyclic, of order up to 420:
+    its prime powers spread over one to three coprime coordinates, so that
+    moduli (3, 5, 7) give Z/105.  Each image is drawn from a pool of at most
+    three vectors plus zero, each a random vector, often times a divisor of
+    the order, so repeated, zero and low-order images are common."""
+    order = draw(st.one_of(st.sampled_from(MANY_DIVISORS), st.integers(1, 420)))
+    moduli = [1] * draw(st.integers(1, 3))
+    for q in prime_factors(order):
+        power = q
+        while order % (power * q) == 0:
+            power *= q
+        moduli[draw(st.integers(0, len(moduli) - 1))] *= power
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    vector = st.tuples(st.one_of(st.just(1), st.sampled_from(divisors)),
+                       *(st.integers(0, k - 1) for k in moduli))
+    pool = [tuple(d * x % k for x, k in zip(xs, moduli))
+            for d, *xs in draw(st.lists(vector, min_size=1, max_size=3))]
+    pool.append((0,) * len(moduli))
+    return FiniteQuotientSpec(moduli=tuple(moduli),
+                              images=tuple(draw(st.sampled_from(pool)) for _ in range(n)))
+
+
+@st.composite
+def noncyclic_specs(draw, n):
+    """Specs on n >= 2 vertices whose deck group is not cyclic: two moduli
+    sharing a prime q, the first two images the two unit vectors, the rest
+    from a pool with zero, the vertices shuffled."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    moduli = (q * draw(st.integers(1, 4)), q * draw(st.integers(1, 4)))
+    vector = st.tuples(*(st.integers(0, k - 1) for k in moduli))
+    pool = draw(st.lists(vector, min_size=1, max_size=2)) + [(0, 0)]
+    images = [(1, 0), (0, 1)] + [draw(st.sampled_from(pool)) for _ in range(n - 2)]
+    return FiniteQuotientSpec(moduli=moduli, images=tuple(draw(st.permutations(images))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_character_supports_count_cyclic_groups_by_order(data):
+    # the count by character order on cyclic deck groups, the listing on the
+    # others, against Moebius inversion over subgroup orders
+    cyclic = data.draw(st.booleans())
+    if cyclic:
+        spec = data.draw(st.integers(0, 5).flatmap(cyclic_specs))
+    else:
+        spec = data.draw(st.integers(2, 5).flatmap(noncyclic_specs))
+    order = spec.index
+    assert (math.lcm(*spec.image_orders()) == order) == cyclic
+    want = character_counts_mobius(spec.moduli, spec.images)
+    assert spec.character_supports(order) == want
+    assert sum(want.values()) == order
