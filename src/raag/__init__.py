@@ -16,9 +16,8 @@ from .linalg import (SNFResult, SparseIntMatrix, invariant_factors, prime_factor
 from .homology import (ChainComplexZ, HomologySummary, betti_Fp, flag_reduced_summary,
                        homology_Z, homology_summary, join_homology_kunneth,
                        simplicial_chain_complex, top_cohomology_nonzero, uct_betti_fp)
-from .models import (CubeComplex, FiniteQuotientSpec, PosetComplex, fiber_dimension,
-                     finite_cover, poset_complex, salvetti_complex, standard_spec,
-                     toral_euler_characteristic, trivial_spec)
+from .models import (CubeComplex, FiniteQuotientSpec, finite_cover, salvetti_complex,
+                     standard_spec, trivial_spec)
 from .collapse import CollapseSequence, collapse, replay_collapse
 from .classify import (Certificate, EmbeddingWitness, Verdict, classify,
                        replay_certificate, report, verify_witness)

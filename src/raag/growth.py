@@ -335,7 +335,8 @@ class SupportTable:
         comes from FiniteQuotientSpec.character_supports, given |Q'| from
         its Smith normal form: a cyclic Q' is counted by character order in
         d(|Q'|) steps, any other Q' by listing its characters.  |P| |Q'| must
-        be the index, and the characters counted must number |Q'|.
+        be the index, the characters counted must number |Q'|, and those
+        that are 1 on image v, |Q'| / ord(v).
         """
         p_part, rest = spec.sylow_split(self.prime)
         deck, shift = p_part.cayley_table()
@@ -348,6 +349,12 @@ class SupportTable:
         if sum(counts.values()) != order:
             raise CorruptComplexError(
                 f"{sum(counts.values())} characters counted for a p'-part of order {order}")
+        for v, o in enumerate(rest.image_orders()):
+            kernel = sum(count for T, count in counts.items() if not T >> v & 1)
+            if kernel * o != order:
+                raise CorruptComplexError(
+                    f"{kernel} characters are 1 on image {v}, of order {o}, "
+                    f"in a p'-part of order {order}")
         total = [0] * len(self.reference)  # degrees 0..dim L + 1
         for T, count in counts.items():
             row = (self.h(T) if len(deck) == 1 else

@@ -1,22 +1,10 @@
 """Combinatorial models attached to a right-angled Artin group A_L.
 
-Three pieces of structure for a defining complex L:
-
-  * the poset complex K: geometric realization of the poset of simplices of L
-    with the empty simplex adjoined, i.e. the cone on the barycentric
-    subdivision; each simplex of K is a chain and carries the torus dimension
-    of its stratum in the toral model (the number of vertices of the smallest
-    simplex in the chain, zero for chains through the empty simplex);
-
-  * the Euler characteristic of the toral model, computed stratum by stratum
-    (only zero-dimensional fibers contribute since chi of a positive torus is
-    zero), which must equal 1 - chi(L);
-
-  * the cube complex with one (k+1)-cube per k-simplex of L (one vertex for
-    the empty simplex) and its finite covers classified by homomorphisms to
-    finite abelian groups.  The base complex has zero boundary maps; in a
-    cover the two parallel facets of a cube in direction v sit at deck
-    elements q and q + phi(v) and enter with opposite signs.
+The cube complex with one (k+1)-cube per k-simplex of L (one vertex for the
+empty simplex) and its finite covers classified by homomorphisms to finite
+abelian groups.  The base complex has zero boundary maps; in a cover the two
+parallel facets of a cube in direction v sit at deck elements q and
+q + phi(v) and enter with opposite signs.
 
 Cover cells are plain integers: the cell over base cell s at deck position qi
 is qi * (number of base cells) + position of s.  One enumeration of the deck
@@ -38,63 +26,12 @@ from dataclasses import dataclass
 from operator import add, mod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import CorruptComplexError, CoverSpecError, MalformedComplexError, NotFlagError
+from .errors import CorruptComplexError, CoverSpecError, NotFlagError
 from .homology import ChainComplexZ
 from .linalg import SparseIntMatrix, prime_factors, smith_normal_form
-from .simplicial import Simplex, SimplicialComplex, barycentric_subdivision, cone, is_flag
+from .simplicial import Simplex, SimplicialComplex, is_flag
 
 EMPTY: Simplex = ()
-
-
-# -- poset complex ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PosetComplex:
-    """Cone on the barycentric subdivision, with simplex labels on vertices."""
-
-    complex: SimplicialComplex
-    labels: Tuple[Simplex, ...]
-    apex: int
-
-    def min_label(self, tau: Sequence[int]) -> Simplex:
-        """Smallest simplex (by inclusion) among the labels of tau's vertices."""
-        t = tuple(sorted(tau))
-        if not t or not self.complex.has_face(t):
-            raise MalformedComplexError(f"{t} is not a simplex of the poset complex")
-        return min((self.labels[v] for v in t), key=len)
-
-
-def poset_complex(L: SimplicialComplex) -> PosetComplex:
-    """Realization of the simplex poset of L with the empty simplex adjoined.
-
-    Vertices are the simplices of L in canonical order followed by the apex
-    (the empty simplex); simplices are the chains.
-    """
-    sd = barycentric_subdivision(L)
-    K = cone(sd.complex)
-    labels = sd.vertex_simplex + (EMPTY,)
-    return PosetComplex(K, labels, apex=len(labels) - 1)
-
-
-def fiber_dimension(K: PosetComplex, tau: Sequence[int]) -> int:
-    """Dimension of the torus fiber over the open stratum of tau."""
-    return len(K.min_label(tau))
-
-
-def toral_euler_characteristic(L: SimplicialComplex) -> int:
-    """Euler characteristic of the toral model, stratum by stratum.
-
-    Strata with positive fiber dimension contribute zero, so the sum runs
-    over the chains through the empty simplex.  Always equals 1 - chi(L).
-    """
-    K = poset_complex(L)
-    total = 0
-    for k in range(K.complex.dim + 1):
-        for f in K.complex.faces(k):
-            if K.apex in f:
-                total += (-1) ** k
-    return total
 
 
 # -- finite quotient data -------------------------------------------------------

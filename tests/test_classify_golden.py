@@ -1,8 +1,7 @@
 """Golden pin of `raag classify` over the catalog of flag fixtures.
 
-The catalog is the one `scripts/classify_catalog.py --with-cones
---with-subdivisions` classifies: every flag fixture of the standard menu, the
-cone over it and its barycentric subdivision.  Each complex goes through the
+The catalog holds every flag fixture of the standard menu, the cone over it
+and its barycentric subdivision.  Each complex goes through the
 CLI as a facet-list file; its stdout (the verdict JSON) and exit code are
 compared with tests/classify_catalog.golden.json.  To rewrite the golden file
 after a deliberate change of output:

@@ -19,7 +19,8 @@ from raag import io as rio
 from raag.classify import EmbeddingWitness
 from raag.cli import main
 from raag.fixtures import _polygon_disk, fixture
-from raag.models import FiniteQuotientSpec
+from raag.growth import growth_experiment
+from raag.models import FiniteQuotientSpec, standard_spec
 from raag.simplicial import (barycentric_subdivision, complex_to_json_dict, cone,
                              from_facets, induced_subcomplex, join, join_factors)
 
@@ -514,6 +515,25 @@ def test_growth_csv_golden(monkeypatch, capsys):
     assert "EXACT" in err
 
 
+# the families a standard sweep runs: free groups, the torus and C_4 have
+# closed forms, C_5 and the path do not
+SWEEP_FAMILIES = [("discrete", 2, True), ("discrete", 3, True), ("simplex", 1, True),
+                  ("cycle", 4, True), ("cycle", 5, False), ("path", 4, False)]
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+@pytest.mark.parametrize("name, n, derivable", SWEEP_FAMILIES)
+def test_growth_prints_the_experiment_of_each_sweep_family(capsys, name, n, derivable, prime):
+    x = fixture(name, n=n)
+    series = growth_experiment(x, [standard_spec(x, k) for k in (2, 3, 4)], prime)
+    code, out, err = run(capsys, "growth", "--fixture", name, "--n", str(n),
+                         "--prime", str(prime), "--moduli", "2,3,4")
+    assert code == 0
+    assert out == series.to_csv() + "\n"
+    closed = [l for l in err.splitlines() if l.startswith("closed form")]
+    assert [l.endswith(": EXACT") for l in closed] == ([True] if derivable else [])
+
+
 def test_growth_rejects_bad_prime_and_moduli(capsys):
     code, _, err = run(capsys, "growth", "--fixture", "discrete", "--n", "2",
                        "--prime", "4", "--moduli", "2")
@@ -662,19 +682,41 @@ def test_import_loads_no_networkx_or_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+tracer = tracing.Tracer()
+tracer.install()
+import raag.cli, raag.growth
+from raag.fixtures import fixture
+from raag.models import FiniteQuotientSpec
+codes = [raag.cli.main(["classify", "--fixture", "dunce_flag"]),
+         raag.cli.main(["growth", "--fixture", "cycle", "--n", "4", "--prime", "2",
+                        "--moduli", "2"])]
+raag.growth.growth_experiment(fixture("cycle", n=4), [FiniteQuotientSpec((6,), ((1,),) * 4)], 2)
+m = tracer.layer_metrics()
+print(json.dumps([codes, m["collapse.attempts"], m["growth.growth_experiment.calls"]]))
+"""
+
+
+def test_benchmark_tracer_installs_and_counts():
+    # perfbench/tracing.py wraps raag's functions by name and reads collapse's
+    # arguments, so a renamed or deleted target fails here, not only in a
+    # traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(raag.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root / "perfbench")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    codes, attempts, growth_calls = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [3, 0]
+    assert attempts > 0 and growth_calls > 0
+
+
 def test_console_script_is_installed():
     proc = subprocess.run([sys.executable, "-m", "raag.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "classify" in proc.stdout
 
-
-@pytest.mark.parametrize("primes", ["4", "1", "2,x"])
-def test_growth_sweep_rejects_bad_primes_with_usage_error(tmp_path, primes):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "growth_sweep.py"
-    src = str(Path(raag.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, str(script), "--primes", primes,
-                           "--family", "free2", "--kmax", "2"],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 2
-    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

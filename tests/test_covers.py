@@ -3,6 +3,7 @@ build, the Smith-form index against enumeration, the cover size budget, the
 column-wise boundary check, and cover betti numbers read off the support
 table or split into p-part and p'-part against the built cover."""
 
+import inspect
 import itertools
 import math
 
@@ -316,6 +317,22 @@ def test_cyclic_p_prime_part_of_large_index():
     assert series.covers[0].index == 15015
     assert series.covers[0].betti == (1, 15016)
     assert series.exact_match()
+
+
+def test_split_rejects_wrong_character_supports(monkeypatch):
+    # _cyclic_supports with (n // e) % o misread as e % o still counts |Q'|
+    # characters, but the wrong ones are 1 on each image: Z/105 has 35 that
+    # are 1 on the image of order 3, and the mutant counts 70
+    source = inspect.getsource(models._cyclic_supports)
+    assert "(n // e) % o" in source
+    namespace = dict(vars(models))
+    exec(source.replace("(n // e) % o", "e % o"), namespace)
+    monkeypatch.setattr(models, "_cyclic_supports", namespace["_cyclic_supports"])
+    L = fixture("cycle", n=5)
+    spec = FiniteQuotientSpec((105,), ((0,), (35,), (21,), (15,), (1,)))
+    with pytest.raises(CorruptComplexError, match="70 characters are 1 on image 1") as caught:
+        growth_experiment(L, [spec], 2)
+    assert caught.value.exit_code == 15
 
 
 # -- support tables kept on the complex ------------------------------------------

@@ -1,65 +1,13 @@
-"""Toral model, finite quotient specs, and cube complex covers."""
-
-import itertools
+"""Finite quotient specs and cube complex covers."""
 
 import pytest
 
-from raag.errors import CoverSpecError, MalformedComplexError, NotFlagError
+from raag.errors import CoverSpecError, NotFlagError
 from raag.fixtures import fixture, standard_fixtures
 from raag.homology import betti_Fp, homology_Z, simplicial_chain_complex
-from raag.models import (CubeComplex, FiniteQuotientSpec, fiber_dimension,
-                         finite_cover, poset_complex, salvetti_complex,
-                         standard_spec, toral_euler_characteristic,
-                         trivial_spec)
+from raag.models import (CubeComplex, FiniteQuotientSpec, finite_cover,
+                         salvetti_complex, standard_spec, trivial_spec)
 from raag.simplicial import from_facets, is_flag
-
-
-# -- poset complex and torus fibers ------------------------------------------------
-
-
-def test_poset_complex_of_edge():
-    K = poset_complex(fixture("simplex", n=1))
-    assert K.complex.n_vertices == 4
-    assert K.labels == ((0,), (1,), (0, 1), ())
-    assert K.apex == 3
-    # cone on the path 0 - 2 - 1
-    assert K.complex.f_vector() == (4, 5, 2)
-
-
-def test_fiber_dimension_goldens():
-    K = poset_complex(fixture("simplex", n=1))
-    assert fiber_dimension(K, (K.apex,)) == 0
-    assert fiber_dimension(K, (0,)) == 1
-    assert fiber_dimension(K, (2,)) == 2  # barycenter of the edge
-    assert fiber_dimension(K, (0, 2)) == 1
-    assert fiber_dimension(K, (0, 2, 3)) == 0
-
-
-def test_fiber_dimension_monotone_under_inclusion():
-    K = poset_complex(fixture("cycle", n=4))
-    for k in range(K.complex.dim + 1):
-        for tau in K.complex.faces(k):
-            for sigma in itertools.combinations(tau, k):
-                if sigma:
-                    assert fiber_dimension(K, sigma) >= fiber_dimension(K, tau)
-
-
-def test_min_label_rejects_non_faces():
-    K = poset_complex(fixture("simplex", n=1))
-    with pytest.raises(MalformedComplexError):
-        K.min_label((0, 1))  # endpoints of the subdivided edge are not adjacent
-
-
-def test_toral_euler_characteristic_goldens():
-    assert toral_euler_characteristic(fixture("discrete", n=2)) == -1
-    assert toral_euler_characteristic(fixture("simplex", n=1)) == 0
-    assert toral_euler_characteristic(fixture("cycle", n=4)) == 1
-
-
-def test_toral_euler_characteristic_identity():
-    for name, x in standard_fixtures().items():
-        if x.n_vertices <= 13:
-            assert toral_euler_characteristic(x) == 1 - x.euler_characteristic(), name
 
 
 # -- finite quotient specs -----------------------------------------------------------
@@ -195,15 +143,15 @@ def test_cover_fp_alternating_sum_consistency():
             continue
         cover = finite_cover(x, standard_spec(x, 2))
         cc = cover.chain_complex()
-        chi_toral = toral_euler_characteristic(x)
+        chi = 1 - x.euler_characteristic()
         ref = simplicial_chain_complex(x)
         for p in (2, 3):
             b = betti_Fp(cc, p)
             total = sum((-1) ** i * v for i, v in enumerate(b))
-            assert total == cover.index * chi_toral, (name, p)
+            assert total == cover.index * chi, (name, p)
             reduced = betti_Fp(ref, p)
             assert -sum((-1) ** j * v for j, v in enumerate(reduced)) == \
-                chi_toral, (name, p)
+                chi, (name, p)
 
 
 def test_intermediate_cover_counts_divide():
