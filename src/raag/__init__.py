@@ -11,8 +11,8 @@ from .simplicial import (SimplicialComplex, Simplex, Subdivision, as_simplex,
                          flag_completion, from_facets, induced_subcomplex, is_flag,
                          join, join_factors, join_parts, simplicial_quotient)
 from .fixtures import FIXTURE_NAMES, fixture, moore_space, standard_fixtures
-from .linalg import (SNFResult, SparseIntMatrix, invariant_factors, prime_factors,
-                     rank_mod_p, smith_normal_form)
+from .linalg import (SNFResult, SparseIntMatrix, prime_factors, rank_mod_p,
+                     smith_normal_form)
 from .homology import (ChainComplexZ, HomologySummary, betti_Fp, flag_reduced_summary,
                        homology_Z, homology_summary, join_homology_kunneth,
                        simplicial_chain_complex, top_cohomology_nonzero, uct_betti_fp)

@@ -259,9 +259,7 @@ def replay_certificate(L: SimplicialComplex, verdict: Verdict) -> Tuple[bool, st
         seq = CollapseSequence.from_json_dict(cert.data["collapse"])
         return replay_collapse(L, seq)
     if cert.kind == CERT_WITNESS:
-        w = EmbeddingWitness(
-            supercomplex=complex_from_json_dict(cert.data["supercomplex"]),
-            embedding=tuple(cert.data["embedding"]))
+        w = EmbeddingWitness.from_json_dict(cert.data)
         err = _witness_structural_error(L, w)
         if err is not None:
             return False, err

@@ -261,7 +261,6 @@ class SupportTable:
         self._dims = [(1,) + F.f_vector() for F in factors]
         self._plans = [[cube_facets(F, i) for i in range(1, len(dims))]
                        for F, dims in zip(factors, self._dims)]
-        self._unshifted = ([0],) * L.n_vertices
         self.entries: List[Dict[int, Tuple[int, ...]]] = [{} for _ in factors]
         # cover degree i against L's degree i - 1
         self.reference = (0,) + betti_table(L, prime, reduced=True)
@@ -284,7 +283,7 @@ class SupportTable:
         """h_F(T) of the i-th factor F, T a bit mask over F's own vertices."""
         row = self.entries[i].get(T)
         if row is None:
-            cc = cube_chain_complex(self._dims[i], self._plans[i], 1, self._unshifted, T)
+            cc = cube_chain_complex(self._dims[i], self._plans[i], 1, (), T)
             row = self.entries[i][T] = betti_Fp(cc, self.prime)
         return row
 
@@ -333,10 +332,11 @@ class SupportTable:
         directions T (cube_chain_complex); for a trivial P, K_T is the
         support complex of T.  The P deck group is enumerated once.  N(T)
         comes from FiniteQuotientSpec.character_supports, given |Q'| from
-        its Smith normal form: a cyclic Q' is counted by character order in
-        d(|Q'|) steps, any other Q' by listing its characters.  |P| |Q'| must
-        be the index, the characters counted must number |Q'|, and those
-        that are 1 on image v, |Q'| / ord(v).
+        its Smith normal form and the orders of its images, computed once
+        for it and for the check below: a cyclic Q' is counted by character
+        order in d(|Q'|) steps, any other Q' by listing its characters.
+        |P| |Q'| must be the index, the characters counted must number
+        |Q'|, and those that are 1 on image v, |Q'| / ord(v).
         """
         p_part, rest = spec.sylow_split(self.prime)
         deck, shift = p_part.cayley_table()
@@ -345,11 +345,12 @@ class SupportTable:
             raise CorruptComplexError(
                 f"p-part of order {len(deck)} and p'-part of order {order} "
                 f"do not multiply to the index {index}")
-        counts = rest.character_supports(order)
+        orders = rest.image_orders()
+        counts = rest.character_supports(order, orders)
         if sum(counts.values()) != order:
             raise CorruptComplexError(
                 f"{sum(counts.values())} characters counted for a p'-part of order {order}")
-        for v, o in enumerate(rest.image_orders()):
+        for v, o in enumerate(orders):
             kernel = sum(count for T, count in counts.items() if not T >> v & 1)
             if kernel * o != order:
                 raise CorruptComplexError(

@@ -7,13 +7,14 @@ so the universal-coefficient identity
     b_i(F_p) = b_i(Q) + #{t in torsion_i : p | t} + #{t in torsion_{i-1} : p | t}
 
 is a genuine cross-check between two routes, not a tautology.  Reduced
-homology is handled by augmenting the chain complex with the all-ones map
-C_0 -> Z rather than by special-casing degree zero.
+homology is the homology of a complex given the all-ones augmentation
+C_0 -> Z as its boundary(0), not a special case of degree zero.
 
 A simplicial complex has one route to its homology, homology_summary (and
 betti_table over F_p alone): the complex is split by simplicial.join_factors,
 flag or not, and the reduced homology of the factors' augmented chain
-complexes is assembled by the Kunneth formula, which holds for every join.
+complexes is assembled by the Kunneth formula, which holds for every join;
+the torsion it assembles is normalized by the same smith_normal_form.
 Its mod-p tables are the factors' F_p ranks, checked factor by factor
 against their Smith normal forms; the top-cohomology criterion reads them.
 """
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError
-from .linalg import (SNFResult, SparseIntMatrix, convolve, invariant_factors,
-                     pivot_rows_mod_p, prime_factors, smith_normal_form)
+from .linalg import (SNFResult, SparseIntMatrix, convolve, pivot_rows_mod_p,
+                     prime_factors, smith_normal_form)
 from .simplicial import SimplicialComplex, join_factors
 
 
@@ -35,29 +36,27 @@ class ChainComplexZ:
     """Bounded chain complex of free Z-modules with fixed ordered bases.
 
     dims[i] is the number of cells in degree i; boundary(i) maps degree i to
-    degree i-1.  When augmented is set, boundary(0) is the all-ones
-    augmentation row C_0 -> Z and homology read off this complex is reduced.
+    degree i-1.  A complex given a boundary(0), a 1 x dims[0] row C_0 -> Z
+    (the all-ones augmentation, for simplicial_chain_complex), is augmented,
+    and homology read off it is reduced; without one, boundary(0) is zero and
+    the homology is unreduced.
     """
 
     __slots__ = ("dims", "augmented", "_bnd", "_checked")
 
-    def __init__(self, dims: Sequence[int], boundaries: Dict[int, SparseIntMatrix],
-                 augmented: bool = False):
+    def __init__(self, dims: Sequence[int], boundaries: Dict[int, SparseIntMatrix]):
         self.dims = tuple(dims)
-        self.augmented = augmented
         self._bnd = dict(boundaries)
+        self.augmented = 0 in self._bnd
         self._checked = False
-        top = len(self.dims) - 1
-        if augmented and self.dims:
-            self._bnd[0] = SparseIntMatrix(
-                1, self.dims[0], {(0, j): 1 for j in range(self.dims[0])})
-        for i in range(1, top + 1):
+        for i in range(0 if self.augmented else 1, len(self.dims)):
             m = self._bnd.get(i)
             if m is None:
                 raise CorruptComplexError(f"missing boundary in degree {i}")
-            if m.rows != self.dims[i - 1] or m.cols != self.dims[i]:
+            rows = self.dims[i - 1] if i else 1
+            if m.rows != rows or m.cols != self.dims[i]:
                 raise CorruptComplexError(
-                    f"boundary {i} is {m.rows}x{m.cols}, expected {self.dims[i - 1]}x{self.dims[i]}")
+                    f"boundary {i} is {m.rows}x{m.cols}, expected {rows}x{self.dims[i]}")
 
     @property
     def top(self) -> int:
@@ -112,7 +111,8 @@ def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
     The boundary of a simplex is the alternating sum over vertex deletions in
     sorted order; the full 2-simplex has the single column (+1, -1, +1).
     boundary(0) is the augmentation, so homology read off it is reduced;
-    _unreduce gives the unreduced betti numbers.  The complex is built once
+    _unreduce gives the unreduced betti numbers.  The empty complex has no
+    degree 0 and so no augmentation.  The complex is built once
     and cached on x, which is immutable; its boundary-squared check then
     also runs once.
     """
@@ -124,9 +124,9 @@ def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
 def _build_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
     top = x.dim
     if top < 0:
-        return ChainComplexZ((), {}, augmented=True)
+        return ChainComplexZ((), {})
     dims = [len(x.faces(k)) for k in range(top + 1)]
-    boundaries: Dict[int, SparseIntMatrix] = {}
+    boundaries = {0: SparseIntMatrix(1, dims[0], {(0, j): 1 for j in range(dims[0])})}
     for k in range(1, top + 1):
         below = x.face_index(k - 1)
         entries: Dict[Tuple[int, int], int] = {}
@@ -135,7 +135,7 @@ def _build_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
                 fct = s[:drop] + s[drop + 1:]
                 entries[(below[fct], j)] = (-1) ** drop
         boundaries[k] = SparseIntMatrix(dims[k - 1], dims[k], entries)
-    return ChainComplexZ(dims, boundaries, augmented=True)
+    return ChainComplexZ(dims, boundaries)
 
 
 @dataclass(frozen=True)
@@ -293,8 +293,9 @@ def join_homology_kunneth(h1: HomologySummary, h2: HomologySummary) -> HomologyS
                     + sum_{i+j=k-2} Tor(H~_i(A), H~_j(B)).
 
     Both inputs must be reduced summaries of nonempty complexes; the output is
-    a reduced summary in degrees 0..dim(A)+dim(B)+1 with torsion normalized to
-    invariant factors.
+    a reduced summary in degrees 0..dim(A)+dim(B)+1 whose torsion is the
+    invariant factors of each degree's cyclic orders, read off the Smith
+    normal form of their diagonal matrix.
     """
     if not (h1.reduced and h2.reduced):
         raise ValueError("join assembly needs reduced summaries")
@@ -314,7 +315,11 @@ def join_homology_kunneth(h1: HomologySummary, h2: HomologySummary) -> HomologyS
         for i in range(k - 1):
             tors += _gcds(h1.group(i)[1], h2.group(k - 2 - i)[1])
         betti.append(rank)
-        torsion.append(invariant_factors(tors) if tors else ())
+        if tors:  # the sum of the Z/t is the cokernel of diag(tors)
+            diag = SparseIntMatrix(len(tors), len(tors), {(j, j): t for j, t in enumerate(tors)})
+            torsion.append(smith_normal_form(diag).nonunit())
+        else:
+            torsion.append(())
     return HomologySummary(reduced=True, betti=tuple(betti), torsion=tuple(torsion))
 
 

@@ -337,34 +337,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def invariant_factors(orders: Iterable[int]) -> Tuple[int, ...]:
-    """Normalize a bag of finite cyclic orders into a divisibility chain.
-
-    >>> invariant_factors([2, 3])
-    (6,)
-    >>> invariant_factors([2, 4])
-    (2, 4)
-    """
-    exps: Dict[int, List[int]] = {}
-    for t in orders:
-        if t < 2:
-            raise ValueError(f"cyclic order must be >= 2, got {t}")
-        m = t
-        for p in prime_factors(t):
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            exps.setdefault(p, []).append(e)
-    width = max((len(v) for v in exps.values()), default=0)
-    factors = []
-    for j in range(width):
-        f = 1
-        for p, es in exps.items():
-            ordered = sorted(es, reverse=True)
-            if j < len(ordered):
-                f *= p ** ordered[j]
-        factors.append(f)
-    return tuple(sorted(factors))

@@ -141,10 +141,11 @@ class FiniteQuotientSpec:
         return tuple(math.lcm(*(k // math.gcd(x, k) for x, k in zip(img, self.moduli)))
                      for img in self.images)
 
-    def character_supports(self, order: int) -> Dict[int, int]:
+    def character_supports(self, order: int, orders: Sequence[int]) -> Dict[int, int]:
         """Number of characters of the deck group, of the given order (the
         index), per support: the bit mask of the vertices whose image the
         character does not send to 1.  Zero images lie in no support.
+        orders are the orders of the images (image_orders).
 
         The deck group is cyclic exactly when the lcm of the image orders,
         its exponent, equals its order n.  Then its phi(e) characters of
@@ -162,10 +163,9 @@ class FiniteQuotientSpec:
         multiples of g_j below its order modulo the span of the earlier ones.
 
         >>> spec = FiniteQuotientSpec((6,), ((1,), (2,), (3,), (0,)))
-        >>> dict(sorted(spec.character_supports(6).items()))
+        >>> dict(sorted(spec.character_supports(6, spec.image_orders()).items()))
         {0: 1, 3: 2, 5: 1, 7: 2}
         """
-        orders = self.image_orders()
         if math.lcm(*orders) == order:
             return _cyclic_supports(order, orders)
         masks: Dict[Tuple[int, ...], int] = {}
@@ -288,7 +288,8 @@ def cube_chain_complex(base_cells: Sequence[int],
     position qi is qi * base_cells[i] + position of s.  Direction j of the
     cube over (v_0 < ... < v_k) contributes (-1)^j times (translated facet -
     untranslated facet), so a zero image puts both facets on one cell, where
-    they cancel.  A direction v in the bit mask units has coefficient 1
+    they cancel; with one copy every translation is trivial, and shift is
+    not read.  A direction v in the bit mask units has coefficient 1
     instead of t_v - 1: it contributes (-1)^j times the untranslated facet
     alone.
     """

@@ -287,7 +287,7 @@ def test_p_part_and_p_prime_part_must_multiply_to_index(monkeypatch):
 def test_character_count_must_match_p_prime_part(monkeypatch):
     supports = FiniteQuotientSpec.character_supports
     monkeypatch.setattr(FiniteQuotientSpec, "character_supports",
-                        lambda spec, order: {**supports(spec, order), 0: 2})
+                        lambda spec, order, orders: {**supports(spec, order, orders), 0: 2})
     c4 = fixture("cycle", n=4)
     with pytest.raises(CorruptComplexError, match="4 characters counted for a p'-part of order 3"):
         growth_experiment(c4, [_shared(6)], 2)

@@ -3,11 +3,12 @@
 import functools
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (brute_betti_fp, brute_homology, complement_components_networkx,
                      dense_snf, rank_fraction, rank_gf, random_facets)
@@ -197,6 +198,68 @@ def test_join_kunneth_matches_direct_small():
         derived = join_homology_kunneth(ha, hb)
         assert derived.betti == direct.betti
         assert derived.torsion == direct.torsion
+
+
+def _reduced(betti, torsion):
+    return HomologySummary(reduced=True, betti=betti, torsion=torsion)
+
+
+@st.composite
+def torsion_summaries(draw):
+    """Reduced summaries in degrees 0..2 with at least one torsion coefficient."""
+    n = draw(st.integers(1, 3))
+    betti = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    orders = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=2)
+    torsion = [sorted(draw(orders)) for _ in range(n)]
+    if not any(torsion):
+        torsion[draw(st.integers(0, n - 1))] = [draw(st.sampled_from([2, 4, 6]))]
+    return _reduced(betti, tuple(tuple(t) for t in torsion))
+
+
+def _kunneth_bags(h1, h2):
+    """Per degree of the join, the orders of the cyclic groups of the Kunneth
+    formula: Z^r (x) Z/t = (Z/t)^r, Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t)."""
+    bags = []
+    for k in range(h1.dim + h2.dim + 2):
+        bag = []
+        for i, j in itertools.product(range(h1.dim + 1), range(h2.dim + 1)):
+            (r1, t1), (r2, t2) = h1.group(i), h2.group(j)
+            gcds = [math.gcd(s, t) for s in t1 for t in t2]
+            if i + j == k - 1:
+                bag += list(t1) * r2 + list(t2) * r1 + gcds
+            elif i + j == k - 2:
+                bag += gcds
+        bags.append([t for t in bag if t > 1])
+    return bags
+
+
+@settings(max_examples=150, deadline=None)
+@given(torsion_summaries(), torsion_summaries())
+# a point added to RP^2 and to the Moore spaces: Z/2 + Z/3 merges to Z/6,
+# Z/2 + Z/4 stays, and two Moore spaces meet in Z/4 (x) Z/6 and Tor(Z/4, Z/6)
+@example(_reduced((1, 0, 0), ((), (2,), ())), _reduced((1, 0, 0), ((), (3,), ())))
+@example(_reduced((1, 0, 0), ((), (2,), ())), _reduced((1, 0, 0), ((), (4,), ())))
+@example(_reduced((0, 0, 0), ((), (4,), ())), _reduced((0, 0, 0), ((), (6,), ())))
+def test_kunneth_torsion_matches_dense_snf_of_the_bag(h1, h2):
+    got = join_homology_kunneth(h1, h2)
+    bags = _kunneth_bags(h1, h2)
+    want = tuple(tuple(d for d in dense_snf([[t if a == b else 0 for b in range(len(bag))]
+                                              for a, t in enumerate(bag)]) if d > 1)
+                 for bag in bags)
+    assert got.torsion == want
+    assert got.betti == tuple(sum(h1.group(i)[0] * h2.group(k - 1 - i)[0] for i in range(k))
+                              for k in range(len(bags)))
+
+
+@pytest.mark.parametrize("q1,q2,betti,torsion", [
+    (2, 3, 1, ((), (), (6,), (), (), ())),
+    (2, 4, 1, ((), (), (2, 4), (2,), (2,), ())),
+    (4, 6, 0, ((), (), (), (2,), (2,), ())),
+])
+def test_kunneth_torsion_frozen_cases(q1, q2, betti, torsion):
+    h1 = _reduced((betti, 0, 0), ((), (q1,), ()))
+    h2 = _reduced((betti, 0, 0), ((), (q2,), ()))
+    assert join_homology_kunneth(h1, h2).torsion == torsion
 
 
 def test_flag_reduced_summary_uses_factors():
@@ -409,6 +472,29 @@ def test_chain_complex_validates_boundary_squared():
 def test_chain_complex_shape_mismatch_rejected():
     with pytest.raises(CorruptComplexError):
         ChainComplexZ((2, 2), {1: SparseIntMatrix.from_dense([[1], [1]])})
+    # a boundary(0) must be one row over degree 0
+    d1 = SparseIntMatrix.from_dense([[-1, -1], [1, 1]])
+    with pytest.raises(CorruptComplexError, match="boundary 0 is 1x3, expected 1x2"):
+        ChainComplexZ((2, 2), {0: SparseIntMatrix.from_dense([[1, 1, 1]]), 1: d1})
+    with pytest.raises(CorruptComplexError, match="boundary 0 is 2x2, expected 1x2"):
+        ChainComplexZ((2, 2), {0: SparseIntMatrix.from_dense([[1, 1], [1, 1]]), 1: d1})
+
+
+def test_boundary_zero_makes_the_complex_augmented():
+    # RP^2: reduced H = (0, Z/2, 0), unreduced (Z, Z/2, 0)
+    cc = simplicial_chain_complex(fixture("rp2_6"))
+    assert cc.augmented
+    n = cc.dims[0]
+    assert cc.boundary(0) == SparseIntMatrix(1, n, {(0, j): 1 for j in range(n)})
+    h = homology_Z(cc)
+    assert (h.reduced, h.betti, h.torsion) == (True, (0, 0, 0), ((), (2,), ()))
+    assert betti_Fp(cc, 2) == (0, 1, 1)
+    plain = _chain_complex(fixture("rp2_6"), reduced=False)
+    assert not plain.augmented
+    assert plain.boundary(0) == SparseIntMatrix(0, n, {})
+    h = homology_Z(plain)
+    assert (h.reduced, h.betti, h.torsion) == (False, (1, 0, 0), ((), (2,), ()))
+    assert betti_Fp(plain, 2) == (1, 1, 1)
 
 
 def test_is_prime_matches_trial_division_and_refuses_two_to_the_64():
