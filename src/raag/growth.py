@@ -6,7 +6,7 @@ rational.  The reference column is the reduced betti number of L one degree
 down, which is the limit along exhausting residual chains.
 
 No cover is built; two routes give the betti numbers, both from complexes
-written by models.cube_chain_complex, through one SupportTable per (L, p).
+written by homology.cube_chain_complex, through one SupportTable per (L, p).
 L keeps its tables, one per prime, so a table's entries and reference
 column are computed once per complex and prime, however many experiments
 read them.  When the generator images are independent (the deck group
@@ -24,9 +24,9 @@ of characters of support T, of complexes the size of the P-cover
 (SupportTable.split_betti).  When Q' is cyclic, which is when the lcm of the
 image orders is |Q'|, the characters are counted by order, with no list:
 the phi(e) characters of order e are 1 exactly on the images whose order
-divides |Q'| / e.  The table's h(V) is the reference column, and
-every row's alternating sum is the cover's Euler characteristic,
-index * (1 - chi(L)); both are checked in every experiment.
+divides |Q'| / e.  The table's h(V) gives the reference column, and every
+experiment checks that each row's alternating sum is the cover's Euler
+characteristic, index * (1 - chi(L)).
 
 Abelian quotients of a nonabelian A_L never form a residual chain, so except
 for the exactly derivable families below the ratios are descriptive only and
@@ -51,10 +51,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
-from .homology import betti_Fp, betti_table
+from .homology import betti_Fp, cube_chain_complex, cube_facets, simplicial_chain_complex
 from .linalg import convolve, is_prime
-from .models import (FiniteQuotientSpec, check_cover_size, check_generator_count,
-                     cube_chain_complex, cube_facets)
+from .models import FiniteQuotientSpec, check_cover_size, check_generator_count
 from .simplicial import SimplicialComplex, is_flag, join_factors, join_parts
 
 CAVEAT = ("abelian quotient kernels of a nonabelian group do not form a residual "
@@ -224,7 +223,8 @@ class SupportTable:
     of the Salvetti complex (the empty simplex and every face s of L, in
     degree |s|) and the cube boundary restricted to the directions in T:
     d e_s = sum over j with s_j in T of (-1)^j e_{s - s_j}.  T = {} gives zero
-    maps, T = V the augmented chain complex of L shifted up one degree.
+    maps, T = V the chain complex of L (homology.simplicial_chain_complex),
+    whose degree k + 1 is the reduced homology of L in degree k.
 
     L is the join of its join factors F, on their vertex parts (join_parts),
     which may interleave (C_4's are (0, 2) and (1, 3)).
@@ -247,10 +247,11 @@ class SupportTable:
     Any other spec is split into its p-part P and its part Q' of order prime
     to p (split_betti).
 
-    The table also holds the reference column (0,) + the reduced F_p betti
-    numbers of L, which h(V) must equal.  growth_experiment keeps one table
-    per prime on L, so the table lives as long as L and holds at most one
-    row per support complex it has computed: 2^|part| per factor, the P-cover
+    The entries for T = V are made with the table, from the factors' cached
+    chain complexes, as is the reference column (0,) + h(V)[1:]: the empty L
+    has no reduced degree -1.  growth_experiment keeps one table per prime
+    on L, so the table lives as long as L and holds at most one row per
+    support complex it has computed: 2^|part| per factor, the P-cover
     complexes of split_betti not among them.
     """
 
@@ -258,12 +259,15 @@ class SupportTable:
         self.prime = prime
         factors = join_factors(L)
         self.parts = join_parts(L)
-        self._dims = [(1,) + F.f_vector() for F in factors]
+        chains = [simplicial_chain_complex(F) for F in factors]
+        self._dims = [cc.dims for cc in chains]
         self._plans = [[cube_facets(F, i) for i in range(1, len(dims))]
                        for F, dims in zip(factors, self._dims)]
-        self.entries: List[Dict[int, Tuple[int, ...]]] = [{} for _ in factors]
+        full = [betti_Fp(cc, prime) for cc in chains]
+        self.entries: List[Dict[int, Tuple[int, ...]]] = [
+            {(1 << len(part)) - 1: row} for row, part in zip(full, self.parts)]
         # cover degree i against L's degree i - 1
-        self.reference = (0,) + betti_table(L, prime, reduced=True)
+        self.reference = (0,) + convolve(full)[1:]
         # L keeps its tables (growth_experiment), so a table keeps no
         # reference to L, only what _whole needs to rebuild it
         self._base = (L.n_vertices, L.facets)
@@ -291,12 +295,6 @@ class SupportTable:
         """h(T), T a bit mask over L's vertices."""
         return convolve([self._entry(i, sum(1 << j for j, v in enumerate(part) if T >> v & 1))
                          for i, part in enumerate(self.parts)])
-
-    def full_entry(self) -> Optional[Tuple[int, ...]]:
-        """h(V), if every factor has its entry for its whole part."""
-        rows = [entries.get((1 << len(part)) - 1)
-                for entries, part in zip(self.entries, self.parts)]
-        return None if None in rows else convolve(rows)
 
     def cover_betti(self, orders: Sequence[int]) -> Tuple[int, ...]:
         """Betti numbers of the cover of a spec whose images are independent,
@@ -383,9 +381,8 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     independent images is read off its factors' entries, any other spec is
     split into its p-part and its p'-part (SupportTable.split_betti).  Every
     call checks every row against the Euler characteristic of the cover,
-    index * (1 - chi(L)), and the table's h(V), when computed, against the
-    reference column; a call whose check fails leaves L without a table at
-    prime, so the next call starts a new one.
+    index * (1 - chi(L)); a call whose check fails leaves L without a table
+    at prime, so the next call starts a new one.
     """
     flag, witness = is_flag(L)
     if not flag:
@@ -412,15 +409,6 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     betti_rows = [table.split_betti(spec, idx) if orders is None
                   else table.cover_betti(orders)
                   for spec, idx, orders in zip(specs, indices, all_orders)]
-    # h(V) is the augmented chain complex of L shifted up one degree, so the
-    # convolution of the factors' entries for their whole parts must equal
-    # the reference column; the empty L is skipped, since reference reads its
-    # reduced homology in degree -1 as zero
-    full = table.full_entry()
-    if L.n_vertices and full is not None and full != reference:
-        raise CorruptComplexError(
-            f"support table entry for T = V, {list(full)}, differs from "
-            f"the reference column {list(reference)}")
     chi = 1 - L.euler_characteristic()
     for spec, idx, row in zip(specs, indices, betti_rows):
         if sum((-1) ** i * b for i, b in enumerate(row)) != idx * chi:

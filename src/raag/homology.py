@@ -6,17 +6,19 @@ so the universal-coefficient identity
 
     b_i(F_p) = b_i(Q) + #{t in torsion_i : p | t} + #{t in torsion_{i-1} : p | t}
 
-is a genuine cross-check between two routes, not a tautology.  Reduced
-homology is the homology of a complex given the all-ones augmentation
-C_0 -> Z as its boundary(0), not a special case of degree zero.
+is a genuine cross-check between two routes, not a tautology.  One builder,
+cube_chain_complex, writes every chain complex, simplicial, support or cover:
+degree 0 holds the empty simplex and degree k the (k-1)-faces, so
+simplicial_chain_complex(x) has the reduced homology of x one degree up.
 
 A simplicial complex has one route to its homology, homology_summary (and
 betti_table over F_p alone): the complex is split by simplicial.join_factors,
-flag or not, and the reduced homology of the factors' augmented chain
-complexes is assembled by the Kunneth formula, which holds for every join;
-the torsion it assembles is normalized by the same smith_normal_form.
-Its mod-p tables are the factors' F_p ranks, checked factor by factor
-against their Smith normal forms; the top-cohomology criterion reads them.
+flag or not, and the reduced homology of the factors, read from degree 1 up
+of their chain complexes, is assembled by the Kunneth formula, which holds
+for every join; the torsion it assembles is normalized by the same
+smith_normal_form.  Its mod-p tables are the factors' F_p ranks, checked
+factor by factor against their Smith normal forms; the top-cohomology
+criterion reads them.
 """
 
 from __future__ import annotations
@@ -24,39 +26,44 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError
 from .linalg import (SNFResult, SparseIntMatrix, convolve, pivot_rows_mod_p,
                      prime_factors, smith_normal_form)
-from .simplicial import SimplicialComplex, join_factors
+from .simplicial import Simplex, SimplicialComplex, join_factors
+
+Plan = Tuple[Dict[Tuple[int, int], int], Tuple[Simplex, ...]]  # see cube_facets
 
 
 class ChainComplexZ:
     """Bounded chain complex of free Z-modules with fixed ordered bases.
 
     dims[i] is the number of cells in degree i; boundary(i) maps degree i to
-    degree i-1.  A complex given a boundary(0), a 1 x dims[0] row C_0 -> Z
-    (the all-ones augmentation, for simplicial_chain_complex), is augmented,
-    and homology read off it is reduced; without one, boundary(0) is zero and
-    the homology is unreduced.
+    degree i-1.  It is given for every degree 1..top, and for no other: the
+    boundary out of degree 0 is zero, and the homology is that of the
+    complex as given.
     """
 
-    __slots__ = ("dims", "augmented", "_bnd", "_checked")
+    __slots__ = ("dims", "_bnd", "_checked")
 
     def __init__(self, dims: Sequence[int], boundaries: Dict[int, SparseIntMatrix]):
         self.dims = tuple(dims)
         self._bnd = dict(boundaries)
-        self.augmented = 0 in self._bnd
         self._checked = False
-        for i in range(0 if self.augmented else 1, len(self.dims)):
+        degrees = range(1, len(self.dims))
+        for i in degrees:
             m = self._bnd.get(i)
             if m is None:
                 raise CorruptComplexError(f"missing boundary in degree {i}")
-            rows = self.dims[i - 1] if i else 1
-            if m.rows != rows or m.cols != self.dims[i]:
+            if m.rows != self.dims[i - 1] or m.cols != self.dims[i]:
                 raise CorruptComplexError(
-                    f"boundary {i} is {m.rows}x{m.cols}, expected {rows}x{self.dims[i]}")
+                    f"boundary {i} is {m.rows}x{m.cols}, expected "
+                    f"{self.dims[i - 1]}x{self.dims[i]}")
+        if len(self._bnd) > len(degrees):
+            extra = min(i for i in self._bnd if i not in degrees)
+            raise CorruptComplexError(f"boundary in degree {extra}, outside 1..{self.top}")
 
     @property
     def top(self) -> int:
@@ -66,7 +73,7 @@ class ChainComplexZ:
         """The map C_i -> C_{i-1}; zero matrices outside the support."""
         if i in self._bnd:
             return self._bnd[i]
-        rows = self.dims[i - 1] if 1 <= i <= self.top + 1 and i - 1 <= self.top else 0
+        rows = self.dims[i - 1] if 1 <= i <= self.top + 1 else 0
         cols = self.dims[i] if 0 <= i <= self.top else 0
         return SparseIntMatrix(rows, cols, {})
 
@@ -78,9 +85,8 @@ class ChainComplexZ:
         """
         if self._checked:
             return
-        lo = 0 if self.augmented else 1
-        below = _columns(self.boundary(lo)) if lo < self.top else {}
-        for i in range(lo, self.top):
+        below = _columns(self.boundary(1)) if 1 < self.top else {}
+        for i in range(1, self.top):
             above = _columns(self.boundary(i + 1))
             for col in above.values():
                 acc: Dict[int, int] = {}
@@ -94,7 +100,7 @@ class ChainComplexZ:
         self._checked = True
 
     def __repr__(self):
-        return f"<ChainComplexZ dims={self.dims} augmented={self.augmented}>"
+        return f"<ChainComplexZ dims={self.dims}>"
 
 
 def _columns(m: SparseIntMatrix) -> Dict[int, List[Tuple[int, int]]]:
@@ -105,37 +111,89 @@ def _columns(m: SparseIntMatrix) -> Dict[int, List[Tuple[int, int]]]:
     return cols
 
 
+def cube_facets(base: SimplicialComplex, i: int) -> Plan:
+    """Boundary plan of the i-cubes of the cube complex of base.
+
+    (entries, faces): faces are the (i-1)-simplices s of base, in canonical
+    order, and entries maps (position of s minus s_j among the
+    (i-2)-simplices, with the empty simplex as the only one in dimension -1;
+    position of s) to the sign (-1)^j, over s and j in turn, so that the
+    n-th entry is in the direction of the n-th vertex of faces read in order.
+    """
+    faces = base.faces(i - 1)
+    if i == 1:
+        return {(0, col): 1 for col in range(len(faces))}, faces
+    below = base.face_index(i - 2)
+    entries = {}
+    for col, s in enumerate(faces):
+        for j in range(i):
+            entries[(below[s[:j] + s[j + 1:]], col)] = (-1) ** j
+    return entries, faces
+
+
+def cube_chain_complex(base_cells: Sequence[int], plans: Sequence[Plan], n_deck: int,
+                       shift: Sequence[Sequence[int]], units: int = 0) -> ChainComplexZ:
+    """Chain complex of n_deck copies of the cube cells of a base, twisted by a
+    deck group; the one writer of boundary entries.
+
+    base_cells[i] counts the i-cubes of the base (the empty simplex alone in
+    degree 0), plans[i - 1] is cube_facets(base, i), and shift[v][qi] is the
+    deck position of deck[qi] + phi(v).  The cell over base cell s at deck
+    position qi is qi * base_cells[i] + position of s.  Direction j of the
+    cube over (v_0 < ... < v_k) contributes (-1)^j times (translated facet -
+    untranslated facet), so a zero image puts both facets on one cell, where
+    they cancel; with one copy every translation is trivial, and shift is
+    not read.  A direction v in the bit mask units (all of them when units is
+    -1) has coefficient 1 instead of t_v - 1: it contributes (-1)^j times
+    the untranslated facet alone.
+    """
+    dims = tuple(n_deck * c for c in base_cells)
+    boundaries: Dict[int, SparseIntMatrix] = {}
+    for i, (entries, faces) in enumerate(plans, 1):
+        if n_deck == 1:  # every translation is trivial: only unit directions write
+            if units != -1:
+                entries = {key: sign for (key, sign), v in
+                           zip(entries.items(), chain.from_iterable(faces)) if units >> v & 1}
+            boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], entries)
+            continue
+        n_below, n_here = base_cells[i - 1], base_cells[i]
+        # per entry: (facet position, column), sign, shift list or None for a unit
+        plan = [(key, sign, None if units >> v & 1 else shift[v])
+                for (key, sign), v in zip(entries.items(), chain.from_iterable(faces))]
+        twisted: Dict[Tuple[int, int], int] = {}
+        for qi in range(n_deck):
+            here, first = qi * n_below, qi * n_here
+            for (fpos, col), sign, to in plan:
+                if to is None:
+                    twisted[(here + fpos, first + col)] = sign
+                elif to[qi] != qi:
+                    twisted[(to[qi] * n_below + fpos, first + col)] = sign
+                    twisted[(here + fpos, first + col)] = -sign
+        boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], twisted)
+    return ChainComplexZ(dims, boundaries)
+
+
 def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
-    """Augmented chain complex with the canonical ordered simplex bases.
+    """Chain complex of x with the canonical ordered simplex bases, the empty
+    simplex in degree 0 and the (k-1)-faces in degree k: the support complex
+    of every vertex (cube_chain_complex with units -1).
 
     The boundary of a simplex is the alternating sum over vertex deletions in
-    sorted order; the full 2-simplex has the single column (+1, -1, +1).
-    boundary(0) is the augmentation, so homology read off it is reduced;
-    _unreduce gives the unreduced betti numbers.  The empty complex has no
-    degree 0 and so no augmentation.  The complex is built once
-    and cached on x, which is immutable; its boundary-squared check then
-    also runs once.
+    sorted order, and boundary(1) is the augmentation, so degree k + 1 has
+    the reduced homology of x in degree k; the empty complex has dims (1,).
+    Built once and cached on x, which is immutable, so its boundary-squared
+    check also runs once.
+
+    >>> from raag.simplicial import from_facets
+    >>> hollow = from_facets([[0, 1], [1, 2], [0, 2]])
+    >>> cc = simplicial_chain_complex(hollow)
+    >>> cc.dims, homology_Z(cc).betti
+    ((1, 3, 3), (0, 0, 1))
     """
     if x._chain is None:
-        x._chain = _build_chain_complex(x)
+        plans = [cube_facets(x, i) for i in range(1, x.dim + 2)]
+        x._chain = cube_chain_complex([1] + [len(faces) for _, faces in plans], plans, 1, (), -1)
     return x._chain
-
-
-def _build_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
-    top = x.dim
-    if top < 0:
-        return ChainComplexZ((), {})
-    dims = [len(x.faces(k)) for k in range(top + 1)]
-    boundaries = {0: SparseIntMatrix(1, dims[0], {(0, j): 1 for j in range(dims[0])})}
-    for k in range(1, top + 1):
-        below = x.face_index(k - 1)
-        entries: Dict[Tuple[int, int], int] = {}
-        for j, s in enumerate(x.faces(k)):
-            for drop in range(len(s)):
-                fct = s[:drop] + s[drop + 1:]
-                entries[(below[fct], j)] = (-1) ** drop
-        boundaries[k] = SparseIntMatrix(dims[k - 1], dims[k], entries)
-    return ChainComplexZ(dims, boundaries)
 
 
 @dataclass(frozen=True)
@@ -207,8 +265,7 @@ class HomologySummary:
 def homology_Z(cc: ChainComplexZ) -> HomologySummary:
     """Betti numbers and torsion from Smith normal forms of the boundaries.
 
-    Reduced when the complex is augmented.  Raises CorruptComplexError if any
-    boundary composition is nonzero.
+    Raises CorruptComplexError if any boundary composition is nonzero.
 
     The boundaries are reduced from the top degree down, clearing as it goes:
     the columns of d_i indexed by the rows R of the +-1 pivots of d_{i+1}
@@ -226,25 +283,26 @@ def homology_Z(cc: ChainComplexZ) -> HomologySummary:
     cc.validate()
     top = cc.top
     if top < 0:
-        return HomologySummary(reduced=cc.augmented, betti=(), torsion=())
+        return HomologySummary(reduced=False, betti=(), torsion=())
     snfs: Dict[int, SNFResult] = {}
-    lo = 0 if cc.augmented else 1
     cleared: AbstractSet[int] = frozenset()
-    for i in range(top, lo - 1, -1):
+    for i in range(top, 0, -1):
         snfs[i] = smith_normal_form(cc.boundary(i), cleared)
         cleared = snfs[i].unit_rows
     betti = []
     torsion = []
+    rank_in = 0  # the rank of d_i
     for i in range(top + 1):
-        rank_in = snfs[i].rank if i in snfs else 0
-        rank_out = snfs[i + 1].rank if i + 1 in snfs else 0
+        above = snfs.get(i + 1)
+        rank_out = above.rank if above else 0
         betti.append(cc.dims[i] - rank_in - rank_out)
-        torsion.append(snfs[i + 1].nonunit() if i + 1 in snfs else ())
-    return HomologySummary(reduced=cc.augmented, betti=tuple(betti), torsion=tuple(torsion))
+        torsion.append(above.nonunit() if above else ())
+        rank_in = rank_out
+    return HomologySummary(reduced=False, betti=tuple(betti), torsion=tuple(torsion))
 
 
 def betti_Fp(cc: ChainComplexZ, p: int) -> Tuple[int, ...]:
-    """Betti numbers over F_p from sparse matrix ranks (reduced if augmented).
+    """Betti numbers over F_p from sparse matrix ranks.
 
     The boundaries are reduced from the top degree down, clearing as it goes:
     the columns of d_i indexed by the pivot rows of d_{i+1} are dropped.  For
@@ -257,9 +315,8 @@ def betti_Fp(cc: ChainComplexZ, p: int) -> Tuple[int, ...]:
     if top < 0:
         return ()
     ranks: Dict[int, int] = {}
-    lo = 0 if cc.augmented else 1
     cleared: AbstractSet[int] = frozenset()
-    for i in range(top, lo - 1, -1):
+    for i in range(top, 0, -1):
         cleared = pivot_rows_mod_p(cc.boundary(i), p, cleared)
         ranks[i] = len(cleared)
     return tuple(cc.dims[i] - ranks.get(i, 0) - ranks.get(i + 1, 0) for i in range(top + 1))
@@ -346,7 +403,8 @@ def homology_summary(x: SimplicialComplex, reduced: bool = False,
     """
     chains = [simplicial_chain_complex(f) for f in join_factors(x)]
     parts = [homology_Z(cc) for cc in chains]
-    h = functools.reduce(join_homology_kunneth, parts)
+    h = functools.reduce(join_homology_kunneth, [  # reduced degree k is degree k + 1
+        HomologySummary(True, q.betti[1:], q.torsion[1:]) for q in parts])
     tables = []
     for p in default_primes(h) if primes is None else primes:
         rows = [betti_Fp(cc, p) for cc in chains]
@@ -363,12 +421,14 @@ def betti_table(x: SimplicialComplex, p: int, reduced: bool = False) -> Tuple[in
 
 
 def _join_fp(rows: Sequence[Tuple[int, ...]], reduced: bool) -> Tuple[int, ...]:
-    """F_p betti numbers of a join from its factors' reduced ones.
+    """F_p betti numbers of a join from its factors' simplicial chain
+    complexes, whose degree k + 1 is reduced degree k.
 
-    Kunneth over a field: b_k(A * B) = sum over i + j = k - 1 of a_i b_j,
-    the product of the rows as polynomials shifted up one degree per join.
+    Kunneth over a field: the chain complex of A * B is the tensor product
+    of the factors', so its betti numbers are the product of the rows as
+    polynomials, and reduced degree k of the join is their degree k + 1.
     """
-    return _unreduce((0,) * (len(rows) - 1) + convolve(rows), reduced)
+    return _unreduce(convolve(rows)[1:], reduced)
 
 
 def _unreduce(betti: Tuple[int, ...], reduced: bool) -> Tuple[int, ...]:

@@ -13,9 +13,10 @@ position of deck[qi] + phi(v), so a boundary entry costs a list lookup and no
 group arithmetic.  The index |<phi(v)>| comes separately from a Smith normal
 form, before anything is enumerated: a cover above MAX_COVER_CELLS cells is
 refused up front, and the enumeration is checked against it.
-cube_chain_complex writes the boundaries from a shift table; directions it
-is told have coefficient 1 give the support complexes and p-part complexes
-that growth.SupportTable reduces in place of a built cover.
+homology.cube_chain_complex, the one writer of boundary entries, writes them
+from a shift table; directions it is told have coefficient 1 give the
+support complexes and p-part complexes that growth.SupportTable reduces in
+place of a built cover.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from operator import add, mod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
-from .homology import ChainComplexZ
+from .homology import ChainComplexZ, cube_chain_complex, cube_facets
 from .linalg import SparseIntMatrix, prime_factors, smith_normal_form
 from .simplicial import Simplex, SimplicialComplex, is_flag
 
@@ -262,63 +263,6 @@ def check_cover_size(base: SimplicialComplex, index: int,
         raise CoverSpecError(
             f"cover of index {index} needs {cells} cells, "
             f"more than the limit of {MAX_COVER_CELLS}")
-
-
-def cube_facets(base: SimplicialComplex, i: int) -> List[List[Tuple[int, int, int]]]:
-    """Boundary plan of the i-cubes of the cube complex of base.
-
-    Per (i-1)-simplex s of base, in canonical order, one triple per direction
-    j: (position of s minus s_j among the (i-2)-simplices, with the empty
-    simplex as the only one in dimension -1; the vertex s_j; the sign (-1)^j).
-    """
-    below = base.face_index(i - 2) if i >= 2 else {EMPTY: 0}
-    return [[(below[s[:j] + s[j + 1:]], v, (-1) ** j) for j, v in enumerate(s)]
-            for s in base.faces(i - 1)]
-
-
-def cube_chain_complex(base_cells: Sequence[int],
-                       plans: Sequence[List[List[Tuple[int, int, int]]]], n_deck: int,
-                       shift: Sequence[Sequence[int]], units: int = 0) -> ChainComplexZ:
-    """Chain complex of n_deck copies of the cube cells of a base, twisted by a
-    deck group.
-
-    base_cells[i] counts the i-cubes of the base (the empty simplex alone in
-    degree 0), plans[i - 1] is cube_facets(base, i), and shift[v][qi] is the
-    deck position of deck[qi] + phi(v).  The cell over base cell s at deck
-    position qi is qi * base_cells[i] + position of s.  Direction j of the
-    cube over (v_0 < ... < v_k) contributes (-1)^j times (translated facet -
-    untranslated facet), so a zero image puts both facets on one cell, where
-    they cancel; with one copy every translation is trivial, and shift is
-    not read.  A direction v in the bit mask units has coefficient 1
-    instead of t_v - 1: it contributes (-1)^j times the untranslated facet
-    alone.
-    """
-    dims = tuple(n_deck * c for c in base_cells)
-    boundaries: Dict[int, SparseIntMatrix] = {}
-    for i, cubes in enumerate(plans, 1):
-        if n_deck == 1:  # every translation is trivial: only unit directions write
-            boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], {
-                (fpos, col): sign for col, cube in enumerate(cubes)
-                for fpos, v, sign in cube if units >> v & 1})
-            continue
-        n_below = base_cells[i - 1]
-        # per base cell: (facet position, shift list or None for a unit, sign)
-        plan = [[(fpos, None if units >> v & 1 else shift[v], sign) for fpos, v, sign in cube]
-                for cube in cubes]
-        entries: Dict[Tuple[int, int], int] = {}
-        col = 0
-        for qi in range(n_deck):
-            here = qi * n_below
-            for cube in plan:
-                for fpos, to, sign in cube:
-                    if to is None:
-                        entries[(here + fpos, col)] = sign
-                    elif to[qi] != qi:
-                        entries[(to[qi] * n_below + fpos, col)] = sign
-                        entries[(here + fpos, col)] = -sign
-                col += 1
-        boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], entries)
-    return ChainComplexZ(dims, boundaries)
 
 
 class CubeComplex:

@@ -132,7 +132,7 @@ def test_acceptance_4_universal_coefficients_suite():
         for degree in h.torsion:
             for t in degree:
                 primes.update(p for p in (2, 3, 5, 7, 11, 13) if t % p == 0)
-        mod = {p: betti_Fp(cc, p) for p in sorted(primes)}
+        mod = {p: betti_Fp(cc, p)[1:] for p in sorted(primes)}  # reduced degree k is k + 1
         for p, table in mod.items():
             if table != uct_betti_fp(h.betti, h.torsion, p):
                 mismatches += 1

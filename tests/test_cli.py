@@ -289,13 +289,14 @@ def test_homology_builds_only_the_join_factors(tmp_path, monkeypatch, capsys, ma
     # that is not flag splits all the same
     path = write_json(tmp_path / "L.json", complex_to_json_dict(make()))
     built = []
-    real_build = homology_module._build_chain_complex
+    real_plan = homology_module.cube_facets
 
-    def build(x):
-        built.append(x.facets)
-        return real_build(x)
+    def plan(x, i):  # simplicial_chain_complex plans degrees 1..dim + 1
+        if i == 1:
+            built.append(x.facets)
+        return real_plan(x, i)
 
-    monkeypatch.setattr(homology_module, "_build_chain_complex", build)
+    monkeypatch.setattr(homology_module, "cube_facets", plan)
     code, out, _ = run(capsys, "homology", path)
     assert code == 0 and "cross-check: ok" in out
     factors = join_factors(rio.load_complex(path))
@@ -388,27 +389,29 @@ def test_classify_budget_zero_runs_the_deterministic_pass(capsys):
     lambda: barycentric_subdivision(fixture("octahedron")).complex,
     lambda: cone(fixture("moore_flag", q=3)),
 ])
-def test_classify_builds_one_augmented_chain_complex_per_complex(tmp_path, monkeypatch,
-                                                                 capsys, make):
+def test_classify_builds_one_chain_complex_per_complex(tmp_path, monkeypatch, capsys, make):
     # classification, its prime scan and the certificate replay share each build
     path = write_json(tmp_path / "L.json", complex_to_json_dict(make()))
     asked, built = [], []
     real_get, real_build = (homology_module.simplicial_chain_complex,
-                            homology_module._build_chain_complex)
+                            homology_module.cube_chain_complex)
 
     def get(x):
-        asked.append(x)
-        return real_get(x)
+        cc = real_get(x)
+        asked.append((id(x), id(cc)))
+        return cc
 
-    def build(x):
-        built.append(x)
-        return real_build(x)
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
 
     monkeypatch.setattr(homology_module, "simplicial_chain_complex", get)
-    monkeypatch.setattr(homology_module, "_build_chain_complex", build)
+    monkeypatch.setattr(homology_module, "cube_chain_complex", build)
     code, _, err = run(capsys, "classify", path)
     assert code == 0 and "replay ok" in err
-    assert sorted(id(x) for x in built) == sorted({id(x) for x in asked})
+    # one build per complex asked for, and every answer is one of the builds
+    assert len(built) == len({x for x, _ in asked})
+    assert sorted(id(cc) for cc in built) == sorted({cc for _, cc in asked})
     assert len(asked) > len(built)
 
 

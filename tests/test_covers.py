@@ -85,13 +85,12 @@ def test_index_from_smith_form_matches_enumeration(spec):
 
 
 def _corrupted(cc: ChainComplexZ, i: int, k: int) -> ChainComplexZ:
-    """cc with d_{i+1}[k, c] raised by one in its last column c (c > 0), and
-    with cc's boundary(0) if cc is augmented."""
+    """cc with d_{i+1}[k, c] raised by one in its last column c (c > 0)."""
     upper = cc.boundary(i + 1)
     entries = dict(upper.entries)
     c = upper.cols - 1
     entries[(k, c)] = entries.get((k, c), 0) + 1
-    bnd = {j: cc.boundary(j) for j in range(0 if cc.augmented else 1, cc.top + 1)}
+    bnd = {j: cc.boundary(j) for j in range(1, cc.top + 1)}
     bnd[i + 1] = SparseIntMatrix(upper.rows, upper.cols, entries)
     return ChainComplexZ(cc.dims, bnd)
 
@@ -112,9 +111,10 @@ def test_validate_rejects_corruption_outside_first_column(case):
 
 
 def test_validate_rejects_corruption_in_augmented_simplicial_complex():
+    # the augmentation is boundary(1), so d_1 d_2 = 0 is checked too
     cc = simplicial_chain_complex(from_facets([[0, 1, 2], [1, 2, 3]]))
     cc.validate()
-    for i, k in ((0, 0), (1, 4)):
+    for i, k in ((1, 0), (2, 4)):
         with pytest.raises(CorruptComplexError):
             _corrupted(cc, i, k).validate()
 

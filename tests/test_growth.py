@@ -10,7 +10,7 @@ import raag.simplicial as simplicial
 from raag.errors import CorruptComplexError, CoverSpecError, NotFlagError
 from raag.fixtures import fixture
 from raag.growth import CAVEAT, growth_experiment
-from raag.homology import betti_Fp
+from raag.homology import betti_Fp, simplicial_chain_complex
 from raag.models import FiniteQuotientSpec, finite_cover, standard_spec
 from raag.simplicial import from_facets
 
@@ -138,19 +138,11 @@ def test_mixed_routes_keep_spec_order(monkeypatch):
     assert [c.betti for c in series.covers[1::2]] == [(1, 10, 25), (1, 20, 100)]
 
 
-def test_support_table_cross_checks_reference(monkeypatch):
-    # h(V) must be the reference column; a table off by one in degree 0 is
-    # caught (the reference column comes from homology.betti_Fp, not patched)
-    monkeypatch.setattr(growth, "betti_Fp", lambda cc, p: (1,) + betti_Fp(cc, p)[1:])
-    c4 = fixture("cycle", n=4)
-    with pytest.raises(CorruptComplexError, match="support table"):
-        growth_experiment(c4, [standard_spec(c4, 2)], 2)
-
-
 def test_a_table_that_failed_a_check_is_not_kept(monkeypatch):
-    # a poisoned h(V) is refused, on a new complex and on one that already
-    # keeps a table at p = 2 (entries of vertex 0 only, no h(V)); once the
-    # poison is gone the same object gives the rows of a new complex
+    # poisoned entries are refused by the Euler characteristic check, on a
+    # new complex and on one that already keeps a table at p = 2 (entries of
+    # vertex 0 only, and h(V)); once the poison is gone the same object gives
+    # the rows of a new complex
     partial = FiniteQuotientSpec(moduli=(2,), images=((1,), (0,), (0,), (0,)))
     for warm in (False, True):
         c4 = fixture("cycle", n=4)
@@ -158,7 +150,7 @@ def test_a_table_that_failed_a_check_is_not_kept(monkeypatch):
             growth_experiment(c4, [partial], 2)
         with monkeypatch.context() as m:
             m.setattr(growth, "betti_Fp", lambda cc, p: (1,) + betti_Fp(cc, p)[1:])
-            with pytest.raises(CorruptComplexError, match="support table"):
+            with pytest.raises(CorruptComplexError, match="Euler characteristic"):
                 growth_experiment(c4, [standard_spec(c4, 2)], 2)
         for spec in (standard_spec(c4, 2), partial):
             assert growth_experiment(c4, [spec], 2).covers == \
@@ -168,10 +160,13 @@ def test_a_table_that_failed_a_check_is_not_kept(monkeypatch):
 
 def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
     # every divisibility chain of index <= 60 on discrete(3), as coordinate
-    # specs, and two scrambled specs, one call each, on one object: the
-    # support complexes (n_deck == 1) and the reference column are computed
-    # once per prime, in one table per prime
-    counts = {"entries": 0, "tables": 0, "references": 0}
+    # specs, and two scrambled specs, one call each, on one object: each
+    # support complex (n_deck == 1) is built once per prime, in one table per
+    # prime, except T = V, the complex's cached chain complex, which is
+    # reduced once per prime for its entry and the reference column
+    counts = {"entries": 0, "tables": 0, "full": 0}
+    x = fixture("discrete", n=3)
+    full = simplicial_chain_complex(x)
 
     def counted(key, original, when=lambda *args: True):
         def wrapper(*args, **kwargs):
@@ -183,8 +178,8 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
         "entries", growth.cube_chain_complex, lambda base, plans, n_deck, *rest: n_deck == 1))
     monkeypatch.setattr(growth.SupportTable, "__init__",
                         counted("tables", growth.SupportTable.__init__))
-    monkeypatch.setattr(growth, "betti_table", counted("references", growth.betti_table))
-    x = fixture("discrete", n=3)
+    monkeypatch.setattr(growth, "betti_Fp",
+                        counted("full", growth.betti_Fp, lambda cc, p: cc is full))
     chains = [(a, b, c) for c in range(1, 61) for b in range(1, c + 1) for a in range(1, b + 1)
               if c % b == 0 and b % a == 0 and a * b * c <= 60]
     coordinate = [FiniteQuotientSpec(moduli=m, images=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -195,7 +190,7 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
         for spec in coordinate + scrambled:
             series = growth_experiment(x, [spec], p)
             assert series.covers[0].betti == (1, 2 * spec.index + 1)
-    assert counts == {"entries": 16, "tables": 2, "references": 2}
+    assert counts == {"entries": 14, "tables": 2, "full": 2}
     assert [len(x._tables[p].entries[0]) for p in (2, 3)] == [8, 8]
 
 

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (brute_betti_fp, brute_homology, complement_components_networkx,
-                     dense_snf, rank_fraction, rank_gf, random_facets)
+from oracles import (all_faces, boundary_matrix, brute_betti_fp, brute_homology,
+                     complement_components_networkx, dense_snf, rank_fraction, rank_gf,
+                     random_facets)
 
 import raag.homology as homology_module
 from raag.errors import CorruptComplexError
@@ -25,17 +26,18 @@ from raag.simplicial import (barycentric_subdivision, flag_completion, from_face
                              is_flag, join, join_factors)
 
 
-def _chain_complex(x, reduced):
-    """The augmented chain complex of x, or without its boundary 0 the
-    unaugmented one, whose homology is unreduced."""
+def _unaugmented(x):
+    """The chain complex of x without degree 0, the empty simplex: its
+    homology is unreduced."""
     cc = simplicial_chain_complex(x)
-    if reduced:
-        return cc
-    return ChainComplexZ(cc.dims, {i: cc.boundary(i) for i in range(1, cc.top + 1)})
+    return ChainComplexZ(cc.dims[1:], {i - 1: cc.boundary(i) for i in range(2, cc.top + 1)})
 
 
 def _betti_fp(x, p, reduced=False):
-    return betti_Fp(_chain_complex(x, reduced), p)
+    """Reduced degree k is degree k + 1 of the chain complex of x."""
+    if reduced:
+        return betti_Fp(simplicial_chain_complex(x), p)[1:]
+    return betti_Fp(_unaugmented(x), p)
 
 
 matrix_strategy = st.lists(
@@ -196,8 +198,8 @@ def test_join_kunneth_matches_direct_small():
         hb = homology_summary(b, reduced=True)
         direct = homology_Z(simplicial_chain_complex(join(a, b)))
         derived = join_homology_kunneth(ha, hb)
-        assert derived.betti == direct.betti
-        assert derived.torsion == direct.torsion
+        assert derived.betti == direct.betti[1:]
+        assert derived.torsion == direct.torsion[1:]
 
 
 def _reduced(betti, torsion):
@@ -267,7 +269,7 @@ def test_flag_reduced_summary_uses_factors():
         x = standard_fixtures()[name]
         direct = homology_Z(simplicial_chain_complex(x))
         got = flag_reduced_summary(x)
-        assert got.betti == direct.betti and got.torsion == direct.torsion
+        assert got.betti == direct.betti[1:] and got.torsion == direct.torsion[1:]
         # checked F_p tables at 2 and every torsion prime, as whole-complex ranks give them
         assert got.primes() == primes
         for p in primes:
@@ -460,7 +462,7 @@ def test_summary_json_round_trip():
 
 
 def test_chain_complex_validates_boundary_squared():
-    _chain_complex(fixture("rp2_6"), reduced=False).validate()
+    _unaugmented(fixture("rp2_6")).validate()
     # sign error in an edge boundary: composition d1 . d2 no longer vanishes
     d1 = SparseIntMatrix.from_dense([[1, 1, 0], [1, 0, 1], [0, -1, -1]])
     d2 = SparseIntMatrix.from_dense([[1], [-1], [1]])
@@ -472,25 +474,48 @@ def test_chain_complex_validates_boundary_squared():
 def test_chain_complex_shape_mismatch_rejected():
     with pytest.raises(CorruptComplexError):
         ChainComplexZ((2, 2), {1: SparseIntMatrix.from_dense([[1], [1]])})
-    # a boundary(0) must be one row over degree 0
+    with pytest.raises(CorruptComplexError, match="boundary 1 is 1x3, expected 1x2"):
+        ChainComplexZ((1, 2), {1: SparseIntMatrix.from_dense([[1, 1, 1]])})
+    # a boundary is given in degrees 1..top and in no other: not out of
+    # degree 0, nor above the top, nor on a complex with no degrees
     d1 = SparseIntMatrix.from_dense([[-1, -1], [1, 1]])
-    with pytest.raises(CorruptComplexError, match="boundary 0 is 1x3, expected 1x2"):
-        ChainComplexZ((2, 2), {0: SparseIntMatrix.from_dense([[1, 1, 1]]), 1: d1})
-    with pytest.raises(CorruptComplexError, match="boundary 0 is 2x2, expected 1x2"):
-        ChainComplexZ((2, 2), {0: SparseIntMatrix.from_dense([[1, 1], [1, 1]]), 1: d1})
+    with pytest.raises(CorruptComplexError, match="degree 0, outside 1..1"):
+        ChainComplexZ((2, 2), {0: SparseIntMatrix.from_dense([[1, 1]]), 1: d1})
+    with pytest.raises(CorruptComplexError, match="degree 2, outside 1..0"):
+        ChainComplexZ((2,), {2: SparseIntMatrix(3, 3, {(0, 0): 1})})
+    with pytest.raises(CorruptComplexError, match="degree 0, outside 1..-1"):
+        ChainComplexZ((), {0: SparseIntMatrix(1, 5, {})})
 
 
-def test_boundary_zero_makes_the_complex_augmented():
-    # RP^2: reduced H = (0, Z/2, 0), unreduced (Z, Z/2, 0)
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6).map(lambda seed: random_facets(random.Random(seed))))
+@example([])
+@example([(0,)])
+def test_chain_complex_matches_dense_boundary_oracle(facets):
+    # the one builder, at matrix level: degree k + 1 holds the k-faces and
+    # degree 0 the empty simplex, so boundary(1) is the augmentation
+    cc = simplicial_chain_complex(from_facets(facets))
+    faces = all_faces(facets)
+    dim = max(faces, default=-1)
+    assert cc.dims == (1,) + tuple(len(faces[k]) for k in range(dim + 1))
+    for k in range(dim + 2):
+        m = cc.boundary(k + 1)
+        dense = [[m.entries.get((r, c), 0) for c in range(m.cols)] for r in range(m.rows)]
+        assert dense == boundary_matrix(faces, k, augmented=(k == 0)), k
+
+
+def test_boundary_one_is_the_augmentation():
+    # RP^2: reduced H = (0, Z/2, 0), one degree up in the chain complex of
+    # RP^2, whose degree 0 is the empty simplex; unreduced H = (Z, Z/2, 0)
     cc = simplicial_chain_complex(fixture("rp2_6"))
-    assert cc.augmented
-    n = cc.dims[0]
-    assert cc.boundary(0) == SparseIntMatrix(1, n, {(0, j): 1 for j in range(n)})
+    n = cc.dims[1]
+    assert cc.dims[0] == 1
+    assert cc.boundary(1) == SparseIntMatrix(1, n, {(0, j): 1 for j in range(n)})
+    assert cc.boundary(0) == SparseIntMatrix(0, 1, {})
     h = homology_Z(cc)
-    assert (h.reduced, h.betti, h.torsion) == (True, (0, 0, 0), ((), (2,), ()))
-    assert betti_Fp(cc, 2) == (0, 1, 1)
-    plain = _chain_complex(fixture("rp2_6"), reduced=False)
-    assert not plain.augmented
+    assert (h.reduced, h.betti, h.torsion) == (False, (0, 0, 0, 0), ((), (), (2,), ()))
+    assert betti_Fp(cc, 2) == (0, 0, 1, 1)
+    plain = _unaugmented(fixture("rp2_6"))
     assert plain.boundary(0) == SparseIntMatrix(0, n, {})
     h = homology_Z(plain)
     assert (h.reduced, h.betti, h.torsion) == (False, (1, 0, 0), ((), (2,), ()))
@@ -521,11 +546,10 @@ def test_chain_complex_is_cached_per_complex(name, kwargs):
     x = from_facets(base.facets, n_vertices=base.n_vertices)
     cc = simplicial_chain_complex(x)
     assert simplicial_chain_complex(x) is cc
-    assert cc.augmented
     # an equal complex gets its own build, with the same boundaries
     fresh = simplicial_chain_complex(from_facets(base.facets, n_vertices=base.n_vertices))
     assert fresh is not cc
-    assert (fresh.dims, fresh.augmented) == (cc.dims, cc.augmented)
+    assert fresh.dims == cc.dims
     for i in range(-1, cc.top + 2):
         assert fresh.boundary(i).entries == cc.boundary(i).entries
         assert (fresh.boundary(i).rows, fresh.boundary(i).cols) == \
