@@ -239,7 +239,7 @@ def replay_certificate(L: SimplicialComplex, verdict: Verdict) -> Tuple[bool, st
         p = cert.data.get("witness_prime")
         if type(p) is not int or p >= 1 << 64 or not is_prime(p):
             return False, f"witness prime {p!r} is not a prime below 2^64"
-        if betti_table(L, p, reduced=True)[d] == 0:
+        if betti_table(L, p)[d] == 0:
             return False, f"top cohomology over F_{p} recomputes to zero"
         if cert.data.get("all_primes"):
             if cert.data.get("condition") != "top_betti_positive":

@@ -6,7 +6,8 @@ rational.  The reference column is the reduced betti number of L one degree
 down, which is the limit along exhausting residual chains.
 
 No cover is built; two routes give the betti numbers, both from complexes
-written by homology.cube_chain_complex, through one SupportTable per (L, p).
+that homology.cube_chain_complex reads off the cached chain complexes of
+the join factors of L, through one SupportTable per (L, p).
 L keeps its tables, one per prime, so a table's entries and reference
 column are computed once per complex and prime, however many experiments
 read them.  When the generator images are independent (the deck group
@@ -51,7 +52,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
-from .homology import betti_Fp, cube_chain_complex, cube_facets, simplicial_chain_complex
+from .homology import betti_Fp, cube_chain_complex, simplicial_chain_complex
 from .linalg import convolve, is_prime
 from .models import FiniteQuotientSpec, check_cover_size, check_generator_count
 from .simplicial import SimplicialComplex, is_flag, join_factors, join_parts
@@ -247,47 +248,45 @@ class SupportTable:
     Any other spec is split into its p-part P and its part Q' of order prime
     to p (split_betti).
 
-    The entries for T = V are made with the table, from the factors' cached
-    chain complexes, as is the reference column (0,) + h(V)[1:]: the empty L
-    has no reduced degree -1.  growth_experiment keeps one table per prime
-    on L, so the table lives as long as L and holds at most one row per
-    support complex it has computed: 2^|part| per factor, the P-cover
-    complexes of split_betti not among them.
+    The table keeps the factors, a fresh complex on L's facets standing for
+    a complex that does not split, and every support complex is
+    cube_chain_complex of a factor, which reads the factor's cached chain
+    complex.  The entries for T = V are that chain complex, reduced with the
+    table, as is the reference column (0,) + h(V)[1:]: the empty L has no
+    reduced degree -1.  growth_experiment keeps one table per prime on L, so
+    the table lives as long as L and holds at most one row per support
+    complex it has computed: 2^|part| per factor, the P-cover complexes of
+    split_betti not among them.
     """
 
     def __init__(self, L: SimplicialComplex, prime: int):
         self.prime = prime
+        # L keeps its tables (growth_experiment), so a table keeps no
+        # reference to L, whose cycle would outlive L until a collection
+        self._base = (L.n_vertices, L.facets)
         factors = join_factors(L)
+        self._factors = factors if len(factors) > 1 else [SimplicialComplex(*self._base)]
         self.parts = join_parts(L)
-        chains = [simplicial_chain_complex(F) for F in factors]
-        self._dims = [cc.dims for cc in chains]
-        self._plans = [[cube_facets(F, i) for i in range(1, len(dims))]
-                       for F, dims in zip(factors, self._dims)]
-        full = [betti_Fp(cc, prime) for cc in chains]
+        full = [betti_Fp(simplicial_chain_complex(F), prime) for F in self._factors]
         self.entries: List[Dict[int, Tuple[int, ...]]] = [
             {(1 << len(part)) - 1: row} for row, part in zip(full, self.parts)]
         # cover degree i against L's degree i - 1
         self.reference = (0,) + convolve(full)[1:]
-        # L keeps its tables (growth_experiment), so a table keeps no
-        # reference to L, only what _whole needs to rebuild it
-        self._base = (L.n_vertices, L.facets)
 
     @functools.cached_property
-    def _whole(self):
-        """(dims, plans) of L itself, for the P-cover complexes of split_betti;
-        a complex that does not split has them as its only factor's, and a
-        join's are read off a complex on L's facets."""
-        if len(self.parts) == 1:
-            return self._dims[0], self._plans[0]
-        dims = convolve(self._dims)
-        base = SimplicialComplex(*self._base)
-        return dims, [cube_facets(base, i) for i in range(1, len(dims))]
+    def _whole(self) -> SimplicialComplex:
+        """A complex on L's facets, for the P-cover complexes of split_betti:
+        the only factor of a complex that does not split, a fresh one for a
+        join."""
+        if len(self._factors) == 1:
+            return self._factors[0]
+        return SimplicialComplex(*self._base)
 
     def _entry(self, i: int, T: int) -> Tuple[int, ...]:
         """h_F(T) of the i-th factor F, T a bit mask over F's own vertices."""
         row = self.entries[i].get(T)
         if row is None:
-            cc = cube_chain_complex(self._dims[i], self._plans[i], 1, (), T)
+            cc = cube_chain_complex(self._factors[i], 1, (), T)
             row = self.entries[i][T] = betti_Fp(cc, self.prime)
         return row
 
@@ -303,7 +302,7 @@ class SupportTable:
         for i, part in enumerate(self.parts):
             ks = [orders[v] for v in part]
             S = sum(1 << j for j, k in enumerate(ks) if k > 1)
-            total = [0] * len(self._dims[i])
+            total = [0] * (self._factors[i].dim + 2)  # degrees 0..dim F + 1
             T = S
             while True:  # every subset of S, S first and the empty set last
                 weight = math.prod(k - 1 for j, k in enumerate(ks) if T >> j & 1)
@@ -357,7 +356,7 @@ class SupportTable:
         total = [0] * len(self.reference)  # degrees 0..dim L + 1
         for T, count in counts.items():
             row = (self.h(T) if len(deck) == 1 else
-                   betti_Fp(cube_chain_complex(*self._whole, len(deck), shift, T), self.prime))
+                   betti_Fp(cube_chain_complex(self._whole, len(deck), shift, T), self.prime))
             for i, b in enumerate(row):
                 total[i] += count * b
         return tuple(total)

@@ -6,19 +6,20 @@ so the universal-coefficient identity
 
     b_i(F_p) = b_i(Q) + #{t in torsion_i : p | t} + #{t in torsion_{i-1} : p | t}
 
-is a genuine cross-check between two routes, not a tautology.  One builder,
-cube_chain_complex, writes every chain complex, simplicial, support or cover:
-degree 0 holds the empty simplex and degree k the (k-1)-faces, so
-simplicial_chain_complex(x) has the reduced homology of x one degree up.
+is a genuine cross-check between two routes, not a tautology.  Only
+simplicial_chain_complex writes boundary entries, and this module alone
+knows their layout: degree 0 holds the empty simplex and degree k the
+(k-1)-faces, so the chain complex of x, cached on x, has the reduced
+homology of x one degree up.  cube_chain_complex filters or twists its
+entries into the support, P-cover and cover complexes.
 
 A simplicial complex has one route to its homology, homology_summary (and
 betti_table over F_p alone): the complex is split by simplicial.join_factors,
-flag or not, and the reduced homology of the factors, read from degree 1 up
-of their chain complexes, is assembled by the Kunneth formula, which holds
-for every join; the torsion it assembles is normalized by the same
-smith_normal_form.  Its mod-p tables are the factors' F_p ranks, checked
-factor by factor against their Smith normal forms; the top-cohomology
-criterion reads them.
+flag or not, and the homology of the factors' chain complexes, as built, is
+folded by the Kunneth formula of a tensor product, which holds for every
+join; the torsion it assembles is normalized by the same smith_normal_form.
+Its mod-p tables are the factors' F_p ranks, checked factor by factor
+against their Smith normal forms; the top-cohomology criterion reads them.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 from .errors import CorruptComplexError
 from .linalg import (SNFResult, SparseIntMatrix, convolve, pivot_rows_mod_p,
                      prime_factors, smith_normal_form)
-from .simplicial import Simplex, SimplicialComplex, join_factors
-
-Plan = Tuple[Dict[Tuple[int, int], int], Tuple[Simplex, ...]]  # see cube_facets
+from .simplicial import SimplicialComplex, join_factors
 
 
 class ChainComplexZ:
@@ -111,55 +110,88 @@ def _columns(m: SparseIntMatrix) -> Dict[int, List[Tuple[int, int]]]:
     return cols
 
 
-def cube_facets(base: SimplicialComplex, i: int) -> Plan:
-    """Boundary plan of the i-cubes of the cube complex of base.
+def cube_facets(base: SimplicialComplex, i: int) -> Dict[Tuple[int, int], int]:
+    """Boundary entries of simplicial_chain_complex(base) in degree i.
 
-    (entries, faces): faces are the (i-1)-simplices s of base, in canonical
-    order, and entries maps (position of s minus s_j among the
-    (i-2)-simplices, with the empty simplex as the only one in dimension -1;
-    position of s) to the sign (-1)^j, over s and j in turn, so that the
-    n-th entry is in the direction of the n-th vertex of faces read in order.
+    They map (position of s minus s_j among the (i-2)-simplices, with the
+    empty simplex as the only one in dimension -1; position of s) to the sign
+    (-1)^j, over the (i-1)-simplices s of base in canonical order and j in
+    turn, so the n-th entry deletes the n-th vertex of base.faces(i - 1) read
+    in order.  SparseIntMatrix.entries keeps that order, and
+    cube_chain_complex relies on it.
     """
-    faces = base.faces(i - 1)
-    if i == 1:
-        return {(0, col): 1 for col in range(len(faces))}, faces
-    below = base.face_index(i - 2)
+    below = base.face_index(i - 2) if i > 1 else {(): 0}
     entries = {}
-    for col, s in enumerate(faces):
+    for col, s in enumerate(base.faces(i - 1)):
         for j in range(i):
             entries[(below[s[:j] + s[j + 1:]], col)] = (-1) ** j
-    return entries, faces
+    return entries
 
 
-def cube_chain_complex(base_cells: Sequence[int], plans: Sequence[Plan], n_deck: int,
-                       shift: Sequence[Sequence[int]], units: int = 0) -> ChainComplexZ:
-    """Chain complex of n_deck copies of the cube cells of a base, twisted by a
-    deck group; the one writer of boundary entries.
+def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
+    """Chain complex of x with the canonical ordered simplex bases, the empty
+    simplex in degree 0 and the (k-1)-faces in degree k: the support complex
+    of every vertex.
 
-    base_cells[i] counts the i-cubes of the base (the empty simplex alone in
-    degree 0), plans[i - 1] is cube_facets(base, i), and shift[v][qi] is the
-    deck position of deck[qi] + phi(v).  The cell over base cell s at deck
-    position qi is qi * base_cells[i] + position of s.  Direction j of the
-    cube over (v_0 < ... < v_k) contributes (-1)^j times (translated facet -
-    untranslated facet), so a zero image puts both facets on one cell, where
-    they cancel; with one copy every translation is trivial, and shift is
-    not read.  A direction v in the bit mask units (all of them when units is
-    -1) has coefficient 1 instead of t_v - 1: it contributes (-1)^j times
-    the untranslated facet alone.
+    The boundary of a simplex is the alternating sum over vertex deletions in
+    sorted order (cube_facets), and boundary(1) is the augmentation, so
+    degree k + 1 has the reduced homology of x in degree k; the empty complex
+    has dims (1,).  Built once and cached on x, which is immutable, so its
+    boundary-squared check also runs once.
+
+    >>> from raag.simplicial import from_facets
+    >>> hollow = from_facets([[0, 1], [1, 2], [0, 2]])
+    >>> cc = simplicial_chain_complex(hollow)
+    >>> cc.dims, homology_Z(cc).betti
+    ((1, 3, 3), (0, 0, 1))
     """
-    dims = tuple(n_deck * c for c in base_cells)
+    if x._chain is None:
+        dims = (1,) + tuple(len(x.faces(k)) for k in range(x.dim + 1))
+        x._chain = ChainComplexZ(dims, {i: SparseIntMatrix(dims[i - 1], dims[i], cube_facets(x, i))
+                                        for i in range(1, len(dims))})
+    return x._chain
+
+
+def cube_chain_complex(x: SimplicialComplex, n_deck: int, shift: Sequence[Sequence[int]],
+                       units: int = 0) -> ChainComplexZ:
+    """Chain complex of n_deck copies of the cube cells of x, twisted by a
+    deck group, read off the entries of simplicial_chain_complex(x).
+
+    The cube cells of x are the cells of its chain complex: the empty simplex
+    in degree 0 and the (i-1)-simplices in degree i.  shift[v][qi] is the
+    deck position of deck[qi] + phi(v), and the cell over base cell s at deck
+    position qi is qi * (base cells in its degree) + position of s.
+    Direction j of the cube over (v_0 < ... < v_k) contributes (-1)^j times
+    (translated facet - untranslated facet), so a zero image puts both
+    facets on one cell, where they cancel; with one copy every translation
+    is trivial, and shift is not read.  A direction v in the bit mask units
+    (all of them when units is -1) has coefficient 1 instead of t_v - 1: it
+    contributes (-1)^j times the untranslated facet alone.  So one copy with
+    units T is the support complex of T, and with units -1 it has the
+    matrices of simplicial_chain_complex(x).
+
+    >>> from raag.simplicial import from_facets
+    >>> hollow = from_facets([[0, 1], [1, 2], [0, 2]])
+    >>> betti_Fp(cube_chain_complex(hollow, 1, (), 0), 2)
+    (1, 3, 3)
+    >>> betti_Fp(cube_chain_complex(hollow, 1, (), 1), 2)
+    (0, 0, 1)
+    """
+    base = simplicial_chain_complex(x)
+    dims = tuple(n_deck * c for c in base.dims)
     boundaries: Dict[int, SparseIntMatrix] = {}
-    for i, (entries, faces) in enumerate(plans, 1):
+    for i in range(1, len(dims)):
+        # the n-th entry deletes the n-th vertex of x.faces(i - 1) (cube_facets)
+        directions = chain.from_iterable(x.faces(i - 1))
+        entries = base.boundary(i).entries
         if n_deck == 1:  # every translation is trivial: only unit directions write
-            if units != -1:
-                entries = {key: sign for (key, sign), v in
-                           zip(entries.items(), chain.from_iterable(faces)) if units >> v & 1}
-            boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], entries)
+            boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], {
+                key: sign for (key, sign), v in zip(entries.items(), directions) if units >> v & 1})
             continue
-        n_below, n_here = base_cells[i - 1], base_cells[i]
+        n_below, n_here = base.dims[i - 1], base.dims[i]
         # per entry: (facet position, column), sign, shift list or None for a unit
         plan = [(key, sign, None if units >> v & 1 else shift[v])
-                for (key, sign), v in zip(entries.items(), chain.from_iterable(faces))]
+                for (key, sign), v in zip(entries.items(), directions)]
         twisted: Dict[Tuple[int, int], int] = {}
         for qi in range(n_deck):
             here, first = qi * n_below, qi * n_here
@@ -171,29 +203,6 @@ def cube_chain_complex(base_cells: Sequence[int], plans: Sequence[Plan], n_deck:
                     twisted[(here + fpos, first + col)] = -sign
         boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], twisted)
     return ChainComplexZ(dims, boundaries)
-
-
-def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
-    """Chain complex of x with the canonical ordered simplex bases, the empty
-    simplex in degree 0 and the (k-1)-faces in degree k: the support complex
-    of every vertex (cube_chain_complex with units -1).
-
-    The boundary of a simplex is the alternating sum over vertex deletions in
-    sorted order, and boundary(1) is the augmentation, so degree k + 1 has
-    the reduced homology of x in degree k; the empty complex has dims (1,).
-    Built once and cached on x, which is immutable, so its boundary-squared
-    check also runs once.
-
-    >>> from raag.simplicial import from_facets
-    >>> hollow = from_facets([[0, 1], [1, 2], [0, 2]])
-    >>> cc = simplicial_chain_complex(hollow)
-    >>> cc.dims, homology_Z(cc).betti
-    ((1, 3, 3), (0, 0, 1))
-    """
-    if x._chain is None:
-        plans = [cube_facets(x, i) for i in range(1, x.dim + 2)]
-        x._chain = cube_chain_complex([1] + [len(faces) for _, faces in plans], plans, 1, (), -1)
-    return x._chain
 
 
 @dataclass(frozen=True)
@@ -341,43 +350,40 @@ def _gcds(t1: Sequence[int], t2: Sequence[int]) -> List[int]:
 
 
 def join_homology_kunneth(h1: HomologySummary, h2: HomologySummary) -> HomologySummary:
-    """Reduced homology of a join from reduced homology of the factors.
+    """Homology of the tensor product of two chain complexes of free
+    modules from the homology of each (Kunneth):
 
-    The reduced chain complex of a join is the shifted tensor product of the
-    factors' reduced complexes, so
+      H_k = sum_{i+j=k} H_i (x) H'_j + sum_{i+j=k-1} Tor(H_i, H'_j).
 
-      H~_k(A * B) = sum_{i+j=k-1} H~_i(A) (x) H~_j(B)
-                    + sum_{i+j=k-2} Tor(H~_i(A), H~_j(B)).
-
-    Both inputs must be reduced summaries of nonempty complexes; the output is
-    a reduced summary in degrees 0..dim(A)+dim(B)+1 whose torsion is the
-    invariant factors of each degree's cyclic orders, read off the Smith
-    normal form of their diagonal matrix.
+    The chain complex of a join is the tensor product of its factors'
+    simplicial_chain_complex, whose degree 0 is the empty simplex, so the
+    inputs are homology_Z of those as built, and the empty complex, Z in
+    degree 0, is the unit.  Only nonzero groups are paired.  The output has
+    degrees 0..dim(h1)+dim(h2): the top homology of a complex of free
+    modules is free, so no Tor lands above.  The torsion of each degree is
+    the invariant factors of its cyclic orders, read off the Smith normal
+    form of their diagonal matrix.
     """
-    if not (h1.reduced and h2.reduced):
-        raise ValueError("join assembly needs reduced summaries")
-    d1, d2 = h1.dim, h2.dim
-    if d1 < 0 or d2 < 0:
-        raise ValueError("join assembly needs nonempty factors")
-    top = d1 + d2 + 1
-    betti = []
+    top = h1.dim + h2.dim
+    betti = [0] * (top + 1)
+    bags: List[List[int]] = [[] for _ in range(top + 2)]  # cyclic orders per degree
+    nonzero = [(j, r2, t2) for j, (r2, t2) in enumerate(zip(h2.betti, h2.torsion)) if r2 or t2]
+    for i, (r1, t1) in enumerate(zip(h1.betti, h1.torsion)):
+        if not (r1 or t1):
+            continue
+        for j, r2, t2 in nonzero:
+            gcds = _gcds(t1, t2)
+            betti[i + j] += r1 * r2
+            bags[i + j] += list(t2) * r1 + list(t1) * r2 + gcds
+            bags[i + j + 1] += gcds
     torsion = []
-    for k in range(top + 1):
-        rank = 0
-        tors: List[int] = []
-        for i in range(k):
-            (r1, t1), (r2, t2) = h1.group(i), h2.group(k - 1 - i)
-            rank += r1 * r2
-            tors += list(t2) * r1 + list(t1) * r2 + _gcds(t1, t2)
-        for i in range(k - 1):
-            tors += _gcds(h1.group(i)[1], h2.group(k - 2 - i)[1])
-        betti.append(rank)
+    for tors in bags[:top + 1]:
         if tors:  # the sum of the Z/t is the cokernel of diag(tors)
             diag = SparseIntMatrix(len(tors), len(tors), {(j, j): t for j, t in enumerate(tors)})
             torsion.append(smith_normal_form(diag).nonunit())
         else:
             torsion.append(())
-    return HomologySummary(reduced=True, betti=tuple(betti), torsion=tuple(torsion))
+    return HomologySummary(reduced=False, betti=tuple(betti), torsion=tuple(torsion))
 
 
 # -- the homology of a simplicial complex, one join factor at a time ----------
@@ -388,9 +394,11 @@ def homology_summary(x: SimplicialComplex, reduced: bool = False,
     """Integral homology of x, with mod-p tables at primes (None: 2 and every
     torsion prime of the result), built from the join factors alone.
 
-    Unreduced homology adds Z in degree 0; the empty complex has no degrees.
-    Each factor's mod-p ranks are checked against its Smith normal forms by
-    universal coefficients, and a mismatch raises CorruptComplexError.
+    The factors' chain complexes are folded by the Kunneth formula as built;
+    degree k + 1 of the result is reduced degree k of x.  Unreduced homology
+    adds Z in degree 0; the empty complex has no degrees.  Each factor's
+    mod-p ranks are checked against its Smith normal forms by universal
+    coefficients, and a mismatch raises CorruptComplexError.
 
     >>> from raag.fixtures import fixture
     >>> from raag.simplicial import join, join_factors
@@ -403,32 +411,24 @@ def homology_summary(x: SimplicialComplex, reduced: bool = False,
     """
     chains = [simplicial_chain_complex(f) for f in join_factors(x)]
     parts = [homology_Z(cc) for cc in chains]
-    h = functools.reduce(join_homology_kunneth, [  # reduced degree k is degree k + 1
-        HomologySummary(True, q.betti[1:], q.torsion[1:]) for q in parts])
+    h = functools.reduce(join_homology_kunneth, parts)
     tables = []
     for p in default_primes(h) if primes is None else primes:
         rows = [betti_Fp(cc, p) for cc in chains]
         if any(row != uct_betti_fp(q.betti, q.torsion, p) for row, q in zip(rows, parts)):
             raise CorruptComplexError(f"universal-coefficient cross-check failed at p = {p}")
-        tables.append((p, _join_fp(rows, reduced)))
-    return HomologySummary(reduced, _unreduce(h.betti, reduced), h.torsion, tuple(tables))
+        tables.append((p, _unreduce(convolve(rows)[1:], reduced)))
+    return HomologySummary(reduced, _unreduce(h.betti[1:], reduced), h.torsion[1:], tuple(tables))
 
 
-def betti_table(x: SimplicialComplex, p: int, reduced: bool = False) -> Tuple[int, ...]:
-    """Betti numbers of x over F_p from ranks alone, factor by factor."""
-    rows = [betti_Fp(simplicial_chain_complex(f), p) for f in join_factors(x)]
-    return _join_fp(rows, reduced)
+def betti_table(x: SimplicialComplex, p: int) -> Tuple[int, ...]:
+    """Reduced betti numbers of x over F_p from ranks alone, factor by factor.
 
-
-def _join_fp(rows: Sequence[Tuple[int, ...]], reduced: bool) -> Tuple[int, ...]:
-    """F_p betti numbers of a join from its factors' simplicial chain
-    complexes, whose degree k + 1 is reduced degree k.
-
-    Kunneth over a field: the chain complex of A * B is the tensor product
-    of the factors', so its betti numbers are the product of the rows as
-    polynomials, and reduced degree k of the join is their degree k + 1.
+    Kunneth over a field: the chain complex of a join is the tensor product
+    of its factors', so its betti numbers are the product of the factors'
+    rows as polynomials, and reduced degree k is their degree k + 1.
     """
-    return _unreduce(convolve(rows)[1:], reduced)
+    return convolve([betti_Fp(simplicial_chain_complex(f), p) for f in join_factors(x)])[1:]
 
 
 def _unreduce(betti: Tuple[int, ...], reduced: bool) -> Tuple[int, ...]:

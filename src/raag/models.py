@@ -13,10 +13,11 @@ position of deck[qi] + phi(v), so a boundary entry costs a list lookup and no
 group arithmetic.  The index |<phi(v)>| comes separately from a Smith normal
 form, before anything is enumerated: a cover above MAX_COVER_CELLS cells is
 refused up front, and the enumeration is checked against it.
-homology.cube_chain_complex, the one writer of boundary entries, writes them
-from a shift table; directions it is told have coefficient 1 give the
-support complexes and p-part complexes that growth.SupportTable reduces in
-place of a built cover.
+homology.cube_chain_complex twists the entries of the chain complex of L,
+which homology.simplicial_chain_complex writes and caches on L, by a shift
+table; directions it is told have coefficient 1 give the support complexes
+and p-part complexes that growth.SupportTable reduces in place of a built
+cover.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import add, mod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
-from .homology import ChainComplexZ, cube_chain_complex, cube_facets
+from .homology import ChainComplexZ, cube_chain_complex
 from .linalg import SparseIntMatrix, prime_factors, smith_normal_form
 from .simplicial import Simplex, SimplicialComplex, is_flag
 
@@ -313,9 +314,7 @@ class CubeComplex:
     def chain_complex(self) -> ChainComplexZ:
         """Cubical boundary maps, from cube_chain_complex with no unit directions."""
         if self._cc is None:
-            base_cells = tuple(len(self.base_cells(i)) for i in range(self.dim + 1))
-            plans = [cube_facets(self.base, i) for i in range(1, self.dim + 1)]
-            self._cc = cube_chain_complex(base_cells, plans, len(self.deck), self._shift)
+            self._cc = cube_chain_complex(self.base, len(self.deck), self._shift)
         return self._cc
 
     def to_json_dict(self) -> dict:

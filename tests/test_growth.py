@@ -162,11 +162,16 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
     # every divisibility chain of index <= 60 on discrete(3), as coordinate
     # specs, and two scrambled specs, one call each, on one object: each
     # support complex (n_deck == 1) is built once per prime, in one table per
-    # prime, except T = V, the complex's cached chain complex, which is
-    # reduced once per prime for its entry and the reference column
+    # prime, except T = V, the cached chain complex of the table's factor,
+    # which is reduced once per prime for its entry and the reference column;
+    # x keeps its tables, so its one factor is a fresh complex on its facets
     counts = {"entries": 0, "tables": 0, "full": 0}
     x = fixture("discrete", n=3)
-    full = simplicial_chain_complex(x)
+    full = []
+
+    def cached(F):
+        full.append(simplicial_chain_complex(F))
+        return full[-1]
 
     def counted(key, original, when=lambda *args: True):
         def wrapper(*args, **kwargs):
@@ -175,11 +180,12 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(growth, "cube_chain_complex", counted(
-        "entries", growth.cube_chain_complex, lambda base, plans, n_deck, *rest: n_deck == 1))
+        "entries", growth.cube_chain_complex, lambda x, n_deck, *rest: n_deck == 1))
     monkeypatch.setattr(growth.SupportTable, "__init__",
                         counted("tables", growth.SupportTable.__init__))
-    monkeypatch.setattr(growth, "betti_Fp",
-                        counted("full", growth.betti_Fp, lambda cc, p: cc is full))
+    monkeypatch.setattr(growth, "simplicial_chain_complex", cached)
+    monkeypatch.setattr(growth, "betti_Fp", counted(
+        "full", growth.betti_Fp, lambda cc, p: any(cc is whole for whole in full)))
     chains = [(a, b, c) for c in range(1, 61) for b in range(1, c + 1) for a in range(1, b + 1)
               if c % b == 0 and b % a == 0 and a * b * c <= 60]
     coordinate = [FiniteQuotientSpec(moduli=m, images=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -192,6 +198,7 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
             assert series.covers[0].betti == (1, 2 * spec.index + 1)
     assert counts == {"entries": 14, "tables": 2, "full": 2}
     assert [len(x._tables[p].entries[0]) for p in (2, 3)] == [8, 8]
+    assert all(F is not x and F.facets == x.facets for p in (2, 3) for F in x._tables[p]._factors)
 
 
 def test_p_part_enumerated_once_per_spec_without_independent_images(monkeypatch):

@@ -18,7 +18,7 @@ import raag.homology as homology_module
 from raag.errors import CorruptComplexError
 from raag.fixtures import fixture, standard_fixtures
 from raag.homology import (ChainComplexZ, HomologySummary, betti_Fp, betti_table,
-                           flag_reduced_summary, homology_Z, homology_summary,
+                           cube_chain_complex, flag_reduced_summary, homology_Z, homology_summary,
                            join_homology_kunneth, simplicial_chain_complex,
                            top_cohomology_nonzero, uct_betti_fp)
 from raag.linalg import SparseIntMatrix, is_prime, rank_mod_p, smith_normal_form
@@ -187,6 +187,7 @@ def test_uct_frozen_case():
 
 
 def test_join_kunneth_matches_direct_small():
+    # the chain complex of a join is the tensor product of its factors', as built
     pairs = [
         (fixture("discrete", n=2), fixture("discrete", n=2)),
         (fixture("cycle", n=4), fixture("discrete", n=2)),
@@ -194,42 +195,53 @@ def test_join_kunneth_matches_direct_small():
         (fixture("moore", q=2), fixture("moore", q=2)),
     ]
     for a, b in pairs:
-        ha = homology_summary(a, reduced=True)
-        hb = homology_summary(b, reduced=True)
+        ha = homology_Z(simplicial_chain_complex(a))
+        hb = homology_Z(simplicial_chain_complex(b))
         direct = homology_Z(simplicial_chain_complex(join(a, b)))
         derived = join_homology_kunneth(ha, hb)
-        assert derived.betti == direct.betti[1:]
-        assert derived.torsion == direct.torsion[1:]
+        assert derived.betti == direct.betti
+        assert derived.torsion == direct.torsion
 
 
-def _reduced(betti, torsion):
-    return HomologySummary(reduced=True, betti=betti, torsion=torsion)
+def test_empty_complex_is_the_kunneth_unit():
+    unit = homology_Z(simplicial_chain_complex(from_facets([])))
+    assert (unit.betti, unit.torsion) == ((1,), ((),))
+    for x in (from_facets([]), fixture("discrete", n=2), fixture("rp2_6"), fixture("moore", q=3)):
+        h = homology_Z(simplicial_chain_complex(x))
+        for derived in (join_homology_kunneth(unit, h), join_homology_kunneth(h, unit)):
+            assert (derived.betti, derived.torsion) == (h.betti, h.torsion)
+
+
+def _summary(betti, torsion):
+    """The homology of a chain complex as built, as homology_Z gives it."""
+    return HomologySummary(reduced=False, betti=betti, torsion=torsion)
 
 
 @st.composite
 def torsion_summaries(draw):
-    """Reduced summaries in degrees 0..2 with at least one torsion coefficient."""
+    """Summaries in degrees 0..2 with at least one torsion coefficient."""
     n = draw(st.integers(1, 3))
     betti = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     orders = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=2)
     torsion = [sorted(draw(orders)) for _ in range(n)]
     if not any(torsion):
         torsion[draw(st.integers(0, n - 1))] = [draw(st.sampled_from([2, 4, 6]))]
-    return _reduced(betti, tuple(tuple(t) for t in torsion))
+    return _summary(betti, tuple(tuple(t) for t in torsion))
 
 
 def _kunneth_bags(h1, h2):
-    """Per degree of the join, the orders of the cyclic groups of the Kunneth
-    formula: Z^r (x) Z/t = (Z/t)^r, Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t)."""
+    """Per degree of the tensor product, the orders of the cyclic groups of
+    the Kunneth formula: Z^r (x) Z/t = (Z/t)^r, Z/s (x) Z/t = Tor(Z/s, Z/t)
+    = Z/gcd(s, t)."""
     bags = []
-    for k in range(h1.dim + h2.dim + 2):
+    for k in range(h1.dim + h2.dim + 1):
         bag = []
         for i, j in itertools.product(range(h1.dim + 1), range(h2.dim + 1)):
             (r1, t1), (r2, t2) = h1.group(i), h2.group(j)
             gcds = [math.gcd(s, t) for s in t1 for t in t2]
-            if i + j == k - 1:
+            if i + j == k:
                 bag += list(t1) * r2 + list(t2) * r1 + gcds
-            elif i + j == k - 2:
+            elif i + j == k - 1:
                 bag += gcds
         bags.append([t for t in bag if t > 1])
     return bags
@@ -237,11 +249,12 @@ def _kunneth_bags(h1, h2):
 
 @settings(max_examples=150, deadline=None)
 @given(torsion_summaries(), torsion_summaries())
-# a point added to RP^2 and to the Moore spaces: Z/2 + Z/3 merges to Z/6,
-# Z/2 + Z/4 stays, and two Moore spaces meet in Z/4 (x) Z/6 and Tor(Z/4, Z/6)
-@example(_reduced((1, 0, 0), ((), (2,), ())), _reduced((1, 0, 0), ((), (3,), ())))
-@example(_reduced((1, 0, 0), ((), (2,), ())), _reduced((1, 0, 0), ((), (4,), ())))
-@example(_reduced((0, 0, 0), ((), (4,), ())), _reduced((0, 0, 0), ((), (6,), ())))
+# the empty simplex and a point added to RP^2 and to the Moore spaces: Z/2 +
+# Z/3 merges to Z/6, Z/2 + Z/4 stays, and two Moore spaces meet in Z/4 (x)
+# Z/6 and Tor(Z/4, Z/6)
+@example(_summary((0, 1, 0, 0), ((), (), (2,), ())), _summary((0, 1, 0, 0), ((), (), (3,), ())))
+@example(_summary((0, 1, 0, 0), ((), (), (2,), ())), _summary((0, 1, 0, 0), ((), (), (4,), ())))
+@example(_summary((0, 0, 0, 0), ((), (), (4,), ())), _summary((0, 0, 0, 0), ((), (), (6,), ())))
 def test_kunneth_torsion_matches_dense_snf_of_the_bag(h1, h2):
     got = join_homology_kunneth(h1, h2)
     bags = _kunneth_bags(h1, h2)
@@ -249,18 +262,18 @@ def test_kunneth_torsion_matches_dense_snf_of_the_bag(h1, h2):
                                               for a, t in enumerate(bag)]) if d > 1)
                  for bag in bags)
     assert got.torsion == want
-    assert got.betti == tuple(sum(h1.group(i)[0] * h2.group(k - 1 - i)[0] for i in range(k))
+    assert got.betti == tuple(sum(h1.group(i)[0] * h2.group(k - i)[0] for i in range(k + 1))
                               for k in range(len(bags)))
 
 
 @pytest.mark.parametrize("q1,q2,betti,torsion", [
-    (2, 3, 1, ((), (), (6,), (), (), ())),
-    (2, 4, 1, ((), (), (2, 4), (2,), (2,), ())),
-    (4, 6, 0, ((), (), (), (2,), (2,), ())),
+    (2, 3, 1, ((), (), (), (6,), (), (), ())),
+    (2, 4, 1, ((), (), (), (2, 4), (2,), (2,), ())),
+    (4, 6, 0, ((), (), (), (), (2,), (2,), ())),
 ])
 def test_kunneth_torsion_frozen_cases(q1, q2, betti, torsion):
-    h1 = _reduced((betti, 0, 0), ((), (q1,), ()))
-    h2 = _reduced((betti, 0, 0), ((), (q2,), ()))
+    h1 = _summary((0, betti, 0, 0), ((), (), (q1,), ()))
+    h2 = _summary((0, betti, 0, 0), ((), (), (q2,), ()))
     assert join_homology_kunneth(h1, h2).torsion == torsion
 
 
@@ -296,7 +309,7 @@ def test_split_route_matches_brute_oracles_on_joins(n_factors, seed, reduced, no
     assert h.betti == tuple(betti) and h.torsion == tuple(tuple(t) for t in torsion)
     for p in (2, 3):
         assert h.betti_fp(p) == tuple(brute_betti_fp(facets, p, reduced=reduced))
-        assert betti_table(x, p, reduced=reduced) == h.betti_fp(p)
+        assert betti_table(x, p) == tuple(brute_betti_fp(facets, p, reduced=True))
 
 
 def test_non_flag_complex_is_its_own_factor():
@@ -311,7 +324,7 @@ def test_empty_complex_has_no_degrees():
     for reduced in (False, True):
         h = homology_summary(x, reduced=reduced, primes=[2])
         assert h.betti == () and h.torsion == () and h.betti_fp(2) == ()
-        assert betti_table(x, 3, reduced=reduced) == ()
+    assert betti_table(x, 3) == ()
 
 
 def test_factor_uct_mismatch_raises(monkeypatch):
@@ -502,6 +515,31 @@ def test_chain_complex_matches_dense_boundary_oracle(facets):
         m = cc.boundary(k + 1)
         dense = [[m.entries.get((r, c), 0) for c in range(m.cols)] for r in range(m.rows)]
         assert dense == boundary_matrix(faces, k, augmented=(k == 0)), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6).map(lambda seed: random_facets(random.Random(seed))),
+       st.one_of(st.just(0), st.just(-1), st.integers(1, 2 ** 7 - 1)))
+@example([(0, 1, 2), (1, 3)], 0b0101)
+def test_support_complex_matches_dense_boundary_oracle(facets, T):
+    # cube_chain_complex reads the entries simplicial_chain_complex wrote in
+    # the order of the directions of x.faces(i - 1); the support complex of T
+    # keeps the deletions of a vertex in T, and T = -1 keeps them all
+    x = from_facets(facets)
+    cc = cube_chain_complex(x, 1, (), T)
+    whole = simplicial_chain_complex(x)
+    faces = all_faces(facets)
+    assert cc.dims == whole.dims
+    for k in range(max(faces, default=-1) + 2):
+        m = cc.boundary(k + 1)
+        dense = [[m.entries.get((r, c), 0) for c in range(m.cols)] for r in range(m.rows)]
+        lower = faces.get(k - 1, [()])
+        want = [[v if all(T >> u & 1 for u in set(faces[k][c]) - set(lower[r])) else 0
+                 for c, v in enumerate(row)]
+                for r, row in enumerate(boundary_matrix(faces, k, augmented=(k == 0)))]
+        assert dense == want, k
+        if T == -1:
+            assert m == whole.boundary(k + 1)
 
 
 def test_boundary_one_is_the_augmentation():
