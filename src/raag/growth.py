@@ -44,7 +44,6 @@ Euler characteristic / covers of tori / products):
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -234,8 +233,8 @@ class SupportTable:
     F_p (Kunneth) h(T) is the convolution of the factors' rows h_F(T_F) as
     polynomials in the degree.  Those rows are computed on first use and
     kept, one dict per factor in entries, keyed by bit masks over the
-    factor's own vertices.  A complex that does not split is its own only
-    factor, on all its vertices, so its masks are L's own.
+    factor's own vertices.  A complex that does not split has one factor,
+    the stand-in for L below, on all its vertices, so its masks are L's own.
 
     For a spec with independent images of orders k_v, the cover is the
     polyhedral product of (k_v-gon, its vertices) over L, and over a field
@@ -248,10 +247,15 @@ class SupportTable:
     Any other spec is split into its p-part P and its part Q' of order prime
     to p (split_betti).
 
-    The table keeps the factors, a fresh complex on L's facets standing for
-    a complex that does not split, and every support complex is
-    cube_chain_complex of a factor, which reads the factor's cached chain
-    complex.  The entries for T = V are that chain complex, reduced with the
+    The table keeps the factors and, in L's place, a stand-in for L: a
+    complex on L's facets that shares L's faces and cached chain complex.
+    Every support complex is cube_chain_complex of a factor, and every
+    P-cover complex cube_chain_complex of the stand-in; each reads its
+    complex's cached chain complex.  L's first table makes the stand-in,
+    and L's other tables share it.  When L does not split, its chain
+    complex is L's own, built once on L.  A join's chain complex is built by
+    nothing else, so there the stand-in builds its own on first use.  The
+    entries for T = V are the factors' chain complexes, reduced with the
     table, as is the reference column (0,) + h(V)[1:]: the empty L has no
     reduced degree -1.  growth_experiment keeps one table per prime on L, so
     the table lives as long as L and holds at most one row per support
@@ -261,26 +265,22 @@ class SupportTable:
 
     def __init__(self, L: SimplicialComplex, prime: int):
         self.prime = prime
-        # L keeps its tables (growth_experiment), so a table keeps no
-        # reference to L, whose cycle would outlive L until a collection
-        self._base = (L.n_vertices, L.facets)
         factors = join_factors(L)
-        self._factors = factors if len(factors) > 1 else [SimplicialComplex(*self._base)]
+        if len(factors) == 1:
+            simplicial_chain_complex(L)  # built once on L, for every table to share
+        # L keeps its tables (growth_experiment), so a table holds the
+        # stand-in, not L, whose cycle would outlive L until a collection
+        self._L = next((t._L for t in (L._tables or {}).values()), None)
+        if self._L is None:
+            self._L = SimplicialComplex(L.n_vertices, L.facets)
+            self._L._faces, self._L._face_index, self._L._chain = L._faces, L._face_index, L._chain
+        self._factors = factors if len(factors) > 1 else [self._L]
         self.parts = join_parts(L)
         full = [betti_Fp(simplicial_chain_complex(F), prime) for F in self._factors]
         self.entries: List[Dict[int, Tuple[int, ...]]] = [
             {(1 << len(part)) - 1: row} for row, part in zip(full, self.parts)]
         # cover degree i against L's degree i - 1
         self.reference = (0,) + convolve(full)[1:]
-
-    @functools.cached_property
-    def _whole(self) -> SimplicialComplex:
-        """A complex on L's facets, for the P-cover complexes of split_betti:
-        the only factor of a complex that does not split, a fresh one for a
-        join."""
-        if len(self._factors) == 1:
-            return self._factors[0]
-        return SimplicialComplex(*self._base)
 
     def _entry(self, i: int, T: int) -> Tuple[int, ...]:
         """h_F(T) of the i-th factor F, T a bit mask over F's own vertices."""
@@ -356,7 +356,7 @@ class SupportTable:
         total = [0] * len(self.reference)  # degrees 0..dim L + 1
         for T, count in counts.items():
             row = (self.h(T) if len(deck) == 1 else
-                   betti_Fp(cube_chain_complex(self._whole, len(deck), shift, T), self.prime))
+                   betti_Fp(cube_chain_complex(self._L, len(deck), shift, T), self.prime))
             for i, b in enumerate(row):
                 total[i] += count * b
         return tuple(total)

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 import raag.growth as growth
+import raag.homology as homology
 import raag.models as models
 import raag.simplicial as simplicial
 from raag.errors import CorruptComplexError, CoverSpecError, NotFlagError
 from raag.fixtures import fixture
 from raag.growth import CAVEAT, growth_experiment
-from raag.homology import betti_Fp, simplicial_chain_complex
+from raag.homology import betti_Fp, homology_summary, simplicial_chain_complex
 from raag.models import FiniteQuotientSpec, finite_cover, standard_spec
 from raag.simplicial import from_facets
 
@@ -162,16 +163,11 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
     # every divisibility chain of index <= 60 on discrete(3), as coordinate
     # specs, and two scrambled specs, one call each, on one object: each
     # support complex (n_deck == 1) is built once per prime, in one table per
-    # prime, except T = V, the cached chain complex of the table's factor,
-    # which is reduced once per prime for its entry and the reference column;
-    # x keeps its tables, so its one factor is a fresh complex on its facets
+    # prime, except T = V, the complex's cached chain complex, which is
+    # reduced once per prime for its entry and the reference column
     counts = {"entries": 0, "tables": 0, "full": 0}
     x = fixture("discrete", n=3)
-    full = []
-
-    def cached(F):
-        full.append(simplicial_chain_complex(F))
-        return full[-1]
+    full = simplicial_chain_complex(x)
 
     def counted(key, original, when=lambda *args: True):
         def wrapper(*args, **kwargs):
@@ -183,9 +179,8 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
         "entries", growth.cube_chain_complex, lambda x, n_deck, *rest: n_deck == 1))
     monkeypatch.setattr(growth.SupportTable, "__init__",
                         counted("tables", growth.SupportTable.__init__))
-    monkeypatch.setattr(growth, "simplicial_chain_complex", cached)
-    monkeypatch.setattr(growth, "betti_Fp", counted(
-        "full", growth.betti_Fp, lambda cc, p: any(cc is whole for whole in full)))
+    monkeypatch.setattr(growth, "betti_Fp",
+                        counted("full", growth.betti_Fp, lambda cc, p: cc is full))
     chains = [(a, b, c) for c in range(1, 61) for b in range(1, c + 1) for a in range(1, b + 1)
               if c % b == 0 and b % a == 0 and a * b * c <= 60]
     coordinate = [FiniteQuotientSpec(moduli=m, images=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -198,7 +193,29 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
             assert series.covers[0].betti == (1, 2 * spec.index + 1)
     assert counts == {"entries": 14, "tables": 2, "full": 2}
     assert [len(x._tables[p].entries[0]) for p in (2, 3)] == [8, 8]
-    assert all(F is not x and F.facets == x.facets for p in (2, 3) for F in x._tables[p]._factors)
+
+
+def test_a_second_prime_builds_no_chain_complex(monkeypatch):
+    # a complex keeps its tables, so they hold no reference to it, but one
+    # stand-in on its facets with its faces and chain complex, made by its
+    # first table and shared by the others: after the first prime's table
+    # neither the second prime's nor the homology of the complex writes a
+    # boundary entry, on a complex that does not split (cycle) and on a join
+    # (octahedron), whose own chain complex only the P-cover complexes need
+    writes = []
+    monkeypatch.setattr(homology, "cube_facets",
+                        lambda x, i, cube_facets=homology.cube_facets:
+                        writes.append(i) or cube_facets(x, i))
+    for x in (fixture("cycle", n=5), fixture("octahedron")):
+        spec = FiniteQuotientSpec(moduli=(6,), images=tuple(((v + 1) % 6,) for v in range(x.n_vertices)))
+        growth_experiment(x, [spec], 2)
+        assert writes
+        writes.clear()
+        growth_experiment(x, [spec], 3)
+        homology_summary(x)
+        assert writes == []
+        stand_in = x._tables[2]._L
+        assert x._tables[3]._L is stand_in is not x and stand_in._faces is x._faces
 
 
 def test_p_part_enumerated_once_per_spec_without_independent_images(monkeypatch):
