@@ -1,0 +1,77 @@
+"""Census: every nonempty clique complex of a graph on at most 7 vertices.
+
+networkx ships Read and Wilson's atlas of all 1,253 graphs on at most 7
+vertices up to isomorphism (*An Atlas of Graphs*, 1998); the first is the
+empty graph.  Each of the other 1,252 is turned into its clique complex
+through the oracle's maximal cliques and checked against the dense oracles,
+and the verdicts are pinned as a count table rather than per complex.
+"""
+
+import functools
+from collections import Counter
+
+import networkx as nx
+
+from oracles import brute_homology, maximal_cliques_networkx
+
+from raag.classify import POSITIVE, UNDETERMINED, ZERO, classify, replay_certificate
+from raag.homology import homology_summary
+from raag.simplicial import from_facets, is_flag
+
+# (dimension, outcome, certificate kind) -> number of complexes
+COUNTS = {
+    (0, POSITIVE, "TopCohomologyNonzero"): 6,
+    (0, ZERO, "ComplementaryVanishing"): 1,
+    (1, POSITIVE, "TopCohomologyNonzero"): 93,
+    (1, ZERO, "ComplementaryVanishing"): 72,
+    (2, POSITIVE, "TopCohomologyNonzero"): 8,
+    (2, ZERO, "CollapsibleSelf"): 221,
+    (2, UNDETERMINED, None): 450,
+    (3, ZERO, "ComplementaryVanishing"): 336,
+    (4, ZERO, "ComplementaryVanishing"): 57,
+    (5, ZERO, "ComplementaryVanishing"): 7,
+    (6, ZERO, "ComplementaryVanishing"): 1,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def census():
+    """(clique complex, its dense reduced homology) for each atlas graph with
+    at least one vertex."""
+    out = []
+    for g in nx.graph_atlas_g():
+        n = g.number_of_nodes()
+        if n:
+            facets = maximal_cliques_networkx(n, list(g.edges()))
+            betti, torsion = brute_homology(facets, reduced=True)
+            out.append((from_facets(facets), tuple(betti), tuple(torsion)))
+    return tuple(out)
+
+
+def test_census_is_every_nonempty_atlas_graph():
+    assert len(census()) == 1252
+    assert max(L.n_vertices for L, _, _ in census()) == 7
+
+
+def test_census_is_flag_and_matches_dense_homology():
+    for L, betti, torsion in census():
+        assert is_flag(L)[0], L.facets
+        h = homology_summary(L, reduced=True)
+        assert (h.betti, h.torsion) == (betti, torsion), L.facets
+
+
+def test_census_verdicts_replay_and_count():
+    counts = Counter()
+    for L, betti, torsion in census():
+        v = classify(L)
+        kind = None if v.certificate is None else v.certificate.kind
+        counts[(L.dim, v.outcome, kind)] += 1
+        if v.certificate is not None:
+            ok, why = replay_certificate(L, v)
+            assert ok, (L.facets, why)
+        # positive exactly when the top cohomology is nonzero: b_d > 0 or
+        # torsion in H_{d-1}, read off the dense oracle
+        d = L.dim
+        top = betti[d] > 0 or (d > 0 and bool(torsion[d - 1]))
+        assert (v.outcome == POSITIVE) == top, L.facets
+    assert dict(counts) == COUNTS
