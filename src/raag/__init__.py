@@ -18,7 +18,7 @@ from .homology import (ChainComplexZ, HomologySummary, betti_Fp, flag_reduced_su
                        simplicial_chain_complex, top_cohomology_nonzero, uct_betti_fp)
 from .models import (CubeComplex, FiniteQuotientSpec, finite_cover, salvetti_complex,
                      standard_spec, trivial_spec)
-from .collapse import CollapseSequence, collapse, replay_collapse
+from .collapse import CollapseSequence, collapse, reaches_vertex, replay_collapse
 from .classify import (Certificate, EmbeddingWitness, Verdict, classify,
                        replay_certificate, report, verify_witness)
 from .growth import CoverResult, GrowthSeries, growth_experiment

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .collapse import CollapseSequence, collapse, replay_collapse
+from .collapse import CollapseSequence, collapse, reaches_vertex, replay_collapse
 from .errors import MalformedComplexError, NotFlagError, WitnessRejectedError
 from .homology import (HomologySummary, betti_table, flag_reduced_summary,
                        homology_summary, top_cohomology_nonzero)
@@ -132,15 +132,14 @@ def _witness_structural_error(L: SimplicialComplex, w: EmbeddingWitness) -> Opti
     return None
 
 
-def verify_witness(L: SimplicialComplex, w: EmbeddingWitness,
-                   budget: int = 64) -> Tuple[bool, str, Optional[CollapseSequence]]:
+def verify_witness(L: SimplicialComplex,
+                   w: EmbeddingWitness) -> Tuple[bool, str, Optional[CollapseSequence]]:
     """Check an embedding witness; returns (ok, reason, collapse sequence).
 
     A supercomplex with nonzero reduced homology is not contractible, so it
-    is rejected before any collapse search (collapsible implies
-    contractible).  A structurally sound, acyclic witness whose supercomplex
-    merely fails to collapse within budget is reported as "contractibility
-    unverified".
+    is rejected before the collapse pass (collapsible implies contractible).
+    A structurally sound, acyclic witness whose supercomplex does not
+    collapse is reported as "contractibility unverified".
     """
     err = _witness_structural_error(L, w)
     if err is not None:
@@ -151,21 +150,20 @@ def verify_witness(L: SimplicialComplex, w: EmbeddingWitness,
         if b or tor:
             return False, (f"supercomplex is not contractible: reduced H_{i} "
                            f"is nonzero"), None
-    seq = collapse(w.supercomplex, budget=budget)
-    if seq is None:
-        return False, "contractibility unverified: no collapse found within budget", None
-    return True, f"supercomplex collapses to a vertex (seed {seq.seed})", seq
+    seq = collapse(w.supercomplex)
+    if not reaches_vertex(w.supercomplex, seq):
+        return False, "contractibility unverified: the supercomplex does not collapse", None
+    return True, "supercomplex collapses to a vertex", seq
 
 
-def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None,
-             budget: int = 64) -> Verdict:
+def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None) -> Verdict:
     """Decide PositiveEntropy / ZeroEntropy / Undetermined for A_L.
 
     Requires a nonempty flag complex.  Order of attack: nonzero top reduced
     cohomology forces positive entropy; in any dimension other than 2 its
     vanishing forces zero entropy; in dimension 2 a verified witness or a
     collapse of L itself certifies zero, otherwise Undetermined.  L itself
-    is searched for a collapse only when its reduced homology vanishes.
+    gets its collapse pass only when its reduced homology vanishes.
 
     The homology is flag_reduced_summary's: Smith normal forms and checked
     F_p tables of L's join factors, whose chain complexes are cached and
@@ -195,7 +193,7 @@ def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None,
         err = _witness_structural_error(L, witness)
         if err is not None:
             raise WitnessRejectedError(f"embedding witness rejected: {err}")
-        ok, reason, seq = verify_witness(L, witness, budget=budget)
+        ok, reason, seq = verify_witness(L, witness)
         if ok:
             cert = Certificate(CERT_WITNESS, {
                 "supercomplex": complex_to_json_dict(witness.supercomplex),
@@ -205,12 +203,13 @@ def classify(L: SimplicialComplex, witness: Optional[EmbeddingWitness] = None,
             return Verdict(ZERO, d, d + 1, cert, summary)
         notes.append(f"witness unusable: {reason}")
     # collapsible implies contractible, so nonzero reduced homology rules
-    # out every collapse and the search is skipped
-    seq = collapse(L, budget=budget) if summary.is_trivial() else None
-    if seq is not None:
-        cert = Certificate(CERT_COLLAPSE, {"collapse": seq.to_json_dict()})
-        return Verdict(ZERO, d, d + 1, cert, summary)
-    notes.append(f"no collapse of the complex itself in {budget} restarts")
+    # out every collapse and the pass is skipped
+    if summary.is_trivial():
+        seq = collapse(L)
+        if reaches_vertex(L, seq):
+            cert = Certificate(CERT_COLLAPSE, {"collapse": seq.to_json_dict()})
+            return Verdict(ZERO, d, d + 1, cert, summary)
+    notes.append("the complex itself does not collapse")
     notes.append("dimension-2 gap: top cohomology vanishes but contractible "
                  "embedding is unverified; positive and zero entropy are not "
                  "known to be complementary here")

@@ -8,18 +8,17 @@ the -o file; human-readable summaries go to stderr, so pipes stay clean.
 Exit codes: 0 success or classified; 3 undetermined; 10 malformed or
 unreadable input, an unwritable -o path, stdout or stderr (a pipe whose
 reader has gone), unknown fixture, a --n or --q the fixture does not take,
-or usage error (a negative classify --budget is one); 11 input not flag; 12
-witness rejected; 13 degenerate quotient; 14 bad cover spec, or a coefficient
-that is not a prime below 2^64 (primality is decided exactly up to there); 15
-internal consistency failure; 20 unexpected error.  homology splits any
-join into its join factors, flag or not, since the Kunneth formula holds for
-every join, and builds only their chain complexes.  growth reads the betti
-numbers of its standard covers off support tables the size of L's join
-factors and builds no cover.  It refuses, with exit 14 and before computing
-any homology, a cover that would take more than models.MAX_COVER_CELLS
-(250,000) cells: moduli k_v read, per join factor F, 2^|S_F| table entries,
-S_F = {v in F : k_v > 1}, of 1 + f(F) cells each, f(F) being the number of
-faces of F over all dimensions.
+or usage error; 11 input not flag; 12 witness rejected; 13 degenerate
+quotient; 14 bad cover spec, or a coefficient that is not a prime below 2^64
+(primality is decided exactly up to there); 15 internal consistency failure;
+20 unexpected error.  homology splits any join into its join factors, flag
+or not, since the Kunneth formula holds for every join, and builds only
+their chain complexes.  growth reads the betti numbers of its standard covers
+off support tables the size of L's join factors and builds no cover.  It
+refuses, with exit 14 and before computing any homology, a cover that would
+take more than models.MAX_COVER_CELLS (250,000) cells: moduli k_v read, per
+join factor F, 2^|S_F| table entries, S_F = {v in F : k_v > 1}, of 1 + f(F)
+cells each, f(F) being the number of faces of F over all dimensions.
 """
 
 from __future__ import annotations
@@ -70,17 +69,6 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
                    help="write the machine-readable result here instead of stdout")
 
 
-def _budget(text: str) -> int:
-    """--budget: a nonnegative integer; anything else is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use; each parse_args
@@ -116,8 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_args(c)
     c.add_argument("--witness", default=None, metavar="PATH",
                    help="embedding-witness JSON for the dimension-2 gap")
-    c.add_argument("--budget", type=_budget, default=64,
-                   help="randomized collapse restarts (default 64)")
     c.add_argument("--flag-completion", action="store_true",
                    help="classify the clique complex of the input's 1-skeleton "
                         "(changes the group, prints a notice)")
@@ -215,7 +201,7 @@ def cmd_classify(ns) -> int:
         print(_FLAG_COMPLETION_NOTICE, file=sys.stderr)
         x = flag_completion(x)
     witness = rio.load_witness(ns.witness) if ns.witness else None
-    verdict = classify(x, witness=witness, budget=ns.budget)
+    verdict = classify(x, witness=witness)
     _emit(ns, verdict.to_json())
     print(report(x, verdict), file=sys.stderr)
     return 3 if verdict.outcome == UNDETERMINED else 0

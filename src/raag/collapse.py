@@ -5,19 +5,27 @@ forces it to have no larger cofaces at all).  Removing sigma together with
 that coface is an elementary collapse and preserves homotopy type; a complex
 that collapses all the way down to one vertex is contractible.
 
-Collapsibility is order-sensitive, so the search runs a deterministic greedy
-pass (highest dimension first, lexicographic within a dimension) and then up
-to `budget` restarts with seeded random priorities.  Failure of every attempt
-is not a proof of non-collapsibility; successful sequences are returned as
-replayable certificates.
+The search is one deterministic greedy pass: highest dimension first,
+lexicographic within a dimension.  In dimension at most 2 the order does not
+matter (Tancer, Discrete Comput. Geom. 2016):
+
+- A triangle that gets a free edge keeps it until the triangle itself is
+  removed: only removing a triangle through that edge shrinks the edge's
+  coface set, and a (vertex, edge) step needs a maximal edge, so it never
+  takes a free edge from a triangle.  A removable triangle stays removable,
+  so every maximal pass removes the same triangles and leaves the same
+  2-core.
+- With the 2-core empty, what is left is a graph.  It collapses to a vertex
+  exactly when it is a tree, and then every order of leaf removals does.
+
+So a pass that gets stuck proves that a complex of dimension at most 2 does
+not collapse.  In dimension 3 and up the order can matter, and one pass is
+only a sufficient test.  Successful sequences are replayable certificates.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-import json
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -26,10 +34,11 @@ from .simplicial import Simplex, SimplicialComplex, as_simplex
 
 @dataclass(frozen=True)
 class CollapseSequence:
-    """Replayable witness of a collapse to a single vertex.
+    """Replayable record of a collapse pass.
 
-    pairs[i] = (free face, its unique coface) in removal order; seed records
-    which restart found it (None for the deterministic pass).
+    pairs[i] = (free face, its unique coface) in removal order.  seed is
+    always None, the one deterministic pass; it stays in the serialized
+    form so that certificates keep their shape.
     """
 
     pairs: Tuple[Tuple[Simplex, Simplex], ...]
@@ -44,17 +53,10 @@ class CollapseSequence:
             "pairs": [[list(s), list(t)] for s, t in self.pairs],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @staticmethod
     def from_json_dict(data: dict) -> "CollapseSequence":
         pairs = tuple((as_simplex(s), as_simplex(t)) for s, t in data["pairs"])
         return CollapseSequence(pairs=pairs, seed=data.get("seed"))
-
-    @staticmethod
-    def from_json(text: str) -> "CollapseSequence":
-        return CollapseSequence.from_json_dict(json.loads(text))
 
 
 class _State:
@@ -89,18 +91,16 @@ class _State:
         return len(self.faces) == 1 and len(next(iter(self.faces))) == 1
 
 
-def _attempt(x: SimplicialComplex, seed: Optional[int]) -> Tuple[bool, CollapseSequence]:
-    """One greedy pass: (whether it left one vertex, the pairs it removed).
-    Its heap starts with every free face, so it removes none iff x has none."""
-    state = _State(x.all_faces())
-    if seed is None:
-        key = {f: (-len(f), f) for f in state.faces}
-    else:
-        order = sorted(state.faces)
-        random.Random(seed).shuffle(order)
-        key = {f: (i,) for i, f in enumerate(order)}
+def collapse(x: SimplicialComplex) -> CollapseSequence:
+    """One greedy collapse pass over x; returns the pairs it removed.
 
-    heap = [(key[f], f) for f in state.faces if state.is_free(f)]
+    The heap starts with every free face, and a face whose coface set
+    shrinks is pushed again when it becomes free, so the pass stops only
+    when no face is free.  reaches_vertex tells whether it left one vertex;
+    on the empty complex the pass is empty and does not.
+    """
+    state = _State(x.all_faces())
+    heap = [(-len(f), f) for f in state.faces if state.is_free(f)]
     heapq.heapify(heap)
     pairs: List[Tuple[Simplex, Simplex]] = []
     while heap:
@@ -110,30 +110,15 @@ def _attempt(x: SimplicialComplex, seed: Optional[int]) -> Tuple[bool, CollapseS
         tau = next(iter(state.cofaces[sigma]))
         for sub in state.remove_pair(sigma, tau):
             if state.is_free(sub):
-                heapq.heappush(heap, (key[sub], sub))
+                heapq.heappush(heap, (-len(sub), sub))
         pairs.append((sigma, tau))
-    return state.at_single_vertex(), CollapseSequence(pairs=tuple(pairs), seed=seed)
+    return CollapseSequence(pairs=tuple(pairs))
 
 
-def collapse(x: SimplicialComplex, budget: int = 64) -> Optional[CollapseSequence]:
-    """Search for a collapse of x to a single vertex.
-
-    Runs the deterministic pass and then `budget` seeded restarts; returns the
-    first successful sequence, or None when every attempt gets stuck.  None
-    does not certify non-collapsibility.  The restarts are skipped when x has
-    no free face, which the deterministic pass shows by removing no pair:
-    then every attempt is stuck at its first step, whatever the order, and
-    fails exactly as the deterministic pass did.
-    """
-    if x.is_empty():
-        return None
-    for seed in itertools.chain([None], range(budget)):
-        done, found = _attempt(x, seed)
-        if done:
-            return found
-        if not found.pairs:
-            return None
-    return None
+def reaches_vertex(x: SimplicialComplex, seq: CollapseSequence) -> bool:
+    """Whether the pass seq = collapse(x) left one vertex: each pair removes
+    two of x's faces, and one face is left."""
+    return 2 * len(seq) == sum(len(x.faces(k)) for k in range(x.dim + 1)) - 1
 
 
 def replay_collapse(x: SimplicialComplex, seq: CollapseSequence) -> Tuple[bool, str]:

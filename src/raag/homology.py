@@ -31,7 +31,7 @@ from itertools import chain
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError
-from .linalg import (SNFResult, SparseIntMatrix, convolve, pivot_rows_mod_p,
+from .linalg import (SNFResult, SparseIntMatrix, _columns, convolve, pivot_rows_mod_p,
                      prime_factors, smith_normal_form)
 from .simplicial import SimplicialComplex, join_factors
 
@@ -84,13 +84,13 @@ class ChainComplexZ:
         """
         if self._checked:
             return
-        below = _columns(self.boundary(1)) if 1 < self.top else {}
+        below = _columns(self.boundary(1), frozenset()) if 1 < self.top else {}
         for i in range(1, self.top):
-            above = _columns(self.boundary(i + 1))
+            above = _columns(self.boundary(i + 1), frozenset())
             for col in above.values():
                 acc: Dict[int, int] = {}
-                for k, w in col:
-                    for r, v in below.get(k, ()):
+                for k, w in col.items():
+                    for r, v in below.get(k, {}).items():
                         acc[r] = acc.get(r, 0) + v * w
                 if any(acc.values()):
                     raise CorruptComplexError(
@@ -100,14 +100,6 @@ class ChainComplexZ:
 
     def __repr__(self):
         return f"<ChainComplexZ dims={self.dims}>"
-
-
-def _columns(m: SparseIntMatrix) -> Dict[int, List[Tuple[int, int]]]:
-    """Column -> [(row, value), ...] of a sparse matrix."""
-    cols: Dict[int, List[Tuple[int, int]]] = {}
-    for (r, c), v in m.entries.items():
-        cols.setdefault(c, []).append((r, v))
-    return cols
 
 
 def cube_facets(base: SimplicialComplex, i: int) -> Dict[Tuple[int, int], int]:

@@ -346,6 +346,36 @@ def is_flag_exhaustive(n_vertices: int, facets: Sequence[Tuple[int, ...]]) -> bo
     return True
 
 
+# -- greedy collapse in seeded orders ------------------------------------------------
+
+
+def seeded_greedy_collapse(facets: Sequence[Tuple[int, ...]], seed: int) -> bool:
+    """Whether greedy elementary collapses leave a single vertex when each step
+    removes the first free face, in random.Random(seed)'s shuffle of the
+    sorted faces, with its one codimension-one coface."""
+    faces = set()
+    for f in facets:
+        for k in range(1, len(f) + 1):
+            faces.update(itertools.combinations(sorted(f), k))
+    cofaces = {f: set() for f in faces}
+    for f in faces:
+        for sub in itertools.combinations(f, len(f) - 1):
+            if sub:
+                cofaces[sub].add(f)
+    order = sorted(faces)
+    random.Random(seed).shuffle(order)
+    while True:
+        sigma = next((f for f in order if f in faces and len(cofaces[f]) == 1), None)
+        if sigma is None:
+            return len(faces) == 1
+        (tau,) = cofaces[sigma]
+        for gone in (tau, sigma):
+            faces.discard(gone)
+            for sub in itertools.combinations(gone, len(gone) - 1):
+                if sub:
+                    cofaces[sub].discard(gone)
+
+
 # -- random complex generator ------------------------------------------------------
 
 

@@ -286,7 +286,7 @@ def test_acceptance_7_certificate_replay(verdict_table):
     disk = _polygon_disk(6)
     annulus, _ = induced_subcomplex(disk, range(12))
     witness = EmbeddingWitness(supercomplex=disk, embedding=tuple(range(12)))
-    extra = [(annulus, classify(annulus, witness=witness, budget=8))]
+    extra = [(annulus, classify(annulus, witness=witness))]
 
     total, replayed = 0, 0
     kinds = set()

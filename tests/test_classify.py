@@ -50,7 +50,7 @@ def _annulus_and_disk():
 ])
 def test_verdicts(name, kwargs, outcome, kind):
     L = fixture(name, **kwargs)
-    v = classify(L, budget=8)
+    v = classify(L)
     assert v.outcome == outcome
     assert v.d == L.dim and v.gdim == L.dim + 1
     if kind is None:
@@ -79,10 +79,10 @@ def test_positive_detail_identifies_prime():
 
 
 def test_undetermined_notes_name_the_gap():
-    v = classify(fixture("dunce_flag"), budget=2)
+    v = classify(fixture("dunce_flag"))
     assert v.outcome == UNDETERMINED
     assert "dimension-2 gap" in v.notes
-    assert "no collapse of the complex itself" in v.notes
+    assert "the complex itself does not collapse" in v.notes
 
 
 def test_classify_rejects_empty_and_non_flag():
@@ -139,8 +139,8 @@ def test_boolean_embedding_images_are_rejected():
 
 def test_annulus_needs_its_witness():
     annulus, disk, witness = _annulus_and_disk()
-    assert classify(annulus, budget=8).outcome == UNDETERMINED
-    v = classify(annulus, witness=witness, budget=8)
+    assert classify(annulus).outcome == UNDETERMINED
+    v = classify(annulus, witness=witness)
     assert v.outcome == ZERO and v.certificate.kind == CERT_WITNESS
     ok, why = replay_certificate(annulus, v)
     assert ok, why
@@ -157,7 +157,7 @@ def test_unusable_witness_noted_and_ignored():
     annulus, _, _ = _annulus_and_disk()
     # structurally fine, but the supercomplex is the annulus itself: not contractible
     self_witness = EmbeddingWitness(annulus, tuple(range(12)))
-    v = classify(annulus, witness=self_witness, budget=8)
+    v = classify(annulus, witness=self_witness)
     assert v.outcome == UNDETERMINED
     assert "witness unusable" in v.notes
 
@@ -165,9 +165,9 @@ def test_unusable_witness_noted_and_ignored():
 def test_non_contractible_witness_rejected_without_collapse_search(monkeypatch):
     annulus, _, _ = _annulus_and_disk()
     calls = []
-    attempt = collapse_module._attempt
-    monkeypatch.setattr(collapse_module, "_attempt",
-                        lambda x, seed: calls.append(seed) or attempt(x, seed))
+    state = collapse_module._State
+    monkeypatch.setattr(collapse_module, "_State",
+                        lambda faces: calls.append(1) or state(faces))
     ok, reason, seq = verify_witness(annulus, EmbeddingWitness(annulus, tuple(range(12))))
     assert not ok and seq is None and "not contractible" in reason
     assert calls == []
@@ -192,7 +192,7 @@ def test_certificate_survives_serialization(name, kwargs):
 
 def test_witness_certificate_survives_serialization():
     annulus, _, witness = _annulus_and_disk()
-    v = classify(annulus, witness=witness, budget=8)
+    v = classify(annulus, witness=witness)
     back = Verdict.from_json(v.to_json())
     assert back == v
     ok, why = replay_certificate(annulus, back)
@@ -245,7 +245,7 @@ def test_replay_proves_all_primes_over_q():
 
 def test_undetermined_has_nothing_to_replay():
     L = fixture("dunce_flag")
-    v = classify(L, budget=2)
+    v = classify(L)
     ok, why = replay_certificate(L, v)
     assert not ok and "no certificate" in why
 
@@ -262,7 +262,7 @@ def test_undetermined_has_nothing_to_replay():
 def test_outcome_invariant_under_subdivision(name, kwargs):
     L = fixture(name, **kwargs)
     sd = barycentric_subdivision(L).complex
-    assert classify(L, budget=8).outcome == classify(sd, budget=8).outcome
+    assert classify(L).outcome == classify(sd).outcome
 
 
 def _random_flag_complex(seed):
@@ -279,7 +279,7 @@ def _random_flag_complex(seed):
 @given(st.integers(0, 10 ** 7))
 def test_classification_soundness_on_random_flag_complexes(seed):
     L = _random_flag_complex(seed)
-    v = classify(L, budget=4)
+    v = classify(L)
     d = L.dim
     facets = [list(f) for f in L.facets]
     primes = [int(p) for p in v.certificate.data["checked_primes"]] \
@@ -313,7 +313,7 @@ def test_report_mentions_prediction_and_certificate():
     assert "degree 3 at p = 2" in text
 
     L = fixture("dunce_flag")
-    text = report(L, classify(L, budget=2))
+    text = report(L, classify(L))
     assert "verdict: Undetermined" in text
     assert "notes:" in text
 
@@ -345,9 +345,9 @@ ANNULUS_VERDICT = """{
       []
     ]
   },
-  "notes": "no collapse of the complex itself in 64 restarts; dimension-2 gap: \
-top cohomology vanishes but contractible embedding is unverified; positive and zero \
-entropy are not known to be complementary here",
+  "notes": "the complex itself does not collapse; dimension-2 gap: top cohomology \
+vanishes but contractible embedding is unverified; positive and zero entropy are not \
+known to be complementary here",
   "outcome": "Undetermined"
 }"""
 
@@ -357,9 +357,9 @@ geometric dimension of the group: 3
   reduced H_1 = Z   [b(F_2)=1]
   reduced H_2 = 0   [b(F_2)=0]
 verdict: Undetermined
-notes: no collapse of the complex itself in 64 restarts; dimension-2 gap: top \
-cohomology vanishes but contractible embedding is unverified; positive and zero \
-entropy are not known to be complementary here"""
+notes: the complex itself does not collapse; dimension-2 gap: top cohomology \
+vanishes but contractible embedding is unverified; positive and zero entropy are not \
+known to be complementary here"""
 
 
 def test_annulus_verdict_and_report_pinned():

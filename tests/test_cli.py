@@ -1,6 +1,7 @@
 """Command-line interface: stdout/stderr split, pipelines, exit codes."""
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -23,6 +24,9 @@ from raag.growth import growth_experiment
 from raag.models import FiniteQuotientSpec, standard_spec
 from raag.simplicial import (barycentric_subdivision, complex_to_json_dict, cone,
                              from_facets, induced_subcomplex, join, join_factors)
+
+# the package re-exports the function collapse under the submodule's name
+collapse_module = importlib.import_module("raag.collapse")
 
 
 def run(capsys, *argv):
@@ -363,25 +367,37 @@ def test_classify_positive_exit_zero(capsys):
 
 
 def test_classify_undetermined_exit_three(capsys):
-    code, out, err = run(capsys, "classify", "--fixture", "dunce_flag",
-                         "--budget", "2")
+    code, out, err = run(capsys, "classify", "--fixture", "dunce_flag")
     assert code == 3
     assert json.loads(out)["outcome"] == "Undetermined"
 
 
-@pytest.mark.parametrize("budget", ["-3", "-1"])
-def test_classify_negative_budget_is_usage_error(capsys, budget):
-    code, out, err = run(capsys, "classify", "--fixture", "cycle", "--budget", budget)
+def test_classify_budget_is_usage_error(capsys):
+    # one deterministic collapse pass decides dimension 2; there is no
+    # restart count to set
+    code, out, err = run(capsys, "classify", "--fixture", "cycle", "--budget", "8")
     assert code == 10
     assert out == ""
-    assert f"argument --budget: must be at least 0, got {budget}" in err
+    assert "unrecognized arguments: --budget" in err
     assert "Traceback" not in err
 
 
-def test_classify_budget_zero_runs_the_deterministic_pass(capsys):
-    code, out, _ = run(capsys, "classify", "--fixture", "disk_flag", "--budget", "0")
-    assert code == 0
-    assert json.loads(out)["certificate"]["kind"] == "CollapsibleSelf"
+def test_classify_stuck_complex_with_free_faces_builds_one_face_state(
+        tmp_path, monkeypatch, capsys):
+    # dunce_flag with a flap, a triangle on a new vertex glued to one edge:
+    # acyclic, with free faces, and stuck once the flap is collapsed
+    dunce = fixture("dunce_flag")
+    a, b = dunce.facets[0][:2]
+    x = from_facets(list(dunce.facets) + [(a, b, dunce.n_vertices)])
+    path = write_json(tmp_path / "flapped.json", complex_to_json_dict(x))
+    built = []
+    state = collapse_module._State
+    monkeypatch.setattr(collapse_module, "_State",
+                        lambda faces: built.append(1) or state(faces))
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 3
+    assert json.loads(out)["outcome"] == "Undetermined"
+    assert built == [1]
 
 
 @pytest.mark.parametrize("make", [
@@ -464,10 +480,10 @@ def test_classify_with_witness_file(tmp_path, capsys):
         tmp_path / "witness.json",
         EmbeddingWitness(disk, tuple(range(12))).to_json_dict())
 
-    code, out, _ = run(capsys, "classify", annulus_path, "--budget", "8")
+    code, out, _ = run(capsys, "classify", annulus_path)
     assert code == 3
     code, out, _ = run(capsys, "classify", annulus_path,
-                       "--witness", witness_path, "--budget", "8")
+                       "--witness", witness_path)
     assert code == 0
     verdict = json.loads(out)
     assert verdict["outcome"] == "ZeroEntropy"

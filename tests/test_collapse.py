@@ -1,4 +1,4 @@
-"""Collapse search, replay checking, and certificate serialization."""
+"""The collapse pass, replay checking, and certificate serialization."""
 
 import importlib
 import itertools
@@ -6,10 +6,10 @@ import json
 
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_homology
+from oracles import brute_homology, seeded_greedy_collapse
 
 from raag.classify import UNDETERMINED, ZERO, classify
-from raag.collapse import CollapseSequence, collapse, replay_collapse
+from raag.collapse import CollapseSequence, collapse, reaches_vertex, replay_collapse
 from raag.fixtures import _polygon_disk, fixture
 from raag.simplicial import (barycentric_subdivision, cone, flag_completion, from_facets,
                              induced_subcomplex)
@@ -23,7 +23,7 @@ def test_collapses_cones_and_disks():
               fixture("simplex", n=3),
               barycentric_subdivision(fixture("simplex", n=2)).complex):
         seq = collapse(x)
-        assert seq is not None
+        assert reaches_vertex(x, seq)
         ok, reason = replay_collapse(x, seq)
         assert ok, reason
         # each pair removes two faces; one vertex remains
@@ -33,68 +33,46 @@ def test_collapses_cones_and_disks():
 def test_single_point_collapses_trivially():
     pt = from_facets([[0]])
     seq = collapse(pt)
-    assert seq is not None and len(seq) == 0
+    assert reaches_vertex(pt, seq) and len(seq) == 0
     assert replay_collapse(pt, seq)[0]
 
 
 def test_cycles_and_surfaces_do_not_collapse():
-    assert collapse(fixture("cycle", n=5), budget=8) is None
-    assert collapse(fixture("rp2_flag"), budget=2) is None
-    assert collapse(fixture("discrete", n=2), budget=2) is None
-    assert collapse(from_facets([]), budget=2) is None
+    for x in (fixture("cycle", n=5), fixture("rp2_flag"), fixture("discrete", n=2),
+              from_facets([])):
+        assert not reaches_vertex(x, collapse(x))
 
 
 def test_contractible_but_stuck_complex():
-    # no triangulation of this complex has a free edge, so the search must
+    # no triangulation of this complex has a free edge, so the pass must
     # come up empty even though the complex is contractible
-    assert collapse(fixture("dunce"), budget=16) is None
-    assert collapse(fixture("dunce_flag"), budget=4) is None
+    for x in (fixture("dunce"), fixture("dunce_flag")):
+        seq = collapse(x)
+        assert len(seq) == 0 and not reaches_vertex(x, seq)
 
 
-def test_budget_zero_runs_deterministic_pass_only():
-    assert collapse(fixture("simplex", n=2), budget=0) is not None
-    assert collapse(fixture("cycle", n=4), budget=0) is None
-
-
-def _count_attempts(monkeypatch):
-    calls = []
-    real = collapse_module._attempt
-
-    def counted(x, seed):
-        calls.append(seed)
-        return real(x, seed)
-
-    monkeypatch.setattr(collapse_module, "_attempt", counted)
-    return calls
-
-
-def test_no_free_face_skips_restarts(monkeypatch):
-    calls = _count_attempts(monkeypatch)
-    for x in (fixture("cycle", n=5), fixture("rp2_flag"), fixture("dunce_flag"),
-              fixture("discrete", n=2)):
-        calls.clear()
-        assert collapse(x, budget=8) is None
-        assert calls == [None]
-
-
-def test_no_free_face_builds_the_face_state_once(monkeypatch):
-    # the deterministic pass removes no pair exactly when no face is free,
-    # so no second state is built to ask
+def _count_states(monkeypatch):
     built = []
     state = collapse_module._State
     monkeypatch.setattr(collapse_module, "_State",
                         lambda faces: built.append(1) or state(faces))
+    return built
+
+
+def test_no_free_face_builds_the_face_state_once(monkeypatch):
+    built = _count_states(monkeypatch)
     for x in (fixture("cycle", n=5), fixture("dunce_flag"), fixture("discrete", n=2)):
         built.clear()
-        assert collapse(x, budget=8) is None
+        assert not reaches_vertex(x, collapse(x))
         assert built == [1]
 
 
-def test_free_faces_but_stuck_runs_every_restart(monkeypatch):
-    calls = _count_attempts(monkeypatch)
+def test_stuck_pass_is_returned_with_a_null_seed():
     # a 4-cycle with a pendant edge: vertex 4 is free, the cycle then sticks
-    assert collapse(from_facets([[0, 1], [1, 2], [2, 3], [0, 3], [3, 4]]), budget=5) is None
-    assert calls == [None, 0, 1, 2, 3, 4]
+    x = from_facets([[0, 1], [1, 2], [2, 3], [0, 3], [3, 4]])
+    seq = collapse(x)
+    assert seq.pairs == (((4,), (3, 4)),) and seq.seed is None
+    assert not reaches_vertex(x, seq)
 
 
 def test_collapse_deterministic_across_runs():
@@ -107,7 +85,7 @@ def test_collapse_deterministic_across_runs():
 def test_replay_rejects_tampering():
     x = fixture("simplex", n=2)
     seq = collapse(x)
-    assert seq is not None and replay_collapse(x, seq)[0]
+    assert replay_collapse(x, seq)[0]
 
     # missing face: replay the same sequence on a different complex
     other = fixture("cycle", n=4)
@@ -133,25 +111,26 @@ def test_replay_rejects_tampering():
 def test_sequence_json_round_trip():
     x = cone(fixture("cycle", n=4))
     seq = collapse(x)
-    assert seq is not None
-    data = json.loads(seq.to_json())
-    back = CollapseSequence.from_json(json.dumps(data))
+    assert reaches_vertex(x, seq)
+    data = json.loads(json.dumps(seq.to_json_dict()))
+    assert data["seed"] is None
+    back = CollapseSequence.from_json_dict(data)
     assert back == seq
     assert replay_collapse(x, back)[0]
 
 
-# -- collapse searches that homology rules out ------------------------------------------
+# -- collapse passes that homology rules out ------------------------------------------
 
 
 def test_classify_searches_only_acyclic_two_complexes(monkeypatch):
-    calls = _count_attempts(monkeypatch)
+    built = _count_states(monkeypatch)
     annulus, _ = induced_subcomplex(_polygon_disk(6), range(12))
     assert classify(annulus).outcome == UNDETERMINED
-    assert calls == []
+    assert built == []
     for name, outcome in (("dunce_flag", UNDETERMINED), ("disk_flag", ZERO)):
-        calls.clear()
+        built.clear()
         assert classify(fixture(name)).outcome == outcome
-        assert len(calls) >= 1
+        assert built == [1]
 
 
 @st.composite
@@ -179,4 +158,14 @@ def test_nonzero_reduced_homology_admits_no_collapse(L):
     assume(L.dim == 2)
     betti, torsion = brute_homology(list(L.facets), reduced=True)
     assume(any(betti) or any(torsion))
-    assert collapse(L, budget=4) is None
+    assert not reaches_vertex(L, collapse(L))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag_two_complexes())
+def test_one_pass_agrees_with_every_seeded_order(L):
+    # in dimension at most 2 greedy collapsing does not depend on the order,
+    # so the one pass reaches a vertex exactly when a seeded order does
+    facets = list(L.facets)
+    one = reaches_vertex(L, collapse(L))
+    assert {seeded_greedy_collapse(facets, seed) for seed in range(16)} == {one}
