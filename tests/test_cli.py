@@ -372,10 +372,11 @@ def test_classify_undetermined_exit_three(capsys):
     assert json.loads(out)["outcome"] == "Undetermined"
 
 
-def test_classify_budget_is_usage_error(capsys):
+@pytest.mark.parametrize("budget", ["-3", "-1"])
+def test_classify_negative_budget_is_usage_error(capsys, budget):
     # one deterministic collapse pass decides dimension 2; there is no
-    # restart count to set
-    code, out, err = run(capsys, "classify", "--fixture", "cycle", "--budget", "8")
+    # restart count to set, so --budget is refused whatever its value
+    code, out, err = run(capsys, "classify", "--fixture", "cycle", "--budget", budget)
     assert code == 10
     assert out == ""
     assert "unrecognized arguments: --budget" in err
