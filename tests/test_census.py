@@ -4,7 +4,8 @@ networkx ships Read and Wilson's atlas of all 1,253 graphs on at most 7
 vertices up to isomorphism (*An Atlas of Graphs*, 1998); the first is the
 empty graph.  Each of the other 1,252 is turned into its clique complex
 through the oracle's maximal cliques and checked against the dense oracles,
-and the verdicts are pinned as a count table rather than per complex.
+and the verdicts are pinned as a count table rather than per complex.  The
+growth test takes the 52 complexes on at most 5 vertices.
 """
 
 import functools
@@ -12,10 +13,13 @@ from collections import Counter
 
 import networkx as nx
 
-from oracles import brute_homology, maximal_cliques_networkx
+from oracles import (brute_homology, maximal_cliques_networkx, seeded_greedy_collapse,
+                     support_table_unsplit)
 
 from raag.classify import POSITIVE, UNDETERMINED, ZERO, classify, replay_certificate
-from raag.homology import homology_summary
+from raag.growth import growth_experiment
+from raag.homology import betti_Fp, homology_summary
+from raag.models import FiniteQuotientSpec, finite_cover, standard_spec
 from raag.simplicial import from_facets, is_flag
 
 # (dimension, outcome, certificate kind) -> number of complexes
@@ -75,3 +79,39 @@ def test_census_verdicts_replay_and_count():
         top = betti[d] > 0 or (d > 0 and bool(torsion[d - 1]))
         assert (v.outcome == POSITIVE) == top, L.facets
     assert dict(counts) == COUNTS
+
+
+def test_census_dimension_two_is_zero_exactly_when_acyclic_and_collapsible():
+    # below positive entropy, a 2-complex is zero exactly when the dense
+    # oracle finds it acyclic and the oracle's greedy pass collapses it
+    checked = 0
+    for L, betti, torsion in census():
+        if L.dim != 2:
+            continue
+        v = classify(L)
+        if v.outcome == POSITIVE:
+            continue
+        checked += 1
+        acyclic = not any(betti) and not any(torsion)
+        want = acyclic and seeded_greedy_collapse(L.facets, 0)
+        assert (v.outcome == ZERO) == want, L.facets
+    assert checked == 671
+
+
+def test_census_growth_matches_unsplit_table_and_built_cover():
+    # one complex per atlas graph on at most 5 vertices, fresh, at p = 2 and
+    # then 3, so that the second prime's calls read tables the complex keeps:
+    # a standard spec against the dense whole-L support table, and a spec of
+    # Z/6, whose p-part and p'-part are both nontrivial, against the cover
+    small = [from_facets(L.facets) for L, _, _ in census() if L.n_vertices <= 5]
+    assert len(small) == 52
+    for L in small:
+        n = L.n_vertices
+        mixed = FiniteQuotientSpec((6,), ((1,),) * n)
+        for p in (2, 3):
+            series = growth_experiment(L, [standard_spec(L, 2)], p)
+            assert series.covers[0].betti == support_table_unsplit(L.facets, (2,) * n, p), L.facets
+            series = growth_experiment(L, [mixed], p)
+            assert series.covers[0].betti == betti_Fp(finite_cover(L, mixed).chain_complex(), p), \
+                L.facets
+        assert sorted(L._tables) == [2, 3]
