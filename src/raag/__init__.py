@@ -10,7 +10,7 @@ from .simplicial import (SimplicialComplex, Simplex, Subdivision, as_simplex,
                          complex_from_json_dict, complex_to_json_dict, cone,
                          flag_completion, from_facets, induced_subcomplex, is_flag,
                          join, join_factors, join_parts, simplicial_quotient)
-from .fixtures import FIXTURE_NAMES, fixture, moore_space, standard_fixtures
+from .fixtures import FIXTURE_NAMES, fixture, standard_fixtures
 from .linalg import (SNFResult, SparseIntMatrix, prime_factors, rank_mod_p,
                      smith_normal_form)
 from .homology import (ChainComplexZ, HomologySummary, betti_Fp, flag_reduced_summary,

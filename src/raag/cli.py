@@ -190,6 +190,8 @@ def cmd_homology(ns) -> int:
 
 
 def _validated_primes(ps: Sequence[int]) -> List[int]:
+    if not ps:  # no table would be built, and the cross-check would check nothing
+        raise MalformedComplexError("--primes names no prime")
     for p in ps:
         check_prime(p)
     return sorted(set(ps))

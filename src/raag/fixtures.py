@@ -179,8 +179,8 @@ def fixture(name: str, n: Optional[int] = None, q: Optional[int] = None) -> Simp
     Names: simplex, simplex_boundary, cycle, path, discrete, octahedron,
     icosahedron, rp2_6, rp2_flag, moore, moore_flag, disk_flag, dunce,
     dunce_flag.  A parameter the fixture does not take raises FixtureError.
-    Every call returns a new complex on the cached facets, with empty caches,
-    so callers share no growth support tables (growth.SupportTable).
+    Every call returns a new complex on the cached facets, with empty caches:
+    callers share no chain complex, join factors or growth tables.
     """
     for param, value in (("n", n), ("q", q)):
         if value is not None and name in FIXTURE_NAMES and _PARAMETER.get(name) != param:

@@ -6,28 +6,28 @@ rational.  The reference column is the reduced betti number of L one degree
 down, which is the limit along exhausting residual chains.
 
 No cover is built; two routes give the betti numbers, both from complexes
-that homology.cube_chain_complex reads off the cached chain complexes of
-the join factors of L, through one SupportTable per (L, p).
-L keeps its tables, one per prime, so a table's entries and reference
-column are computed once per complex and prime, however many experiments
-read them.  When the generator images are independent (the deck group
-is the direct sum of the cyclic groups they generate, as for every
-standard_spec), the cover is a polyhedral product and its betti numbers are
-a weighted sum over vertex subsets T of the betti numbers h(T) of complexes
-the size of L.  When L is a join, h(T) is the convolution of its join
-factors' entries, and so is the weighted sum: the table keeps one set of
-entries per factor, each a complex the size of that factor, on the vertex
-part that simplicial.join_parts gives it.  Every other spec is split into
-its p-part P and its part Q' of order prime to p: over F_p with roots of
-unity adjoined the cover's chain complex splits over the characters of Q',
-and its betti numbers are a sum over vertex sets T, weighted by the number
-of characters of support T, of complexes the size of the P-cover
-(SupportTable.split_betti).  When Q' is cyclic, which is when the lcm of the
-image orders is |Q'|, the characters are counted by order, with no list:
-the phi(e) characters of order e are 1 exactly on the images whose order
-divides |Q'| / e.  The table's h(V) gives the reference column, and every
-experiment checks that each row's alternating sum is the cover's Euler
-characteristic, index * (1 - chi(L)).
+that homology.cube_chain_complex reads off the chain complexes cached on L
+and its join factors.  The rows they give are kept in one SupportTable per
+(L, p), which holds rows only: L keeps its tables, one per prime, so a
+table's entries and reference column are computed once per complex and
+prime, however many experiments read them.  When the generator images are
+independent (the deck group is the direct sum of the cyclic groups they
+generate, as for every standard_spec), the cover is a polyhedral product
+and its betti numbers are a weighted sum over vertex subsets T of the betti
+numbers h(T) of complexes the size of L.  When L is a join, h(T) is the
+convolution of its join factors' entries, and so is the weighted sum: the
+table keeps one set of entries per factor, each from a complex the size of
+that factor, on the vertex part that simplicial.join_parts gives it.  Every
+other spec is split into its p-part P and its part Q' of order prime to p:
+over F_p with roots of unity adjoined the cover's chain complex splits over
+the characters of Q', and its betti numbers are a sum over vertex sets T,
+weighted by the number of characters of support T, of complexes the size of
+the P-cover (SupportTable.split_betti).  When Q' is cyclic, which is when
+the lcm of the image orders is |Q'|, the characters are counted by order,
+with no list: the phi(e) characters of order e are 1 exactly on the images
+whose order divides |Q'| / e.  The table's h(V) gives the reference column,
+and every experiment checks that each row's alternating sum is the cover's
+Euler characteristic, index * (1 - chi(L)).
 
 Abelian quotients of a nonabelian A_L never form a residual chain, so except
 for the exactly derivable families below the ratios are descriptive only and
@@ -145,11 +145,10 @@ def check_prime(p: int) -> None:
 
 
 def _derivable_family(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
-                      indices: Sequence[int], parts: Sequence[Tuple[int, ...]]):
+                      indices: Sequence[int]):
     """(family tag, expected betti per spec) or (None, [None]*len).
 
-    indices[i] is the index of specs[i], computed once by the caller, and
-    parts are the vertex parts of the join factors of L (SupportTable.parts).
+    indices[i] is the index of specs[i], computed once by the caller.
     """
     n = L.n_vertices
     if L.dim == 0:
@@ -158,7 +157,8 @@ def _derivable_family(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     if len(L.facets) == 1 and len(L.facets[0]) == n:
         row = tuple(math.comb(n, i) for i in range(n + 1))
         return "free abelian group, torus covers", [row for _ in specs]
-    if L.dim == 1 and len(parts) == 2:
+    parts = join_parts(L) if L.dim == 1 else ()
+    if len(parts) == 2:
         a, b = (len(p) for p in parts)
         expected = []
         for spec in specs:
@@ -233,8 +233,8 @@ class SupportTable:
     F_p (Kunneth) h(T) is the convolution of the factors' rows h_F(T_F) as
     polynomials in the degree.  Those rows are computed on first use and
     kept, one dict per factor in entries, keyed by bit masks over the
-    factor's own vertices.  A complex that does not split has one factor,
-    the stand-in for L below, on all its vertices, so its masks are L's own.
+    factor's own vertices.  A complex that does not split is its own only
+    factor, on all its vertices, so its masks are L's own.
 
     For a spec with independent images of orders k_v, the cover is the
     polyhedral product of (k_v-gon, its vertices) over L, and over a field
@@ -247,66 +247,48 @@ class SupportTable:
     Any other spec is split into its p-part P and its part Q' of order prime
     to p (split_betti).
 
-    The table keeps the factors and, in L's place, a stand-in for L: a
-    complex on L's facets that shares L's faces and cached chain complex.
-    Every support complex is cube_chain_complex of a factor, and every
-    P-cover complex cube_chain_complex of the stand-in; each reads its
-    complex's cached chain complex.  L's first table makes the stand-in,
-    and L's other tables share it.  When L does not split, its chain
-    complex is L's own, built once on L.  A join's chain complex is built by
-    nothing else, so there the stand-in builds its own on first use.  The
-    entries for T = V are the factors' chain complexes, reduced with the
-    table, as is the reference column (0,) + h(V)[1:]: the empty L has no
-    reduced degree -1.  growth_experiment keeps one table per prime on L, so
-    the table lives as long as L and holds at most one row per support
-    complex it has computed: 2^|part| per factor, the P-cover complexes of
-    split_betti not among them.
+    The table holds rows only: the prime, the entries, and the reference
+    column (0,) + h(V)[1:], the empty L having no reduced degree -1.  Each
+    method takes L, on which its join factors, their parts and every chain
+    complex are cached: a support complex is cube_chain_complex of a factor,
+    a P-cover complex cube_chain_complex of L.  The entries for T = V are
+    the factors' own chain complexes, reduced when the table is made.  L
+    keeps one table per prime (growth_experiment), with at most one row per
+    support complex computed, 2^|part| per factor.
     """
 
     def __init__(self, L: SimplicialComplex, prime: int):
         self.prime = prime
-        factors = join_factors(L)
-        if len(factors) == 1:
-            simplicial_chain_complex(L)  # built once on L, for every table to share
-        # L keeps its tables (growth_experiment), so a table holds the
-        # stand-in, not L, whose cycle would outlive L until a collection
-        self._L = next((t._L for t in (L._tables or {}).values()), None)
-        if self._L is None:
-            self._L = SimplicialComplex(L.n_vertices, L.facets)
-            self._L._faces, self._L._face_index, self._L._chain = L._faces, L._face_index, L._chain
-        self._factors = factors if len(factors) > 1 else [self._L]
-        self.parts = join_parts(L)
-        full = [betti_Fp(simplicial_chain_complex(F), prime) for F in self._factors]
+        full = [betti_Fp(simplicial_chain_complex(F), prime) for F in join_factors(L)]
         self.entries: List[Dict[int, Tuple[int, ...]]] = [
-            {(1 << len(part)) - 1: row} for row, part in zip(full, self.parts)]
+            {(1 << len(part)) - 1: row} for row, part in zip(full, join_parts(L))]
         # cover degree i against L's degree i - 1
         self.reference = (0,) + convolve(full)[1:]
 
-    def _entry(self, i: int, T: int) -> Tuple[int, ...]:
-        """h_F(T) of the i-th factor F, T a bit mask over F's own vertices."""
+    def _entry(self, i: int, F: SimplicialComplex, T: int) -> Tuple[int, ...]:
+        """h_F(T) of F, the i-th join factor, T a bit mask over F's own vertices."""
         row = self.entries[i].get(T)
         if row is None:
-            cc = cube_chain_complex(self._factors[i], 1, (), T)
-            row = self.entries[i][T] = betti_Fp(cc, self.prime)
+            row = self.entries[i][T] = betti_Fp(cube_chain_complex(F, 1, (), T), self.prime)
         return row
 
-    def h(self, T: int) -> Tuple[int, ...]:
+    def h(self, L: SimplicialComplex, T: int) -> Tuple[int, ...]:
         """h(T), T a bit mask over L's vertices."""
-        return convolve([self._entry(i, sum(1 << j for j, v in enumerate(part) if T >> v & 1))
-                         for i, part in enumerate(self.parts)])
+        return convolve([self._entry(i, F, sum(1 << j for j, v in enumerate(part) if T >> v & 1))
+                         for i, (F, part) in enumerate(zip(join_factors(L), join_parts(L)))])
 
-    def cover_betti(self, orders: Sequence[int]) -> Tuple[int, ...]:
+    def cover_betti(self, L: SimplicialComplex, orders: Sequence[int]) -> Tuple[int, ...]:
         """Betti numbers of the cover of a spec whose images are independent,
         of orders k_v = orders[v]."""
         rows = []
-        for i, part in enumerate(self.parts):
+        for i, (F, part) in enumerate(zip(join_factors(L), join_parts(L))):
             ks = [orders[v] for v in part]
             S = sum(1 << j for j, k in enumerate(ks) if k > 1)
-            total = [0] * (self._factors[i].dim + 2)  # degrees 0..dim F + 1
+            total = [0] * (F.dim + 2)  # degrees 0..dim F + 1
             T = S
             while True:  # every subset of S, S first and the empty set last
                 weight = math.prod(k - 1 for j, k in enumerate(ks) if T >> j & 1)
-                for d, b in enumerate(self._entry(i, T)):
+                for d, b in enumerate(self._entry(i, F, T)):
                     total[d] += weight * b
                 if T == 0:
                     break
@@ -314,7 +296,8 @@ class SupportTable:
             rows.append(total)
         return convolve(rows)
 
-    def split_betti(self, spec: FiniteQuotientSpec, index: int) -> Tuple[int, ...]:
+    def split_betti(self, L: SimplicialComplex, spec: FiniteQuotientSpec,
+                    index: int) -> Tuple[int, ...]:
         """Betti numbers of the cover of any spec of the given index.
 
         Write the deck group Q as P x Q' (FiniteQuotientSpec.sylow_split).
@@ -355,8 +338,8 @@ class SupportTable:
                     f"in a p'-part of order {order}")
         total = [0] * len(self.reference)  # degrees 0..dim L + 1
         for T, count in counts.items():
-            row = (self.h(T) if len(deck) == 1 else
-                   betti_Fp(cube_chain_complex(self._L, len(deck), shift, T), self.prime))
+            row = (self.h(L, T) if len(deck) == 1 else
+                   betti_Fp(cube_chain_complex(L, len(deck), shift, T), self.prime))
             for i, b in enumerate(row):
                 total[i] += count * b
         return tuple(total)
@@ -405,8 +388,8 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     table = L._tables.pop(prime, None) or SupportTable(L, prime)
     reference = table.reference
 
-    betti_rows = [table.split_betti(spec, idx) if orders is None
-                  else table.cover_betti(orders)
+    betti_rows = [table.split_betti(L, spec, idx) if orders is None
+                  else table.cover_betti(L, orders)
                   for spec, idx, orders in zip(specs, indices, all_orders)]
     chi = 1 - L.euler_characteristic()
     for spec, idx, row in zip(specs, indices, betti_rows):
@@ -417,7 +400,7 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
 
     L._tables[prime] = table
 
-    family, expected = _derivable_family(L, specs, indices, table.parts)
+    family, expected = _derivable_family(L, specs, indices)
     covers = tuple(
         CoverResult(moduli_label=spec.label(), index=idx,
                     betti=tuple(row), expected=exp)

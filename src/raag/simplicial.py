@@ -56,8 +56,8 @@ class SimplicialComplex:
         self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
         self._parts: Tuple[Simplex, ...] = ()
         self._chain: Optional[object] = None  # set by homology.simplicial_chain_complex
-        # set by growth.growth_experiment: prime -> the growth.SupportTable of
-        # the complex at that prime, kept as long as the complex
+        # set by growth.growth_experiment: prime -> the complex's
+        # growth.SupportTable, which holds rows only, no complex
         self._tables: Optional[Dict[int, object]] = None
 
     # -- basic queries ------------------------------------------------------

@@ -283,6 +283,18 @@ def test_homology_rejects_non_prime(capsys):
     assert code == 14
 
 
+@pytest.mark.parametrize("primes", ["", ",", " , "])
+def test_homology_primes_naming_no_prime_is_usage_error(tmp_path, capsys, primes):
+    # an empty list would build no mod-p table, so the universal-coefficient
+    # cross-check would report "ok" having checked nothing
+    target = tmp_path / "h.json"
+    code, out, err = run(capsys, "homology", "--fixture", "rp2_6", "--primes", primes,
+                         "-o", str(target))
+    assert code == 10
+    assert out == "" and not target.exists()
+    assert "--primes names no prime" in err and "cross-check" not in err
+
+
 @pytest.mark.parametrize("make", [
     lambda: from_facets([range(20)]),
     lambda: join(fixture("rp2_flag"), fixture("moore_flag", q=3)),

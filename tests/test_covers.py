@@ -20,7 +20,7 @@ from raag.growth import SupportTable, growth_experiment, independent_orders
 from raag.homology import ChainComplexZ, betti_Fp, simplicial_chain_complex
 from raag.linalg import SparseIntMatrix, prime_factors
 from raag.models import CubeComplex, FiniteQuotientSpec, finite_cover, standard_spec
-from raag.simplicial import flag_completion, from_facets, join, join_factors
+from raag.simplicial import flag_completion, from_facets, join, join_factors, join_parts
 
 
 @st.composite
@@ -171,8 +171,8 @@ def _check_against_cover(table: SupportTable, L, spec, p):
     orders = independent_orders(spec, spec.index)
     assert orders is not None
     before = [set(entries) for entries in table.entries]
-    got = table.cover_betti(orders)
-    for part, entries, seen in zip(table.parts, table.entries, before):
+    got = table.cover_betti(L, orders)
+    for part, entries, seen in zip(join_parts(L), table.entries, before):
         S = sum(1 << j for j, v in enumerate(part) if orders[v] > 1)
         assert all(T & ~S == 0 for T in set(entries) - seen)
     assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
@@ -225,8 +225,8 @@ def test_join_split_matches_unsplit_support_table(data):
     spec = data.draw(independent_specs(L.n_vertices))
     orders = independent_orders(spec, spec.index)
     table = SupportTable(L, p)
-    assert len(table.parts) == len(join_factors(L)) >= 2
-    got = table.cover_betti(orders)
+    assert len(table.entries) == len(join_factors(L)) >= 2
+    got = table.cover_betti(L, orders)
     assert got == support_table_unsplit(L.facets, orders, p)
     if spec.index * (1 + sum(L.f_vector())) <= ORACLE_CELLS:
         assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
@@ -240,7 +240,7 @@ def test_join_split_matches_unsplit_support_table(data):
 @pytest.mark.parametrize("p", (2, 3))
 def test_join_split_matches_unsplit_support_table_on_fixtures(name, n, orders, p):
     L = fixture(name, n=n)
-    assert SupportTable(L, p).cover_betti(orders) == support_table_unsplit(L.facets, orders, p)
+    assert SupportTable(L, p).cover_betti(L, orders) == support_table_unsplit(L.facets, orders, p)
 
 
 def test_shared_coordinate_images_are_not_independent():
@@ -275,7 +275,7 @@ def sylow_specs(draw, n, p):
 
 def _check_split_against_cover(L, spec, p):
     index = spec.index
-    got = SupportTable(L, p).split_betti(spec, index)
+    got = SupportTable(L, p).split_betti(L, spec, index)
     assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
     P, rest = spec.sylow_split(p)
     assert P.index * rest.index == index

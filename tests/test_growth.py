@@ -1,5 +1,7 @@
 """Cover growth experiments: exact families, CSV output, caveat discipline."""
 
+import gc
+import types
 from fractions import Fraction
 
 import pytest
@@ -195,18 +197,32 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
     assert [len(x._tables[p].entries[0]) for p in (2, 3)] == [8, 8]
 
 
+def _reachable(root):
+    """Every object reachable from root through gc.get_referents, not
+    descending into classes, modules or functions."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
 def test_a_second_prime_builds_no_chain_complex(monkeypatch):
-    # a complex keeps its tables, so they hold no reference to it, but one
-    # stand-in on its facets with its faces and chain complex, made by its
-    # first table and shared by the others: after the first prime's table
-    # neither the second prime's nor the homology of the complex writes a
-    # boundary entry, on a complex that does not split (cycle) and on a join
+    # a complex keeps its tables, which hold rows only and read every complex
+    # off the complex they are given: after the first prime's table neither
+    # the second prime's nor the homology of the complex writes a boundary
+    # entry, on a complex that does not split (cycle) and on a join
     # (octahedron), whose own chain complex only the P-cover complexes need
     writes = []
     monkeypatch.setattr(homology, "cube_facets",
                         lambda x, i, cube_facets=homology.cube_facets:
                         writes.append(i) or cube_facets(x, i))
-    for x in (fixture("cycle", n=5), fixture("octahedron")):
+
+    def second_prime_writes_nothing(x):
         spec = FiniteQuotientSpec(moduli=(6,), images=tuple(((v + 1) % 6,) for v in range(x.n_vertices)))
         growth_experiment(x, [spec], 2)
         assert writes
@@ -214,8 +230,14 @@ def test_a_second_prime_builds_no_chain_complex(monkeypatch):
         growth_experiment(x, [spec], 3)
         homology_summary(x)
         assert writes == []
-        stand_in = x._tables[2]._L
-        assert x._tables[3]._L is stand_in is not x and stand_in._faces is x._faces
+        assert sorted(x._tables) == [2, 3]
+        assert not any(isinstance(obj, simplicial.SimplicialComplex) for obj in _reachable(x._tables))
+
+    for build in (lambda: fixture("cycle", n=5), lambda: fixture("octahedron")):
+        gc.collect()
+        second_prime_writes_nothing(build())
+        # no cycle ran through the complex, so dropping it left no garbage
+        assert gc.collect() == 0
 
 
 def test_p_part_enumerated_once_per_spec_without_independent_images(monkeypatch):
