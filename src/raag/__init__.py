@@ -16,8 +16,7 @@ from .linalg import (SNFResult, SparseIntMatrix, prime_factors, rank_mod_p,
 from .homology import (ChainComplexZ, HomologySummary, betti_Fp, flag_reduced_summary,
                        homology_Z, homology_summary, join_homology_kunneth,
                        simplicial_chain_complex, top_cohomology_nonzero, uct_betti_fp)
-from .models import (CubeComplex, FiniteQuotientSpec, finite_cover, salvetti_complex,
-                     standard_spec, trivial_spec)
+from .models import CubeComplex, FiniteQuotientSpec, standard_spec
 from .collapse import CollapseSequence, collapse, reaches_vertex, replay_collapse
 from .classify import (Certificate, EmbeddingWitness, Verdict, classify,
                        replay_certificate, report, verify_witness)

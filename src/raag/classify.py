@@ -226,10 +226,14 @@ def replay_certificate(L: SimplicialComplex, verdict: Verdict) -> Tuple[bool, st
     also needs condition top_betti_positive and b_d > 0 over Q, from Smith
     normal forms.  ComplementaryVanishing needs, away from dimension 2,
     b_d = 0 and no torsion in H_{d-1}, from Smith normal forms alone.
+    CollapsibleSelf and EmbeddingWitness replay their collapse sequence.
+    Certificate data that does not parse fails the replay like a bad step.
     """
     cert = verdict.certificate
     if cert is None:
         return False, "no certificate attached"
+    if not isinstance(cert.data, dict):
+        return False, f"malformed {cert.kind} certificate (data is not an object)"
     if cert.kind in (CERT_TOP, CERT_COMPLEMENTARY):
         d = cert.data.get("dimension")
         if type(d) is not int or L.is_empty() or d != L.dim:
@@ -254,16 +258,19 @@ def replay_certificate(L: SimplicialComplex, verdict: Verdict) -> Tuple[bool, st
         if h.betti[d] or h.group(d - 1)[1]:
             return False, "top cohomology recomputes to nonzero"
         return True, "vanishing top cohomology reconfirmed in dimension != 2"
-    if cert.kind == CERT_COLLAPSE:
-        seq = CollapseSequence.from_json_dict(cert.data["collapse"])
-        return replay_collapse(L, seq)
-    if cert.kind == CERT_WITNESS:
-        w = EmbeddingWitness.from_json_dict(cert.data)
-        err = _witness_structural_error(L, w)
-        if err is not None:
-            return False, err
-        seq = CollapseSequence.from_json_dict(cert.data["collapse"])
-        return replay_collapse(w.supercomplex, seq)
+    if cert.kind in (CERT_COLLAPSE, CERT_WITNESS):
+        x = L
+        try:
+            if cert.kind == CERT_WITNESS:
+                w = EmbeddingWitness.from_json_dict(cert.data)
+                err = _witness_structural_error(L, w)
+                if err is not None:
+                    return False, err
+                x = w.supercomplex
+            seq = CollapseSequence.from_json_dict(cert.data["collapse"])
+        except (KeyError, TypeError, ValueError, MalformedComplexError) as e:
+            return False, f"malformed {cert.kind} certificate ({type(e).__name__}: {e})"
+        return replay_collapse(x, seq)
     return False, f"unknown certificate kind {cert.kind!r}"
 
 

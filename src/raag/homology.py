@@ -283,8 +283,6 @@ def homology_Z(cc: ChainComplexZ) -> HomologySummary:
     """
     cc.validate()
     top = cc.top
-    if top < 0:
-        return HomologySummary(reduced=False, betti=(), torsion=())
     snfs: Dict[int, SNFResult] = {}
     cleared: AbstractSet[int] = frozenset()
     for i in range(top, 0, -1):
@@ -313,8 +311,6 @@ def betti_Fp(cc: ChainComplexZ, p: int) -> Tuple[int, ...]:
     """
     cc.validate()
     top = cc.top
-    if top < 0:
-        return ()
     ranks: Dict[int, int] = {}
     cleared: AbstractSet[int] = frozenset()
     for i in range(top, 0, -1):

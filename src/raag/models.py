@@ -31,9 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
 from .homology import ChainComplexZ, cube_chain_complex
 from .linalg import SparseIntMatrix, prime_factors, smith_normal_form
-from .simplicial import Simplex, SimplicialComplex, is_flag
-
-EMPTY: Simplex = ()
+from .simplicial import SimplicialComplex, is_flag
 
 
 # -- finite quotient data -------------------------------------------------------
@@ -228,19 +226,14 @@ def standard_spec(L: SimplicialComplex, k: int) -> FiniteQuotientSpec:
     return FiniteQuotientSpec(moduli=(k,) * n, images=images)
 
 
-def trivial_spec(L: SimplicialComplex) -> FiniteQuotientSpec:
-    return FiniteQuotientSpec(moduli=(), images=((),) * L.n_vertices)
-
-
 # -- cube complexes -------------------------------------------------------------
 
 
-# Largest cover, in cells over all dimensions, that CubeComplex accepts.
-# Measured peak memory of raag growth per cover cell: 0.7-1.0 KiB at p = 2
-# and 3 on covers of 11k-20k cells (C_4 at k = 6, the octahedron at k = 3,
-# C_5 at k = 4), flat near 0.85 KiB at p = 3 up to 190k cells, but growing at
-# p = 2 (3.1 KiB at 190k cells, 6.2 KiB at 420k) as the packed F_2 columns
-# fill in.  At this bound a cover takes about 1 GiB at either prime.
+# Largest cover, in cells over all dimensions, whose homology is computed.
+# check_cover_size charges each route the cells it reduces: a cover with
+# independent images, read off growth's support table, its table entries
+# (growth.support_cells); any other spec in growth_experiment, and a
+# CubeComplex, index * (1 + f(L)).
 MAX_COVER_CELLS = 250_000
 
 
@@ -274,7 +267,7 @@ class CubeComplex:
     canonical base-cell order.
     """
 
-    __slots__ = ("base", "spec", "deck", "_shift", "_cc")
+    __slots__ = ("base", "deck", "_shift", "_cc")
 
     def __init__(self, base: SimplicialComplex, spec: FiniteQuotientSpec):
         flag, witness = is_flag(base)
@@ -286,7 +279,6 @@ class CubeComplex:
         index = spec.index
         check_cover_size(base, index)
         self.base = base
-        self.spec = spec
         self.deck, self._shift = spec.cayley_table()
         if len(self.deck) != index:
             raise CorruptComplexError(
@@ -297,45 +289,8 @@ class CubeComplex:
     def index(self) -> int:
         return len(self.deck)
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim + 1
-
-    def base_cells(self, i: int) -> Tuple[Simplex, ...]:
-        """(i-1)-simplices of L indexing the i-cubes; dimension 0 is (EMPTY,)."""
-        return (EMPTY,) if i == 0 else self.base.faces(i - 1)
-
-    def cell_counts(self) -> Tuple[int, ...]:
-        return tuple(self.index * len(self.base_cells(i)) for i in range(self.dim + 1))
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * c for i, c in enumerate(self.cell_counts()))
-
     def chain_complex(self) -> ChainComplexZ:
         """Cubical boundary maps, from cube_chain_complex with no unit directions."""
         if self._cc is None:
             self._cc = cube_chain_complex(self.base, len(self.deck), self._shift)
         return self._cc
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base": self.base.name or None,
-            "base_f_vector": list(self.base.f_vector()),
-            "moduli": list(self.spec.moduli),
-            "index": self.index,
-            "cells": {str(i): c for i, c in enumerate(self.cell_counts())},
-            "euler_characteristic": self.euler_characteristic(),
-        }
-
-    def __repr__(self):
-        return f"<CubeComplex base={self.base!r} index={self.index}>"
-
-
-def salvetti_complex(L: SimplicialComplex) -> CubeComplex:
-    """The compact model itself: trivial deck group, zero boundary maps."""
-    return CubeComplex(L, trivial_spec(L))
-
-
-def finite_cover(L: SimplicialComplex, spec: FiniteQuotientSpec) -> CubeComplex:
-    """Cover of the cube complex of L for the quotient defined by spec."""
-    return CubeComplex(L, spec)

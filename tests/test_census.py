@@ -19,7 +19,7 @@ from oracles import (brute_homology, maximal_cliques_networkx, seeded_greedy_col
 from raag.classify import POSITIVE, UNDETERMINED, ZERO, classify, replay_certificate
 from raag.growth import growth_experiment
 from raag.homology import betti_Fp, homology_summary
-from raag.models import FiniteQuotientSpec, finite_cover, standard_spec
+from raag.models import CubeComplex, FiniteQuotientSpec, standard_spec
 from raag.simplicial import from_facets, is_flag
 
 # (dimension, outcome, certificate kind) -> number of complexes
@@ -112,6 +112,6 @@ def test_census_growth_matches_unsplit_table_and_built_cover():
             series = growth_experiment(L, [standard_spec(L, 2)], p)
             assert series.covers[0].betti == support_table_unsplit(L.facets, (2,) * n, p), L.facets
             series = growth_experiment(L, [mixed], p)
-            assert series.covers[0].betti == betti_Fp(finite_cover(L, mixed).chain_complex(), p), \
+            assert series.covers[0].betti == betti_Fp(CubeComplex(L, mixed).chain_complex(), p), \
                 L.facets
         assert sorted(L._tables) == [2, 3]

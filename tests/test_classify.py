@@ -223,6 +223,35 @@ def test_replay_rejects_mismatched_certificates():
     assert not ok and "unknown" in why
 
 
+@pytest.mark.parametrize("kind, payload", [
+    (CERT_COLLAPSE, {}),
+    (CERT_COLLAPSE, {"collapse": {}}),
+    (CERT_COLLAPSE, {"collapse": {"pairs": [[[0], [0, "x"]]]}}),
+    (CERT_COLLAPSE, {"collapse": {"pairs": 5}}),
+    (CERT_COLLAPSE, [5]),
+    (CERT_WITNESS, "no supercomplex"),
+    (CERT_TOP, None),
+    (CERT_COMPLEMENTARY, []),
+], ids=["no-collapse", "no-pairs", "string-vertex", "pairs-not-a-list", "collapse-list",
+        "witness-no-supercomplex", "top-null", "complementary-list"])
+def test_replay_rejects_a_malformed_payload(kind, payload):
+    witness = None
+    if kind == CERT_WITNESS:
+        L, _, witness = _annulus_and_disk()
+    else:
+        L = standard_fixtures()[{CERT_TOP: "cycle(5)", CERT_COMPLEMENTARY: "path(4)",
+                                 CERT_COLLAPSE: "disk_flag"}[kind]]
+    data = json.loads(classify(L, witness=witness).to_json())
+    assert data["certificate"]["kind"] == kind
+    if kind == CERT_WITNESS:
+        payload = dict(data["certificate"]["data"])
+        del payload["supercomplex"]
+    data["certificate"]["data"] = payload
+    ok, why = replay_certificate(L, Verdict.from_json_dict(data))
+    assert not ok
+    assert why.startswith(f"malformed {kind} certificate ("), why
+
+
 def test_replay_proves_all_primes_over_q():
     # H^2(rp2_flag; F_3) = 0: a claim of growth at every prime must not replay
     L = fixture("rp2_flag")

@@ -13,7 +13,7 @@ from oracles import brute_betti_fp, brute_homology, dense_snf, random_facets, ra
 from raag.fixtures import fixture
 from raag.homology import ChainComplexZ, betti_Fp, homology_Z, simplicial_chain_complex
 from raag.linalg import SparseIntMatrix, pivot_rows_mod_p, smith_normal_form
-from raag.models import FiniteQuotientSpec, finite_cover
+from raag.models import CubeComplex, FiniteQuotientSpec
 from raag.simplicial import flag_completion, from_facets
 
 
@@ -55,7 +55,7 @@ def test_betti_fp_with_clearing_matches_dense_ranks(seed, p):
     cc = simplicial_chain_complex(L)  # degree k + 1 is reduced degree k
     assert betti_Fp(cc, p) == _dense_betti(cc, p)
     assert betti_Fp(cc, p) == (0,) + tuple(brute_betti_fp(list(L.facets), p, reduced=True))
-    cover = finite_cover(L, _random_spec(rng, L.n_vertices)).chain_complex()
+    cover = CubeComplex(L, _random_spec(rng, L.n_vertices)).chain_complex()
     assert betti_Fp(cover, p) == _dense_betti(cover, p)
 
 
@@ -64,7 +64,7 @@ def test_betti_fp_with_clearing_matches_dense_ranks(seed, p):
 def test_skipped_columns_match_dense_rank_without_them(seed, p):
     rng = random.Random(seed)
     L = _random_flag(rng)
-    cover = finite_cover(L, _random_spec(rng, L.n_vertices)).chain_complex()
+    cover = CubeComplex(L, _random_spec(rng, L.n_vertices)).chain_complex()
     for cc in (simplicial_chain_complex(L), cover):
         for i in range(1, cc.top + 1):
             m = cc.boundary(i)
@@ -107,7 +107,7 @@ def test_homology_z_with_clearing_matches_brute_oracle(seed, reduced):
     L = _random_flag(rng, max_vertices=4)
     spec = FiniteQuotientSpec(
         moduli=(2,), images=tuple((rng.randrange(2),) for _ in range(L.n_vertices)))
-    cover = finite_cover(L, spec).chain_complex()
+    cover = CubeComplex(L, spec).chain_complex()
     h = homology_Z(cover)
     assert (h.betti, h.torsion) == _dense_homology(cover)
 

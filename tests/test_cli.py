@@ -747,6 +747,19 @@ def test_benchmark_tracer_installs_and_counts():
     assert attempts > 0 and growth_calls > 0
 
 
+@pytest.mark.parametrize("workload", ["verdicts", "covers_many", "covers_large"])
+def test_benchmark_workload_runs_correct(workload):
+    # one traced pass of each perfbench workload on its real inputs, checked
+    # by perfbench/check.py: the benchmark imports raag's API by name too
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "7", "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, proc.stderr
+
+
 def test_console_script_is_installed():
     proc = subprocess.run([sys.executable, "-m", "raag.cli", "--help"],
                           capture_output=True, text=True)

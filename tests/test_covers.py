@@ -19,7 +19,7 @@ from raag.fixtures import fixture
 from raag.growth import SupportTable, growth_experiment, independent_orders
 from raag.homology import ChainComplexZ, betti_Fp, simplicial_chain_complex
 from raag.linalg import SparseIntMatrix, prime_factors
-from raag.models import CubeComplex, FiniteQuotientSpec, finite_cover, standard_spec
+from raag.models import CubeComplex, FiniteQuotientSpec, standard_spec
 from raag.simplicial import flag_completion, from_facets, join, join_factors, join_parts
 
 
@@ -64,7 +64,7 @@ def covers_past_degree_one(draw):
 @given(covers())
 def test_cover_build_matches_tuple_oracle(case):
     L, spec = case
-    cover = finite_cover(L, spec)
+    cover = CubeComplex(L, spec)
     cc = cover.chain_complex()
     dims, boundaries = cover_boundaries_tuples(list(L.facets), spec.moduli, spec.images)
     assert list(cover.deck) == deck_group_bfs(spec.moduli, spec.images)
@@ -101,7 +101,7 @@ def test_validate_rejects_corruption_outside_first_column(case):
     # adding 1 at (k, c) of d_{i+1} adds column k of d_i to column c of the
     # product, which is nonzero when that column of d_i is
     L, spec = case
-    cc = finite_cover(L, spec).chain_complex()
+    cc = CubeComplex(L, spec).chain_complex()
     found = [(i, k) for i in range(1, cc.top) if cc.boundary(i + 1).cols > 1
              for (_, k) in cc.boundary(i).entries]
     assume(found)
@@ -123,10 +123,10 @@ def test_cover_size_budget(monkeypatch):
     # discrete(2) at k = 3: index 9, 9 vertices and 18 edges
     x = fixture("discrete", n=2)
     monkeypatch.setattr(models, "MAX_COVER_CELLS", 27)
-    assert finite_cover(x, standard_spec(x, 3)).cell_counts() == (9, 18)
+    assert CubeComplex(x, standard_spec(x, 3)).chain_complex().dims == (9, 18)
     monkeypatch.setattr(models, "MAX_COVER_CELLS", 26)
     with pytest.raises(CoverSpecError, match="27 cells"):
-        finite_cover(x, standard_spec(x, 3))
+        CubeComplex(x, standard_spec(x, 3))
 
 
 def test_cover_checks_enumeration_against_smith_form(monkeypatch):
@@ -175,7 +175,7 @@ def _check_against_cover(table: SupportTable, L, spec, p):
     for part, entries, seen in zip(join_parts(L), table.entries, before):
         S = sum(1 << j for j, v in enumerate(part) if orders[v] > 1)
         assert all(T & ~S == 0 for T in set(entries) - seen)
-    assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
+    assert got == betti_Fp(CubeComplex(L, spec).chain_complex(), p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -229,7 +229,7 @@ def test_join_split_matches_unsplit_support_table(data):
     got = table.cover_betti(L, orders)
     assert got == support_table_unsplit(L.facets, orders, p)
     if spec.index * (1 + sum(L.f_vector())) <= ORACLE_CELLS:
-        assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
+        assert got == betti_Fp(CubeComplex(L, spec).chain_complex(), p)
 
 
 @pytest.mark.parametrize("name, n, orders", [
@@ -276,7 +276,7 @@ def sylow_specs(draw, n, p):
 def _check_split_against_cover(L, spec, p):
     index = spec.index
     got = SupportTable(L, p).split_betti(L, spec, index)
-    assert got == betti_Fp(finite_cover(L, spec).chain_complex(), p)
+    assert got == betti_Fp(CubeComplex(L, spec).chain_complex(), p)
     P, rest = spec.sylow_split(p)
     assert P.index * rest.index == index
     assert all(k % p == 0 for k in P.moduli) and all(k % p for k in rest.moduli)

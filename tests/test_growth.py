@@ -14,7 +14,7 @@ from raag.errors import CorruptComplexError, CoverSpecError, NotFlagError
 from raag.fixtures import fixture
 from raag.growth import CAVEAT, growth_experiment
 from raag.homology import betti_Fp, homology_summary, simplicial_chain_complex
-from raag.models import FiniteQuotientSpec, finite_cover, standard_spec
+from raag.models import CubeComplex, FiniteQuotientSpec, standard_spec
 from raag.simplicial import from_facets
 
 
@@ -137,7 +137,7 @@ def test_mixed_routes_keep_spec_order(monkeypatch):
     assert [(c.moduli_label, c.index) for c in series.covers] == \
         [("2", 2), ("2x2x2x2", 16), ("32", 32), ("3x3x3x3", 81)]
     assert [c.betti for c in series.covers] == \
-        [betti_Fp(finite_cover(c4, spec).chain_complex(), 2) for spec in specs]
+        [betti_Fp(CubeComplex(c4, spec).chain_complex(), 2) for spec in specs]
     assert [c.betti for c in series.covers[1::2]] == [(1, 10, 25), (1, 20, 100)]
 
 
@@ -305,7 +305,7 @@ def test_splits_mixed_deck_group_without_building_the_cover(monkeypatch):
     # cover, (1, 4, 5), and the other two see every vertex, giving twice the
     # double-cover complex with unit coefficients, (0, 0, 2)
     c4 = fixture("cycle", n=4)
-    want = betti_Fp(finite_cover(c4, _shared(6)).chain_complex(), 2)
+    want = betti_Fp(CubeComplex(c4, _shared(6)).chain_complex(), 2)
     monkeypatch.setattr(models.CubeComplex, "__init__", _refuse_cover)
     series = growth_experiment(c4, [_shared(6)], 2)
     assert series.covers[0].betti == want == (1, 4, 9)

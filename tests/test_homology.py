@@ -498,6 +498,10 @@ def test_chain_complex_shape_mismatch_rejected():
         ChainComplexZ((2,), {2: SparseIntMatrix(3, 3, {(0, 0): 1})})
     with pytest.raises(CorruptComplexError, match="degree 0, outside 1..-1"):
         ChainComplexZ((), {0: SparseIntMatrix(1, 5, {})})
+    # with no degrees both reductions have nothing to reduce
+    empty = ChainComplexZ((), {})
+    assert homology_Z(empty) == HomologySummary(reduced=False, betti=(), torsion=())
+    assert betti_Fp(empty, 2) == ()
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,9 +4,8 @@ import pytest
 
 from raag.errors import CoverSpecError, NotFlagError
 from raag.fixtures import fixture, standard_fixtures
-from raag.homology import betti_Fp, homology_Z, simplicial_chain_complex
-from raag.models import (CubeComplex, FiniteQuotientSpec, finite_cover,
-                         salvetti_complex, standard_spec, trivial_spec)
+from raag.homology import betti_Fp, cube_chain_complex, homology_Z, simplicial_chain_complex
+from raag.models import CubeComplex, FiniteQuotientSpec, standard_spec
 from raag.simplicial import from_facets, is_flag
 
 
@@ -39,7 +38,7 @@ def test_standard_and_trivial_specs():
     spec = standard_spec(c4, 3)
     assert spec.moduli == (3, 3, 3, 3)
     assert spec.index == 81
-    triv = trivial_spec(c4)
+    triv = FiniteQuotientSpec(moduli=(), images=((),) * 4)
     assert triv.index == 1
     assert triv.label() == "1"
     with pytest.raises(CoverSpecError):
@@ -49,36 +48,32 @@ def test_standard_and_trivial_specs():
 # -- Salvetti model --------------------------------------------------------------------
 
 
-def test_salvetti_cell_counts():
-    assert salvetti_complex(fixture("simplex", n=0)).cell_counts() == (1, 1)
-    assert salvetti_complex(fixture("simplex", n=1)).cell_counts() == (1, 2, 1)
-    assert salvetti_complex(fixture("cycle", n=4)).cell_counts() == (1, 4, 4)
-
-
-def test_salvetti_boundaries_vanish():
-    s = salvetti_complex(fixture("cycle", n=4))
-    cc = s.chain_complex()
-    cc.validate()
-    for i in range(1, cc.top + 1):
-        assert cc.boundary(i).nnz == 0
-    # consequence: betti numbers are exactly the cell counts
-    assert homology_Z(cc).betti == s.cell_counts()
+def _chi(dims):
+    return sum((-1) ** i * c for i, c in enumerate(dims))
 
 
 def test_salvetti_betti_equals_face_counts_on_flag_fixtures():
+    # The Salvetti complex is the support complex of T = {} that growth
+    # reads: one copy of the cube cells, no unit direction, so every boundary
+    # is zero and the betti numbers are the cell counts (1, f_0, ..., f_d).
+    assert cube_chain_complex(fixture("simplex", n=0), 1, (), 0).dims == (1, 1)
+    assert cube_chain_complex(fixture("simplex", n=1), 1, (), 0).dims == (1, 2, 1)
     for name, x in standard_fixtures().items():
         if x.n_vertices > 6 or not is_flag(x)[0]:
             continue
-        s = salvetti_complex(x)
-        h = homology_Z(s.chain_complex())
-        expected = (1,) + x.f_vector()
-        assert h.betti == expected, name
+        cc = cube_chain_complex(x, 1, (), 0)
+        assert cc.dims == (1,) + x.f_vector(), name
+        cc.validate()
+        assert all(cc.boundary(i).nnz == 0 for i in range(1, cc.top + 1)), name
+        h = homology_Z(cc)
+        assert h.betti == cc.dims, name
         assert all(not t for t in h.torsion), name
 
 
 def test_cube_complex_requires_flag_base():
+    x = fixture("simplex_boundary", n=2)
     with pytest.raises(NotFlagError):
-        salvetti_complex(fixture("simplex_boundary", n=2))
+        CubeComplex(x, standard_spec(x, 2))
 
 
 def test_cube_complex_rejects_image_count_mismatch():
@@ -94,15 +89,15 @@ def test_free_group_cover_betti():
     # two generators, deck group (Z/3)^2: a classifying graph with 9 vertices
     # and 18 edges, so b_1 = index * (n - 1) + 1 = 10
     x = fixture("discrete", n=2)
-    cover = finite_cover(x, standard_spec(x, 3))
-    assert cover.cell_counts() == (9, 18)
+    cover = CubeComplex(x, standard_spec(x, 3))
+    assert cover.chain_complex().dims == (9, 18)
     h = homology_Z(cover.chain_complex())
     assert h.betti == (1, 10)
 
 
 def test_torus_cover_betti():
     edge = fixture("simplex", n=1)
-    cover = finite_cover(edge, standard_spec(edge, 2))
+    cover = CubeComplex(edge, standard_spec(edge, 2))
     assert cover.index == 4
     h = homology_Z(cover.chain_complex())
     assert h.betti == (1, 2, 1)
@@ -111,26 +106,30 @@ def test_torus_cover_betti():
 
 def test_square_cover_betti_golden():
     c4 = fixture("cycle", n=4)
-    cover = finite_cover(c4, standard_spec(c4, 2))
+    cover = CubeComplex(c4, standard_spec(c4, 2))
     assert cover.index == 16
-    h = homology_Z(cover.chain_complex())
+    cc = cover.chain_complex()
+    assert cc.dims == (16, 64, 64) and _chi(cc.dims) == 16
+    h = homology_Z(cc)
     assert h.betti == (1, 10, 25)
 
 
 def test_trivial_spec_cover_is_base_model():
     c4 = fixture("cycle", n=4)
-    assert finite_cover(c4, trivial_spec(c4)).cell_counts() == \
-        salvetti_complex(c4).cell_counts()
+    cover = CubeComplex(c4, FiniteQuotientSpec(moduli=(), images=((),) * 4)).chain_complex()
+    base = cube_chain_complex(c4, 1, (), 0)
+    assert cover.dims == base.dims
+    assert all(cover.boundary(i).entries == base.boundary(i).entries == {}
+               for i in range(1, base.top + 1))
 
 
 def test_cover_euler_characteristic_multiplicative():
     for name, x in standard_fixtures().items():
         if x.n_vertices > 5 or not is_flag(x)[0]:
             continue
-        base = salvetti_complex(x)
-        cover = finite_cover(x, standard_spec(x, 2))
-        assert cover.euler_characteristic() == \
-            cover.index * base.euler_characteristic(), name
+        base = cube_chain_complex(x, 1, (), 0)
+        cover = CubeComplex(x, standard_spec(x, 2))
+        assert _chi(cover.chain_complex().dims) == cover.index * _chi(base.dims), name
 
 
 def test_cover_fp_alternating_sum_consistency():
@@ -142,7 +141,7 @@ def test_cover_fp_alternating_sum_consistency():
     for name, x in standard_fixtures().items():
         if x.n_vertices > 5 or not is_flag(x)[0]:
             continue
-        cover = finite_cover(x, standard_spec(x, 2))
+        cover = CubeComplex(x, standard_spec(x, 2))
         cc = cover.chain_complex()
         chi = 1 - x.euler_characteristic()
         ref = simplicial_chain_complex(x)
@@ -156,22 +155,15 @@ def test_cover_fp_alternating_sum_consistency():
 
 def test_intermediate_cover_counts_divide():
     edge = fixture("simplex", n=1)
-    small = finite_cover(edge, FiniteQuotientSpec((2, 2), ((1, 0), (0, 1))))
-    big = finite_cover(edge, FiniteQuotientSpec((4, 4), ((1, 0), (0, 1))))
+    small = CubeComplex(edge, FiniteQuotientSpec((2, 2), ((1, 0), (0, 1))))
+    big = CubeComplex(edge, FiniteQuotientSpec((4, 4), ((1, 0), (0, 1))))
     ratio = big.index // small.index
-    assert big.cell_counts() == tuple(ratio * c for c in small.cell_counts())
+    assert big.chain_complex().dims == tuple(ratio * c for c in small.chain_complex().dims)
 
 
 def test_cover_boundary_squared_validates():
     c4 = fixture("cycle", n=4)
-    finite_cover(c4, standard_spec(c4, 2)).chain_complex().validate()
+    CubeComplex(c4, standard_spec(c4, 2)).chain_complex().validate()
     x = from_facets([[0, 1, 2]])
-    finite_cover(x, standard_spec(x, 2)).chain_complex().validate()
+    CubeComplex(x, standard_spec(x, 2)).chain_complex().validate()
 
-
-def test_cover_json_dict():
-    c4 = fixture("cycle", n=4)
-    data = finite_cover(c4, standard_spec(c4, 2)).to_json_dict()
-    assert data["index"] == 16
-    assert data["cells"] == {"0": 16, "1": 64, "2": 64}
-    assert data["euler_characteristic"] == 16
