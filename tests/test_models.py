@@ -52,16 +52,34 @@ def _chi(dims):
     return sum((-1) ** i * c for i, c in enumerate(dims))
 
 
-def test_salvetti_betti_equals_face_counts_on_flag_fixtures():
+def _salvetti(x):
     # The Salvetti complex is the support complex of T = {} that growth
-    # reads: one copy of the cube cells, no unit direction, so every boundary
-    # is zero and the betti numbers are the cell counts (1, f_0, ..., f_d).
-    assert cube_chain_complex(fixture("simplex", n=0), 1, (), 0).dims == (1, 1)
-    assert cube_chain_complex(fixture("simplex", n=1), 1, (), 0).dims == (1, 2, 1)
+    # reads: one copy of the cube cells and no unit direction.
+    return cube_chain_complex(x, 1, (), 0)
+
+
+def test_salvetti_cell_counts():
+    assert _salvetti(fixture("simplex", n=0)).dims == (1, 1)
+    assert _salvetti(fixture("simplex", n=1)).dims == (1, 2, 1)
+    assert _salvetti(fixture("cycle", n=4)).dims == (1, 4, 4)
+
+
+def test_salvetti_boundaries_vanish():
+    cc = _salvetti(fixture("cycle", n=4))
+    cc.validate()
+    for i in range(1, cc.top + 1):
+        assert cc.boundary(i).nnz == 0
+    # consequence: betti numbers are exactly the cell counts
+    assert homology_Z(cc).betti == cc.dims
+
+
+def test_salvetti_betti_equals_face_counts_on_flag_fixtures():
+    # every boundary of the Salvetti complex is zero, so its betti numbers
+    # are the cell counts (1, f_0, ..., f_d)
     for name, x in standard_fixtures().items():
         if x.n_vertices > 6 or not is_flag(x)[0]:
             continue
-        cc = cube_chain_complex(x, 1, (), 0)
+        cc = _salvetti(x)
         assert cc.dims == (1,) + x.f_vector(), name
         cc.validate()
         assert all(cc.boundary(i).nnz == 0 for i in range(1, cc.top + 1)), name
@@ -108,16 +126,14 @@ def test_square_cover_betti_golden():
     c4 = fixture("cycle", n=4)
     cover = CubeComplex(c4, standard_spec(c4, 2))
     assert cover.index == 16
-    cc = cover.chain_complex()
-    assert cc.dims == (16, 64, 64) and _chi(cc.dims) == 16
-    h = homology_Z(cc)
+    h = homology_Z(cover.chain_complex())
     assert h.betti == (1, 10, 25)
 
 
 def test_trivial_spec_cover_is_base_model():
     c4 = fixture("cycle", n=4)
     cover = CubeComplex(c4, FiniteQuotientSpec(moduli=(), images=((),) * 4)).chain_complex()
-    base = cube_chain_complex(c4, 1, (), 0)
+    base = _salvetti(c4)
     assert cover.dims == base.dims
     assert all(cover.boundary(i).entries == base.boundary(i).entries == {}
                for i in range(1, base.top + 1))
@@ -127,7 +143,7 @@ def test_cover_euler_characteristic_multiplicative():
     for name, x in standard_fixtures().items():
         if x.n_vertices > 5 or not is_flag(x)[0]:
             continue
-        base = cube_chain_complex(x, 1, (), 0)
+        base = _salvetti(x)
         cover = CubeComplex(x, standard_spec(x, 2))
         assert _chi(cover.chain_complex().dims) == cover.index * _chi(base.dims), name
 
@@ -167,3 +183,12 @@ def test_cover_boundary_squared_validates():
     x = from_facets([[0, 1, 2]])
     CubeComplex(x, standard_spec(x, 2)).chain_complex().validate()
 
+
+def test_cover_json_dict():
+    # the index, cell counts and Euler characteristic a cover reports
+    c4 = fixture("cycle", n=4)
+    cover = CubeComplex(c4, standard_spec(c4, 2))
+    assert cover.index == 16
+    dims = cover.chain_complex().dims
+    assert dims == (16, 64, 64)
+    assert _chi(dims) == 16
