@@ -275,7 +275,13 @@ def replay_certificate(L: SimplicialComplex, verdict: Verdict) -> Tuple[bool, st
 
 
 def report(L: SimplicialComplex, verdict: Verdict) -> str:
-    """Human-readable account of a classification."""
+    """Human-readable account of a classification.
+
+    A definite verdict always gets a replay line, so one read back without
+    a certificate reports its replay as failed.  The growth prediction of a
+    positive verdict names the certificate's prime, and is left out when
+    the certificate data is not an object to read it from.
+    """
     name = L.name or "L"
     lines = [
         f"complex {name}: dimension {verdict.d}, f-vector {L.f_vector()}",
@@ -289,12 +295,14 @@ def report(L: SimplicialComplex, verdict: Verdict) -> str:
             row += f"   [{mods}]"
         lines.append(row)
     lines.append(f"verdict: {verdict.outcome}")
-    if verdict.certificate is not None:
+    cert = verdict.certificate
+    if cert is not None or verdict.outcome != UNDETERMINED:
         ok, why = replay_certificate(L, verdict)
         status = "ok" if ok else "FAILED"
-        lines.append(f"certificate: {verdict.certificate.kind}; replay {status} ({why})")
-    if verdict.outcome == POSITIVE:
-        detail = verdict.certificate.data
+        lines.append(f"certificate: {'none' if cert is None else cert.kind}; "
+                     f"replay {status} ({why})")
+    if verdict.outcome == POSITIVE and cert is not None and isinstance(cert.data, dict):
+        detail = cert.data
         where = "every prime" if detail.get("all_primes") else f"p = {detail.get('witness_prime')}"
         lines.append(f"prediction: mod-p homology growth of finite covers is "
                      f"nonvanishing in degree {verdict.gdim} at {where}")

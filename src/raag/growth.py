@@ -17,12 +17,14 @@ and its betti numbers are a weighted sum over vertex subsets T of the betti
 numbers h(T) of complexes the size of L.  When L is a join, h(T) is the
 convolution of its join factors' entries, and so is the weighted sum: the
 table keeps one set of entries per factor, each from a complex the size of
-that factor, on the vertex part that simplicial.join_parts gives it.  Every
-other spec is split into its p-part P and its part Q' of order prime to p:
-over F_p with roots of unity adjoined the cover's chain complex splits over
-the characters of Q', and its betti numbers are a sum over vertex sets T,
-weighted by the number of characters of support T, of complexes the size of
-the P-cover (SupportTable.split_betti).  When Q' is cyclic, which is when
+that factor, on the vertex part that simplicial.join_parts gives it.  Equal
+factors are one object (simplicial.join_factors) with one set of entries,
+so a join that repeats a factor, such as (S^0)^{*n}, reduces its support
+complexes once.  Every other spec is split into its p-part P and its part
+Q' of order prime to p: over F_p with roots of unity adjoined the cover's
+chain complex splits over the characters of Q', and its betti numbers are
+a sum over vertex sets T, weighted by the number of characters of support
+T, of complexes the size of the P-cover (SupportTable.split_betti).  When Q' is cyclic, which is when
 the lcm of the image orders is |Q'|, the characters are counted by order,
 with no list: the phi(e) characters of order e are 1 exactly on the images
 whose order divides |Q'| / e.  The table's h(V) gives the reference column,
@@ -54,7 +56,8 @@ from .errors import CorruptComplexError, CoverSpecError, NotFlagError
 from .homology import betti_Fp, cube_chain_complex, simplicial_chain_complex
 from .linalg import convolve, is_prime
 from .models import FiniteQuotientSpec, check_cover_size, check_generator_count
-from .simplicial import SimplicialComplex, is_flag, join_factors, join_parts
+from .simplicial import (SimplicialComplex, distinct_factors, is_flag, join_factors,
+                         join_parts)
 
 CAVEAT = ("abelian quotient kernels of a nonabelian group do not form a residual "
           "chain; ratios are descriptive unless an exact closed form is noted")
@@ -210,7 +213,11 @@ def independent_orders(spec: FiniteQuotientSpec, index: int) -> Optional[Tuple[i
 
 def support_cells(L: SimplicialComplex, orders: Sequence[int]) -> int:
     """Cells of the factor entries SupportTable.cover_betti(orders) reads:
-    2^|S_F| support complexes of 1 + f(F) cells per join factor F of L."""
+    2^|S_F| support complexes of 1 + f(F) cells per join factor F of L.
+
+    Equal factors share their entries, but each is charged here as if it
+    had its own, so models.MAX_COVER_CELLS refuses the same covers as when
+    each factor computed its own entries."""
     return sum(2 ** sum(orders[v] > 1 for v in part) * (1 + sum(F.f_vector()))
                for F, part in zip(join_factors(L), join_parts(L)))
 
@@ -233,8 +240,10 @@ class SupportTable:
     F_p (Kunneth) h(T) is the convolution of the factors' rows h_F(T_F) as
     polynomials in the degree.  Those rows are computed on first use and
     kept, one dict per factor in entries, keyed by bit masks over the
-    factor's own vertices.  A complex that does not split is its own only
-    factor, on all its vertices, so its masks are L's own.
+    factor's own vertices; equal factors are one object, and their
+    positions hold one shared dict, so each row is computed once.  A
+    complex that does not split is its own only factor, on all its
+    vertices, so its masks are L's own.
 
     For a spec with independent images of orders k_v, the cover is the
     polyhedral product of (k_v-gon, its vertices) over L, and over a field
@@ -242,7 +251,9 @@ class SupportTable:
     b_i = sum over T within S = {v : k_v > 1} of prod_{v in T} (k_v - 1) h_i(T).
     The weight is a product over the vertices, so the sum is the convolution
     over the factors F of the same sum over the subsets of S_F, the vertices
-    of S in F's part (cover_betti); it reads sum_F 2^|S_F| factor entries.
+    of S in F's part (cover_betti); it reads sum_F 2^|S_F| factor entries,
+    and sums one weighted row per distinct pair of a factor and the orders
+    on its part.
 
     Any other spec is split into its p-part P and its part Q' of order prime
     to p (split_betti).
@@ -254,16 +265,17 @@ class SupportTable:
     a P-cover complex cube_chain_complex of L.  The entries for T = V are
     the factors' own chain complexes, reduced when the table is made.  L
     keeps one table per prime (growth_experiment), with at most one row per
-    support complex computed, 2^|part| per factor.
+    support complex computed, 2^|part| per distinct factor.
     """
 
     def __init__(self, L: SimplicialComplex, prime: int):
         self.prime = prime
-        full = [betti_Fp(simplicial_chain_complex(F), prime) for F in join_factors(L)]
-        self.entries: List[Dict[int, Tuple[int, ...]]] = [
-            {(1 << len(part)) - 1: row} for row, part in zip(full, join_parts(L))]
+        distinct, at = distinct_factors(L)
+        full = [betti_Fp(simplicial_chain_complex(F), prime) for F in distinct]
+        shared = [{(1 << F.n_vertices) - 1: row} for F, row in zip(distinct, full)]
+        self.entries: List[Dict[int, Tuple[int, ...]]] = [shared[i] for i in at]
         # cover degree i against L's degree i - 1
-        self.reference = (0,) + convolve(full)[1:]
+        self.reference = (0,) + convolve([full[i] for i in at])[1:]
 
     def _entry(self, i: int, F: SimplicialComplex, T: int) -> Tuple[int, ...]:
         """h_F(T) of F, the i-th join factor, T a bit mask over F's own vertices."""
@@ -279,10 +291,15 @@ class SupportTable:
 
     def cover_betti(self, L: SimplicialComplex, orders: Sequence[int]) -> Tuple[int, ...]:
         """Betti numbers of the cover of a spec whose images are independent,
-        of orders k_v = orders[v]."""
+        of orders k_v = orders[v].  Equal factors with equal orders on their
+        parts have equal rows, so each such pair is summed once."""
         rows = []
+        done: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
         for i, (F, part) in enumerate(zip(join_factors(L), join_parts(L))):
-            ks = [orders[v] for v in part]
+            ks = tuple(orders[v] for v in part)
+            if (id(F), ks) in done:
+                rows.append(done[id(F), ks])
+                continue
             S = sum(1 << j for j, k in enumerate(ks) if k > 1)
             total = [0] * (F.dim + 2)  # degrees 0..dim F + 1
             T = S
@@ -293,7 +310,7 @@ class SupportTable:
                 if T == 0:
                     break
                 T = (T - 1) & S
-            rows.append(total)
+            rows.append(done.setdefault((id(F), ks), total))
         return convolve(rows)
 
     def split_betti(self, L: SimplicialComplex, spec: FiniteQuotientSpec,

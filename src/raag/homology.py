@@ -20,6 +20,10 @@ folded by the Kunneth formula of a tensor product, which holds for every
 join; the torsion it assembles is normalized by the same smith_normal_form.
 Its mod-p tables are the factors' F_p ranks, checked factor by factor
 against their Smith normal forms; the top-cohomology criterion reads them.
+Equal factors are one object (simplicial.distinct_factors), and each
+distinct factor is reduced once per call and read at every position it
+takes; nothing is cached on a ChainComplexZ, so every call, a certificate
+replay included, reduces its factors anew.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 from .errors import CorruptComplexError
 from .linalg import (SNFResult, SparseIntMatrix, _columns, convolve, pivot_rows_mod_p,
                      prime_factors, smith_normal_form)
-from .simplicial import SimplicialComplex, join_factors
+from .simplicial import SimplicialComplex, distinct_factors
 
 
 class ChainComplexZ:
@@ -386,7 +390,9 @@ def homology_summary(x: SimplicialComplex, reduced: bool = False,
     degree k + 1 of the result is reduced degree k of x.  Unreduced homology
     adds Z in degree 0; the empty complex has no degrees.  Each factor's
     mod-p ranks are checked against its Smith normal forms by universal
-    coefficients, and a mismatch raises CorruptComplexError.
+    coefficients, and a mismatch raises CorruptComplexError.  Equal factors
+    are one object: its Smith normal forms, F_p ranks and check run once,
+    and the fold reads them at each of its positions.
 
     >>> from raag.fixtures import fixture
     >>> from raag.simplicial import join, join_factors
@@ -397,15 +403,16 @@ def homology_summary(x: SimplicialComplex, reduced: bool = False,
     >>> h.betti, h.torsion, h.betti_mod_p
     ((1, 0, 0, 0), ((), (), (2,), ()), ((2, (1, 0, 1, 1)),))
     """
-    chains = [simplicial_chain_complex(f) for f in join_factors(x)]
+    distinct, at = distinct_factors(x)
+    chains = [simplicial_chain_complex(f) for f in distinct]
     parts = [homology_Z(cc) for cc in chains]
-    h = functools.reduce(join_homology_kunneth, parts)
+    h = functools.reduce(join_homology_kunneth, [parts[i] for i in at])
     tables = []
     for p in default_primes(h) if primes is None else primes:
         rows = [betti_Fp(cc, p) for cc in chains]
         if any(row != uct_betti_fp(q.betti, q.torsion, p) for row, q in zip(rows, parts)):
             raise CorruptComplexError(f"universal-coefficient cross-check failed at p = {p}")
-        tables.append((p, _unreduce(convolve(rows)[1:], reduced)))
+        tables.append((p, _unreduce(convolve([rows[i] for i in at])[1:], reduced)))
     return HomologySummary(reduced, _unreduce(h.betti[1:], reduced), h.torsion[1:], tuple(tables))
 
 
@@ -414,9 +421,12 @@ def betti_table(x: SimplicialComplex, p: int) -> Tuple[int, ...]:
 
     Kunneth over a field: the chain complex of a join is the tensor product
     of its factors', so its betti numbers are the product of the factors'
-    rows as polynomials, and reduced degree k is their degree k + 1.
+    rows as polynomials, and reduced degree k is their degree k + 1.  A
+    factor that the join repeats is one object, ranked once.
     """
-    return convolve([betti_Fp(simplicial_chain_complex(f), p) for f in join_factors(x)])[1:]
+    distinct, at = distinct_factors(x)
+    rows = [betti_Fp(simplicial_chain_complex(f), p) for f in distinct]
+    return convolve([rows[i] for i in at])[1:]
 
 
 def _unreduce(betti: Tuple[int, ...], reduced: bool) -> Tuple[int, ...]:

@@ -262,11 +262,13 @@ def is_flag(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
     the cliques of a join are the unions of cliques of its factors; so a
     join is checked by clique searches of its factors, whose maximal cliques
     number far fewer than the join's (their product), and each factor's
-    answer is cached on it.  A minimal non-face of a join lies in one factor
-    (its restriction to each part is a face or the whole of it), and the
-    part tables are increasing, so the canonical witness of a join is the
-    smallest of its factors' witnesses mapped back through the parts.  A
-    complex that does not split is searched whole.
+    answer is cached on it; equal factors are one object (join_factors), so
+    the octahedron, (S^0)^{*3}, runs one clique search of S^0.  A minimal
+    non-face of a join lies in one factor (its restriction to each part is
+    a face or the whole of it), and the part tables are increasing, so the
+    canonical witness of a join is the smallest of its factors' witnesses
+    mapped back through the parts.  A complex that does not split is
+    searched whole.
     """
     if x._flag is None:
         x._flag = _flag_check(x)
@@ -277,8 +279,9 @@ def _flag_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
     factors = join_factors(x)
     if len(factors) == 1:
         return _clique_check(x)
-    for f in factors:
-        f._flag = _clique_check(f)
+    for f in factors:  # a factor repeated in the join is one object, searched once
+        if f._flag is None:
+            f._flag = _clique_check(f)
     if all(f._flag[0] for f in factors):
         return True, None
     witnesses = [tuple(part[v] for v in f._flag[1])
@@ -299,6 +302,8 @@ def _join_split(x: SimplicialComplex, parts: Sequence[Tuple[int, ...]]
     form an antichain (a smaller one would give a smaller facet) and x is the
     join of the complexes they span.  A facet missing a part is not counted
     as the empty restriction: the product would then hold for non-joins.
+    Parts with the same restrictions get one complex, so equal factors are
+    one object and share its cached faces, flag check and chain complex.
     """
     where: List[Tuple[int, int]] = [(0, 0)] * x.n_vertices
     for i, part in enumerate(parts):
@@ -316,7 +321,9 @@ def _join_split(x: SimplicialComplex, parts: Sequence[Tuple[int, ...]]
             seen.add(tuple(piece))
     if math.prod(len(seen) for seen in restrictions) != len(x.facets):
         return None
-    return tuple(from_facets(seen) for seen in restrictions)
+    keys = [frozenset(seen) for seen in restrictions]
+    built = {key: from_facets(key) for key in dict.fromkeys(keys)}
+    return tuple(built[key] for key in keys)
 
 
 def _clique_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
@@ -392,7 +399,14 @@ def join_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
     factor.  A factor's complement is a connected component, so a factor
     does not split again.  The factors are cached on the complex, which is
     immutable, with their vertex parts (join_parts): this is the only
-    complement search.
+    complement search.  Factors with equal facet lists are one object, so
+    whatever is cached on a factor (faces, flag check, chain complex) and
+    whatever a caller computes per distinct factor is computed once.
+
+    >>> from raag.fixtures import fixture
+    >>> factors = join_factors(fixture("octahedron"))  # S^0 * S^0 * S^0
+    >>> len(factors), len({id(f) for f in factors}), factors[0].facets
+    (3, 1, ((0,), (1,)))
     """
     if x._factors is None:
         parts = complement_components(x)
@@ -402,6 +416,17 @@ def join_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
         for f in x._factors:
             f._factors = ()
     return list(x._factors) or [x]
+
+
+def distinct_factors(x: SimplicialComplex) -> Tuple[List[SimplicialComplex], List[int]]:
+    """The distinct objects among join_factors(x), in order of first
+    appearance, and for each join factor the position of its object among
+    them; so a per-factor quantity is computed once per distinct factor and
+    read at every position by factors[i] = distinct[at[i]]."""
+    factors = join_factors(x)
+    slot: Dict[int, int] = {}
+    at = [slot.setdefault(id(f), len(slot)) for f in factors]
+    return list({id(f): f for f in factors}.values()), at
 
 
 def join_parts(x: SimplicialComplex) -> List[Simplex]:

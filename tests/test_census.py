@@ -5,7 +5,8 @@ vertices up to isomorphism (*An Atlas of Graphs*, 1998); the first is the
 empty graph.  Each of the other 1,252 is turned into its clique complex
 through the oracle's maximal cliques and checked against the dense oracles,
 and the verdicts are pinned as a count table rather than per complex.  The
-growth test takes the 52 complexes on at most 5 vertices.
+growth test takes the 52 complexes on at most 5 vertices, and the join
+test the 7 on at most 3, each joined with itself.
 """
 
 import functools
@@ -13,8 +14,8 @@ from collections import Counter
 
 import networkx as nx
 
-from oracles import (brute_homology, maximal_cliques_networkx, seeded_greedy_collapse,
-                     support_table_unsplit)
+from oracles import (brute_betti_fp, brute_homology, maximal_cliques_networkx,
+                     seeded_greedy_collapse, support_table_unsplit)
 
 from raag.classify import POSITIVE, UNDETERMINED, ZERO, classify, replay_certificate
 from raag.growth import growth_experiment
@@ -115,3 +116,22 @@ def test_census_growth_matches_unsplit_table_and_built_cover():
             assert series.covers[0].betti == betti_Fp(CubeComplex(L, mixed).chain_complex(), p), \
                 L.facets
         assert sorted(L._tables) == [2, 3]
+
+
+def test_census_joins_with_themselves_match_dense_homology_and_unsplit_table():
+    # L * L, the copies interleaved (vertex v of the first at 2v, of the
+    # second at 2v + 1): its two halves are equal factors, shared as one
+    # object, whose homology, F_p ranks and support entries serve both
+    small = [L for L, _, _ in census() if L.n_vertices <= 3]
+    assert len(small) == 7
+    for L in small:
+        J = from_facets([[2 * v for v in f] + [2 * v + 1 for v in g]
+                         for f in L.facets for g in L.facets])
+        betti, torsion = brute_homology(J.facets, reduced=True)
+        h = homology_summary(J, reduced=True, primes=(2, 3))
+        assert (h.betti, h.torsion) == (tuple(betti), tuple(torsion)), L.facets
+        for p in (2, 3):
+            assert h.betti_fp(p) == tuple(brute_betti_fp(J.facets, p, reduced=True)), L.facets
+            series = growth_experiment(J, [standard_spec(J, 2)], p)
+            want = support_table_unsplit(J.facets, (2,) * J.n_vertices, p)
+            assert series.covers[0].betti == want, L.facets

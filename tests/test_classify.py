@@ -347,6 +347,22 @@ def test_report_mentions_prediction_and_certificate():
     assert "notes:" in text
 
 
+@pytest.mark.parametrize("tamper, kind", [
+    (lambda d: d.update(certificate=None), "none"),
+    (lambda d: d["certificate"].update(data=["witness_prime", 2]), CERT_TOP),
+], ids=["null_certificate", "data_not_an_object"])
+def test_report_of_a_positive_verdict_without_readable_certificate(tamper, kind):
+    # read back through JSON, the verdict reports its failed replay and
+    # names no prime to predict growth at
+    L = fixture("cycle", n=5)
+    data = classify(L).to_json_dict()
+    tamper(data)
+    text = report(L, Verdict.from_json_dict(data))
+    assert "verdict: PositiveEntropy" in text
+    assert f"certificate: {kind}; replay FAILED" in text
+    assert "prediction" not in text
+
+
 # -- what classify leaves out ----------------------------------------------------------
 
 

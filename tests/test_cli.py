@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import raag
+import raag.growth as growth_module
 import raag.homology as homology_module
 import raag.simplicial as simplicial
 from raag import cli, errors
@@ -302,7 +303,8 @@ def test_homology_primes_naming_no_prime_is_usage_error(tmp_path, capsys, primes
 ], ids=["facet(20)", "rp2_flag*moore_flag(3)", "moore(3)*moore(5)"])
 def test_homology_builds_only_the_join_factors(tmp_path, monkeypatch, capsys, make):
     # the whole complex would have 2^20 - 1 faces, or 9,720 facets; a join
-    # that is not flag splits all the same
+    # that is not flag splits all the same.  One chain complex is built per
+    # distinct factor: the 20-vertex facet is 20 equal points, built once
     path = write_json(tmp_path / "L.json", complex_to_json_dict(make()))
     built = []
     real_plan = homology_module.cube_facets
@@ -317,7 +319,32 @@ def test_homology_builds_only_the_join_factors(tmp_path, monkeypatch, capsys, ma
     assert code == 0 and "cross-check: ok" in out
     factors = join_factors(rio.load_complex(path))
     assert len(factors) > 1
-    assert sorted(built) == sorted(f.facets for f in factors)
+    assert sorted(built) == sorted({f.facets for f in factors})
+
+
+def test_growth_reduces_each_support_complex_of_equal_factors_once(monkeypatch, capsys):
+    # the octahedron is S^0 * S^0 * S^0, one S^0 object three times; its
+    # four support complexes (T = {}, {0}, {1}, V) are reduced once for both
+    # moduli and all three factors, and its flag check is one clique search
+    factors = join_factors(fixture("octahedron"))
+    assert len(factors) == 3 and all(f is factors[0] for f in factors)
+    reduced, searched = [], []
+    real_betti, real_cliques = growth_module.betti_Fp, simplicial._maximal_cliques
+
+    def betti(cc, p):
+        reduced.append((cc.dims, tuple(tuple(sorted(cc.boundary(i).entries.items()))
+                                       for i in range(1, cc.top + 1))))
+        return real_betti(cc, p)
+
+    monkeypatch.setattr(growth_module, "betti_Fp", betti)
+    monkeypatch.setattr(simplicial, "_maximal_cliques",
+                        lambda x: searched.append(x.facets) or real_cliques(x))
+    code, out, _ = run(capsys, "growth", "--fixture", "octahedron", "--moduli", "2,3",
+                       "--prime", "2")
+    assert code == 0 and len(out.split()) == 1 + 2 * 4  # header, degrees 0..3 per cover
+    assert len(reduced) == len(set(reduced)) == 4
+    assert all(dims == (1, 2) for dims, _ in reduced)
+    assert searched == [((0,), (1,))]
 
 
 def test_homology_runs_no_clique_search(tmp_path, monkeypatch, capsys):
