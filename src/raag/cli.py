@@ -14,10 +14,10 @@ quotient; 14 bad cover spec, or a coefficient that is not a prime below 2^64
 20 unexpected error.  homology splits any join into its join factors, flag
 or not, since the Kunneth formula holds for every join, and builds only
 their chain complexes.  growth reads the betti numbers of its standard covers
-off support tables the size of L's join factors and builds no cover.  It
-refuses, with exit 14 and before computing any homology, a cover that would
-take more than models.MAX_COVER_CELLS (250,000) cells: moduli k_v read, per
-join factor F, 2^|S_F| table entries, S_F = {v in F : k_v > 1}, of 1 + f(F)
+off support rows of complexes the size of L's join factors and builds no
+cover.  It refuses, with exit 14 and before computing any homology, a cover
+that would take more than models.MAX_COVER_CELLS (250,000) cells: moduli
+k_v read, per join factor F, 2^|S_F| rows, S_F = {v in F : k_v > 1}, of 1 + f(F)
 cells each, f(F) being the number of faces of F over all dimensions.
 """
 

@@ -180,7 +180,7 @@ def fixture(name: str, n: Optional[int] = None, q: Optional[int] = None) -> Simp
     icosahedron, rp2_6, rp2_flag, moore, moore_flag, disk_flag, dunce,
     dunce_flag.  A parameter the fixture does not take raises FixtureError.
     Every call returns a new complex on the cached facets, with empty caches:
-    callers share no chain complex, join factors or growth tables.
+    callers share no chain complex, join factors or support rows.
     """
     for param, value in (("n", n), ("q", q)):
         if value is not None and name in FIXTURE_NAMES and _PARAMETER.get(name) != param:

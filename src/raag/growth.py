@@ -7,29 +7,29 @@ down, which is the limit along exhausting residual chains.
 
 No cover is built; two routes give the betti numbers, both from complexes
 that homology.cube_chain_complex reads off the chain complexes cached on L
-and its join factors.  The rows they give are kept in one SupportTable per
-(L, p), which holds rows only: L keeps its tables, one per prime, so a
-table's entries and reference column are computed once per complex and
-prime, however many experiments read them.  When the generator images are
-independent (the deck group is the direct sum of the cyclic groups they
-generate, as for every standard_spec), the cover is a polyhedral product
-and its betti numbers are a weighted sum over vertex subsets T of the betti
-numbers h(T) of complexes the size of L.  When L is a join, h(T) is the
-convolution of its join factors' entries, and so is the weighted sum: the
-table keeps one set of entries per factor, each from a complex the size of
-that factor, on the vertex part that simplicial.join_parts gives it.  Equal
-factors are one object (simplicial.join_factors) with one set of entries,
-so a join that repeats a factor, such as (S^0)^{*n}, reduces its support
-complexes once.  Every other spec is split into its p-part P and its part
-Q' of order prime to p: over F_p with roots of unity adjoined the cover's
-chain complex splits over the characters of Q', and its betti numbers are
-a sum over vertex sets T, weighted by the number of characters of support
-T, of complexes the size of the P-cover (SupportTable.split_betti).  When Q' is cyclic, which is when
-the lcm of the image orders is |Q'|, the characters are counted by order,
-with no list: the phi(e) characters of order e are 1 exactly on the images
-whose order divides |Q'| / e.  The table's h(V) gives the reference column,
-and every experiment checks that each row's alternating sum is the cover's
-Euler characteristic, index * (1 - chi(L)).
+and its join factors.  The rows of the support complexes are kept on the
+join factors, one dict per prime, so each is computed once per factor and
+prime, however many experiments read it; the reference column is the row
+of all of L's vertices, h(V).  When the generator images are independent
+(the deck group is the direct sum of the cyclic groups they generate, as
+for every standard_spec), the cover is a polyhedral product and its betti
+numbers are a weighted sum over vertex subsets T of the betti numbers h(T)
+of complexes the size of L (cover_betti).  When L is a join, h(T) is the
+convolution of its join factors' rows, and so is the weighted sum: each
+row comes from a complex the size of its factor, on the vertex part that
+simplicial.join_parts gives it (support_betti).  Equal factors are one
+object (simplicial.join_factors) with one set of rows, so a join that
+repeats a factor, such as (S^0)^{*n}, reduces its support complexes once.
+Every other spec is split into its p-part P and its part Q' of order prime
+to p: over F_p with roots of unity adjoined the cover's chain complex
+splits over the characters of Q', and its betti numbers are a sum over
+vertex sets T, weighted by the number of characters of support T, of
+complexes the size of the P-cover (split_betti).  When Q' is cyclic, which
+is when the lcm of the image orders is |Q'|, the characters are counted by
+order, with no list: the phi(e) characters of order e are 1 exactly on the
+images whose order divides |Q'| / e.  Every experiment checks that each
+row's alternating sum is the cover's Euler characteristic,
+index * (1 - chi(L)).
 
 Abelian quotients of a nonabelian A_L never form a residual chain, so except
 for the exactly derivable families below the ratios are descriptive only and
@@ -53,11 +53,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
-from .homology import betti_Fp, cube_chain_complex, simplicial_chain_complex
+from .homology import betti_Fp, cube_chain_complex
 from .linalg import convolve, is_prime
 from .models import FiniteQuotientSpec, check_cover_size, check_generator_count
-from .simplicial import (SimplicialComplex, distinct_factors, is_flag, join_factors,
-                         join_parts)
+from .simplicial import SimplicialComplex, is_flag, join_factors, join_parts
 
 CAVEAT = ("abelian quotient kernels of a nonabelian group do not form a residual "
           "chain; ratios are descriptive unless an exact closed form is noted")
@@ -138,7 +137,9 @@ class GrowthSeries:
 
 
 def check_prime(p: int) -> None:
-    """Raise CoverSpecError unless p is a prime below 2^64."""
+    """Raise CoverSpecError unless p is a prime below 2^64, given as an int."""
+    if not isinstance(p, int):
+        raise CoverSpecError(f"the prime must be an integer, got {p!r}")
     try:
         prime = is_prime(p)
     except ValueError as e:
@@ -212,154 +213,139 @@ def independent_orders(spec: FiniteQuotientSpec, index: int) -> Optional[Tuple[i
 
 
 def support_cells(L: SimplicialComplex, orders: Sequence[int]) -> int:
-    """Cells of the factor entries SupportTable.cover_betti(orders) reads:
-    2^|S_F| support complexes of 1 + f(F) cells per join factor F of L.
+    """Cells of the factor rows cover_betti(L, orders, p) reads: 2^|S_F|
+    support complexes of 1 + f(F) cells per join factor F of L.
 
-    Equal factors share their entries, but each is charged here as if it
-    had its own, so models.MAX_COVER_CELLS refuses the same covers as when
-    each factor computed its own entries."""
+    Equal factors share their rows, but each is charged here as if it had
+    its own, so models.MAX_COVER_CELLS refuses the same covers as when each
+    factor computed its own rows."""
     return sum(2 ** sum(orders[v] > 1 for v in part) * (1 + sum(F.f_vector()))
                for F, part in zip(join_factors(L), join_parts(L)))
 
 
-class SupportTable:
-    """F_p betti numbers of covers of the cube complex of L, from complexes
-    with one cell per Salvetti cell and deck element of a p-group.
+def _row(F: SimplicialComplex, T: int, prime: int) -> Tuple[int, ...]:
+    """h_F(T) over F_prime, T a bit mask over F's own vertices, computed on
+    first use and kept on F."""
+    if F._rows is None:
+        F._rows = {}
+    rows = F._rows.setdefault(prime, {})
+    row = rows.get(T)
+    if row is None:
+        row = rows[T] = betti_Fp(cube_chain_complex(F, 1, (), T), prime)
+    return row
 
-    The support complex of a vertex set T has one basis element e_s per cell
-    of the Salvetti complex (the empty simplex and every face s of L, in
-    degree |s|) and the cube boundary restricted to the directions in T:
-    d e_s = sum over j with s_j in T of (-1)^j e_{s - s_j}.  T = {} gives zero
-    maps, T = V the chain complex of L (homology.simplicial_chain_complex),
-    whose degree k + 1 is the reduced homology of L in degree k.
+
+def support_betti(L: SimplicialComplex, T: int, prime: int) -> Tuple[int, ...]:
+    """h(T) over F_prime, T a bit mask over L's vertices (-1 for all of V).
+
+    The support complex of T has one basis element e_s per cell of the
+    Salvetti complex (the empty simplex and every face s of L, in degree
+    |s|) and the cube boundary restricted to the directions in T:
+    d e_s = sum over j with s_j in T of (-1)^j e_{s - s_j}
+    (homology.cube_chain_complex).  T = {} gives zero maps, T = V the chain
+    complex of L, whose degree k + 1 is the reduced homology of L in
+    degree k.
 
     L is the join of its join factors F, on their vertex parts (join_parts),
-    which may interleave (C_4's are (0, 2) and (1, 3)).
-    The support complex of T is, up to signs, the tensor product of the
-    factors' support complexes of T_F, the vertices of T in F's part, so over
-    F_p (Kunneth) h(T) is the convolution of the factors' rows h_F(T_F) as
-    polynomials in the degree.  Those rows are computed on first use and
-    kept, one dict per factor in entries, keyed by bit masks over the
-    factor's own vertices; equal factors are one object, and their
-    positions hold one shared dict, so each row is computed once.  A
-    complex that does not split is its own only factor, on all its
-    vertices, so its masks are L's own.
+    which may interleave (C_4's are (0, 2) and (1, 3)).  The support complex
+    of T is, up to signs, the tensor product of the factors' support
+    complexes of T_F, the vertices of T in F's part, so over F_p (Kunneth)
+    h(T) is the convolution of the factors' rows h_F(T_F) as polynomials in
+    the degree.  Each row is computed on first use and kept on its factor,
+    keyed by prime and by a bit mask over the factor's own vertices; equal
+    factors are one object, so they share their rows.  A complex that does
+    not split is its own only factor, on all its vertices.
 
-    For a spec with independent images of orders k_v, the cover is the
-    polyhedral product of (k_v-gon, its vertices) over L, and over a field
-    its betti numbers split over vertex subsets (Bahri-Bendersky-Cohen-Gitler):
+    >>> from raag.fixtures import fixture
+    >>> octahedron = fixture("octahedron")  # S^0 * S^0 * S^0, a 2-sphere
+    >>> support_betti(octahedron, -1, 2), support_betti(octahedron, 0, 2)
+    ((0, 0, 0, 1), (1, 6, 12, 8))
+    """
+    return convolve([_row(F, sum(1 << j for j, v in enumerate(part) if T >> v & 1), prime)
+                     for F, part in zip(join_factors(L), join_parts(L))])
+
+
+def cover_betti(L: SimplicialComplex, orders: Sequence[int], prime: int) -> Tuple[int, ...]:
+    """F_prime betti numbers of the cover of a spec whose images are
+    independent, of orders k_v = orders[v].
+
+    The cover is the polyhedral product of (k_v-gon, its vertices) over L,
+    and over a field its betti numbers split over vertex subsets
+    (Bahri-Bendersky-Cohen-Gitler):
     b_i = sum over T within S = {v : k_v > 1} of prod_{v in T} (k_v - 1) h_i(T).
     The weight is a product over the vertices, so the sum is the convolution
-    over the factors F of the same sum over the subsets of S_F, the vertices
-    of S in F's part (cover_betti); it reads sum_F 2^|S_F| factor entries,
-    and sums one weighted row per distinct pair of a factor and the orders
-    on its part.
+    over the join factors F of the same sum over the subsets of S_F, the
+    vertices of S in F's part; it reads sum_F 2^|S_F| factor rows
+    (support_betti).  Equal factors with equal orders on their parts have
+    equal sums, so each such pair is summed once."""
+    rows = []
+    done: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+    for F, part in zip(join_factors(L), join_parts(L)):
+        ks = tuple(orders[v] for v in part)
+        if (id(F), ks) in done:
+            rows.append(done[id(F), ks])
+            continue
+        S = sum(1 << j for j, k in enumerate(ks) if k > 1)
+        total = [0] * (F.dim + 2)  # degrees 0..dim F + 1
+        T = S
+        while True:  # every subset of S, S first and the empty set last
+            weight = math.prod(k - 1 for j, k in enumerate(ks) if T >> j & 1)
+            for d, b in enumerate(_row(F, T, prime)):
+                total[d] += weight * b
+            if T == 0:
+                break
+            T = (T - 1) & S
+        rows.append(done.setdefault((id(F), ks), total))
+    return convolve(rows)
 
-    Any other spec is split into its p-part P and its part Q' of order prime
-    to p (split_betti).
 
-    The table holds rows only: the prime, the entries, and the reference
-    column (0,) + h(V)[1:], the empty L having no reduced degree -1.  Each
-    method takes L, on which its join factors, their parts and every chain
-    complex are cached: a support complex is cube_chain_complex of a factor,
-    a P-cover complex cube_chain_complex of L.  The entries for T = V are
-    the factors' own chain complexes, reduced when the table is made.  L
-    keeps one table per prime (growth_experiment), with at most one row per
-    support complex computed, 2^|part| per distinct factor.
+def split_betti(L: SimplicialComplex, spec: FiniteQuotientSpec, index: int,
+                prime: int) -> Tuple[int, ...]:
+    """F_prime betti numbers of the cover of any spec of the given index.
+
+    Write the deck group Q as P x Q' (FiniteQuotientSpec.sylow_split).
+    Over F_p with the roots of unity of order |Q'| adjoined, F_p[Q']
+    splits into the characters chi of Q', and the chain complex of the
+    cover into one summand per chi: the P-cover complex with coefficient
+    chi(phi'(v)) t_v - 1 in direction v.  Where chi(phi'(v)) != 1 that
+    coefficient is a unit, since t_v - 1 is nilpotent in F_p[P], and
+    rescaling the cells turns it into 1.  So
+    b_i = sum over T of N(T) b_i(K_T), N(T) being the number of
+    characters of support T and K_T the P-cover complex with unit
+    directions T (cube_chain_complex of L); for a trivial P, K_T is the
+    support complex of T (support_betti).  The P deck group is enumerated
+    once.  N(T) comes from FiniteQuotientSpec.character_supports, given |Q'|
+    from its Smith normal form and the orders of its images, computed once
+    for it and for the check below: a cyclic Q' is counted by character
+    order in d(|Q'|) steps, any other Q' by listing its characters.
+    |P| |Q'| must be the index, the characters counted must number
+    |Q'|, and those that are 1 on image v, |Q'| / ord(v).
     """
-
-    def __init__(self, L: SimplicialComplex, prime: int):
-        self.prime = prime
-        distinct, at = distinct_factors(L)
-        full = [betti_Fp(simplicial_chain_complex(F), prime) for F in distinct]
-        shared = [{(1 << F.n_vertices) - 1: row} for F, row in zip(distinct, full)]
-        self.entries: List[Dict[int, Tuple[int, ...]]] = [shared[i] for i in at]
-        # cover degree i against L's degree i - 1
-        self.reference = (0,) + convolve([full[i] for i in at])[1:]
-
-    def _entry(self, i: int, F: SimplicialComplex, T: int) -> Tuple[int, ...]:
-        """h_F(T) of F, the i-th join factor, T a bit mask over F's own vertices."""
-        row = self.entries[i].get(T)
-        if row is None:
-            row = self.entries[i][T] = betti_Fp(cube_chain_complex(F, 1, (), T), self.prime)
-        return row
-
-    def h(self, L: SimplicialComplex, T: int) -> Tuple[int, ...]:
-        """h(T), T a bit mask over L's vertices."""
-        return convolve([self._entry(i, F, sum(1 << j for j, v in enumerate(part) if T >> v & 1))
-                         for i, (F, part) in enumerate(zip(join_factors(L), join_parts(L)))])
-
-    def cover_betti(self, L: SimplicialComplex, orders: Sequence[int]) -> Tuple[int, ...]:
-        """Betti numbers of the cover of a spec whose images are independent,
-        of orders k_v = orders[v].  Equal factors with equal orders on their
-        parts have equal rows, so each such pair is summed once."""
-        rows = []
-        done: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-        for i, (F, part) in enumerate(zip(join_factors(L), join_parts(L))):
-            ks = tuple(orders[v] for v in part)
-            if (id(F), ks) in done:
-                rows.append(done[id(F), ks])
-                continue
-            S = sum(1 << j for j, k in enumerate(ks) if k > 1)
-            total = [0] * (F.dim + 2)  # degrees 0..dim F + 1
-            T = S
-            while True:  # every subset of S, S first and the empty set last
-                weight = math.prod(k - 1 for j, k in enumerate(ks) if T >> j & 1)
-                for d, b in enumerate(self._entry(i, F, T)):
-                    total[d] += weight * b
-                if T == 0:
-                    break
-                T = (T - 1) & S
-            rows.append(done.setdefault((id(F), ks), total))
-        return convolve(rows)
-
-    def split_betti(self, L: SimplicialComplex, spec: FiniteQuotientSpec,
-                    index: int) -> Tuple[int, ...]:
-        """Betti numbers of the cover of any spec of the given index.
-
-        Write the deck group Q as P x Q' (FiniteQuotientSpec.sylow_split).
-        Over F_p with the roots of unity of order |Q'| adjoined, F_p[Q']
-        splits into the characters chi of Q', and the chain complex of the
-        cover into one summand per chi: the P-cover complex with coefficient
-        chi(phi'(v)) t_v - 1 in direction v.  Where chi(phi'(v)) != 1 that
-        coefficient is a unit, since t_v - 1 is nilpotent in F_p[P], and
-        rescaling the cells turns it into 1.  So
-        b_i = sum over T of N(T) b_i(K_T), N(T) being the number of
-        characters of support T and K_T the P-cover complex with unit
-        directions T (cube_chain_complex); for a trivial P, K_T is the
-        support complex of T.  The P deck group is enumerated once.  N(T)
-        comes from FiniteQuotientSpec.character_supports, given |Q'| from
-        its Smith normal form and the orders of its images, computed once
-        for it and for the check below: a cyclic Q' is counted by character
-        order in d(|Q'|) steps, any other Q' by listing its characters.
-        |P| |Q'| must be the index, the characters counted must number
-        |Q'|, and those that are 1 on image v, |Q'| / ord(v).
-        """
-        p_part, rest = spec.sylow_split(self.prime)
-        deck, shift = p_part.cayley_table()
-        order = rest.index
-        if len(deck) * order != index:
+    p_part, rest = spec.sylow_split(prime)
+    deck, shift = p_part.cayley_table()
+    order = rest.index
+    if len(deck) * order != index:
+        raise CorruptComplexError(
+            f"p-part of order {len(deck)} and p'-part of order {order} "
+            f"do not multiply to the index {index}")
+    orders = rest.image_orders()
+    counts = rest.character_supports(order, orders)
+    if sum(counts.values()) != order:
+        raise CorruptComplexError(
+            f"{sum(counts.values())} characters counted for a p'-part of order {order}")
+    for v, o in enumerate(orders):
+        kernel = sum(count for T, count in counts.items() if not T >> v & 1)
+        if kernel * o != order:
             raise CorruptComplexError(
-                f"p-part of order {len(deck)} and p'-part of order {order} "
-                f"do not multiply to the index {index}")
-        orders = rest.image_orders()
-        counts = rest.character_supports(order, orders)
-        if sum(counts.values()) != order:
-            raise CorruptComplexError(
-                f"{sum(counts.values())} characters counted for a p'-part of order {order}")
-        for v, o in enumerate(orders):
-            kernel = sum(count for T, count in counts.items() if not T >> v & 1)
-            if kernel * o != order:
-                raise CorruptComplexError(
-                    f"{kernel} characters are 1 on image {v}, of order {o}, "
-                    f"in a p'-part of order {order}")
-        total = [0] * len(self.reference)  # degrees 0..dim L + 1
-        for T, count in counts.items():
-            row = (self.h(L, T) if len(deck) == 1 else
-                   betti_Fp(cube_chain_complex(L, len(deck), shift, T), self.prime))
-            for i, b in enumerate(row):
-                total[i] += count * b
-        return tuple(total)
+                f"{kernel} characters are 1 on image {v}, of order {o}, "
+                f"in a p'-part of order {order}")
+    total = [0] * (L.dim + 2)  # degrees 0..dim L + 1
+    for T, count in counts.items():
+        row = (support_betti(L, T, prime) if len(deck) == 1 else
+               betti_Fp(cube_chain_complex(L, len(deck), shift, T), prime))
+        for i, b in enumerate(row):
+            total[i] += count * b
+    return tuple(total)
 
 
 def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
@@ -375,13 +361,12 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     The per-degree reference is the reduced betti number of L one degree
     down (zero in degree zero).
 
-    L's SupportTable at prime serves the call, built on the first call at
-    that prime and kept on L after it, and no cover is built: a spec with
-    independent images is read off its factors' entries, any other spec is
-    split into its p-part and its p'-part (SupportTable.split_betti).  Every
-    call checks every row against the Euler characteristic of the cover,
-    index * (1 - chi(L)); a call whose check fails leaves L without a table
-    at prime, so the next call starts a new one.
+    No cover is built: a spec with independent images is read off the rows
+    kept on L's join factors (cover_betti), any other spec is split into its
+    p-part and its p'-part (split_betti).  Every call checks every row
+    against the Euler characteristic of the cover, index * (1 - chi(L)); a
+    call whose check fails drops every factor's rows at prime, so the next
+    call computes them anew.
     """
     flag, witness = is_flag(L)
     if not flag:
@@ -398,24 +383,19 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     all_orders = [independent_orders(spec, idx) for spec, idx in zip(specs, indices)]
     for idx, orders in zip(indices, all_orders):
         check_cover_size(L, idx, None if orders is None else support_cells(L, orders))
-    # the table is taken off L for the call and put back only once every
-    # check below has passed, so a table that failed one is not kept
-    if L._tables is None:
-        L._tables = {}
-    table = L._tables.pop(prime, None) or SupportTable(L, prime)
-    reference = table.reference
-
-    betti_rows = [table.split_betti(L, spec, idx) if orders is None
-                  else table.cover_betti(L, orders)
+    # cover degree i against L's degree i - 1
+    reference = (0,) + support_betti(L, -1, prime)[1:]
+    betti_rows = [split_betti(L, spec, idx, prime) if orders is None
+                  else cover_betti(L, orders, prime)
                   for spec, idx, orders in zip(specs, indices, all_orders)]
     chi = 1 - L.euler_characteristic()
     for spec, idx, row in zip(specs, indices, betti_rows):
         if sum((-1) ** i * b for i, b in enumerate(row)) != idx * chi:
+            for F in join_factors(L):  # equal factors are one object, met more than once
+                F._rows.pop(prime, None)
             raise CorruptComplexError(
                 f"betti numbers {list(row)} of the cover {spec.label()} do not sum "
                 f"to its Euler characteristic {idx * chi}")
-
-    L._tables[prime] = table
 
     family, expected = _derivable_family(L, specs, indices)
     covers = tuple(

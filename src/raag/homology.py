@@ -163,8 +163,8 @@ def cube_chain_complex(x: SimplicialComplex, n_deck: int, shift: Sequence[Sequen
     is trivial, and shift is not read.  A direction v in the bit mask units
     (all of them when units is -1) has coefficient 1 instead of t_v - 1: it
     contributes (-1)^j times the untranslated facet alone.  So one copy with
-    units T is the support complex of T, and with units -1 it has the
-    matrices of simplicial_chain_complex(x).
+    units T is the support complex of T, and with every vertex of x a unit
+    (units -1, say) it is simplicial_chain_complex(x) itself.
 
     >>> from raag.simplicial import from_facets
     >>> hollow = from_facets([[0, 1], [1, 2], [0, 2]])
@@ -174,6 +174,8 @@ def cube_chain_complex(x: SimplicialComplex, n_deck: int, shift: Sequence[Sequen
     (0, 0, 1)
     """
     base = simplicial_chain_complex(x)
+    if n_deck == 1 and ~units & ((1 << x.n_vertices) - 1) == 0:
+        return base
     dims = tuple(n_deck * c for c in base.dims)
     boundaries: Dict[int, SparseIntMatrix] = {}
     for i in range(1, len(dims)):

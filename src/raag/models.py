@@ -16,8 +16,8 @@ refused up front, and the enumeration is checked against it.
 homology.cube_chain_complex twists the entries of the chain complex of L,
 which homology.simplicial_chain_complex writes and caches on L, by a shift
 table; directions it is told have coefficient 1 give the support complexes
-and p-part complexes that growth.SupportTable reduces in place of a built
-cover.
+and p-part complexes whose F_p ranks growth reads in place of a built
+cover, keeping the support complexes' rows on L's join factors.
 """
 
 from __future__ import annotations
@@ -50,13 +50,16 @@ class FiniteQuotientSpec:
     images: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        if any(k < 1 for k in self.moduli):
-            raise CoverSpecError(f"moduli must be positive, got {self.moduli}")
+        if any(type(k) is not int or k < 1 for k in self.moduli):
+            raise CoverSpecError(f"moduli must be positive integers, got {self.moduli}")
         norm = []
         for img in self.images:
             if len(img) != len(self.moduli):
                 raise CoverSpecError(
                     f"residue vector {img} does not match modulus vector {self.moduli}")
+            for x in img:
+                if type(x) is not int:
+                    raise CoverSpecError(f"residues must be integers, got {img}")
             norm.append(tuple(x % k for x, k in zip(img, self.moduli)))
         object.__setattr__(self, "images", tuple(norm))
 
@@ -231,9 +234,9 @@ def standard_spec(L: SimplicialComplex, k: int) -> FiniteQuotientSpec:
 
 # Largest cover, in cells over all dimensions, whose homology is computed.
 # check_cover_size charges each route the cells it reduces: a cover with
-# independent images, read off growth's support table, its table entries
-# (growth.support_cells); any other spec in growth_experiment, and a
-# CubeComplex, index * (1 + f(L)).
+# independent images, read off growth's support rows, the support complexes
+# of those rows (growth.support_cells); any other spec in growth_experiment,
+# and a CubeComplex, index * (1 + f(L)).
 MAX_COVER_CELLS = 250_000
 
 
@@ -249,7 +252,7 @@ def check_cover_size(base: SimplicialComplex, index: int,
     """Raise CoverSpecError if computing a cover of this index would take
     more than MAX_COVER_CELLS cells: by default index * (1 + f(base)), one
     copy of the Salvetti complex per deck element, or the cells of the
-    support-table entries growth.SupportTable.cover_betti reads
+    support complexes whose rows growth.cover_betti reads
     (growth.support_cells)."""
     if cells is None:
         cells = index * (1 + sum(base.f_vector()))

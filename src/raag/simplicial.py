@@ -39,7 +39,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("n_vertices", "facets", "name", "dim", "_faces",
-                 "_face_index", "_flag", "_factors", "_parts", "_chain", "_tables")
+                 "_face_index", "_flag", "_factors", "_parts", "_chain", "_rows")
 
     def __init__(self, n_vertices: int, facets: Tuple[Simplex, ...], name: str = ""):
         self.n_vertices = n_vertices
@@ -56,9 +56,9 @@ class SimplicialComplex:
         self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
         self._parts: Tuple[Simplex, ...] = ()
         self._chain: Optional[object] = None  # set by homology.simplicial_chain_complex
-        # set by growth.growth_experiment: prime -> the complex's
-        # growth.SupportTable, which holds rows only, no complex
-        self._tables: Optional[Dict[int, object]] = None
+        # set by growth._row: prime -> {bit mask T over the complex's
+        # vertices: F_p betti numbers of its support complex of T}
+        self._rows: Optional[Dict[int, Dict[int, Tuple[int, ...]]]] = None
 
     # -- basic queries ------------------------------------------------------
 

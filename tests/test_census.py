@@ -21,7 +21,7 @@ from raag.classify import POSITIVE, UNDETERMINED, ZERO, classify, replay_certifi
 from raag.growth import growth_experiment
 from raag.homology import betti_Fp, homology_summary
 from raag.models import CubeComplex, FiniteQuotientSpec, standard_spec
-from raag.simplicial import from_facets, is_flag
+from raag.simplicial import from_facets, is_flag, join_factors
 
 # (dimension, outcome, certificate kind) -> number of complexes
 COUNTS = {
@@ -101,7 +101,7 @@ def test_census_dimension_two_is_zero_exactly_when_acyclic_and_collapsible():
 
 def test_census_growth_matches_unsplit_table_and_built_cover():
     # one complex per atlas graph on at most 5 vertices, fresh, at p = 2 and
-    # then 3, so that the second prime's calls read tables the complex keeps:
+    # then 3, so that the second prime's calls read rows its factors keep:
     # a standard spec against the dense whole-L support table, and a spec of
     # Z/6, whose p-part and p'-part are both nontrivial, against the cover
     small = [from_facets(L.facets) for L, _, _ in census() if L.n_vertices <= 5]
@@ -115,13 +115,13 @@ def test_census_growth_matches_unsplit_table_and_built_cover():
             series = growth_experiment(L, [mixed], p)
             assert series.covers[0].betti == betti_Fp(CubeComplex(L, mixed).chain_complex(), p), \
                 L.facets
-        assert sorted(L._tables) == [2, 3]
+        assert all(sorted(F._rows) == [2, 3] for F in join_factors(L))
 
 
 def test_census_joins_with_themselves_match_dense_homology_and_unsplit_table():
     # L * L, the copies interleaved (vertex v of the first at 2v, of the
     # second at 2v + 1): its two halves are equal factors, shared as one
-    # object, whose homology, F_p ranks and support entries serve both
+    # object, whose homology, F_p ranks and support rows serve both
     small = [L for L, _, _ in census() if L.n_vertices <= 3]
     assert len(small) == 7
     for L in small:

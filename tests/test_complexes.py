@@ -16,7 +16,7 @@ from oracles import (complement_components_networkx, is_flag_exhaustive,
 from raag import simplicial
 from raag.errors import MalformedComplexError, QuotientDegenerateError
 from raag.fixtures import fixture, standard_fixtures
-from raag.growth import SupportTable, growth_experiment
+from raag.growth import growth_experiment, support_betti
 from raag.homology import homology_summary
 from raag.models import standard_spec
 from raag.simplicial import (SimplicialComplex, Subdivision, _maximal_cliques, as_simplex,
@@ -542,12 +542,14 @@ def test_every_route_searches_the_complement_once_per_complex(monkeypatch):
         assert route(x)
         assert [c is x for c in calls] == [True]
     for build in joins:
-        # a table keeps one set of entries per join part, read off the one search
+        # h(V) keeps one row on the factor of each join part, read off the
+        # one search
         L = build()
         calls.clear()
-        entries = SupportTable(L, 2).entries
-        assert [list(e) for e in entries] == [[(1 << len(part)) - 1] for part in join_parts(L)]
-        assert len(entries) > 1 and [c is L for c in calls] == [True]
+        support_betti(L, -1, 2)
+        rows = [F._rows[2] for F in join_factors(L)]
+        assert [list(r) for r in rows] == [[(1 << len(part)) - 1] for part in join_parts(L)]
+        assert len(rows) > 1 and [c is L for c in calls] == [True]
 
 
 def test_join_parts_follow_the_factors():

@@ -1,7 +1,8 @@
 """Cover chain complexes from integer deck indices against the tuple-based
 build, the Smith-form index against enumeration, the cover size budget, the
 column-wise boundary check, and cover betti numbers read off the support
-table or split into p-part and p'-part against the built cover."""
+rows on the join factors or split into p-part and p'-part against the built
+cover."""
 
 import inspect
 import itertools
@@ -16,7 +17,7 @@ from oracles import (character_counts_mobius, cover_boundaries_tuples, deck_grou
 import raag.models as models
 from raag.errors import CorruptComplexError, CoverSpecError
 from raag.fixtures import fixture
-from raag.growth import SupportTable, growth_experiment, independent_orders
+from raag.growth import cover_betti, growth_experiment, independent_orders, split_betti
 from raag.homology import ChainComplexZ, betti_Fp, simplicial_chain_complex
 from raag.linalg import SparseIntMatrix, prime_factors
 from raag.models import CubeComplex, FiniteQuotientSpec, standard_spec
@@ -136,7 +137,7 @@ def test_cover_checks_enumeration_against_smith_form(monkeypatch):
         CubeComplex(x, standard_spec(x, 2))
 
 
-# -- support table against the built cover ------------------------------------------
+# -- support rows against the built cover -------------------------------------------
 
 # Covers this large take tens of milliseconds to build; the bound keeps the
 # differential tests below fast while still reaching p | k on six vertices.
@@ -164,34 +165,39 @@ def independent_specs(draw, n, max_modulus=4):
     return FiniteQuotientSpec(moduli=tuple(moduli), images=tuple(map(tuple, images)))
 
 
-def _check_against_cover(table: SupportTable, L, spec, p):
-    """The table's betti numbers for spec equal the built cover's, and the
-    entries it added for each join factor are all subsets of the factor's
-    part of S = {v : k_v > 1}, as masks over the factor's own vertices."""
+def _check_against_cover(L, spec, p):
+    """cover_betti's betti numbers for spec equal the built cover's, and the
+    rows it added to each join factor are of subsets of the factor's part of
+    S = {v : k_v > 1}, as masks over the factor's own vertices; an object
+    that is several equal factors may take the subsets of any of its parts."""
     orders = independent_orders(spec, spec.index)
     assert orders is not None
-    before = [set(entries) for entries in table.entries]
-    got = table.cover_betti(L, orders)
-    for part, entries, seen in zip(join_parts(L), table.entries, before):
+    factors = join_factors(L)
+    before = {id(F): set((F._rows or {}).get(p, ())) for F in factors}
+    got = cover_betti(L, orders, p)
+    subsets = {}
+    for F, part in zip(factors, join_parts(L)):
         S = sum(1 << j for j, v in enumerate(part) if orders[v] > 1)
-        assert all(T & ~S == 0 for T in set(entries) - seen)
+        subsets.setdefault(id(F), []).append(S)
+    for F in factors:
+        assert all(any(T & ~S == 0 for S in subsets[id(F)])
+                   for T in set(F._rows[p]) - before[id(F)])
     assert got == betti_Fp(CubeComplex(L, spec).chain_complex(), p)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_support_table_matches_direct_cover(data):
-    # one table serves a standard spec and a spec with independent images of
-    # the same L, so the second reads entries the first computed
+    # one complex serves a standard spec and a spec with independent images,
+    # so the second reads rows the first kept on its factors
     L = data.draw(flag_complexes())
     p = data.draw(st.sampled_from((2, 3, 5)))
     cells = 1 + sum(L.f_vector())
     ks = [k for k in range(1, 5) if k ** L.n_vertices * cells <= ORACLE_CELLS]
-    table = SupportTable(L, p)
-    _check_against_cover(table, L, standard_spec(L, data.draw(st.sampled_from(ks))), p)
+    _check_against_cover(L, standard_spec(L, data.draw(st.sampled_from(ks))), p)
     spec = data.draw(independent_specs(L.n_vertices))
     assume(spec.index * cells <= ORACLE_CELLS)
-    _check_against_cover(table, L, spec, p)
+    _check_against_cover(L, spec, p)
 
 
 @pytest.mark.parametrize("name, n, k, p", [
@@ -201,7 +207,7 @@ def test_support_table_matches_direct_cover(data):
 ])
 def test_support_table_matches_direct_cover_on_fixtures(name, n, k, p):
     L = fixture(name, n=n)
-    _check_against_cover(SupportTable(L, p), L, standard_spec(L, k), p)
+    _check_against_cover(L, standard_spec(L, k), p)
 
 
 @st.composite
@@ -230,14 +236,13 @@ def test_join_split_matches_unsplit_support_table(data):
     p = data.draw(st.sampled_from((2, 3, 5)))
     spec = data.draw(independent_specs(L.n_vertices))
     orders = independent_orders(spec, spec.index)
-    table = SupportTable(L, p)
+    got = cover_betti(L, orders, p)
     factors = join_factors(L)
-    assert len(table.entries) == len(factors) >= 2
-    # equal factors, and only they, are one object with one entries dict
-    for F, e in zip(factors, table.entries):
-        for G, f in zip(factors, table.entries):
-            assert (F is G) == (F.facets == G.facets) == (e is f)
-    got = table.cover_betti(L, orders)
+    assert len(factors) >= 2
+    # equal factors, and only they, are one object with one dict of rows
+    for F in factors:
+        for G in factors:
+            assert (F is G) == (F.facets == G.facets) == (F._rows is G._rows)
     assert got == support_table_unsplit(L.facets, orders, p)
     if spec.index * (1 + sum(L.f_vector())) <= ORACLE_CELLS:
         assert got == betti_Fp(CubeComplex(L, spec).chain_complex(), p)
@@ -251,7 +256,7 @@ def test_join_split_matches_unsplit_support_table(data):
 @pytest.mark.parametrize("p", (2, 3))
 def test_join_split_matches_unsplit_support_table_on_fixtures(name, n, orders, p):
     L = fixture(name, n=n)
-    assert SupportTable(L, p).cover_betti(L, orders) == support_table_unsplit(L.facets, orders, p)
+    assert cover_betti(L, orders, p) == support_table_unsplit(L.facets, orders, p)
 
 
 def test_shared_coordinate_images_are_not_independent():
@@ -286,7 +291,7 @@ def sylow_specs(draw, n, p):
 
 def _check_split_against_cover(L, spec, p):
     index = spec.index
-    got = SupportTable(L, p).split_betti(L, spec, index)
+    got = split_betti(L, spec, index, p)
     assert got == betti_Fp(CubeComplex(L, spec).chain_complex(), p)
     P, rest = spec.sylow_split(p)
     assert P.index * rest.index == index
@@ -347,12 +352,12 @@ def test_split_rejects_wrong_character_supports(monkeypatch):
     assert caught.value.exit_code == 15
 
 
-# -- support tables kept on the complex ------------------------------------------
+# -- support rows kept on the join factors ----------------------------------------
 
 
 def _same_as_fresh_complex(L, spec, p):
-    """growth_experiment on L, which keeps the tables earlier calls left on
-    it, gives the rows, reference and family of the same call on a new
+    """growth_experiment on L, whose factors keep the rows earlier calls
+    left on them, gives the rows, reference and family of the same call on a new
     complex on L's facets."""
     got = growth_experiment(L, [spec], p)
     want = growth_experiment(from_facets(L.facets), [spec], p)
@@ -364,7 +369,7 @@ def _same_as_fresh_complex(L, spec, p):
 @given(st.data())
 def test_kept_tables_match_fresh_complexes(data):
     # one L serves a sweep of specs on both routes, at primes that come back
-    # after another, so each call reads what earlier calls left in the table
+    # after another, so each call reads what earlier calls left in the rows
     # of its own prime
     L = data.draw(flag_complexes())
     cells = 1 + sum(L.f_vector())
@@ -373,19 +378,20 @@ def test_kept_tables_match_fresh_complexes(data):
                                    sylow_specs(L.n_vertices, p)))
         assume(spec.index * cells <= ORACLE_CELLS)
         _same_as_fresh_complex(L, spec, p)
-    assert sorted(L._tables) == [2, 3, 5]
+    assert all(sorted(F._rows) == [2, 3, 5] for F in join_factors(L))
 
 
 def test_kept_tables_are_read_at_their_own_prime():
     # rp2_flag has 2-torsion: at p = 2 the characters of Z/3 and Z/5 read
     # h(V) = (0, 0, 1, 1), at p = 3 and 5 those of Z/2 read (0, 0, 0, 0);
-    # a table of the wrong prime would give the other row
+    # rows of the wrong prime would give the other row
     L = fixture("rp2_flag")
     rest = ((0,),) * (L.n_vertices - 1)
     for p, k in ((2, 3), (3, 2), (2, 5), (5, 2), (3, 4)):
         _same_as_fresh_complex(L, FiniteQuotientSpec((k,), ((1,),) * L.n_vertices), p)
         _same_as_fresh_complex(L, FiniteQuotientSpec((k,), ((1,),) + rest), p)
-    assert [L._tables[p].reference for p in (2, 3, 5)] == \
+    assert join_factors(L) == [L]
+    assert [L._rows[p][(1 << L.n_vertices) - 1] for p in (2, 3, 5)] == \
         [(0, 0, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0)]
 
 

@@ -19,3 +19,7 @@ def test_docstring_examples(name):
 
 def test_linalg_examples_are_found():
     assert doctest.testmod(importlib.import_module("raag.linalg")).attempted >= 7
+
+
+def test_growth_examples_are_found():
+    assert doctest.testmod(importlib.import_module("raag.growth")).attempted >= 3

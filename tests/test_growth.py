@@ -15,7 +15,7 @@ from raag.fixtures import fixture
 from raag.growth import CAVEAT, growth_experiment
 from raag.homology import betti_Fp, homology_summary, simplicial_chain_complex
 from raag.models import CubeComplex, FiniteQuotientSpec, standard_spec
-from raag.simplicial import from_facets
+from raag.simplicial import from_facets, join_factors
 
 
 def test_rejects_bad_inputs():
@@ -33,6 +33,15 @@ def test_rejects_bad_inputs():
         short = FiniteQuotientSpec(moduli=spec.moduli, images=spec.images[:3])
         with pytest.raises(CoverSpecError, match="assigns 3 generators, base has 4"):
             growth_experiment(c4, [short], 2)
+
+
+def test_prime_must_be_an_int():
+    # 3.0 would reach pow() in the mod-p reduction, and 2.0 would pass as 2
+    c4 = fixture("cycle", n=4)
+    for prime in (3.0, 2.0, True):
+        with pytest.raises(CoverSpecError, match="integer|not prime") as caught:
+            growth_experiment(c4, [standard_spec(c4, 3)], prime)
+        assert caught.value.exit_code == 14
 
 
 def test_free_group_family_is_exact():
@@ -128,7 +137,7 @@ def _shared(k):
 
 
 def test_mixed_routes_keep_spec_order(monkeypatch):
-    # indices 2, 16, 32, 81: split, support table, split, support table;
+    # indices 2, 16, 32, 81: split, support rows, split, support rows;
     # RAAG_THREADS is no longer read, so even an invalid value is ignored
     c4 = fixture("cycle", n=4)
     specs = [_shared(2), standard_spec(c4, 2), _shared(32), standard_spec(c4, 3)]
@@ -142,10 +151,11 @@ def test_mixed_routes_keep_spec_order(monkeypatch):
 
 
 def test_a_table_that_failed_a_check_is_not_kept(monkeypatch):
-    # poisoned entries are refused by the Euler characteristic check, on a
-    # new complex and on one that already keeps a table at p = 2 (entries of
-    # vertex 0 only, and h(V)); once the poison is gone the same object gives
-    # the rows of a new complex
+    # poisoned rows are refused by the Euler characteristic check, on a new
+    # complex and on one whose factors already keep rows at p = 2 (of vertex
+    # 0 only, and h(V)); C_4's two factors are one object, whose rows are
+    # dropped once; once the poison is gone the same object gives the rows
+    # of a new complex
     partial = FiniteQuotientSpec(moduli=(2,), images=((1,), (0,), (0,), (0,)))
     for warm in (False, True):
         c4 = fixture("cycle", n=4)
@@ -155,6 +165,7 @@ def test_a_table_that_failed_a_check_is_not_kept(monkeypatch):
             m.setattr(growth, "betti_Fp", lambda cc, p: (1,) + betti_Fp(cc, p)[1:])
             with pytest.raises(CorruptComplexError, match="Euler characteristic"):
                 growth_experiment(c4, [standard_spec(c4, 2)], 2)
+        assert all(F._rows == {} for F in join_factors(c4))
         for spec in (standard_spec(c4, 2), partial):
             assert growth_experiment(c4, [spec], 2).covers == \
                 growth_experiment(from_facets(c4.facets), [spec], 2).covers
@@ -164,10 +175,10 @@ def test_a_table_that_failed_a_check_is_not_kept(monkeypatch):
 def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
     # every divisibility chain of index <= 60 on discrete(3), as coordinate
     # specs, and two scrambled specs, one call each, on one object: each
-    # support complex (n_deck == 1) is built once per prime, in one table per
-    # prime, except T = V, the complex's cached chain complex, which is
-    # reduced once per prime for its entry and the reference column
-    counts = {"entries": 0, "tables": 0, "full": 0}
+    # support complex (n_deck == 1) is asked for once per prime, its row kept
+    # on the complex; T = V is the complex's cached chain complex, which is
+    # reduced once per prime for its row, the reference column
+    counts = {"entries": 0, "full": 0}
     x = fixture("discrete", n=3)
     full = simplicial_chain_complex(x)
 
@@ -179,8 +190,6 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
 
     monkeypatch.setattr(growth, "cube_chain_complex", counted(
         "entries", growth.cube_chain_complex, lambda x, n_deck, *rest: n_deck == 1))
-    monkeypatch.setattr(growth.SupportTable, "__init__",
-                        counted("tables", growth.SupportTable.__init__))
     monkeypatch.setattr(growth, "betti_Fp",
                         counted("full", growth.betti_Fp, lambda cc, p: cc is full))
     chains = [(a, b, c) for c in range(1, 61) for b in range(1, c + 1) for a in range(1, b + 1)
@@ -193,8 +202,8 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
         for spec in coordinate + scrambled:
             series = growth_experiment(x, [spec], p)
             assert series.covers[0].betti == (1, 2 * spec.index + 1)
-    assert counts == {"entries": 14, "tables": 2, "full": 2}
-    assert [len(x._tables[p].entries[0]) for p in (2, 3)] == [8, 8]
+    assert counts == {"entries": 16, "full": 2}
+    assert [len(x._rows[p]) for p in (2, 3)] == [8, 8]
 
 
 def _reachable(root):
@@ -212,11 +221,12 @@ def _reachable(root):
 
 
 def test_a_second_prime_builds_no_chain_complex(monkeypatch):
-    # a complex keeps its tables, which hold rows only and read every complex
-    # off the complex they are given: after the first prime's table neither
-    # the second prime's nor the homology of the complex writes a boundary
-    # entry, on a complex that does not split (cycle) and on a join
-    # (octahedron), whose own chain complex only the P-cover complexes need
+    # a complex's join factors keep their rows, which hold no complex, and
+    # every complex is read off the factors' cached chain complexes: after
+    # the first prime neither the second prime nor the homology of the
+    # complex writes a boundary entry, on a complex that does not split
+    # (cycle) and on a join (octahedron), whose own chain complex only the
+    # P-cover complexes need
     writes = []
     monkeypatch.setattr(homology, "cube_facets",
                         lambda x, i, cube_facets=homology.cube_facets:
@@ -230,8 +240,10 @@ def test_a_second_prime_builds_no_chain_complex(monkeypatch):
         growth_experiment(x, [spec], 3)
         homology_summary(x)
         assert writes == []
-        assert sorted(x._tables) == [2, 3]
-        assert not any(isinstance(obj, simplicial.SimplicialComplex) for obj in _reachable(x._tables))
+        for F in join_factors(x):
+            assert sorted(F._rows) == [2, 3]
+            assert not any(isinstance(obj, simplicial.SimplicialComplex)
+                           for obj in _reachable(F._rows))
 
     for build in (lambda: fixture("cycle", n=5), lambda: fixture("octahedron")):
         gc.collect()
@@ -242,7 +254,7 @@ def test_a_second_prime_builds_no_chain_complex(monkeypatch):
 
 def test_p_part_enumerated_once_per_spec_without_independent_images(monkeypatch):
     # the ordering check takes the index from the Smith normal form, specs
-    # with independent images are read off the support table, and every other
+    # with independent images are read off the support rows, and every other
     # spec enumerates the deck group of its p-part once
     calls = []
     original = FiniteQuotientSpec.cayley_table
@@ -268,7 +280,7 @@ def test_cover_bound_counts_the_cells_each_route_reads(monkeypatch):
     # the 4-cycle's Salvetti complex has 1 + 8 cells, and _shared(k), whose
     # images are not independent, is split into Sylow parts at its index k;
     # standard_spec(c4, 3) has index 81 but reads, for each of the two join
-    # factors S^0, the 2^2 support-table entries of the subsets of its part,
+    # factors S^0, the 2^2 support rows of the subsets of its part,
     # of 1 + 2 cells each
     c4 = fixture("cycle", n=4)
     monkeypatch.setattr(models, "MAX_COVER_CELLS", 144)
@@ -338,9 +350,9 @@ def test_character_count_must_match_p_prime_part(monkeypatch):
 def test_every_row_is_checked_against_euler_characteristic(monkeypatch, route, spec):
     # chi(C_4) = 0, so every cover has Euler characteristic index * 1; a row
     # off by one in degree 0 is caught on either route
-    original = getattr(growth.SupportTable, route)
-    monkeypatch.setattr(growth.SupportTable, route,
-                        lambda self, *a: (lambda b: (b[0] + 1,) + b[1:])(original(self, *a)))
+    original = getattr(growth, route)
+    monkeypatch.setattr(growth, route,
+                        lambda *a: (lambda b: (b[0] + 1,) + b[1:])(original(*a)))
     c4 = fixture("cycle", n=4)
     spec = spec or standard_spec(c4, 2)
     with pytest.raises(CorruptComplexError, match="Euler characteristic"):

@@ -544,6 +544,14 @@ def test_support_complex_matches_dense_boundary_oracle(facets, T):
         assert dense == want, k
         if T == -1:
             assert m == whole.boundary(k + 1)
+    # a mask with every vertex of x is the cached chain complex itself, a
+    # proper sub-mask a new one
+    full = (1 << x.n_vertices) - 1
+    assert cube_chain_complex(x, 1, (), -1) is whole
+    assert cube_chain_complex(x, 1, (), full) is whole
+    assert (cc is whole) == (T & full == full)
+    if full:
+        assert cube_chain_complex(x, 1, (), full >> 1) is not whole
 
 
 def test_boundary_one_is_the_augmentation():

@@ -24,6 +24,18 @@ def test_spec_rejects_bad_data():
         FiniteQuotientSpec(moduli=(2, 2), images=((1,),))
 
 
+@pytest.mark.parametrize("moduli, images, bad", [
+    ((3,), ((1.5,),) * 4, "residues"),                 # an index of 2.0
+    ((2.0,), ((1,),) * 4, "moduli"),                   # a TypeError in growth_experiment
+    ((True,), ((1,),) * 4, "moduli"),                  # a modulus_vector of True
+    ((3,), ((True,), (1,), (0,), (2,)), "residues"),
+])
+def test_spec_rejects_floats_and_bools(moduli, images, bad):
+    with pytest.raises(CoverSpecError, match=f"{bad} must be") as caught:
+        FiniteQuotientSpec(moduli, images)
+    assert caught.value.exit_code == 14
+
+
 def test_deck_group_is_generated_subgroup():
     spec = FiniteQuotientSpec(moduli=(4,), images=((1,), (2,)))
     assert spec.index == 4
