@@ -11,7 +11,9 @@ simplicial_chain_complex writes boundary entries, and this module alone
 knows their layout: degree 0 holds the empty simplex and degree k the
 (k-1)-faces, so the chain complex of x, cached on x, has the reduced
 homology of x one degree up.  cube_chain_complex filters or twists its
-entries into the support, P-cover and cover complexes.
+entries into the support, P-cover and cover complexes, and sets those of a
+list of unit masks side by side as one block-diagonal complex, which
+validate checks and betti_Fp ranks block by block in one pass.
 
 A simplicial complex has one route to its homology, homology_summary (and
 betti_table over F_p alone): the complex is split by simplicial.join_factors,
@@ -32,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import CorruptComplexError
 from .linalg import (SNFResult, SparseIntMatrix, _columns, convolve, pivot_rows_mod_p,
@@ -149,9 +151,11 @@ def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
 
 
 def cube_chain_complex(x: SimplicialComplex, n_deck: int, shift: Sequence[Sequence[int]],
-                       units: int = 0) -> ChainComplexZ:
+                       units: Union[int, Sequence[int]] = 0) -> ChainComplexZ:
     """Chain complex of n_deck copies of the cube cells of x, twisted by a
-    deck group, read off the entries of simplicial_chain_complex(x).
+    deck group, read off the entries of simplicial_chain_complex(x); or, for
+    a list of unit masks and one copy, the block-diagonal sum of their
+    support complexes.
 
     The cube cells of x are the cells of its chain complex: the empty simplex
     in degree 0 and the (i-1)-simplices in degree i.  shift[v][qi] is the
@@ -166,27 +170,40 @@ def cube_chain_complex(x: SimplicialComplex, n_deck: int, shift: Sequence[Sequen
     units T is the support complex of T, and with every vertex of x a unit
     (units -1, say) it is simplicial_chain_complex(x) itself.
 
+    Given a list of masks, which takes n_deck 1, block b is the support
+    complex of units[b]: its cells follow those of the b blocks before it in
+    every degree, so a cell's block is its position over the block's height
+    in that degree (betti_Fp's blocks).  No boundary entry crosses blocks.
+    A list of one mask is the complex of that mask,
+    simplicial_chain_complex(x) itself included.
+
     >>> from raag.simplicial import from_facets
     >>> hollow = from_facets([[0, 1], [1, 2], [0, 2]])
     >>> betti_Fp(cube_chain_complex(hollow, 1, (), 0), 2)
     (1, 3, 3)
     >>> betti_Fp(cube_chain_complex(hollow, 1, (), 1), 2)
     (0, 0, 1)
+    >>> both = cube_chain_complex(hollow, 1, (), [0, 1])
+    >>> both.dims, betti_Fp(both, 2, 2)
+    ((2, 6, 6), [(1, 3, 3), (0, 0, 1)])
     """
     base = simplicial_chain_complex(x)
-    if n_deck == 1 and ~units & ((1 << x.n_vertices) - 1) == 0:
+    masks = [units] if isinstance(units, int) else units
+    if n_deck == 1 and len(masks) == 1 and ~masks[0] & ((1 << x.n_vertices) - 1) == 0:
         return base
-    dims = tuple(n_deck * c for c in base.dims)
+    dims = tuple(len(masks) * n_deck * c for c in base.dims)
     boundaries: Dict[int, SparseIntMatrix] = {}
     for i in range(1, len(dims)):
         # the n-th entry deletes the n-th vertex of x.faces(i - 1) (cube_facets)
         directions = chain.from_iterable(x.faces(i - 1))
         entries = base.boundary(i).entries
-        if n_deck == 1:  # every translation is trivial: only unit directions write
-            boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], {
-                key: sign for (key, sign), v in zip(entries.items(), directions) if units >> v & 1})
-            continue
         n_below, n_here = base.dims[i - 1], base.dims[i]
+        if n_deck == 1:  # every translation is trivial: only unit directions write
+            plan = list(zip(entries.items(), directions))
+            boundaries[i] = SparseIntMatrix(dims[i - 1], dims[i], {
+                (b * n_below + fpos, b * n_here + col): sign
+                for b, T in enumerate(masks) for ((fpos, col), sign), v in plan if T >> v & 1})
+            continue
         # per entry: (facet position, column), sign, shift list or None for a unit
         plan = [(key, sign, None if units >> v & 1 else shift[v])
                 for (key, sign), v in zip(entries.items(), directions)]
@@ -306,23 +323,37 @@ def homology_Z(cc: ChainComplexZ) -> HomologySummary:
     return HomologySummary(reduced=False, betti=tuple(betti), torsion=tuple(torsion))
 
 
-def betti_Fp(cc: ChainComplexZ, p: int) -> Tuple[int, ...]:
-    """Betti numbers over F_p from sparse matrix ranks.
+def betti_Fp(cc: ChainComplexZ, p: int,
+             blocks: Optional[int] = None) -> Union[Tuple[int, ...], List[Tuple[int, ...]]]:
+    """Betti numbers over F_p from sparse matrix ranks; with blocks = n, the
+    list of the rows of the n blocks of a block-diagonal sum of complexes of
+    equal dims (cube_chain_complex with a list of masks).
 
     The boundaries are reduced from the top degree down, clearing as it goes:
     the columns of d_i indexed by the pivot rows of d_{i+1} are dropped.  For
     any pivot set this keeps the rank, since d_i d_{i+1} = 0 and the reduced
     columns of d_{i+1}, restricted to their pivot rows, form an invertible
     triangular block; so those columns of d_i lie in the span of the others.
+    A column of a block-diagonal matrix is reduced only by pivot columns of
+    its own block, so each pivot row counts toward the rank of its block,
+    row // (block height), and one reduction per degree ranks every block.
     """
     cc.validate()
     top = cc.top
-    ranks: Dict[int, int] = {}
+    n = blocks or 1
+    ranks = [0] * (n * (top + 2))  # the rank of d_i on block b at i * n + b
     cleared: AbstractSet[int] = frozenset()
     for i in range(top, 0, -1):
         cleared = pivot_rows_mod_p(cc.boundary(i), p, cleared)
-        ranks[i] = len(cleared)
-    return tuple(cc.dims[i] - ranks.get(i, 0) - ranks.get(i + 1, 0) for i in range(top + 1))
+        if n == 1:  # one block holds every pivot
+            ranks[i] = len(cleared)
+            continue
+        height = cc.dims[i - 1] // n
+        for r in cleared:
+            ranks[i * n + r // height] += 1
+    rows = [tuple(d // n - ranks[i * n + b] - ranks[i * n + n + b] for i, d in enumerate(cc.dims))
+            for b in range(n)]
+    return rows if blocks else rows[0]
 
 
 def uct_betti_fp(betti: Sequence[int], torsion: Sequence[Sequence[int]], p: int) -> Tuple[int, ...]:

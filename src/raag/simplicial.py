@@ -56,7 +56,7 @@ class SimplicialComplex:
         self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
         self._parts: Tuple[Simplex, ...] = ()
         self._chain: Optional[object] = None  # set by homology.simplicial_chain_complex
-        # set by growth._row: prime -> {bit mask T over the complex's
+        # set by growth._rows_of: prime -> {bit mask T over the complex's
         # vertices: F_p betti numbers of its support complex of T}
         self._rows: Optional[Dict[int, Dict[int, Tuple[int, ...]]]] = None
 

@@ -325,16 +325,23 @@ def test_homology_builds_only_the_join_factors(tmp_path, monkeypatch, capsys, ma
 def test_growth_reduces_each_support_complex_of_equal_factors_once(monkeypatch, capsys):
     # the octahedron is S^0 * S^0 * S^0, one S^0 object three times; its
     # four support complexes (T = {}, {0}, {1}, V) are reduced once for both
-    # moduli and all three factors, and its flag check is one clique search
+    # moduli and all three factors, V from the factor's own chain complex and
+    # the other three in one batch, and its flag check is one clique search
     factors = join_factors(fixture("octahedron"))
     assert len(factors) == 3 and all(f is factors[0] for f in factors)
-    reduced, searched = [], []
+    reduced, batches, searched = [], [], []
     real_betti, real_cliques = growth_module.betti_Fp, simplicial._maximal_cliques
 
-    def betti(cc, p):
-        reduced.append((cc.dims, tuple(tuple(sorted(cc.boundary(i).entries.items()))
-                                       for i in range(1, cc.top + 1))))
-        return real_betti(cc, p)
+    def betti(cc, p, blocks):
+        batches.append(blocks)
+        dims = tuple(d // blocks for d in cc.dims)
+        for b in range(blocks):  # block b's entries, at their positions in the block
+            reduced.append((dims, tuple(
+                tuple(sorted(((r - b * dims[i - 1], c - b * dims[i]), v)
+                             for (r, c), v in cc.boundary(i).entries.items()
+                             if r // dims[i - 1] == b))
+                for i in range(1, cc.top + 1))))
+        return real_betti(cc, p, blocks)
 
     monkeypatch.setattr(growth_module, "betti_Fp", betti)
     monkeypatch.setattr(simplicial, "_maximal_cliques",
@@ -342,6 +349,7 @@ def test_growth_reduces_each_support_complex_of_equal_factors_once(monkeypatch, 
     code, out, _ = run(capsys, "growth", "--fixture", "octahedron", "--moduli", "2,3",
                        "--prime", "2")
     assert code == 0 and len(out.split()) == 1 + 2 * 4  # header, degrees 0..3 per cover
+    assert batches == [1, 3]
     assert len(reduced) == len(set(reduced)) == 4
     assert all(dims == (1, 2) for dims, _ in reduced)
     assert searched == [((0,), (1,))]

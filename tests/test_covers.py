@@ -14,11 +14,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (character_counts_mobius, cover_boundaries_tuples, deck_group_bfs,
                      support_table_unsplit)
 
+import raag.growth as growth
 import raag.models as models
 from raag.errors import CorruptComplexError, CoverSpecError
 from raag.fixtures import fixture
 from raag.growth import cover_betti, growth_experiment, independent_orders, split_betti
-from raag.homology import ChainComplexZ, betti_Fp, simplicial_chain_complex
+from raag.homology import ChainComplexZ, betti_Fp, cube_chain_complex, simplicial_chain_complex
 from raag.linalg import SparseIntMatrix, prime_factors
 from raag.models import CubeComplex, FiniteQuotientSpec, standard_spec
 from raag.simplicial import flag_completion, from_facets, join, join_factors, join_parts
@@ -257,6 +258,40 @@ def test_join_split_matches_unsplit_support_table(data):
 def test_join_split_matches_unsplit_support_table_on_fixtures(name, n, orders, p):
     L = fixture(name, n=n)
     assert cover_betti(L, orders, p) == support_table_unsplit(L.facets, orders, p)
+
+
+@st.composite
+def unsplit_flag_complexes(draw):
+    """Flag complexes on 5 to 8 vertices that are their own only join factor."""
+    n = draw(st.integers(5, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    L = flag_completion(from_facets([[v] for v in range(n)] + [list(e) for e in edges]))
+    assume(join_factors(L) == [L])
+    return L
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_rows_match_one_mask_complexes(data):
+    # rows of random sets of masks, reduced in batches that a small cap splits,
+    # against the complex of each mask on its own, and the cover betti
+    # numbers they give against the unsplit dense oracle
+    L = data.draw(unsplit_flag_complexes())
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    full = (1 << L.n_vertices) - 1
+    masks = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=12, unique=True))
+    orders = [1] * L.n_vertices
+    for v in data.draw(st.lists(st.integers(0, L.n_vertices - 1), max_size=4, unique=True)):
+        orders[v] = data.draw(st.integers(2, 4))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(growth, "ROW_BATCH_CELLS", data.draw(st.integers(1, 4 * (1 + sum(L.f_vector())))))
+        rows = growth._rows_of(L, masks, p)
+        got = cover_betti(L, orders, p)
+    assert set(masks) <= set(rows) == set(L._rows[p])
+    for T, row in rows.items():
+        assert row == betti_Fp(cube_chain_complex(L, 1, (), T), p)
+    assert got == support_table_unsplit(L.facets, orders, p)
 
 
 def test_shared_coordinate_images_are_not_independent():

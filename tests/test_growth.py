@@ -162,7 +162,8 @@ def test_a_table_that_failed_a_check_is_not_kept(monkeypatch):
         if warm:
             growth_experiment(c4, [partial], 2)
         with monkeypatch.context() as m:
-            m.setattr(growth, "betti_Fp", lambda cc, p: (1,) + betti_Fp(cc, p)[1:])
+            m.setattr(growth, "betti_Fp", lambda cc, p, blocks:
+                      [(1,) + row[1:] for row in betti_Fp(cc, p, blocks)])
             with pytest.raises(CorruptComplexError, match="Euler characteristic"):
                 growth_experiment(c4, [standard_spec(c4, 2)], 2)
         assert all(F._rows == {} for F in join_factors(c4))
@@ -175,9 +176,10 @@ def test_a_table_that_failed_a_check_is_not_kept(monkeypatch):
 def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
     # every divisibility chain of index <= 60 on discrete(3), as coordinate
     # specs, and two scrambled specs, one call each, on one object: each
-    # support complex (n_deck == 1) is asked for once per prime, its row kept
-    # on the complex; T = V is the complex's cached chain complex, which is
-    # reduced once per prime for its row, the reference column
+    # support complex (a mask of a batch, n_deck == 1) is asked for once per
+    # prime, its row kept on the complex; T = V is the complex's cached chain
+    # complex, which is reduced once per prime for its row, the reference
+    # column
     counts = {"entries": 0, "full": 0}
     x = fixture("discrete", n=3)
     full = simplicial_chain_complex(x)
@@ -189,9 +191,10 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(growth, "cube_chain_complex", counted(
-        "entries", growth.cube_chain_complex, lambda x, n_deck, *rest: n_deck == 1))
+        "entries", growth.cube_chain_complex,
+        lambda x, n_deck, shift, units: len(units) if n_deck == 1 else 0))
     monkeypatch.setattr(growth, "betti_Fp",
-                        counted("full", growth.betti_Fp, lambda cc, p: cc is full))
+                        counted("full", growth.betti_Fp, lambda cc, p, *blocks: cc is full))
     chains = [(a, b, c) for c in range(1, 61) for b in range(1, c + 1) for a in range(1, b + 1)
               if c % b == 0 and b % a == 0 and a * b * c <= 60]
     coordinate = [FiniteQuotientSpec(moduli=m, images=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -204,6 +207,37 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
             assert series.covers[0].betti == (1, 2 * spec.index + 1)
     assert counts == {"entries": 16, "full": 2}
     assert [len(x._rows[p]) for p in (2, 3)] == [8, 8]
+
+
+def test_row_batches_hold_at_most_the_cap(monkeypatch):
+    # cycle(12) at modulus 2 reads 4,096 rows of 25 cells: the row of all
+    # vertices from the cached chain complex, the other 4,095 in batches of
+    # ROW_BATCH_CELLS // 25 rows; a cap below one complex makes every batch
+    # one complex, of 11 cells on cycle(5)
+    built = []
+    real = growth.cube_chain_complex
+
+    def counted(x, n_deck, shift, units):
+        cc = real(x, n_deck, shift, units)
+        built.append((len(units), sum(cc.dims)))
+        return cc
+
+    monkeypatch.setattr(growth, "cube_chain_complex", counted)
+    c12 = fixture("cycle", n=12)
+    series = growth_experiment(c12, [standard_spec(c12, 2)], 2)
+    assert series.covers[0].betti == (1, 14338, 18433)
+    assert len(c12._rows[2]) == 4096
+    per = growth.ROW_BATCH_CELLS // 25
+    assert built[0] == (1, 25)
+    sizes = [n for n, _ in built[1:]]
+    assert sizes == [per] * (len(sizes) - 1) + [4095 - per * (len(sizes) - 1)]
+    assert 0 < sizes[-1] <= per
+    assert all(cells <= growth.ROW_BATCH_CELLS for _, cells in built)
+    built.clear()
+    monkeypatch.setattr(growth, "ROW_BATCH_CELLS", 10)
+    c5 = fixture("cycle", n=5)
+    growth_experiment(c5, [standard_spec(c5, 2)], 3)
+    assert built == [(1, 11)] * 32
 
 
 def _reachable(root):

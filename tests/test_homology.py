@@ -554,6 +554,27 @@ def test_support_complex_matches_dense_boundary_oracle(facets, T):
         assert cube_chain_complex(x, 1, (), full >> 1) is not whole
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6).map(lambda seed: random_facets(random.Random(seed))),
+       st.lists(st.one_of(st.just(-1), st.integers(0, 2 ** 7 - 1)), min_size=1, max_size=4))
+def test_a_list_of_masks_is_the_block_diagonal_sum(facets, masks):
+    # block b of the complex of a list of masks is the support complex of
+    # masks[b], its cells after those of the blocks before it
+    x = from_facets(facets)
+    one = [cube_chain_complex(x, 1, (), T) for T in masks]
+    cc = cube_chain_complex(x, 1, (), masks)
+    assert cc.dims == tuple(len(masks) * d for d in one[0].dims)
+    for i in range(1, cc.top + 1):
+        want = {}
+        for b, part in enumerate(one):
+            m = part.boundary(i)
+            want.update({(b * m.rows + r, b * m.cols + c): v for (r, c), v in m.entries.items()})
+        assert cc.boundary(i).entries == want, i
+    full = (1 << x.n_vertices) - 1
+    assert (cube_chain_complex(x, 1, (), masks) is simplicial_chain_complex(x)) == \
+        (len(masks) == 1 and masks[0] & full == full)
+
+
 def test_boundary_one_is_the_augmentation():
     # RP^2: reduced H = (0, Z/2, 0), one degree up in the chain complex of
     # RP^2, whose degree 0 is the empty simplex; unreduced H = (Z, Z/2, 0)
