@@ -12,7 +12,9 @@ join factors, one dict per prime, so each is computed once per factor and
 prime, however many experiments read it; the rows a call still needs are
 reduced in batches of at most ROW_BATCH_CELLS cells, each one block-diagonal
 complex checked and reduced once (_rows_of).  The reference column is the
-row of all of L's vertices, h(V).  When the generator images are independent
+row of all of L's vertices, h(V), an ordinary row of those batches, read
+after the covers, whose batches already hold it for a standard_spec with
+k >= 2.  When the generator images are independent
 (the deck group is the direct sum of the cyclic groups they generate, as
 for every standard_spec), the cover is a polyhedral product and its betti
 numbers are a weighted sum over vertex subsets T of the betti numbers h(T)
@@ -52,7 +54,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import CorruptComplexError, CoverSpecError, NotFlagError
 from .homology import betti_Fp, cube_chain_complex
@@ -232,7 +234,7 @@ rows of 25 cells of `raag growth --fixture cycle --n 12 --prime 2 --moduli 2`
 (2-vCPU Xeon, Python 3.11): against one complex per row, peak memory grew
 by 0.2 MiB at this cap, by 1.1 MiB at 4,096 cells and by 130 MiB with no
 cap, and the run took 0.096 s here, 0.105 s at 4,096 cells and 0.138 s with
-one complex per row.  cycle(5)'s 31 rows of 11 cells are one batch."""
+one complex per row.  cycle(5)'s 32 rows of 11 cells are one batch."""
 
 
 def _rows_of(F: SimplicialComplex, masks: Sequence[int], prime: int) -> Dict[int, Tuple[int, ...]]:
@@ -240,23 +242,18 @@ def _rows_of(F: SimplicialComplex, masks: Sequence[int], prime: int) -> Dict[int
     vertices and kept on F, with the rows of masks, which are distinct,
     computed first if missing.
 
-    The missing rows are reduced in batches of at most ROW_BATCH_CELLS cells:
-    one cube_chain_complex of the batch's masks, one boundary-squared check
-    and one betti_Fp, which ranks every block.  The row of all of F is a
-    batch of its own, read off F's cached chain complex."""
+    The missing rows, the row of all of F among them, are reduced in
+    batches of at most ROW_BATCH_CELLS cells: one cube_chain_complex of the
+    batch's masks, one boundary-squared check and one betti_Fp, which ranks
+    every block."""
     if F._rows is None:
         F._rows = {}
     rows = F._rows.setdefault(prime, {})
     missing = [T for T in masks if T not in rows]
-    if missing:
-        full = (1 << F.n_vertices) - 1
-        batches = [[T] for T in missing if T == full]
-        rest = [T for T in missing if T != full]
-        size = max(1, ROW_BATCH_CELLS // (1 + sum(F.f_vector())))
-        batches += [rest[i:i + size] for i in range(0, len(rest), size)]
-        for batch in batches:
-            rows.update(zip(batch, betti_Fp(cube_chain_complex(F, 1, (), batch), prime,
-                                            len(batch))))
+    size = max(1, ROW_BATCH_CELLS // (1 + sum(F.f_vector())))
+    for i in range(0, len(missing), size):
+        batch = missing[i:i + size]
+        rows.update(zip(batch, betti_Fp(cube_chain_complex(F, batch), prime, len(batch))))
     return rows
 
 
@@ -304,15 +301,10 @@ def cover_betti(L: SimplicialComplex, orders: Sequence[int], prime: int) -> Tupl
     The weight is a product over the vertices, so the sum is the convolution
     over the join factors F of the same sum over the subsets of S_F, the
     vertices of S in F's part; it reads sum_F 2^|S_F| factor rows
-    (support_betti).  Equal factors with equal orders on their parts have
-    equal sums, so each such pair is summed once."""
+    (support_betti), which equal factors share."""
     rows = []
-    done: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
     for F, part in zip(join_factors(L), join_parts(L)):
         ks = tuple(orders[v] for v in part)
-        if (id(F), ks) in done:
-            rows.append(done[id(F), ks])
-            continue
         S = sum(1 << j for j, k in enumerate(ks) if k > 1)
         subsets = [S]  # every subset of S, S first and the empty set last
         while subsets[-1]:
@@ -323,7 +315,7 @@ def cover_betti(L: SimplicialComplex, orders: Sequence[int], prime: int) -> Tupl
             weight = math.prod(k - 1 for j, k in enumerate(ks) if T >> j & 1)
             for d, b in enumerate(have[T]):
                 total[d] += weight * b
-        rows.append(done.setdefault((id(F), ks), total))
+        rows.append(total)
     return convolve(rows)
 
 
@@ -370,7 +362,7 @@ def split_betti(L: SimplicialComplex, spec: FiniteQuotientSpec, index: int,
     total = [0] * (L.dim + 2)  # degrees 0..dim L + 1
     for T, count in counts.items():
         row = (support_betti(L, T, prime) if len(deck) == 1 else
-               betti_Fp(cube_chain_complex(L, len(deck), shift, T), prime))
+               betti_Fp(cube_chain_complex(L, T, shift), prime))
         for i, b in enumerate(row):
             total[i] += count * b
     return tuple(total)
@@ -387,7 +379,8 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     k_v > 1 (support_cells); both are checked from the Smith normal form
     index before any homology is computed.  prime must be a prime below 2^64.
     The per-degree reference is the reduced betti number of L one degree
-    down (zero in degree zero).
+    down, the row h(V): zero in degree zero unless L is empty, whose
+    reduced betti number in degree -1 is 1.
 
     No cover is built: a spec with independent images is read off the rows
     kept on L's join factors (cover_betti), any other spec is split into its
@@ -411,11 +404,13 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     all_orders = [independent_orders(spec, idx) for spec, idx in zip(specs, indices)]
     for idx, orders in zip(indices, all_orders):
         check_cover_size(L, idx, None if orders is None else support_cells(L, orders))
-    # cover degree i against L's degree i - 1
-    reference = (0,) + support_betti(L, -1, prime)[1:]
     betti_rows = [split_betti(L, spec, idx, prime) if orders is None
                   else cover_betti(L, orders, prime)
                   for spec, idx, orders in zip(specs, indices, all_orders)]
+    # cover degree i against L's degree i - 1, read after the covers, whose
+    # batches hold its factor rows for a standard spec with k >= 2, and
+    # before the check, whose failure drops the rows each factor keeps
+    reference = support_betti(L, -1, prime)
     chi = 1 - L.euler_characteristic()
     for spec, idx, row in zip(specs, indices, betti_rows):
         if sum((-1) ** i * b for i, b in enumerate(row)) != idx * chi:

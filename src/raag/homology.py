@@ -11,8 +11,8 @@ simplicial_chain_complex writes boundary entries, and this module alone
 knows their layout: degree 0 holds the empty simplex and degree k the
 (k-1)-faces, so the chain complex of x, cached on x, has the reduced
 homology of x one degree up.  cube_chain_complex filters or twists its
-entries into the support, P-cover and cover complexes, and sets those of a
-list of unit masks side by side as one block-diagonal complex, which
+entries into new support, P-cover and cover complexes, and sets those of
+a list of unit masks side by side as one block-diagonal complex, which
 validate checks and betti_Fp ranks block by block in one pass.
 
 A simplicial complex has one route to its homology, homology_summary (and
@@ -150,12 +150,13 @@ def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexZ:
     return x._chain
 
 
-def cube_chain_complex(x: SimplicialComplex, n_deck: int, shift: Sequence[Sequence[int]],
-                       units: Union[int, Sequence[int]] = 0) -> ChainComplexZ:
-    """Chain complex of n_deck copies of the cube cells of x, twisted by a
-    deck group, read off the entries of simplicial_chain_complex(x); or, for
-    a list of unit masks and one copy, the block-diagonal sum of their
-    support complexes.
+def cube_chain_complex(x: SimplicialComplex, units: Union[int, Sequence[int]] = 0,
+                       shift: Sequence[Sequence[int]] = ()) -> ChainComplexZ:
+    """Chain complex of len(shift[0]) copies of the cube cells of x (one
+    when shift is empty), twisted by a deck group, read off the entries of
+    simplicial_chain_complex(x); or, for a list of unit masks and one copy,
+    the block-diagonal sum of their support complexes.  Every call builds a
+    new complex.
 
     The cube cells of x are the cells of its chain complex: the empty simplex
     in degree 0 and the (i-1)-simplices in degree i.  shift[v][qi] is the
@@ -164,33 +165,30 @@ def cube_chain_complex(x: SimplicialComplex, n_deck: int, shift: Sequence[Sequen
     Direction j of the cube over (v_0 < ... < v_k) contributes (-1)^j times
     (translated facet - untranslated facet), so a zero image puts both
     facets on one cell, where they cancel; with one copy every translation
-    is trivial, and shift is not read.  A direction v in the bit mask units
-    (all of them when units is -1) has coefficient 1 instead of t_v - 1: it
-    contributes (-1)^j times the untranslated facet alone.  So one copy with
-    units T is the support complex of T, and with every vertex of x a unit
-    (units -1, say) it is simplicial_chain_complex(x) itself.
+    is trivial.  A direction v in the bit mask units (all of them when units
+    is -1) has coefficient 1 instead of t_v - 1: it contributes (-1)^j times
+    the untranslated facet alone.  So one copy with units T is the support
+    complex of T, and with every vertex of x a unit (units -1, say) it has
+    the entries of simplicial_chain_complex(x).
 
-    Given a list of masks, which takes n_deck 1, block b is the support
+    Given a list of masks, which takes one copy, block b is the support
     complex of units[b]: its cells follow those of the b blocks before it in
     every degree, so a cell's block is its position over the block's height
     in that degree (betti_Fp's blocks).  No boundary entry crosses blocks.
-    A list of one mask is the complex of that mask,
-    simplicial_chain_complex(x) itself included.
 
     >>> from raag.simplicial import from_facets
     >>> hollow = from_facets([[0, 1], [1, 2], [0, 2]])
-    >>> betti_Fp(cube_chain_complex(hollow, 1, (), 0), 2)
+    >>> betti_Fp(cube_chain_complex(hollow), 2)
     (1, 3, 3)
-    >>> betti_Fp(cube_chain_complex(hollow, 1, (), 1), 2)
+    >>> betti_Fp(cube_chain_complex(hollow, 1), 2)
     (0, 0, 1)
-    >>> both = cube_chain_complex(hollow, 1, (), [0, 1])
+    >>> both = cube_chain_complex(hollow, [0, 1])
     >>> both.dims, betti_Fp(both, 2, 2)
     ((2, 6, 6), [(1, 3, 3), (0, 0, 1)])
     """
     base = simplicial_chain_complex(x)
     masks = [units] if isinstance(units, int) else units
-    if n_deck == 1 and len(masks) == 1 and ~masks[0] & ((1 << x.n_vertices) - 1) == 0:
-        return base
+    n_deck = len(shift[0]) if shift else 1
     dims = tuple(len(masks) * n_deck * c for c in base.dims)
     boundaries: Dict[int, SparseIntMatrix] = {}
     for i in range(1, len(dims)):

@@ -295,5 +295,5 @@ class CubeComplex:
     def chain_complex(self) -> ChainComplexZ:
         """Cubical boundary maps, from cube_chain_complex with no unit directions."""
         if self._cc is None:
-            self._cc = cube_chain_complex(self.base, len(self.deck), self._shift)
+            self._cc = cube_chain_complex(self.base, shift=self._shift)
         return self._cc

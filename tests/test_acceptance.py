@@ -158,7 +158,7 @@ def test_acceptance_5_salvetti_exactness():
     chi_ok, cover_ok = True, True
     covers_checked = 0
     for name, x in sorted(menu.items()):
-        base = cube_chain_complex(x, 1, (), 0)
+        base = cube_chain_complex(x)
         if _chi(base.dims) != 1 - x.euler_characteristic():
             chi_ok = False
         if x.n_vertices > 6:

@@ -325,8 +325,8 @@ def test_homology_builds_only_the_join_factors(tmp_path, monkeypatch, capsys, ma
 def test_growth_reduces_each_support_complex_of_equal_factors_once(monkeypatch, capsys):
     # the octahedron is S^0 * S^0 * S^0, one S^0 object three times; its
     # four support complexes (T = {}, {0}, {1}, V) are reduced once for both
-    # moduli and all three factors, V from the factor's own chain complex and
-    # the other three in one batch, and its flag check is one clique search
+    # moduli and all three factors, in one batch, and its flag check is one
+    # clique search
     factors = join_factors(fixture("octahedron"))
     assert len(factors) == 3 and all(f is factors[0] for f in factors)
     reduced, batches, searched = [], [], []
@@ -349,7 +349,7 @@ def test_growth_reduces_each_support_complex_of_equal_factors_once(monkeypatch, 
     code, out, _ = run(capsys, "growth", "--fixture", "octahedron", "--moduli", "2,3",
                        "--prime", "2")
     assert code == 0 and len(out.split()) == 1 + 2 * 4  # header, degrees 0..3 per cover
-    assert batches == [1, 3]
+    assert batches == [4]
     assert len(reduced) == len(set(reduced)) == 4
     assert all(dims == (1, 2) for dims, _ in reduced)
     assert searched == [((0,), (1,))]
@@ -627,8 +627,10 @@ def test_growth_of_empty_complex(tmp_path, capsys):
     assert code == 0
     assert out.split() == [
         "modulus_vector,index,degree,betti,ratio_num,ratio_den,reference",
-        "1,1,0,1,1,1,0"]
-    assert "reference (reduced betti of the defining complex, one degree down): [0]" in err
+        "1,1,0,1,1,1,1"]
+    # the reference is h(V), the reduced betti number of the empty complex in
+    # degree -1
+    assert "reference (reduced betti of the defining complex, one degree down): [1]" in err
 
 
 def test_growth_oversized_cover_exits_fourteen_before_enumerating(monkeypatch, capsys):

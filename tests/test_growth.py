@@ -13,7 +13,7 @@ import raag.simplicial as simplicial
 from raag.errors import CorruptComplexError, CoverSpecError, NotFlagError
 from raag.fixtures import fixture
 from raag.growth import CAVEAT, growth_experiment
-from raag.homology import betti_Fp, homology_summary, simplicial_chain_complex
+from raag.homology import betti_Fp, homology_summary
 from raag.models import CubeComplex, FiniteQuotientSpec, standard_spec
 from raag.simplicial import from_facets, join_factors
 
@@ -176,25 +176,20 @@ def test_a_table_that_failed_a_check_is_not_kept(monkeypatch):
 def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
     # every divisibility chain of index <= 60 on discrete(3), as coordinate
     # specs, and two scrambled specs, one call each, on one object: each
-    # support complex (a mask of a batch, n_deck == 1) is asked for once per
-    # prime, its row kept on the complex; T = V is the complex's cached chain
-    # complex, which is reduced once per prime for its row, the reference
-    # column
+    # support complex (a mask of a batch, one copy) is asked for once per
+    # prime, its row kept on the complex; T = V, the row of the reference
+    # column, is one of them
     counts = {"entries": 0, "full": 0}
     x = fixture("discrete", n=3)
-    full = simplicial_chain_complex(x)
+    real = growth.cube_chain_complex
 
-    def counted(key, original, when=lambda *args: True):
-        def wrapper(*args, **kwargs):
-            counts[key] += when(*args)
-            return original(*args, **kwargs)
-        return wrapper
+    def counted(F, units=0, shift=()):
+        if not isinstance(units, int):  # a batch of support complexes
+            counts["entries"] += len(units)
+            counts["full"] += units.count(0b111)
+        return real(F, units, shift)
 
-    monkeypatch.setattr(growth, "cube_chain_complex", counted(
-        "entries", growth.cube_chain_complex,
-        lambda x, n_deck, shift, units: len(units) if n_deck == 1 else 0))
-    monkeypatch.setattr(growth, "betti_Fp",
-                        counted("full", growth.betti_Fp, lambda cc, p, *blocks: cc is full))
+    monkeypatch.setattr(growth, "cube_chain_complex", counted)
     chains = [(a, b, c) for c in range(1, 61) for b in range(1, c + 1) for a in range(1, b + 1)
               if c % b == 0 and b % a == 0 and a * b * c <= 60]
     coordinate = [FiniteQuotientSpec(moduli=m, images=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -210,15 +205,14 @@ def test_equal_index_sweep_computes_each_entry_once_per_prime(monkeypatch):
 
 
 def test_row_batches_hold_at_most_the_cap(monkeypatch):
-    # cycle(12) at modulus 2 reads 4,096 rows of 25 cells: the row of all
-    # vertices from the cached chain complex, the other 4,095 in batches of
-    # ROW_BATCH_CELLS // 25 rows; a cap below one complex makes every batch
-    # one complex, of 11 cells on cycle(5)
+    # cycle(12) at modulus 2 reads 4,096 rows of 25 cells, the row of all
+    # vertices among them, in batches of ROW_BATCH_CELLS // 25 rows; a cap
+    # below one complex makes every batch one complex, of 11 cells on cycle(5)
     built = []
     real = growth.cube_chain_complex
 
-    def counted(x, n_deck, shift, units):
-        cc = real(x, n_deck, shift, units)
+    def counted(x, units, shift=()):
+        cc = real(x, units, shift)
         built.append((len(units), sum(cc.dims)))
         return cc
 
@@ -228,9 +222,8 @@ def test_row_batches_hold_at_most_the_cap(monkeypatch):
     assert series.covers[0].betti == (1, 14338, 18433)
     assert len(c12._rows[2]) == 4096
     per = growth.ROW_BATCH_CELLS // 25
-    assert built[0] == (1, 25)
-    sizes = [n for n, _ in built[1:]]
-    assert sizes == [per] * (len(sizes) - 1) + [4095 - per * (len(sizes) - 1)]
+    sizes = [n for n, _ in built]
+    assert sizes == [per] * (len(sizes) - 1) + [4096 - per * (len(sizes) - 1)]
     assert 0 < sizes[-1] <= per
     assert all(cells <= growth.ROW_BATCH_CELLS for _, cells in built)
     built.clear()

@@ -530,8 +530,9 @@ def test_support_complex_matches_dense_boundary_oracle(facets, T):
     # the order of the directions of x.faces(i - 1); the support complex of T
     # keeps the deletions of a vertex in T, and T = -1 keeps them all
     x = from_facets(facets)
-    cc = cube_chain_complex(x, 1, (), T)
+    cc = cube_chain_complex(x, T)
     whole = simplicial_chain_complex(x)
+    full = (1 << x.n_vertices) - 1
     faces = all_faces(facets)
     assert cc.dims == whole.dims
     for k in range(max(faces, default=-1) + 2):
@@ -542,16 +543,15 @@ def test_support_complex_matches_dense_boundary_oracle(facets, T):
                  for c, v in enumerate(row)]
                 for r, row in enumerate(boundary_matrix(faces, k, augmented=(k == 0)))]
         assert dense == want, k
-        if T == -1:
+        if T & full == full:
             assert m == whole.boundary(k + 1)
-    # a mask with every vertex of x is the cached chain complex itself, a
-    # proper sub-mask a new one
-    full = (1 << x.n_vertices) - 1
-    assert cube_chain_complex(x, 1, (), -1) is whole
-    assert cube_chain_complex(x, 1, (), full) is whole
-    assert (cc is whole) == (T & full == full)
-    if full:
-        assert cube_chain_complex(x, 1, (), full >> 1) is not whole
+    # every mask gives a new complex, never the cached chain complex; a mask
+    # with every vertex of x gives its entries
+    assert cc is not whole
+    for U in (-1, full):
+        again = cube_chain_complex(x, U)
+        assert again is not whole
+        assert all(again.boundary(i) == whole.boundary(i) for i in range(1, whole.top + 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -561,8 +561,8 @@ def test_a_list_of_masks_is_the_block_diagonal_sum(facets, masks):
     # block b of the complex of a list of masks is the support complex of
     # masks[b], its cells after those of the blocks before it
     x = from_facets(facets)
-    one = [cube_chain_complex(x, 1, (), T) for T in masks]
-    cc = cube_chain_complex(x, 1, (), masks)
+    one = [cube_chain_complex(x, T) for T in masks]
+    cc = cube_chain_complex(x, masks)
     assert cc.dims == tuple(len(masks) * d for d in one[0].dims)
     for i in range(1, cc.top + 1):
         want = {}
@@ -570,9 +570,13 @@ def test_a_list_of_masks_is_the_block_diagonal_sum(facets, masks):
             m = part.boundary(i)
             want.update({(b * m.rows + r, b * m.cols + c): v for (r, c), v in m.entries.items()})
         assert cc.boundary(i).entries == want, i
+    # never the cached chain complex, even for one mask with every vertex of
+    # x, whose entries it has
+    whole = simplicial_chain_complex(x)
+    assert cc is not whole
     full = (1 << x.n_vertices) - 1
-    assert (cube_chain_complex(x, 1, (), masks) is simplicial_chain_complex(x)) == \
-        (len(masks) == 1 and masks[0] & full == full)
+    if len(masks) == 1 and masks[0] & full == full:
+        assert all(cc.boundary(i) == whole.boundary(i) for i in range(1, cc.top + 1))
 
 
 def test_boundary_one_is_the_augmentation():

@@ -67,7 +67,7 @@ def _chi(dims):
 def _salvetti(x):
     # The Salvetti complex is the support complex of T = {} that growth
     # reads: one copy of the cube cells and no unit direction.
-    return cube_chain_complex(x, 1, (), 0)
+    return cube_chain_complex(x)
 
 
 def test_salvetti_cell_counts():
