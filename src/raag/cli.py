@@ -15,7 +15,7 @@ quotient; 14 bad cover spec, or a coefficient that is not a prime below 2^64
 or not, since the Kunneth formula holds for every join, and builds only
 their chain complexes.  growth reads the betti numbers of its standard covers
 off support rows of complexes the size of L's join factors and builds no
-cover.  It refuses, with exit 14 and before computing any homology, a cover
+cover.  It refuses, with exit 14 and before building any spec, a cover
 that would take more than models.MAX_COVER_CELLS (250,000) cells: moduli
 k_v read, per join factor F, 2^|S_F| rows, S_F = {v in F : k_v > 1}, of 1 + f(F)
 cells each, f(F) being the number of faces of F over all dimensions.
@@ -35,9 +35,9 @@ from . import io as rio
 from .classify import UNDETERMINED, classify, report
 from .errors import MalformedComplexError, RaagError
 from .fixtures import FIXTURE_NAMES, fixture
-from .growth import check_prime, growth_experiment
+from .growth import check_prime, growth_experiment, support_cells
 from .homology import homology_summary
-from .models import standard_spec
+from .models import check_cover_size, standard_spec
 from .simplicial import (SimplicialComplex, barycentric_subdivision, cone,
                          flag_completion, is_flag, join, simplicial_quotient)
 
@@ -211,10 +211,26 @@ def cmd_classify(ns) -> int:
 
 def cmd_growth(ns) -> int:
     x = _resolve_input(ns)
-    specs = [standard_spec(x, k) for k in _int_list(ns.moduli, "--moduli")]
-    series = growth_experiment(x, specs, prime=ns.prime)
-    _emit(ns, series.to_csv())
-    print(series.render_report(), file=sys.stderr)
+    moduli = _int_list(ns.moduli, "--moduli")
+    if not is_flag(x)[0]:
+        moduli = []  # growth_experiment exits 11 before it reads a spec
+    n = x.n_vertices
+    for k in moduli:  # (Z/k)^n is charged before its n x n residues are built
+        if k > 0:
+            check_cover_size(x, k ** n, support_cells(x, [k] * n))
+    specs = [standard_spec(x, k) for k in moduli]
+    # an index or betti number can pass Python's int-to-str digit limit (4,300
+    # by default, from 3.10.7 on); it is restored for in-process callers of main
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        series = growth_experiment(x, specs, prime=ns.prime)
+        _emit(ns, series.to_csv())
+        print(series.render_report(), file=sys.stderr)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

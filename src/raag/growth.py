@@ -182,26 +182,15 @@ def _derivable_family(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
 
 
 def _side_blocks(spec: FiniteQuotientSpec, parts: Sequence[Sequence[int]]):
-    """Deck orders of the two sides when the spec splits by coordinate blocks."""
-    side_of = {}
-    for s, part in enumerate(parts):
-        for v in part:
-            side_of[v] = s
-    coord_side = [None] * len(spec.moduli)
-    for v, img in enumerate(spec.images):
-        for j, x in enumerate(img):
-            if x % spec.moduli[j] == 0:
-                continue
-            if coord_side[j] is None:
-                coord_side[j] = side_of[v]
-            elif coord_side[j] != side_of[v]:
-                return None  # sides share a coordinate: no product structure
-    orders = []
-    for s, part in enumerate(parts):
-        sub = FiniteQuotientSpec(moduli=spec.moduli,
-                                 images=tuple(spec.images[v] for v in part))
-        orders.append(sub.index)
-    return tuple(orders)
+    """Deck orders of the two sides when the spec splits by coordinate
+    blocks: the images are reduced mod k, so no coordinate is nonzero on
+    both sides."""
+    used = [{j for v in part for j, x in enumerate(spec.images[v]) if x} for part in parts]
+    if used[0] & used[1]:
+        return None  # sides share a coordinate: no product structure
+    return tuple(FiniteQuotientSpec(moduli=spec.moduli,
+                                    images=tuple(spec.images[v] for v in part)).index
+                 for part in parts)
 
 
 def independent_orders(spec: FiniteQuotientSpec, index: int) -> Optional[Tuple[int, ...]]:
@@ -239,15 +228,13 @@ one complex per row.  cycle(5)'s 32 rows of 11 cells are one batch."""
 
 def _rows_of(F: SimplicialComplex, masks: Sequence[int], prime: int) -> Dict[int, Tuple[int, ...]]:
     """F's rows h_F(T) over F_prime, keyed by bit masks T over F's own
-    vertices and kept on F, with the rows of masks, which are distinct,
-    computed first if missing.
+    vertices and kept in F._rows[prime], with the rows of masks, which are
+    distinct, computed first if missing.
 
     The missing rows, the row of all of F among them, are reduced in
     batches of at most ROW_BATCH_CELLS cells: one cube_chain_complex of the
     batch's masks, one boundary-squared check and one betti_Fp, which ranks
     every block."""
-    if F._rows is None:
-        F._rows = {}
     rows = F._rows.setdefault(prime, {})
     missing = [T for T in masks if T not in rows]
     size = max(1, ROW_BATCH_CELLS // (1 + sum(F.f_vector())))
@@ -385,9 +372,9 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     No cover is built: a spec with independent images is read off the rows
     kept on L's join factors (cover_betti), any other spec is split into its
     p-part and its p'-part (split_betti).  Every call checks every row
-    against the Euler characteristic of the cover, index * (1 - chi(L)); a
-    call whose check fails drops every factor's rows at prime, so the next
-    call computes them anew.
+    against the Euler characteristic of the cover, index * (1 - chi(L)),
+    before it reads the reference; a call whose check fails drops every
+    factor's rows at prime, so the next call computes them anew.
     """
     flag, witness = is_flag(L)
     if not flag:
@@ -407,10 +394,6 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     betti_rows = [split_betti(L, spec, idx, prime) if orders is None
                   else cover_betti(L, orders, prime)
                   for spec, idx, orders in zip(specs, indices, all_orders)]
-    # cover degree i against L's degree i - 1, read after the covers, whose
-    # batches hold its factor rows for a standard spec with k >= 2, and
-    # before the check, whose failure drops the rows each factor keeps
-    reference = support_betti(L, -1, prime)
     chi = 1 - L.euler_characteristic()
     for spec, idx, row in zip(specs, indices, betti_rows):
         if sum((-1) ** i * b for i, b in enumerate(row)) != idx * chi:
@@ -420,6 +403,9 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
                 f"betti numbers {list(row)} of the cover {spec.label()} do not sum "
                 f"to its Euler characteristic {idx * chi}")
 
+    # cover degree i against L's degree i - 1, read after the covers, whose
+    # batches hold its factor rows for a standard spec with k >= 2
+    reference = support_betti(L, -1, prime)
     family, expected = _derivable_family(L, specs, indices)
     covers = tuple(
         CoverResult(moduli_label=spec.label(), index=idx,

@@ -22,10 +22,10 @@ folded by the Kunneth formula of a tensor product, which holds for every
 join; the torsion it assembles is normalized by the same smith_normal_form.
 Its mod-p tables are the factors' F_p ranks, checked factor by factor
 against their Smith normal forms; the top-cohomology criterion reads them.
-Equal factors are one object (simplicial.distinct_factors), and each
-distinct factor is reduced once per call and read at every position it
-takes; nothing is cached on a ChainComplexZ, so every call, a certificate
-replay included, reduces its factors anew.
+Equal factors are one object (simplicial.join_factors), and each
+distinct factor is reduced once per call, its results keyed by the object
+and read at every position it takes; nothing is cached on a ChainComplexZ,
+so every call, a certificate replay included, reduces its factors anew.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 from .errors import CorruptComplexError
 from .linalg import (SNFResult, SparseIntMatrix, _columns, convolve, pivot_rows_mod_p,
                      prime_factors, smith_normal_form)
-from .simplicial import SimplicialComplex, distinct_factors
+from .simplicial import SimplicialComplex, join_factors
 
 
 class ChainComplexZ:
@@ -434,16 +434,15 @@ def homology_summary(x: SimplicialComplex, reduced: bool = False,
     >>> h.betti, h.torsion, h.betti_mod_p
     ((1, 0, 0, 0), ((), (), (2,), ()), ((2, (1, 0, 1, 1)),))
     """
-    distinct, at = distinct_factors(x)
-    chains = [simplicial_chain_complex(f) for f in distinct]
-    parts = [homology_Z(cc) for cc in chains]
-    h = functools.reduce(join_homology_kunneth, [parts[i] for i in at])
+    factors = join_factors(x)
+    parts = {f: homology_Z(simplicial_chain_complex(f)) for f in dict.fromkeys(factors)}
+    h = functools.reduce(join_homology_kunneth, [parts[f] for f in factors])
     tables = []
     for p in default_primes(h) if primes is None else primes:
-        rows = [betti_Fp(cc, p) for cc in chains]
-        if any(row != uct_betti_fp(q.betti, q.torsion, p) for row, q in zip(rows, parts)):
+        rows = {f: betti_Fp(simplicial_chain_complex(f), p) for f in parts}
+        if any(rows[f] != uct_betti_fp(q.betti, q.torsion, p) for f, q in parts.items()):
             raise CorruptComplexError(f"universal-coefficient cross-check failed at p = {p}")
-        tables.append((p, _unreduce(convolve([rows[i] for i in at])[1:], reduced)))
+        tables.append((p, _unreduce(convolve([rows[f] for f in factors])[1:], reduced)))
     return HomologySummary(reduced, _unreduce(h.betti[1:], reduced), h.torsion[1:], tuple(tables))
 
 
@@ -455,9 +454,9 @@ def betti_table(x: SimplicialComplex, p: int) -> Tuple[int, ...]:
     rows as polynomials, and reduced degree k is their degree k + 1.  A
     factor that the join repeats is one object, ranked once.
     """
-    distinct, at = distinct_factors(x)
-    rows = [betti_Fp(simplicial_chain_complex(f), p) for f in distinct]
-    return convolve([rows[i] for i in at])[1:]
+    factors = join_factors(x)
+    rows = {f: betti_Fp(simplicial_chain_complex(f), p) for f in dict.fromkeys(factors)}
+    return convolve([rows[f] for f in factors])[1:]
 
 
 def _unreduce(betti: Tuple[int, ...], reduced: bool) -> Tuple[int, ...]:

@@ -26,7 +26,7 @@ def _read_json(path: PathLike) -> object:
         raise MalformedComplexError(f"cannot read {path}: {e}") from e
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past the int-to-str digit limit
         raise MalformedComplexError(f"{path} is not valid JSON: {e}") from e
     except RecursionError as e:
         raise MalformedComplexError(f"{path} nests JSON too deeply to read") from e

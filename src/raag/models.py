@@ -107,7 +107,8 @@ class FiniteQuotientSpec:
         are often +-1 pivots.
         """
         n, r = len(self.images), len(self.moduli)
-        entries = {(r + i, j): x for i, img in enumerate(self.images) for j, x in enumerate(img)}
+        entries = {(r + i, j): x for i, img in enumerate(self.images)
+                   for j, x in enumerate(img) if x}
         entries.update(((j, j), k) for j, k in enumerate(self.moduli))
         snf = smith_normal_form(SparseIntMatrix(r + n, r, entries))
         return math.prod(self.moduli) // math.prod(snf.diagonal)
@@ -258,8 +259,16 @@ def check_cover_size(base: SimplicialComplex, index: int,
         cells = index * (1 + sum(base.f_vector()))
     if cells > MAX_COVER_CELLS:
         raise CoverSpecError(
-            f"cover of index {index} needs {cells} cells, "
+            f"cover of index {_decimal(index)} needs {_decimal(cells)} cells, "
             f"more than the limit of {MAX_COVER_CELLS}")
+
+
+def _decimal(n: int) -> str:
+    """n, or a power of two up to n past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"2^{n.bit_length() - 1} or more"
 
 
 class CubeComplex:

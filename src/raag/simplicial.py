@@ -56,9 +56,9 @@ class SimplicialComplex:
         self._factors: Optional[Tuple["SimplicialComplex", ...]] = None
         self._parts: Tuple[Simplex, ...] = ()
         self._chain: Optional[object] = None  # set by homology.simplicial_chain_complex
-        # set by growth._rows_of: prime -> {bit mask T over the complex's
+        # filled by growth._rows_of: prime -> {bit mask T over the complex's
         # vertices: F_p betti numbers of its support complex of T}
-        self._rows: Optional[Dict[int, Dict[int, Tuple[int, ...]]]] = None
+        self._rows: Dict[int, Dict[int, Tuple[int, ...]]] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -279,13 +279,13 @@ def _flag_check(x: SimplicialComplex) -> Tuple[bool, Optional[Simplex]]:
     factors = join_factors(x)
     if len(factors) == 1:
         return _clique_check(x)
-    for f in factors:  # a factor repeated in the join is one object, searched once
-        if f._flag is None:
-            f._flag = _clique_check(f)
-    if all(f._flag[0] for f in factors):
+    # a factor is its own only factor, and one repeated in the join is one
+    # object, whose answer is_flag caches: each is searched once
+    witnesses = [tuple(part[v] for v in witness)
+                 for part, (flag, witness) in zip(join_parts(x), map(is_flag, factors))
+                 if not flag]
+    if not witnesses:
         return True, None
-    witnesses = [tuple(part[v] for v in f._flag[1])
-                 for part, f in zip(join_parts(x), factors) if not f._flag[0]]
     return False, min(witnesses, key=lambda s: (len(s), s))
 
 
@@ -400,8 +400,8 @@ def join_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
     does not split again.  The factors are cached on the complex, which is
     immutable, with their vertex parts (join_parts): this is the only
     complement search.  Factors with equal facet lists are one object, so
-    whatever is cached on a factor (faces, flag check, chain complex) and
-    whatever a caller computes per distinct factor is computed once.
+    whatever is cached on a factor (faces, flag check, chain complex,
+    support rows) or keyed by it is computed once.
 
     >>> from raag.fixtures import fixture
     >>> factors = join_factors(fixture("octahedron"))  # S^0 * S^0 * S^0
@@ -416,17 +416,6 @@ def join_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
         for f in x._factors:
             f._factors = ()
     return list(x._factors) or [x]
-
-
-def distinct_factors(x: SimplicialComplex) -> Tuple[List[SimplicialComplex], List[int]]:
-    """The distinct objects among join_factors(x), in order of first
-    appearance, and for each join factor the position of its object among
-    them; so a per-factor quantity is computed once per distinct factor and
-    read at every position by factors[i] = distinct[at[i]]."""
-    factors = join_factors(x)
-    slot: Dict[int, int] = {}
-    at = [slot.setdefault(id(f), len(slot)) for f in factors]
-    return list({id(f): f for f in factors}.values()), at
 
 
 def join_parts(x: SimplicialComplex) -> List[Simplex]:

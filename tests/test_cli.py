@@ -194,6 +194,39 @@ def test_closed_stderr_exits_ten(capsys, argv):
     assert proc.stdout == capsys.readouterr().out
 
 
+# every JSON input slot, as (argv with FILE for the file, document with P for
+# the payload, at a place that takes a vertex id); a JSON integer past the
+# interpreter's 4,300-digit limit is unreadable JSON, like the others
+JSON_SLOTS = {
+    "complex": (["homology", "FILE"], b'{"facets": [[0, P]]}'),
+    "join": (["build", "--fixture", "cycle", "--n", "4", "--join", "FILE"],
+             b'{"facets": [[0, P]]}'),
+    "quotient": (["build", "TRI", "--quotient", "FILE"], b"[0, P, 2]"),
+    "witness": (["classify", "TRI", "--witness", "FILE"],
+                b'{"supercomplex": {"facets": [[0, 1, 2]]}, "embedding": [0, P, 2]}'),
+}
+MALFORMED_PAYLOADS = {
+    "5000-digit int": b"9" * 5000,
+    "float": b"1.5",
+    "NaN": b"NaN",
+    "true": b"true",
+    "deep nesting": b"[" * 200_000 + b"]" * 200_000,
+    "non-UTF-8": b'"\xff\xfe"',
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED_PAYLOADS)
+@pytest.mark.parametrize("slot", JSON_SLOTS)
+def test_malformed_json_inputs_exit_ten(tmp_path, capsys, slot, payload):
+    argv, document = JSON_SLOTS[slot]
+    path = tmp_path / "input.json"
+    path.write_bytes(document.replace(b"P", MALFORMED_PAYLOADS[payload]))
+    tri = write_json(tmp_path / "tri.json", {"facets": [[0, 1, 2]]})
+    argv = [{"FILE": str(path), "TRI": tri}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 10 and out == "" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("vertex_map", [[True, 0, 1], [0, False, 1]])
 def test_boolean_vertex_map_entries_exit_ten(tmp_path, capsys, vertex_map):
     path = write_json(tmp_path / "tri.json", {"facets": [[0, 1], [1, 2], [2, 3]]})
@@ -643,6 +676,54 @@ def test_growth_oversized_cover_exits_fourteen_before_enumerating(monkeypatch, c
     assert code == 14
     assert out == ""
     assert "index 2147483648" in err and "Traceback" not in err
+
+
+def test_growth_charges_the_cover_before_building_its_spec(tmp_path):
+    # cycle(5000) at k = 2 reads 2^5000 rows: refused from L and k before the
+    # 5000 x 5000 residues of standard_spec or their Smith normal form are
+    # built, under a 1 GiB address space; the refusal line names an index
+    # past the int-to-str digit limit by a power of two; a complex that is
+    # not flag, of as many vertices, exits 11 first, and builds no spec
+    src = str(Path(raag.__file__).resolve().parents[1])
+    code = ("import contextlib, io, resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from raag.cli import main\n"
+            "start = time.perf_counter()\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    rc = main(sys.argv[1:])\n"
+            "print(rc, time.perf_counter() - start, repr(err.getvalue()))\n")
+    hollow = write_json(tmp_path / "hollow.json",
+                        {"facets": [[0, 1], [1, 2], [0, 2]] + [[v] for v in range(3, 5000)]})
+    growth = ["growth", "--prime", "2", "--moduli", "2,3"]
+    errs = []
+    for argv, exit_code in ((growth + ["--fixture", "cycle", "--n", "5000"], "14"),
+                            (growth + ["--fixture", "cycle", "--n", "15000"], "14"),
+                            (growth + [hollow], "11")):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        rc, seconds, err = proc.stdout.split(" ", 2)
+        assert rc == exit_code and float(seconds) < 1.0
+        assert "error: " in err and "Traceback" not in err
+        errs.append(err)
+    assert "cover of index 2^15000 or more needs 2^15014 or more cells" in errs[1]
+
+
+def test_growth_prints_integers_past_the_int_to_str_limit(capsys):
+    # discrete(2) at k = 10^2200 - 1: the index k^2 = 10^4400 - 2 10^2200 + 1
+    # and b_1 = k^2 + 1 have 4,400 digits, printed whole, and the digit limit
+    # of the process is back after the call
+    limit = sys.get_int_max_str_digits()
+    k = "9" * 2200
+    index = "9" * 2199 + "8" + "0" * 2199 + "1"
+    b1 = index[:-1] + "2"
+    code, out, err = run(capsys, "growth", "--fixture", "discrete", "--n", "2",
+                         "--prime", "2", "--moduli", k)
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    rows = [l.rstrip("\r").split(",") for l in out.strip().split("\n")[1:]]
+    assert rows == [[f"{k}x{k}", index, "0", "1", "1", index, "0"],
+                    [f"{k}x{k}", index, "1", b1, b1, index, "1"]]
+    assert f" {index} " in err and "EXACT" in err
 
 
 def test_growth_standard_cover_is_bounded_by_its_table_entries(monkeypatch, capsys):

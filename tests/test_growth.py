@@ -322,13 +322,19 @@ def test_cover_bound_counts_the_cells_each_route_reads(monkeypatch):
 
 
 def test_flag_check_runs_once_per_experiment(monkeypatch):
-    calls = []
-    original = simplicial._flag_check
-    monkeypatch.setattr(simplicial, "_flag_check", lambda x: calls.append(x) or original(x))
+    # C_4 is checked through its two join factors, which are one object
+    # (S^0): one check of each complex, and one clique search, of S^0
+    checks, searches = [], []
+    for name, calls in (("_flag_check", checks), ("_clique_check", searches)):
+        monkeypatch.setattr(simplicial, name, lambda x, f=getattr(simplicial, name), calls=calls:
+                            calls.append(x) or f(x))
     c4 = fixture("cycle", n=4)
     c4 = from_facets(c4.facets)  # a fresh complex, whose flag check is not cached
     growth_experiment(c4, [_shared(2), standard_spec(c4, 2), _shared(32)], 2)
-    assert calls == [c4]
+    s0, other = join_factors(c4)
+    assert s0 is other
+    assert [id(x) for x in checks] == [id(c4), id(s0)]
+    assert [id(x) for x in searches] == [id(s0)]
 
 
 def test_reference_column_uses_reduced_mod_p_betti():
