@@ -217,7 +217,10 @@ def cmd_growth(ns) -> int:
     n = x.n_vertices
     for k in moduli:  # (Z/k)^n is charged before its n x n residues are built
         if k > 0:
-            check_cover_size(x, k ** n, support_cells(x, [k] * n))
+            # k^n >= 2^b; from b = 14,285 on k^n has over 4,300 digits, and a
+            # refusal names it "2^b or more" (models._decimal) with no power taken
+            b = n * (k.bit_length() - 1)
+            check_cover_size(x, k ** n if b < 14_285 else 1 << b, support_cells(x, [k] * n))
     specs = [standard_spec(x, k) for k in moduli]
     # an index or betti number can pass Python's int-to-str digit limit (4,300
     # by default, from 3.10.7 on); it is restored for in-process callers of main

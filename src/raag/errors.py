@@ -37,8 +37,9 @@ class FixtureError(RaagError):
 
 class CorruptComplexError(RaagError):
     """An internal consistency check failed, an engine bug: a chain complex's
-    shape or boundary-squared check, or a cross-check between two routes to
-    one number (universal coefficients, Euler characteristic, deck order)."""
+    shape or boundary-squared check, a cross-check between two routes to
+    one number (universal coefficients, Euler characteristic, deck order,
+    a growth family's closed form), or a fixture's build-time self-check."""
 
     exit_code = 15
 

@@ -3,7 +3,8 @@
 Each nontrivial fixture re-verifies its Euler characteristic and integral
 homology through the engine the first time it is built (results are memoized),
 so a regression in either the triangulation data or the homology pipeline
-fails loudly at construction time.
+fails loudly at construction time, with CorruptComplexError; a build that
+fails is not memoized.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import FixtureError
+from .errors import CorruptComplexError, FixtureError
 from .homology import homology_summary
 from .simplicial import (SimplicialComplex, barycentric_subdivision, from_facets,
                          join, simplicial_quotient)
@@ -76,10 +77,11 @@ def moore_space(q: int) -> SimplicialComplex:
 def _check(x: SimplicialComplex, euler: int, betti: Tuple[int, ...],
            torsion: Tuple[Tuple[int, ...], ...]) -> SimplicialComplex:
     if x.euler_characteristic() != euler:
-        raise FixtureError(f"fixture self-check failed: chi={x.euler_characteristic()}, want {euler}")
+        raise CorruptComplexError(
+            f"fixture self-check failed: chi={x.euler_characteristic()}, want {euler}")
     h = homology_summary(x)
     if h.betti != betti or h.torsion != torsion:
-        raise FixtureError(
+        raise CorruptComplexError(
             f"fixture self-check failed: H={h.betti}/{h.torsion}, want {betti}/{torsion}")
     return x
 
@@ -129,12 +131,12 @@ def _build(name: str, n: Optional[int], q: Optional[int]) -> SimplicialComplex:
     if name == "rp2_6":
         x = simplicial_quotient(_build("icosahedron", None, None), _ANTIPODAL_QUOTIENT)
         if x.f_vector() != (6, 15, 10):
-            raise FixtureError(f"rp2_6 has f-vector {x.f_vector()}, want (6, 15, 10)")
+            raise CorruptComplexError(f"rp2_6 has f-vector {x.f_vector()}, want (6, 15, 10)")
         return _check(x, 1, (1, 0, 0), ((), (2,), ()))
     if name == "rp2_flag":
         x = barycentric_subdivision(_build("rp2_6", None, None)).complex
         if x.f_vector() != (31, 90, 60):
-            raise FixtureError(f"rp2_flag has f-vector {x.f_vector()}, want (31, 90, 60)")
+            raise CorruptComplexError(f"rp2_flag has f-vector {x.f_vector()}, want (31, 90, 60)")
         return _check(x, 1, (1, 0, 0), ((), (2,), ()))
     if name == "moore":
         if q is None:
@@ -156,7 +158,7 @@ def _build(name: str, n: Optional[int], q: Optional[int]) -> SimplicialComplex:
         vmap = boundary_identification_map(9, (0, 1, 2, 0, 1, 2, 0, 2, 1))
         x = simplicial_quotient(disk, vmap)
         if x.f_vector() != (13, 39, 27):
-            raise FixtureError(f"dunce has f-vector {x.f_vector()}, want (13, 39, 27)")
+            raise CorruptComplexError(f"dunce has f-vector {x.f_vector()}, want (13, 39, 27)")
         return _check(x, 1, (1, 0, 0), ((), (), ()))
     if name == "dunce_flag":
         x = barycentric_subdivision(_build("dunce", None, None)).complex

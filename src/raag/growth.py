@@ -38,7 +38,9 @@ index * (1 - chi(L)).
 Abelian quotients of a nonabelian A_L never form a residual chain, so except
 for the exactly derivable families below the ratios are descriptive only and
 every rendered report says so.  Derivable families (closed forms proved by
-Euler characteristic / covers of tori / products):
+Euler characteristic / covers of tori / products) are checked like the Euler
+characteristic: a row that misses its family's closed form fails the
+experiment, so a report that names a family always says EXACT.
 
   * dim L = 0 (free group): b_1 = index (n - 1) + 1;
   * L a full simplex (free abelian): every cover is a torus, b_i = C(n, i);
@@ -71,7 +73,6 @@ class CoverResult:
     moduli_label: str
     index: int
     betti: Tuple[int, ...]
-    expected: Optional[Tuple[int, ...]]
 
     def ratio(self, degree: int) -> Fraction:
         return Fraction(self.betti[degree], self.index)
@@ -83,10 +84,14 @@ class GrowthSeries:
 
     complex_name: str
     prime: int
-    dim: int
     reference: Tuple[int, ...]
     covers: Tuple[CoverResult, ...]
     derivable_family: Optional[str]
+
+    @property
+    def dim(self) -> int:
+        """dim L: the reference holds degrees 0..dim L + 1."""
+        return len(self.reference) - 2
 
     def rows(self):
         for cov in self.covers:
@@ -112,12 +117,6 @@ class GrowthSeries:
             writer.writerow(row)
         return out.getvalue()
 
-    def exact_match(self) -> Optional[bool]:
-        """Whether every cover hit its closed form; None when not derivable."""
-        if self.derivable_family is None:
-            return None
-        return all(c.expected == c.betti for c in self.covers)
-
     def render_report(self) -> str:
         name = self.complex_name or "L"
         lines = [
@@ -134,8 +133,7 @@ class GrowthSeries:
             ratios = " ".join(f"{str(cov.ratio(i)):>8}" for i in range(self.dim + 2))
             lines.append(f"{'ratio':>12} {'':>7} {ratios}")
         if self.derivable_family is not None:
-            status = "EXACT" if self.exact_match() else "MISMATCH"
-            lines.append(f"closed form ({self.derivable_family}): {status}")
+            lines.append(f"closed form ({self.derivable_family}): EXACT")
         lines.append(f"caveat: {CAVEAT}")
         return "\n".join(lines)
 
@@ -152,30 +150,23 @@ def check_prime(p: int) -> None:
         raise CoverSpecError(f"{p} is not prime")
 
 
-def _derivable_family(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
-                      indices: Sequence[int]):
-    """(family tag, expected betti per spec) or (None, [None]*len).
-
-    indices[i] is the index of specs[i], computed once by the caller.
-    """
+def _derivable_family(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec]):
+    """(family tag, closed-form betti numbers per spec) or (None, [None]*len)."""
     n = L.n_vertices
     if L.dim == 0:
-        expected = [(1, idx * (n - 1) + 1) for idx in indices]
+        expected = [(1, spec.index * (n - 1) + 1) for spec in specs]
         return "free group, b_1 from Euler characteristic", expected
     if len(L.facets) == 1 and len(L.facets[0]) == n:
         row = tuple(math.comb(n, i) for i in range(n + 1))
         return "free abelian group, torus covers", [row for _ in specs]
     parts = join_parts(L) if L.dim == 1 else ()
     if len(parts) == 2:
-        a, b = (len(p) for p in parts)
         expected = []
         for spec in specs:
             blocks = _side_blocks(spec, parts)
             if blocks is None:
                 return None, [None] * len(specs)
-            qa, qb = blocks
-            ma = qa * (a - 1) + 1
-            mb = qb * (b - 1) + 1
+            ma, mb = (q * (len(part) - 1) + 1 for q, part in zip(blocks, parts))
             expected.append((1, ma + mb, ma * mb))
         return "product of two free groups, Kunneth", expected
     return None, [None] * len(specs)
@@ -193,16 +184,16 @@ def _side_blocks(spec: FiniteQuotientSpec, parts: Sequence[Sequence[int]]):
                  for part in parts)
 
 
-def independent_orders(spec: FiniteQuotientSpec, index: int) -> Optional[Tuple[int, ...]]:
+def independent_orders(spec: FiniteQuotientSpec) -> Optional[Tuple[int, ...]]:
     """Orders k_v of the generator images (FiniteQuotientSpec.image_orders)
     if they are independent, else None.
 
-    The images are independent when the deck group, of order index, is the
-    direct sum of the cyclic groups they generate: index == prod k_v.  Every
-    standard_spec is of this kind.
+    The images are independent when the deck group, of order spec.index, is
+    the direct sum of the cyclic groups they generate: index == prod k_v.
+    Every standard_spec is of this kind.
     """
     orders = spec.image_orders()
-    return orders if math.prod(orders) == index else None
+    return orders if math.prod(orders) == spec.index else None
 
 
 def support_cells(L: SimplicialComplex, orders: Sequence[int]) -> int:
@@ -306,9 +297,8 @@ def cover_betti(L: SimplicialComplex, orders: Sequence[int], prime: int) -> Tupl
     return convolve(rows)
 
 
-def split_betti(L: SimplicialComplex, spec: FiniteQuotientSpec, index: int,
-                prime: int) -> Tuple[int, ...]:
-    """F_prime betti numbers of the cover of any spec of the given index.
+def split_betti(L: SimplicialComplex, spec: FiniteQuotientSpec, prime: int) -> Tuple[int, ...]:
+    """F_prime betti numbers of the cover of any spec.
 
     Write the deck group Q as P x Q' (FiniteQuotientSpec.sylow_split).
     Over F_p with the roots of unity of order |Q'| adjoined, F_p[Q']
@@ -321,22 +311,20 @@ def split_betti(L: SimplicialComplex, spec: FiniteQuotientSpec, index: int,
     characters of support T and K_T the P-cover complex with unit
     directions T (cube_chain_complex of L); for a trivial P, K_T is the
     support complex of T (support_betti).  The P deck group is enumerated
-    once.  N(T) comes from FiniteQuotientSpec.character_supports, given |Q'|
-    from its Smith normal form and the orders of its images, computed once
-    for it and for the check below: a cyclic Q' is counted by character
-    order in d(|Q'|) steps, any other Q' by listing its characters.
-    |P| |Q'| must be the index, the characters counted must number
-    |Q'|, and those that are 1 on image v, |Q'| / ord(v).
+    once.  N(T) comes from FiniteQuotientSpec.character_supports: a cyclic
+    Q' is counted by character order in d(|Q'|) steps, any other Q' by
+    listing its characters.  |P| |Q'| must be the index, the characters
+    counted must number |Q'|, and those that are 1 on image v, |Q'| / ord(v).
     """
     p_part, rest = spec.sylow_split(prime)
     deck, shift = p_part.cayley_table()
     order = rest.index
-    if len(deck) * order != index:
+    if len(deck) * order != spec.index:
         raise CorruptComplexError(
             f"p-part of order {len(deck)} and p'-part of order {order} "
-            f"do not multiply to the index {index}")
+            f"do not multiply to the index {spec.index}")
     orders = rest.image_orders()
-    counts = rest.character_supports(order, orders)
+    counts = rest.character_supports()
     if sum(counts.values()) != order:
         raise CorruptComplexError(
             f"{sum(counts.values())} characters counted for a p'-part of order {order}")
@@ -373,8 +361,9 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
     kept on L's join factors (cover_betti), any other spec is split into its
     p-part and its p'-part (split_betti).  Every call checks every row
     against the Euler characteristic of the cover, index * (1 - chi(L)),
-    before it reads the reference; a call whose check fails drops every
-    factor's rows at prime, so the next call computes them anew.
+    and against its family's closed form, if L has one, before it reads the
+    reference; a call whose check fails drops every factor's rows at prime,
+    so the next call computes them anew.
     """
     flag, witness = is_flag(L)
     if not flag:
@@ -388,28 +377,30 @@ def growth_experiment(L: SimplicialComplex, specs: Sequence[FiniteQuotientSpec],
         raise CoverSpecError(f"specs must have strictly increasing index, got {indices}")
     for spec in specs:
         check_generator_count(L, spec)
-    all_orders = [independent_orders(spec, idx) for spec, idx in zip(specs, indices)]
-    for idx, orders in zip(indices, all_orders):
-        check_cover_size(L, idx, None if orders is None else support_cells(L, orders))
-    betti_rows = [split_betti(L, spec, idx, prime) if orders is None
+    all_orders = [independent_orders(spec) for spec in specs]
+    for spec, orders in zip(specs, all_orders):
+        check_cover_size(L, spec.index, None if orders is None else support_cells(L, orders))
+    betti_rows = [split_betti(L, spec, prime) if orders is None
                   else cover_betti(L, orders, prime)
-                  for spec, idx, orders in zip(specs, indices, all_orders)]
+                  for spec, orders in zip(specs, all_orders)]
     chi = 1 - L.euler_characteristic()
-    for spec, idx, row in zip(specs, indices, betti_rows):
-        if sum((-1) ** i * b for i, b in enumerate(row)) != idx * chi:
-            for F in join_factors(L):  # equal factors are one object, met more than once
-                F._rows.pop(prime, None)
-            raise CorruptComplexError(
-                f"betti numbers {list(row)} of the cover {spec.label()} do not sum "
-                f"to its Euler characteristic {idx * chi}")
+    family, closed_forms = _derivable_family(L, specs)
+    for spec, row, closed in zip(specs, betti_rows, closed_forms):
+        if sum((-1) ** i * b for i, b in enumerate(row)) != spec.index * chi:
+            problem = f"do not sum to its Euler characteristic {spec.index * chi}"
+        elif closed not in (None, row):
+            problem = f"miss the closed form {list(closed)} ({family})"
+        else:
+            continue
+        for F in join_factors(L):  # equal factors are one object, met more than once
+            F._rows.pop(prime, None)
+        raise CorruptComplexError(
+            f"betti numbers {list(row)} of the cover {spec.label()} {problem}")
 
     # cover degree i against L's degree i - 1, read after the covers, whose
     # batches hold its factor rows for a standard spec with k >= 2
     reference = support_betti(L, -1, prime)
-    family, expected = _derivable_family(L, specs, indices)
-    covers = tuple(
-        CoverResult(moduli_label=spec.label(), index=idx,
-                    betti=tuple(row), expected=exp)
-        for spec, idx, row, exp in zip(specs, indices, betti_rows, expected))
-    return GrowthSeries(complex_name=L.name, prime=prime, dim=L.dim,
-                        reference=reference, covers=covers, derivable_family=family)
+    covers = tuple(CoverResult(moduli_label=spec.label(), index=spec.index, betti=tuple(row))
+                   for spec, row in zip(specs, betti_rows))
+    return GrowthSeries(complex_name=L.name, prime=prime, reference=reference,
+                        covers=covers, derivable_family=family)

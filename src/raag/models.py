@@ -22,6 +22,7 @@ cover, keeping the support complexes' rows on L's join factors.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -96,9 +97,10 @@ class FiniteQuotientSpec:
         """Subgroup generated by the generator images, sorted tuples."""
         return self.cayley_table()[0]
 
-    @property
+    @functools.cached_property
     def index(self) -> int:
-        """|<images>| = prod(moduli) / |Z^r / (images + moduli lattice)|.
+        """|<images>| = prod(moduli) / |Z^r / (images + moduli lattice)|,
+        computed once per spec.
 
         The cokernel order is the product of the Smith normal form diagonal
         of diag(moduli) stacked above the images, which has full column rank,
@@ -145,11 +147,10 @@ class FiniteQuotientSpec:
         return tuple(math.lcm(*(k // math.gcd(x, k) for x, k in zip(img, self.moduli)))
                      for img in self.images)
 
-    def character_supports(self, order: int, orders: Sequence[int]) -> Dict[int, int]:
-        """Number of characters of the deck group, of the given order (the
-        index), per support: the bit mask of the vertices whose image the
-        character does not send to 1.  Zero images lie in no support.
-        orders are the orders of the images (image_orders).
+    def character_supports(self) -> Dict[int, int]:
+        """Number of characters of the deck group per support: the bit mask
+        of the vertices whose image the character does not send to 1.  Zero
+        images lie in no support.
 
         The deck group is cyclic exactly when the lcm of the image orders,
         its exponent, equals its order n.  Then its phi(e) characters of
@@ -167,11 +168,12 @@ class FiniteQuotientSpec:
         multiples of g_j below its order modulo the span of the earlier ones.
 
         >>> spec = FiniteQuotientSpec((6,), ((1,), (2,), (3,), (0,)))
-        >>> dict(sorted(spec.character_supports(6, spec.image_orders()).items()))
+        >>> dict(sorted(spec.character_supports().items()))
         {0: 1, 3: 2, 5: 1, 7: 2}
         """
-        if math.lcm(*orders) == order:
-            return _cyclic_supports(order, orders)
+        orders = self.image_orders()
+        if math.lcm(*orders) == self.index:
+            return _cyclic_supports(self.index, orders)
         masks: Dict[Tuple[int, ...], int] = {}
         for v, img in enumerate(self.images):
             if any(img):
@@ -264,11 +266,14 @@ def check_cover_size(base: SimplicialComplex, index: int,
 
 
 def _decimal(n: int) -> str:
-    """n, or a power of two up to n past Python's int-to-str digit limit."""
+    """n, or a power of two up to n past 4,300 digits (Python's default
+    int-to-str limit) or past a lower limit set in the interpreter."""
     try:
-        return str(n)
+        if n < 10 ** 4300:
+            return str(n)
     except ValueError:
-        return f"2^{n.bit_length() - 1} or more"
+        pass
+    return f"2^{n.bit_length() - 1} or more"
 
 
 class CubeComplex:
@@ -288,13 +293,12 @@ class CubeComplex:
                 f"cube complex model needs a flag base; minimal non-face {witness}",
                 witness=witness)
         check_generator_count(base, spec)
-        index = spec.index
-        check_cover_size(base, index)
+        check_cover_size(base, spec.index)
         self.base = base
         self.deck, self._shift = spec.cayley_table()
-        if len(self.deck) != index:
+        if len(self.deck) != spec.index:
             raise CorruptComplexError(
-                f"deck group has {len(self.deck)} elements, Smith normal form says {index}")
+                f"deck group has {len(self.deck)} elements, Smith normal form says {spec.index}")
         self._cc: Optional[ChainComplexZ] = None
 
     @property

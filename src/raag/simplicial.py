@@ -365,8 +365,10 @@ def complement_components(x: SimplicialComplex) -> List[Tuple[int, ...]]:
     A graph search over the vertices not yet reached, without building the
     complement: the complement neighbours of u among them are unseen - adj[u].
     Each vertex left in unseen by that difference is charged to an edge at u,
-    so the search is linear in vertices plus edges.  Parts come in increasing
-    order of their smallest vertex.
+    so the search is linear in vertices plus edges.  unseen is rebound to a
+    new set, not shrunk in place: a set keeps its hash table as it empties,
+    and every later difference would walk the table of all n vertices.
+    Parts come in increasing order of their smallest vertex.
     """
     n = x.n_vertices
     adj = _adjacency(x)
@@ -381,7 +383,7 @@ def complement_components(x: SimplicialComplex) -> List[Tuple[int, ...]]:
         while frontier:
             reached = unseen - adj[frontier.pop()]
             if reached:
-                unseen -= reached
+                unseen = unseen - reached
                 part.extend(reached)
                 frontier.extend(reached)
         parts.append(tuple(sorted(part)))

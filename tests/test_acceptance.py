@@ -213,10 +213,12 @@ def _free_cover_b1(x, spec):
 
 
 def _free_growth_problems(x, spec, index, n):
-    """growth_experiment of one spec on the free group's x must hit the
-    closed form b_1 = index (n - 1) + 1."""
-    cov = growth_experiment(x, [spec], 2).covers[0]
-    if cov.index != index or cov.betti != cov.expected or cov.betti[1] != index * (n - 1) + 1:
+    """growth_experiment of one spec on the free group's x must name the free
+    family and hit its closed form b_1 = index (n - 1) + 1."""
+    series = growth_experiment(x, [spec], 2)
+    cov = series.covers[0]
+    if (series.derivable_family != "free group, b_1 from Euler characteristic"
+            or cov.index != index or cov.betti != (1, index * (n - 1) + 1)):
         return [f"free n={n} {spec}: growth_experiment {cov}"]
     return []
 
@@ -262,8 +264,8 @@ def test_acceptance_6_growth_exact_families():
     edge = fixture("simplex", n=1)
     for p in (2, 3):
         series = growth_experiment(edge, [standard_spec(edge, k) for k in (2, 3, 4)], p)
-        if series.exact_match() is not True:
-            problems.append(f"torus family not exact at p={p}")
+        if series.derivable_family != "free abelian group, torus covers":
+            problems.append(f"torus family not named at p={p}")
         if any(c.betti != (1, 2, 1) for c in series.covers):
             problems.append(f"torus cover betti wrong at p={p}")
         ratios = [c.ratio(1) for c in series.covers]
@@ -274,11 +276,11 @@ def test_acceptance_6_growth_exact_families():
     c4 = fixture("cycle", n=4)
     for p in (2, 3):
         series = growth_experiment(c4, [standard_spec(c4, k) for k in (2, 3)], p)
-        if series.exact_match() is not True:
-            problems.append(f"product family not exact at p={p}")
+        if series.derivable_family != "product of two free groups, Kunneth":
+            problems.append(f"product family not named at p={p}")
         for k, cov in zip((2, 3), series.covers):
-            if cov.betti[2] != (k * k + 1) ** 2:
-                problems.append(f"C_4 k={k} p={p}: b_2 = {cov.betti[2]}")
+            if cov.betti != (1, 2 * (k * k + 1), (k * k + 1) ** 2):
+                problems.append(f"C_4 k={k} p={p}: betti {cov.betti}")
             if cov.ratio(2) - 1 != Fraction(2 * k * k + 1, k ** 4):
                 problems.append(f"C_4 k={k} p={p}: ratio gap {cov.ratio(2) - 1}")
 

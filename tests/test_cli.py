@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,7 @@ import raag
 import raag.growth as growth_module
 import raag.homology as homology_module
 import raag.simplicial as simplicial
-from raag import cli, errors
+from raag import cli, errors, fixtures
 from raag import io as rio
 from raag.classify import EmbeddingWitness
 from raag.cli import main
@@ -524,6 +525,21 @@ def test_classify_unknown_fixture_exit_ten(capsys):
     assert code == 10
 
 
+def test_fixture_self_check_failure_exits_fifteen(monkeypatch, capsys):
+    # a frozen triangulation the engine disagrees with is an internal
+    # consistency failure, not a usage error, and the failed build is not
+    # memoized: once the engine is mended the fixture builds
+    fixtures._build.cache_clear()
+    monkeypatch.setattr(fixtures, "homology_summary",
+                        lambda x: SimpleNamespace(betti=(1, 2), torsion=((), ())))
+    code, out, err = run(capsys, "homology", "--fixture", "cycle", "--n", "5")
+    assert (code, out) == (15, "")
+    assert err == "error: fixture self-check failed: H=(1, 2)/((), ()), want (1, 1)/((), ())\n"
+    assert fixtures._build.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert run(capsys, "homology", "--fixture", "cycle", "--n", "5")[0] == 0
+
+
 # the README's exit-code table, one row per error class
 ERROR_CODES = {errors.RaagError: 10, errors.MalformedComplexError: 10,
                errors.FixtureError: 10, errors.NotFlagError: 11,
@@ -709,6 +725,30 @@ def test_growth_charges_the_cover_before_building_its_spec(tmp_path):
     assert "cover of index 2^15000 or more needs 2^15014 or more cells" in errs[1]
 
 
+@pytest.mark.parametrize("n, k, index", [
+    (1000, "7" * 4299, "2^14280000 or more"),  # k^n >= 2^(n * 14,280): past 4,300 digits
+    (9000, "3", str(3 ** 9000)),              # 4,294 digits, named in full
+], ids=["4299-digit-modulus", "4294-digit-index"])
+def test_growth_refuses_a_huge_modulus_without_its_power(n, k, index):
+    # cycle(1000) with a 4,299-digit modulus is refused from its 2^1000 rows
+    # with no 4.3-million-digit power k^n taken (2.98 s when it was); an
+    # index of at most 4,300 digits is still printed whole
+    src = str(Path(raag.__file__).resolve().parents[1])
+    code = ("import contextlib, io, sys, time\n"
+            "from raag.cli import main\n"
+            "start = time.perf_counter()\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    rc = main(sys.argv[1:])\n"
+            "print(rc, time.perf_counter() - start, repr(err.getvalue()))\n")
+    argv = ["growth", "--fixture", "cycle", "--n", str(n), "--prime", "2", "--moduli", k]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    rc, seconds, err = proc.stdout.split(" ", 2)
+    assert rc == "14" and float(seconds) < 1.0
+    assert f"error: cover of index {index} needs " in err
+
+
 def test_growth_prints_integers_past_the_int_to_str_limit(capsys):
     # discrete(2) at k = 10^2200 - 1: the index k^2 = 10^4400 - 2 10^2200 + 1
     # and b_1 = k^2 + 1 have 4,400 digits, printed whole, and the digit limit
@@ -876,6 +916,15 @@ def test_benchmark_workload_runs_correct(workload):
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, proc.stderr
+
+
+def test_benchmark_checker_selftest_passes():
+    # perfbench/check.py imports tests/oracles.py, so a change to the shared
+    # oracles that breaks a benchmark check fails here first
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], capture_output=True,
+                          text=True, cwd=root, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_console_script_is_installed():

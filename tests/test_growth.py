@@ -10,6 +10,7 @@ import raag.growth as growth
 import raag.homology as homology
 import raag.models as models
 import raag.simplicial as simplicial
+from raag.cli import main
 from raag.errors import CorruptComplexError, CoverSpecError, NotFlagError
 from raag.fixtures import fixture
 from raag.growth import CAVEAT, growth_experiment
@@ -50,7 +51,8 @@ def test_free_group_family_is_exact():
     assert series.derivable_family == "free group, b_1 from Euler characteristic"
     assert [c.index for c in series.covers] == [4, 9, 16]
     assert [c.betti for c in series.covers] == [(1, 5), (1, 10), (1, 17)]
-    assert series.exact_match() is True
+    assert "closed form (free group, b_1 from Euler characteristic): EXACT" \
+        in series.render_report()
     assert series.reference == (0, 1)
     # b_1 / index approaches the reference b~_0 = 1 from above
     assert [c.ratio(1) for c in series.covers] == \
@@ -62,7 +64,7 @@ def test_torus_family_is_exact():
     series = growth_experiment(edge, [standard_spec(edge, k) for k in (2, 3)], 3)
     assert series.derivable_family == "free abelian group, torus covers"
     assert all(c.betti == (1, 2, 1) for c in series.covers)
-    assert series.exact_match() is True
+    assert "closed form (free abelian group, torus covers): EXACT" in series.render_report()
     # every ratio tends to zero: the group is amenable, no growth anywhere
     assert series.reference == (0, 0, 0)
 
@@ -79,8 +81,8 @@ def test_product_family_with_block_split_spec():
     # each side restricts to a deck group of order k, so the side rows are
     # (1, k + 1) and the cover betti numbers are their convolution
     assert [c.index for c in series.covers] == [4, 9]
-    assert [c.expected for c in series.covers] == [(1, 6, 9), (1, 8, 16)]
-    assert series.exact_match() is True
+    assert growth._derivable_family(c4, specs)[1] == [(1, 6, 9), (1, 8, 16)]
+    assert [c.betti for c in series.covers] == [(1, 6, 9), (1, 8, 16)]
 
 
 def test_standard_spec_on_square_is_product():
@@ -89,11 +91,35 @@ def test_standard_spec_on_square_is_product():
     assert series.derivable_family == "product of two free groups, Kunneth"
     assert [c.index for c in series.covers] == [16, 81]
     assert [c.betti for c in series.covers] == [(1, 10, 25), (1, 20, 100)]
-    assert series.exact_match() is True
+    assert "closed form (product of two free groups, Kunneth): EXACT" in series.render_report()
     # b_2 / index = ((k^2 + 1) / k^2)^2 exceeds the reference b~_1 = 1 by
     # exactly (2 k^2 + 1) / k^4
     for k, cov in zip((2, 3), series.covers):
         assert cov.ratio(2) - 1 == Fraction(2 * k * k + 1, k ** 4)
+
+
+def test_a_row_that_misses_its_closed_form_fails_the_run(monkeypatch, capsys):
+    # C_4's row at k = 2 off by one in b_0 and in b_1 keeps its Euler
+    # characteristic but misses the product closed form (1, 10, 25): the run
+    # exits 15 with no CSV, and no factor keeps rows at that prime
+    original = growth.cover_betti
+
+    def off_by_one(*args):
+        b = original(*args)
+        return (b[0] + 1, b[1] + 1) + b[2:]
+
+    monkeypatch.setattr(growth, "cover_betti", off_by_one)
+    c4 = fixture("cycle", n=4)
+    with pytest.raises(CorruptComplexError,
+                       match=r"\[2, 11, 25\] of the cover 2x2x2x2 miss the closed form "
+                             r"\[1, 10, 25\] \(product of two free groups, Kunneth\)") as caught:
+        growth_experiment(c4, [standard_spec(c4, 2)], 2)
+    assert caught.value.exit_code == 15
+    assert all(2 not in F._rows for F in join_factors(c4))
+    code = main(["growth", "--fixture", "cycle", "--n", "4", "--prime", "2", "--moduli", "2"])
+    out, err = capsys.readouterr()
+    assert code == 15 and out == ""
+    assert "miss the closed form" in err and "MISMATCH" not in err
 
 
 def test_shared_coordinate_disables_product_form():
@@ -101,8 +127,8 @@ def test_shared_coordinate_disables_product_form():
     spec = FiniteQuotientSpec(moduli=(2,), images=((1,), (1,), (1,), (1,)))
     series = growth_experiment(c4, [spec], 2)
     assert series.derivable_family is None
-    assert series.exact_match() is None
-    assert series.covers[0].expected is None
+    assert growth._derivable_family(c4, [spec]) == (None, [None])
+    assert "closed form (" not in series.render_report()
     assert series.covers[0].index == 2
 
 
@@ -295,7 +321,7 @@ def test_p_part_enumerated_once_per_spec_without_independent_images(monkeypatch)
     specs = [standard_spec(x, k) for k in (2, 3, 4)]
     series = growth_experiment(x, specs, 2)
     assert [c.index for c in series.covers] == [4, 9, 16]
-    assert series.exact_match()
+    assert series.derivable_family == "free group, b_1 from Euler characteristic"
     assert calls == []
     c4 = fixture("cycle", n=4)
     specs = [_shared(3), standard_spec(c4, 2), _shared(24)]
@@ -373,7 +399,7 @@ def test_p_part_and_p_prime_part_must_multiply_to_index(monkeypatch):
 def test_character_count_must_match_p_prime_part(monkeypatch):
     supports = FiniteQuotientSpec.character_supports
     monkeypatch.setattr(FiniteQuotientSpec, "character_supports",
-                        lambda spec, order, orders: {**supports(spec, order, orders), 0: 2})
+                        lambda spec: {**supports(spec), 0: 2})
     c4 = fixture("cycle", n=4)
     with pytest.raises(CorruptComplexError, match="4 characters counted for a p'-part of order 3"):
         growth_experiment(c4, [_shared(6)], 2)

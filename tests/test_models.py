@@ -2,6 +2,7 @@
 
 import pytest
 
+import raag.models as models
 from raag.errors import CoverSpecError, NotFlagError
 from raag.fixtures import fixture, standard_fixtures
 from raag.homology import betti_Fp, cube_chain_complex, homology_Z, simplicial_chain_complex
@@ -10,6 +11,18 @@ from raag.simplicial import from_facets, is_flag
 
 
 # -- finite quotient specs -----------------------------------------------------------
+
+
+def test_spec_index_runs_one_smith_normal_form(monkeypatch):
+    # the spec is a frozen value, so its index is computed on first read only
+    calls = []
+    monkeypatch.setattr(models, "smith_normal_form",
+                        lambda m, snf=models.smith_normal_form: calls.append(m) or snf(m))
+    spec = FiniteQuotientSpec(moduli=(4, 6), images=((1, 3), (2, 0), (0, 1)))
+    assert [spec.index for _ in range(3)] == [24] * 3
+    assert len(calls) == 1
+    assert FiniteQuotientSpec(moduli=(4, 6), images=spec.images).index == 24
+    assert len(calls) == 2
 
 
 def test_spec_normalizes_residues():
