@@ -26,6 +26,10 @@ Equal factors are one object (simplicial.join_factors), and each
 distinct factor is reduced once per call, its results keyed by the object
 and read at every position it takes; nothing is cached on a ChainComplexZ,
 so every call, a certificate replay included, reduces its factors anew.
+A cone, a join with a one-vertex factor, is reduced through that apex
+alone: a point's chain complex is acyclic, and so is its tensor product
+with any other, so the other factors' chain complexes are never built and
+the universal-coefficient check runs on the apex.
 """
 
 from __future__ import annotations
@@ -423,27 +427,37 @@ def homology_summary(x: SimplicialComplex, reduced: bool = False,
     mod-p ranks are checked against its Smith normal forms by universal
     coefficients, and a mismatch raises CorruptComplexError.  Equal factors
     are one object: its Smith normal forms, F_p ranks and check run once,
-    and the fold reads them at each of its positions.
+    and the fold reads them at each of its positions.  A join with a
+    one-vertex factor, a cone, reduces that factor alone, and its zero
+    homology is padded to every degree of x.
 
     >>> from raag.fixtures import fixture
-    >>> from raag.simplicial import join, join_factors
+    >>> from raag.simplicial import cone, join, join_factors
     >>> x = join(fixture("rp2_flag"), fixture("discrete", n=2))  # suspension of RP^2
     >>> len(join_factors(x))
     2
     >>> h = homology_summary(x, primes=None)
     >>> h.betti, h.torsion, h.betti_mod_p
     ((1, 0, 0, 0), ((), (), (2,), ()), ((2, (1, 0, 1, 1)),))
+    >>> c = cone(fixture("rp2_flag"))  # contractible: its apex's homology alone
+    >>> [f.n_vertices for f in join_factors(c)]
+    [31, 1]
+    >>> h = homology_summary(c, primes=None)
+    >>> h.betti, h.torsion, h.betti_mod_p
+    ((1, 0, 0, 0), ((), (), (), ()), ((2, (1, 0, 0, 0)),))
     """
-    factors = join_factors(x)
+    factors = _reduced_factors(x)
     parts = {f: homology_Z(simplicial_chain_complex(f)) for f in dict.fromkeys(factors)}
     h = functools.reduce(join_homology_kunneth, [parts[f] for f in factors])
+    betti, torsion = _pad(h.betti, x, 0), _pad(h.torsion, x, ())
     tables = []
     for p in default_primes(h) if primes is None else primes:
         rows = {f: betti_Fp(simplicial_chain_complex(f), p) for f in parts}
         if any(rows[f] != uct_betti_fp(q.betti, q.torsion, p) for f, q in parts.items()):
             raise CorruptComplexError(f"universal-coefficient cross-check failed at p = {p}")
-        tables.append((p, _unreduce(convolve([rows[f] for f in factors])[1:], reduced)))
-    return HomologySummary(reduced, _unreduce(h.betti[1:], reduced), h.torsion[1:], tuple(tables))
+        table = _pad(convolve([rows[f] for f in factors]), x, 0)
+        tables.append((p, _unreduce(table[1:], reduced)))
+    return HomologySummary(reduced, _unreduce(betti[1:], reduced), torsion[1:], tuple(tables))
 
 
 def betti_table(x: SimplicialComplex, p: int) -> Tuple[int, ...]:
@@ -452,11 +466,32 @@ def betti_table(x: SimplicialComplex, p: int) -> Tuple[int, ...]:
     Kunneth over a field: the chain complex of a join is the tensor product
     of its factors', so its betti numbers are the product of the factors'
     rows as polynomials, and reduced degree k is their degree k + 1.  A
-    factor that the join repeats is one object, ranked once.
+    factor that the join repeats is one object, ranked once, and a cone
+    ranks its apex alone.
     """
-    factors = join_factors(x)
+    factors = _reduced_factors(x)
     rows = {f: betti_Fp(simplicial_chain_complex(f), p) for f in dict.fromkeys(factors)}
-    return convolve([rows[f] for f in factors])[1:]
+    return _pad(convolve([rows[f] for f in factors]), x, 0)[1:]
+
+
+def _reduced_factors(x: SimplicialComplex) -> List[SimplicialComplex]:
+    """The join factors of x whose chain complexes are reduced: all of them,
+    or a one-vertex factor alone when x is a join of two or more (a cone).
+    A point's chain complex is acyclic, and the Kunneth formula makes the
+    tensor product of an acyclic complex of free modules with any other one
+    acyclic, so the join's homology is the point's: zero in every degree."""
+    factors = join_factors(x)
+    if len(factors) > 1:
+        for f in factors:
+            if f.n_vertices == 1:
+                return [f]
+    return factors
+
+
+def _pad(row: Sequence, x: SimplicialComplex, zero) -> tuple:
+    """A row over the chain degrees of x's factors, degrees 0..dim x + 1 of
+    the chain complex of x: those of a cone's apex stop at degree 1."""
+    return tuple(row) + (zero,) * (x.dim + 2 - len(row))
 
 
 def _unreduce(betti: Tuple[int, ...], reduced: bool) -> Tuple[int, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import MalformedComplexError, QuotientDegenerateError
 from .linalg import convolve
@@ -133,13 +133,19 @@ def from_facets(facets: Iterable[Iterable[int]], name: str = "",
     is dropped exactly when a strictly larger listed simplex contains it, since
     distinct simplices of equal size never contain each other.  An empty facet
     list gives the empty complex.
+
+    Each facet, and the list, is read once, and the ids are checked before
+    anything is sorted (_distinct_simplices): a bad id raises as as_simplex
+    names it, the first in input order.  The distinct facets are sorted
+    lexicographically, then stably by size, the canonical (size, lex)
+    order; a list already in that order, as every file raag writes is,
+    sorts in linear time.
     """
-    simplices = sorted({as_simplex(f) for f in facets}, key=lambda s: (len(s), s))
+    simplices, used = _distinct_simplices(_read_facets(facets))
+    simplices.sort()
+    simplices.sort(key=len)
     if simplices and len(simplices[0]) == 0:
         raise MalformedComplexError("the empty simplex cannot be listed as a facet")
-    used = set()
-    for s in simplices:
-        used.update(s)
     n = (max(used) + 1) if used else 0
     if len(used) != n:  # counted, not listed: the first ten lie below len(used) + 10
         first = list(itertools.islice((v for v in range(n) if v not in used), 10))
@@ -169,6 +175,45 @@ def from_facets(facets: Iterable[Iterable[int]], name: str = "",
         maximal.extend(kept)
     maximal.reverse()
     return SimplicialComplex(n, tuple(maximal), name=name)
+
+
+def _read_facets(facets: Iterable[Iterable[int]]) -> Sequence[Sequence[int]]:
+    """The facets as lists or tuples, each iterable read once: a list or a
+    tuple of lists and tuples as given, anything else read into tuples.  A
+    facet that is not iterable raises TypeError only after the facets before
+    it have passed as_simplex, so the first bad facet in input order raises."""
+    if type(facets) in (list, tuple) and set(map(type, facets)) <= {list, tuple}:
+        return facets
+    read: List[Sequence[int]] = []
+    try:
+        for f in facets:
+            read.append(f if type(f) in (list, tuple) else tuple(f))
+    except TypeError:
+        for f in read:
+            as_simplex(f)
+        raise
+    return read
+
+
+def _distinct_simplices(given: Sequence[Sequence[int]]) -> Tuple[List[Simplex], Set[int]]:
+    """The distinct facets as sorted tuples, in input order, and their ids.
+
+    When every id is exactly a nonnegative int and no facet repeats one, as
+    checked in bulk, the facets are sorted and merged as given.  The types
+    are checked first: sorting mixed types can raise, and merging would take
+    1.0 or True for the id 1.  Otherwise as_simplex checks the facets one by
+    one in input order and raises on the first bad one (an int subclass
+    passes).
+    """
+    ids = itertools.chain.from_iterable
+    if set(map(type, ids(given))) <= {int}:
+        simplices = list(dict.fromkeys(map(tuple, map(sorted, given))))
+        used = set(ids(simplices))
+        if min(used, default=0) >= 0 and (
+                sum(map(len, map(set, simplices))) == sum(map(len, simplices))):
+            return simplices, used
+    simplices = list(dict.fromkeys(map(as_simplex, given)))
+    return simplices, set(ids(simplices))
 
 
 def complex_to_json_dict(x: SimplicialComplex) -> dict:

@@ -356,6 +356,34 @@ def test_homology_builds_only_the_join_factors(tmp_path, monkeypatch, capsys, ma
     assert sorted(built) == sorted({f.facets for f in factors})
 
 
+@pytest.mark.parametrize("command", ["classify", "homology"])
+def test_a_cone_reduces_its_apex_alone(tmp_path, monkeypatch, capsys, command):
+    # cone(moore_flag(3)) is moore_flag(3) * point: the point's chain complex,
+    # acyclic, is the only one built, and only its boundary is Smith-reduced
+    path = write_json(tmp_path / "L.json",
+                      complex_to_json_dict(cone(fixture("moore_flag", q=3))))
+    built, reduced = [], []
+    real_plan, real_smith = homology_module.cube_facets, homology_module.smith_normal_form
+
+    def plan(x, i):
+        if i == 1:
+            built.append(x.facets)
+        return real_plan(x, i)
+
+    def smith(m, *args):
+        reduced.append((m.rows, m.cols, dict(m.entries)))
+        return real_smith(m, *args)
+
+    monkeypatch.setattr(homology_module, "cube_facets", plan)
+    monkeypatch.setattr(homology_module, "smith_normal_form", smith)
+    code, out, err = run(capsys, command, path)
+    assert code == 0
+    assert ("replay ok" in err and '"ZeroEntropy"' in out if command == "classify"
+            else "cross-check: ok" in out)
+    assert built == [((0,),)]
+    assert reduced and set(map(repr, reduced)) == {repr((1, 1, {(0, 0): 1}))}
+
+
 def test_growth_reduces_each_support_complex_of_equal_factors_once(monkeypatch, capsys):
     # the octahedron is S^0 * S^0 * S^0, one S^0 object three times; its
     # four support complexes (T = {}, {0}, {1}, V) are reduced once for both

@@ -30,10 +30,23 @@ from raag.simplicial import (SimplicialComplex, Subdivision, _maximal_cliques, a
 # -- construction and canonical form -------------------------------------------
 
 
+BAD_IDS = (None, "a", 1.0, True, -1, [0])
+
+
+def _spoil(draw, one_in: int = 6) -> bool:
+    # not 0, which hypothesis draws far more often than 1 / one_in
+    return draw(st.integers(0, one_in - 1)) == 1
+
+
 @st.composite
 def messy_facet_lists(draw):
     """Facet lists with duplicates, proper sub-faces and unsorted vertices,
-    relabeled to dense ids."""
+    relabeled to dense ids; sometimes spoiled by a bad id at a random place
+    or a float in place of an equal id, a repeated id, an empty facet, a
+    facet that is not iterable, sparse ids or a wrong declared count.
+    Returns (make, declared vertex count or None): make() builds the list
+    afresh, as generators where drawn (the list, and each facet), so that
+    each loader reads its own copy once."""
     base = draw(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
                          min_size=1, max_size=10))
     facets = []
@@ -45,13 +58,84 @@ def messy_facet_lists(draw):
             facets.append(draw(st.permutations(f))[:draw(st.integers(1, len(f) - 1))])
     facets = draw(st.permutations(facets))
     relabel = {v: i for i, v in enumerate(sorted({v for f in facets for v in f}))}
-    return [[relabel[v] for v in f] for f in facets]
+    facets = [[relabel[v] for v in f] for f in facets]
+    n = len(relabel)
+    if _spoil(draw):  # ids from `start` up move up by `gap`: gap ids missing
+        start, gap = draw(st.integers(1, n)), draw(st.integers(1, 12))
+        facets = [[v + gap if v >= start else v for v in f] for f in facets]
+    for _ in range(draw(st.integers(1, 2)) if _spoil(draw, 4) else 0):
+        f = draw(st.sampled_from(facets))
+        ids = [i for i, v in enumerate(f) if type(v) is int]
+        if ids and draw(st.booleans()):  # equal to the id it replaces, as 1.0 == 1
+            i = draw(st.sampled_from(ids))
+            f[i] = float(f[i])
+        else:
+            f.insert(draw(st.integers(0, len(f))), draw(st.sampled_from(BAD_IDS)))
+    if _spoil(draw):
+        f = draw(st.sampled_from(facets))
+        f.insert(draw(st.integers(0, len(f))), draw(st.sampled_from(f)))
+    if _spoil(draw):
+        facets.insert(draw(st.integers(0, len(facets))), [])
+    if _spoil(draw, 12):
+        facets.insert(draw(st.integers(0, len(facets))), draw(st.sampled_from([5, None])))
+    declared = n + draw(st.sampled_from([-1, 1])) if _spoil(draw) else draw(
+        st.sampled_from([None, n]))
+    inner = [isinstance(f, list) and draw(st.booleans()) for f in facets]
+    outer = draw(st.booleans())
+
+    def make():
+        fresh = [(v for v in f) if gen else (list(f) if isinstance(f, list) else f)
+                 for f, gen in zip(facets, inner)]
+        return (f for f in fresh) if outer else fresh
+    return make, declared
 
 
-@settings(max_examples=200, deadline=None)
+def _as_simplex_as_before(vertices):
+    vs = list(vertices)
+    for v in vs:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise MalformedComplexError(f"vertex ids must be nonnegative integers, got {v!r}")
+    vs.sort()
+    if len(set(vs)) != len(vs):
+        raise MalformedComplexError(f"duplicate vertices within a facet: {tuple(vs)}")
+    return tuple(vs)
+
+
+def _load_as_before(facets, n_vertices):
+    """The loader's former route, facet by facet: each facet checked and
+    sorted in input order, quadratic absorption, then the empty-facet,
+    density and declared-count checks.  Returns (facets, vertex count)."""
+    simplices = {_as_simplex_as_before(f) for f in facets}
+    if () in simplices:
+        raise MalformedComplexError("the empty simplex cannot be listed as a facet")
+    used = {v for s in simplices for v in s}
+    n = max(used) + 1 if used else 0
+    if len(used) != n:
+        first = [v for v in range(n) if v not in used][:10]
+        raise MalformedComplexError(
+            f"vertex ids must be dense 0..{n - 1}; {n - len(used)} missing, the first {first}")
+    if n_vertices is not None and n_vertices != n:
+        raise MalformedComplexError(f"declared vertex count {n_vertices} != inferred {n}")
+    return tuple(maximal_simplices_quadratic(simplices)), n
+
+
+def _load(facets, n_vertices):
+    x = from_facets(facets, n_vertices=n_vertices)
+    return x.facets, x.n_vertices
+
+
+def _outcome(load, make, declared):
+    try:
+        return load(make(), declared)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
 @given(messy_facet_lists())
-def test_from_facets_matches_quadratic_absorption(facets):
-    assert list(from_facets(facets).facets) == maximal_simplices_quadratic(facets)
+def test_from_facets_matches_quadratic_absorption(case):
+    # the same facets and vertex count, or the same exception and message
+    assert _outcome(_load, *case) == _outcome(_load_as_before, *case)
 
 
 def test_from_facets_canonicalizes_and_absorbs():
@@ -86,6 +170,12 @@ def test_vertex_types_are_checked_before_sorting(facet):
         from_facets([facet])
 
 
+def test_the_first_bad_id_as_listed_is_named():
+    # sorted, -1 would come first
+    with pytest.raises(MalformedComplexError, match=r"got 1\.5$"):
+        from_facets([[1.5, -1]])
+
+
 @pytest.mark.parametrize("build", [
     lambda: from_facets([[0], [2_000_000]]),
     lambda: simplicial_quotient(from_facets([[0], [1]]), [0, 2_000_000]),
@@ -96,6 +186,20 @@ def test_sparse_ids_are_reported_by_count_and_first_ten(build):
     message = str(info.value)
     assert "1999999 missing, the first [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]" in message
     assert len(message) < 300
+
+
+def test_loading_a_large_pure_join_is_not_quadratic():
+    # 120 * 120 facets of six vertices: the indexed walk keeps the top size
+    # whole and loads them in a few hundredths of a second, where absorption
+    # testing pairs of facets took 17-28 s on the 9,720 of rp2_flag * moore_flag(3)
+    triangles = list(itertools.combinations(range(10), 3))
+    data = {"vertices": 20, "facets": [list(a) + [v + 10 for v in b]
+                                       for a in triangles for b in triangles]}
+    start = time.perf_counter()
+    x = complex_from_json_dict(data)
+    elapsed = time.perf_counter() - start
+    assert len(x.facets) == 14_400 and x.dim == 5
+    assert elapsed < 2.0
 
 
 def test_quotient_rejects_negative_targets():

@@ -10,9 +10,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import networkx as nx
+
 from oracles import (all_faces, boundary_matrix, brute_betti_fp, brute_homology,
-                     complement_components_networkx, dense_snf, rank_fraction, rank_gf,
-                     random_facets)
+                     complement_components_networkx, dense_snf, maximal_cliques_networkx,
+                     rank_fraction, rank_gf, random_facets)
 
 import raag.homology as homology_module
 from raag.errors import CorruptComplexError
@@ -22,7 +24,7 @@ from raag.homology import (ChainComplexZ, HomologySummary, betti_Fp, betti_table
                            join_homology_kunneth, simplicial_chain_complex,
                            top_cohomology_nonzero, uct_betti_fp)
 from raag.linalg import SparseIntMatrix, is_prime, rank_mod_p, smith_normal_form
-from raag.simplicial import (barycentric_subdivision, flag_completion, from_facets,
+from raag.simplicial import (barycentric_subdivision, cone, flag_completion, from_facets,
                              is_flag, join, join_factors)
 
 
@@ -338,6 +340,90 @@ def test_factor_uct_mismatch_raises(monkeypatch):
     monkeypatch.setattr(homology_module, "betti_Fp", off_by_one)
     with pytest.raises(CorruptComplexError, match="universal-coefficient"):
         homology_summary(x, primes=[3])
+
+
+# -- cones: the apex alone -------------------------------------------------------------
+
+# their cones take the dense oracle seconds each; the whole cone's own chain
+# complex, reduced as one, stands in for it
+LARGE_FIXTURES = ("moore_flag(2)", "moore_flag(3)", "dunce_flag")
+CONE_PRIMES = (2, 3, 5)
+
+
+def _cone_oracle(c, reduced, large):
+    """(betti, torsion, {p: F_p betti}) of c from the dense oracle, or for a
+    large cone from its own chain complex, unsplit."""
+    if not large:
+        facets = list(c.facets)
+        betti, torsion = brute_homology(facets, reduced=reduced)
+        return betti, torsion, {p: brute_betti_fp(facets, p, reduced=reduced)
+                                for p in CONE_PRIMES}
+    cc = simplicial_chain_complex(c)
+    h = homology_Z(cc)
+    unit = [0 if reduced else 1] + [0] * c.dim
+
+    def add(row):  # reduced degree k is chain degree k + 1
+        return [u + b for u, b in zip(unit, row[1:])]
+    return add(h.betti), h.torsion[1:], {p: add(betti_Fp(cc, p)) for p in CONE_PRIMES}
+
+
+def _check_cone(L, large=False):
+    # the apex of a flag base is a factor of its own; a base that is not flag
+    # need not split off (the cone over the hollow triangle is no join)
+    c = cone(L)
+    assert (1 in [f.n_vertices for f in join_factors(c)]) == (len(join_factors(c)) > 1)
+    assert len(join_factors(c)) > 1 or not is_flag(L)[0]
+    for reduced in (False, True):
+        h = homology_summary(c, reduced=reduced, primes=CONE_PRIMES)
+        betti, torsion, fp = _cone_oracle(c, reduced, large)
+        assert len(h.betti) == len(h.torsion) == c.dim + 1
+        assert h.betti == tuple(betti) and h.torsion == tuple(map(tuple, torsion))
+        for p in CONE_PRIMES:
+            assert h.betti_fp(p) == tuple(fp[p]) and len(fp[p]) == c.dim + 1
+            if reduced:
+                assert betti_table(c, p) == tuple(fp[p])
+
+
+@pytest.mark.parametrize("name", sorted(standard_fixtures()))
+def test_cone_of_each_fixture_matches_the_oracles(name):
+    _check_cone(standard_fixtures()[name], large=name in LARGE_FIXTURES)
+
+
+def test_cone_of_each_census_complex_matches_the_oracles():
+    # every clique complex of a graph on 1..6 vertices (networkx's atlas)
+    graphs = [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 6]
+    assert len(graphs) == 208
+    for g in graphs:
+        _check_cone(from_facets(maximal_cliques_networkx(g.number_of_nodes(), list(g.edges()))))
+
+
+@pytest.mark.parametrize("name", ["rp2_flag", "moore(3)"])
+def test_a_two_vertex_factor_is_no_apex(name):
+    # the suspension of RP^2 keeps its Z/2 one degree up: only a point's
+    # chain complex is acyclic, not that of S^0
+    L = standard_fixtures()[name]
+    x = join(L, fixture("discrete", n=2))
+    assert sorted(f.n_vertices for f in join_factors(x))[0] == 2
+    h = homology_summary(x, primes=(2, 3))
+    assert h.torsion == ((),) + homology_summary(L).torsion
+    assert h.betti == (1,) + homology_summary(L, reduced=True).betti
+    assert betti_table(x, 2) == (0,) + betti_table(L, 2)
+
+
+def test_a_cone_checks_its_apex_by_universal_coefficients(monkeypatch):
+    c = cone(fixture("rp2_flag"))
+    real = homology_module.betti_Fp
+    seen = []
+
+    def off_by_one(cc, p):
+        seen.append(cc.dims)
+        row = real(cc, p)
+        return (row[0] + 1,) + row[1:]
+
+    monkeypatch.setattr(homology_module, "betti_Fp", off_by_one)
+    with pytest.raises(CorruptComplexError, match="universal-coefficient"):
+        homology_summary(c, primes=[3])
+    assert seen == [(1, 1)]
 
 
 # -- top cohomology criterion --------------------------------------------------------
